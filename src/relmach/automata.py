@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, material, obj
+from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, frozen, material, obj
 from .transducer import Transducer, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)
@@ -27,7 +27,7 @@ class Nfa:
     final: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "trans", frozenset(self.trans))
+        object.__setattr__(self, "trans", frozen(self.trans, "transitions"))
         object.__setattr__(self, "initial", self.states.check_subset(self.initial))
         object.__setattr__(self, "final", self.states.check_subset(self.final))
         for q, a, q2 in self.trans:
@@ -62,7 +62,7 @@ class Dfa(Nfa):
 
 
 def nfa(alphabet, states, trans, initial, final) -> Nfa:
-    return Nfa(alphabet, states, frozenset(trans), frozenset(initial), frozenset(final))
+    return Nfa(alphabet, states, trans, initial, final)
 
 
 EMPTY_DFA_STATES = Alphabet("empty", ())

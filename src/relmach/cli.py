@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except (CliError, MachineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:  # exit 1 means "not equal / fail", never a crash
+        print("error: " + " ".join(f"{type(e).__name__}: {e}".split()), file=sys.stderr)
+        return EXIT_ERROR
 
 
 def entry() -> None:  # console-script hook

@@ -151,16 +151,6 @@ def _contains_node(d: Diagram, kind) -> bool:
             return isinstance(d, kind)
 
 
-def node_count(d: Diagram) -> int:
-    match d:
-        case Seq(first=f, second=s) | Par(left=f, right=s):
-            return 1 + node_count(f) + node_count(s)
-        case Feedback(body=b) | FeedbackZ(body=b):
-            return 1 + node_count(b)
-        case _:
-            return 1
-
-
 def _unpackers(o: Obj):
     """Map a packed symbol of ``o`` to its flat tuple, by index."""
     packed = pack_obj(o)

@@ -51,7 +51,7 @@ def _rel_payload(r: Rel) -> dict:
 def _parse_rel(p: dict) -> Rel:
     return Rel(
         _parse_obj(p["dom"]), _parse_obj(p["cod"]),
-        frozenset((tuple(x), tuple(y)) for x, y in p["pairs"]),
+        ((tuple(x), tuple(y)) for x, y in p["pairs"]),
     )
 
 
@@ -70,7 +70,7 @@ def _parse_transducer(p: dict) -> Transducer:
     return transducer(
         _parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
         _parse_alphabet(p["states"]),
-        {tuple(q) for q in p["trans"]},
+        (tuple(q) for q in p["trans"]),
         p["initial"], p["final"],
     )
 
@@ -88,8 +88,7 @@ def _nfa_payload(n: Nfa) -> dict:
 def _parse_nfa(p: dict, cls=Nfa) -> Nfa:
     return cls(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        frozenset(tuple(t) for t in p["trans"]),
-        frozenset(p["initial"]), frozenset(p["final"]),
+        (tuple(t) for t in p["trans"]), p["initial"], p["final"],
     )
 
 
@@ -107,7 +106,7 @@ def _presentation_payload(p: Presentation) -> dict:
 def _parse_presentation(p: dict) -> Presentation:
     return presentation(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        {tuple(t) for t in p["trans"]}, p.get("root"),
+        (tuple(t) for t in p["trans"]), p.get("root"),
     )
 
 
@@ -125,7 +124,7 @@ def _parse_ztransducer(p: dict) -> ZTransducer:
     return ztransducer(
         _parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
         _parse_alphabet(p["states"]),
-        {tuple(q) for q in p["trans"]},
+        (tuple(q) for q in p["trans"]),
     )
 
 
@@ -168,8 +167,7 @@ def _parse_term(p: dict) -> Diagram:
         return Par(_parse_term(p["left"]), _parse_term(p["right"]))
     if node == "feedback":
         wire = _parse_alphabet(p["wire"])
-        return Feedback(wire, frozenset(p["initial"]), frozenset(p["final"]),
-                        _parse_term(p["body"]))
+        return Feedback(wire, p["initial"], p["final"], _parse_term(p["body"]))
     if node == "feedback-z":
         return FeedbackZ(_parse_alphabet(p["wire"]), _parse_term(p["body"]))
     raise MachineError(f"unknown diagram node {node!r}")

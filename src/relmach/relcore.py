@@ -10,13 +10,19 @@ snake equations, ...) can be checked by enumeration.
 Bracketing of bundles is always flat, and wires carrying the unit
 alphabet are dropped when computing tuple spaces, so the empty bundle and
 a unit wire are interchangeable.
+
+Validation contract: every constructor validates all of its input, each
+pair of a relation included, and the constructors of the layers above do
+the same for transitions, roots and label sets.  A symbol lookup costs
+O(1) through the symbol→position dict each alphabet keeps, and a relation
+checks its distinct domain and codomain tuples column by column.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 class MachineError(Exception):
@@ -33,35 +39,51 @@ class Alphabet:
 
     name: str
     elements: tuple[str, ...]
+    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
+        elements = tuple(self.elements)
+        if not all(isinstance(s, str) for s in elements):
+            raise MachineError(f"alphabet {self.name!r} has a non-string element")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_pos", dict(zip(elements, range(len(elements)))))
+        if len(self._pos) != len(elements):
             raise MachineError(f"alphabet {self.name!r} has duplicate elements")
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self.elements
+        try:
+            return symbol in self._pos
+        except TypeError:  # unhashable, so not a symbol
+            return False
 
     def index(self, symbol: str) -> int:
         try:
-            return self.elements.index(symbol)
-        except ValueError:
+            return self._pos[symbol]
+        except (KeyError, TypeError):
             raise MachineError(f"symbol {symbol!r} not in alphabet {self.name!r}") from None
 
     def check_subset(self, symbols: Iterable[str]) -> frozenset[str]:
         """Validate ``symbols ⊆ elements`` and return them as a frozenset."""
-        out = frozenset(symbols)
-        for s in out:
-            if s not in self.elements:
-                raise MachineError(f"symbol {s!r} not in alphabet {self.name!r}")
+        out = frozen(symbols, "symbol set")
+        if not self._pos.keys() >= out:
+            bad = next(s for s in out if s not in self)
+            raise MachineError(f"symbol {bad!r} not in alphabet {self.name!r}")
         return out
 
     def sort(self, symbols: Iterable[str]) -> list[str]:
         """Sort symbols in canonical (alphabet) order."""
         return sorted(symbols, key=self.index)
+
+
+def frozen(items, what: str) -> frozenset:
+    """``frozenset(items)``, raising :class:`MachineError` on unhashable items."""
+    try:
+        return frozenset(items)
+    except TypeError as e:
+        raise MachineError(f"{what} is not a set of hashable values ({e})") from None
 
 
 #: The monoidal unit: a one-element alphabet.  A wire labeled by it is
@@ -78,14 +100,12 @@ class Obj:
     """An ordered bundle of wires.  The empty bundle is the monoidal unit."""
 
     wires: tuple[Alphabet, ...]
+    # Wires with unit wires dropped; this is what tuples range over.
+    flat: tuple[Alphabet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(self.wires))
-
-    @property
-    def flat(self) -> tuple[Alphabet, ...]:
-        """Wires with unit wires dropped; this is what tuples range over."""
-        return tuple(w for w in self.wires if not is_unit(w))
+        object.__setattr__(self, "flat", tuple(w for w in self.wires if not is_unit(w)))
 
     def tuples(self) -> Iterator[tuple[str, ...]]:
         """Enumerate the tuple space in row-major canonical order."""
@@ -97,9 +117,11 @@ class Obj:
             n *= len(w)
         return n
 
-    def contains_tuple(self, t: tuple[str, ...]) -> bool:
-        flat = self.flat
-        return len(t) == len(flat) and all(s in w for s, w in zip(t, flat))
+    def contains_tuples(self, ts: Collection[tuple[str, ...]]) -> bool:
+        """Whether every tuple of ``ts`` is in the tuple space, checked per column."""
+        if set(map(len, ts)) - {len(self.flat)}:
+            return False
+        return all(w._pos.keys() >= set(col) for w, col in zip(self.flat, zip(*ts)))
 
     def signature(self) -> tuple[tuple[str, ...], ...]:
         """Per-wire element lists; two objects are composable iff equal."""
@@ -127,11 +149,17 @@ class Rel:
     pairs: frozenset[Pair] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for x, y in self.pairs:
-            if not self.dom.contains_tuple(x):
+        object.__setattr__(self, "pairs", frozen(self.pairs, "relation"))
+        try:
+            if self.dom.contains_tuples({x for x, _ in self.pairs}) \
+                    and self.cod.contains_tuples({y for _, y in self.pairs}):
+                return
+        except (TypeError, ValueError):  # a malformed pair; the scan below reports it
+            pass
+        for x, y in self.pairs:  # locate the first offending pair
+            if not self.dom.contains_tuples((x,)):
                 raise MachineError(f"pair component {x!r} is not a valid domain tuple")
-            if not self.cod.contains_tuple(y):
+            if not self.cod.contains_tuples((y,)):
                 raise MachineError(f"pair component {y!r} is not a valid codomain tuple")
 
     def sorted_pairs(self) -> list[Pair]:
@@ -150,7 +178,7 @@ def _tuple_key(o: Obj):
 
 
 def rel(dom: Obj, cod: Obj, pairs: Iterable[Pair]) -> Rel:
-    return Rel(dom, cod, frozenset(pairs))
+    return Rel(dom, cod, pairs)
 
 
 def _require_same_type(a: Obj, b: Obj, what: str) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .automata import Dfa, Nfa, determinize, minimize, nfa_to_transducer, _reachable, _forward_edges
+from .automata import Dfa, Nfa, determinize, minimize, _reachable, _forward_edges
 from .relcore import (
     MachineError,
     Rel,
@@ -200,11 +200,6 @@ def certificate_for_minimization(d: Dfa) -> tuple[Dfa, SimCertificate]:
         raise MachineError("minimization certificate requires every state accessible")
     mdfa, lmap = minimize(d)
     return mdfa, SimCertificate(lmap, TWO_SIDED)
-
-
-def check_nfa_pair(m1: Nfa, m2: Nfa, cert: SimCertificate) -> SimReport:
-    """Convenience wrapper: check automata as unit-output transducers."""
-    return check_fin(nfa_to_transducer(m1), nfa_to_transducer(m2), cert)
 
 
 def verify_report(m1: Transducer, m2: Transducer, cert: SimCertificate,

@@ -21,6 +21,7 @@ from .relcore import (
     MachineError,
     Rel,
     TypeMismatch,
+    frozen,
     material,
     obj,
     pair_symbol,
@@ -46,7 +47,7 @@ class Presentation:
     root: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trans", frozenset(self.trans))
+        object.__setattr__(self, "trans", frozen(self.trans, "transitions"))
         for q, a, q2 in self.trans:
             self.states.index(q)
             self.states.index(q2)
@@ -76,7 +77,7 @@ class Presentation:
 
 
 def presentation(alphabet, states, trans, root=None) -> Presentation:
-    return Presentation(alphabet, states, frozenset(trans), root)
+    return Presentation(alphabet, states, trans, root)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ZTransducer:
 
 
 def ztransducer(input, output, states, quads) -> ZTransducer:
-    return ZTransducer(input, output, states, trans_rel(input, output, states, set(quads)))
+    return ZTransducer(input, output, states, trans_rel(input, output, states, tuple(quads)))
 
 
 def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
@@ -152,10 +153,6 @@ def backward_prune(p: Presentation) -> Presentation:
 def prune(p: Presentation) -> Presentation:
     """Keep states lying on a bi-infinite path."""
     return forward_prune(backward_prune(p))
-
-
-def is_state_pruned(p: Presentation) -> bool:
-    return prune(p).states.elements == p.states.elements
 
 
 def is_language_pruned(p: Presentation) -> bool:

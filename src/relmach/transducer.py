@@ -31,7 +31,7 @@ Word = tuple[str, ...]
 
 
 def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet,
-              quads: set[Quad] | frozenset[Quad]) -> Rel:
+              quads: tuple[Quad, ...] | set[Quad] | frozenset[Quad]) -> Rel:
     """Build the transition relation A×Q → B×Q from explicit quadruples."""
     dom = obj(input, states)
     cod = obj(output, states)
@@ -58,7 +58,7 @@ def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet,
             raise MachineError(f"letter {a!r} not in unit input alphabet")
         if is_unit(output) and b != star:
             raise MachineError(f"letter {b!r} not in unit output alphabet")
-    return Rel(dom, cod, frozenset((dtup(a, q), ctup(b, q2)) for a, q, b, q2 in quads))
+    return Rel(dom, cod, ((dtup(a, q), ctup(b, q2)) for a, q, b, q2 in quads))
 
 
 def rel_quads(input: Alphabet, output: Alphabet, states: Alphabet, r: Rel) -> frozenset[Quad]:
@@ -112,8 +112,8 @@ def transducer(input: Alphabet, output: Alphabet, states: Alphabet,
                quads, initial, final) -> Transducer:
     return Transducer(
         input, output, states,
-        trans_rel(input, output, states, set(quads)),
-        frozenset(initial), frozenset(final),
+        trans_rel(input, output, states, tuple(quads)),
+        initial, final,
     )
 
 
@@ -141,9 +141,6 @@ class UniformRelationSample:
         for w, v in self.pairs:
             if len(w) != len(v) or len(w) > self.max_len:
                 raise MachineError(f"sample pair {(w, v)!r} violates uniform length bound")
-
-    def at_length(self, k: int) -> frozenset[tuple[Word, Word]]:
-        return frozenset(p for p in self.pairs if len(p[0]) == k)
 
     def sorted_pairs(self) -> list[tuple[Word, Word]]:
         ik = self.input.index
@@ -302,63 +299,3 @@ def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transduc
         a, b = unpair(ab)
         quads.add((a, q, b, q2))
     return transducer(input, output, t.states, quads, t.initial, t.final)
-
-
-# ---------------------------------------------------------------------------
-# Sample-level combinators, used as independent oracles in tests and by the
-# diagram evaluator.
-
-def lift_sample(r: Rel, n: int) -> UniformRelationSample:
-    dflat = r.dom.flat
-    cflat = r.cod.flat
-    input = dflat[0] if dflat else UNIT
-    output = cflat[0] if cflat else UNIT
-    star = UNIT.elements[0]
-    letters = [(x[0] if x else star, y[0] if y else star) for x, y in r.pairs]
-    pairs: set[tuple[Word, Word]] = {((), ())}
-    level = [((), ())]
-    for _ in range(n):
-        level = [(w + (a,), v + (b,)) for w, v in level for a, b in letters]
-        pairs.update(level)
-    return UniformRelationSample(input, output, n, frozenset(pairs))
-
-
-def sample_compose(s1: UniformRelationSample, s2: UniformRelationSample) -> UniformRelationSample:
-    if s1.output.elements != s2.input.elements:
-        raise TypeMismatch("cannot compose samples over different middle alphabets")
-    n = min(s1.max_len, s2.max_len)
-    by_mid: dict[Word, set[Word]] = {}
-    for v, u in s2.pairs:
-        by_mid.setdefault(v, set()).add(u)
-    pairs = {
-        (w, u)
-        for w, v in s1.pairs
-        if len(w) <= n
-        for u in by_mid.get(v, ())
-    }
-    return UniformRelationSample(s1.input, s2.output, n, frozenset(pairs))
-
-
-def sample_product(s1: UniformRelationSample, s2: UniformRelationSample) -> UniformRelationSample:
-    """Positionwise zip of equal-length pairs, over the product alphabets."""
-    ipair = pair_symbol(s1.input, s2.input)
-    opair = pair_symbol(s1.output, s2.output)
-    n = min(s1.max_len, s2.max_len)
-    by_len: dict[int, list[tuple[Word, Word]]] = {}
-    for w, v in s2.pairs:
-        by_len.setdefault(len(w), []).append((w, v))
-    pairs = set()
-    for w1, v1 in s1.pairs:
-        k = len(w1)
-        if k > n:
-            continue
-        for w2, v2 in by_len.get(k, ()):
-            pairs.add((
-                tuple(ipair(a, c) for a, c in zip(w1, w2)),
-                tuple(opair(b, d) for b, d in zip(v1, v2)),
-            ))
-    return UniformRelationSample(
-        product_alphabet(s1.input, s2.input),
-        product_alphabet(s1.output, s2.output),
-        n, frozenset(pairs),
-    )

@@ -277,3 +277,18 @@ def test_exit_codes_follow_verdict_contract(tmp_path, capsys):
         assert code == expect
         if argv[0] == "equiv":
             assert json.loads(out)["status"] == ("equal" if expect == 0 else "not-equal")
+
+
+def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """Exit 1 means "not equal / fail"; a crash inside a command is an error."""
+    gm = write(tmp_path, "gm.json", presentation(
+        Ab, Alphabet("Q", ("0",)), {("0", "a", "0"), ("0", "b", "0")}))
+    for exc in (RecursionError("maximum recursion depth exceeded"),
+                RuntimeError("first line\nsecond line")):
+        def crash(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("relmach.cli.cmd_equiv", crash)
+        code, out, err = run(capsys, "equiv", gm, gm)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1

@@ -14,14 +14,12 @@ from relmach.transducer import (
     compose_transducers,
     finite_shift_at,
     from_automaton,
-    lift_sample,
     lift_transducer,
     product_transducers,
-    sample_compose,
-    sample_product,
     to_automaton,
     transducer,
 )
+from samples import lift_sample, sample_compose, sample_product
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
