@@ -2,6 +2,11 @@
 minimization, isomorphism of minimal machines, exact language equivalence,
 and the factor-closure / pruning operators on regular languages.
 
+Two graph algorithms here are shared with the sofic and simulation
+modules: ``refine``, Hopcroft's partition refinement in O(n·k·log n) for
+n states and k letters, and ``long_path_states``, the linear-time
+restriction to the states on infinite paths.
+
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
 checkable by the simulation module.
@@ -145,6 +150,100 @@ def _backward_edges(n: Nfa) -> dict[str, set[str]]:
     return out
 
 
+def long_path_states(states, edges: dict[str, set[str]]) -> set[str]:
+    """The states that start a path of length at least card(states) inside
+    ``states``, i.e. an infinite path, following ``edges``.
+
+    Linear time: states none of whose successors are kept are peeled off
+    one by one, with a counter of kept successors per state.
+    """
+    kept = set(states)
+    preds: dict[str, list[str]] = {q: [] for q in kept}
+    out_degree = dict.fromkeys(kept, 0)
+    for q in kept:
+        for q2 in edges.get(q, ()):
+            if q2 in kept:
+                preds[q2].append(q)
+                out_degree[q] += 1
+    todo = [q for q, n in out_degree.items() if not n]
+    while todo:
+        q = todo.pop()
+        kept.discard(q)
+        for p in preds[q]:
+            out_degree[p] -= 1
+            if not out_degree[p]:
+                todo.append(p)
+    return kept
+
+
+def refine(universe, letters, step, key) -> dict:
+    """The coarsest partition of ``universe`` that refines ``key`` and is
+    stable under the complete transition function ``step``, as a map from
+    each state to its block number.
+
+    Hopcroft's algorithm (1971), O(n·|letters|·log n): each queued block
+    splits every block by its predecessors under all letters; a block that
+    splits while queued has both halves queued, otherwise only the smaller.
+    """
+    pre: dict = {a: {} for a in letters}
+    for q in universe:
+        for a in letters:
+            pre[a].setdefault(step(q, a), []).append(q)
+    block: dict = {}
+    members: list[set] = []
+    number: dict = {}
+    for q in universe:
+        b = block[q] = number.setdefault(key(q), len(members))
+        if b == len(members):
+            members.append(set())
+        members[b].add(q)
+    largest = max(range(len(members)), key=lambda b: len(members[b]), default=0)
+    queue = [b for b in range(len(members)) if b != largest]
+    queued = set(queue)
+    while queue:
+        splitter = queue.pop()
+        queued.discard(splitter)
+        targets = list(members[splitter])
+        for a in letters:
+            hit: dict[int, list] = {}
+            for q2 in targets:
+                for q in pre[a].get(q2, ()):
+                    hit.setdefault(block[q], []).append(q)
+            for b, inside in hit.items():
+                rest = members[b]
+                if len(inside) == len(rest):
+                    continue
+                rest.difference_update(inside)
+                new = len(members)
+                members.append(set(inside))
+                for q in inside:
+                    block[q] = new
+                if b not in queued and len(rest) < len(inside):
+                    new = b
+                queue.append(new)
+                queued.add(new)
+    return block
+
+
+def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
+    """Merge the states of ``live`` (in state order) with equal follow
+    languages in the completion of ``delta`` by a sink, ``None``, starting
+    from the partition by ``key``; states in the sink's class are dropped.
+
+    Returns each kept state's class, named by its smallest member, the
+    class alphabet in state order, and the class transitions.
+    """
+    block = refine(live + [None], letters, lambda q, a: delta.get((q, a)), key)
+    first: dict[int, str] = {}
+    for q in live:
+        if block[q] != block[None]:
+            first.setdefault(block[q], q)
+    name = {q: first[block[q]] for q in live if block[q] in first}
+    classes = Alphabet(states.name, tuple(q for q in live if name.get(q) == q))
+    trans = {(name[q], a, name[q2]) for (q, a), q2 in delta.items() if q in name and q2 in name}
+    return name, classes, trans
+
+
 def trim(n: Nfa) -> Nfa:
     """Keep only states lying on some path from an initial to a final state."""
     live = _reachable(n.states, _forward_edges(n), n.initial) & \
@@ -213,55 +312,13 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     if not live or not (set(live) & d.final):
         return empty_dfa(d.alphabet), lmap_empty
 
-    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach and q2 in reach}
-    sink = None  # completion target, never a real state
-
-    def dstep(q, a):
-        return delta.get((q, a), sink)
-
-    # Moore refinement over live states plus the sink.
-    universe = live + [sink]
-    block: dict[object, int] = {q: (0 if q in d.final else 1) for q in universe}
-    while True:
-        sig = {
-            q: (block[q],) + tuple(block[dstep(q, a)] for a in d.alphabet.elements)
-            for q in universe
-        }
-        renumber: dict[tuple, int] = {}
-        new_block = {}
-        for q in universe:
-            new_block[q] = renumber.setdefault(sig[q], len(renumber))
-        if new_block == block:
-            break
-        block = new_block
-
-    sink_block = block[sink]
-    classes: dict[int, list[str]] = {}
-    for q in live:
-        if block[q] != sink_block:
-            classes.setdefault(block[q], []).append(q)
-    if not classes:
-        return empty_dfa(d.alphabet), lmap_empty
-
-    # Each class is named by its smallest member in the original order.
-    name_of = {b: min(members, key=d.states.index) for b, members in classes.items()}
-    ordered = sorted(name_of.values(), key=d.states.index)
-    min_states = Alphabet(d.states.name, tuple(ordered))
-
-    trans: set[Triple] = set()
-    for b, members in classes.items():
-        rep = members[0]
-        for a in d.alphabet.elements:
-            q2 = dstep(rep, a)
-            if q2 is not sink and block[q2] != sink_block:
-                trans.add((name_of[b], a, name_of[block[q2]]))
+    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
+    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
+                                       lambda q: q in d.final)
     init = next(iter(d.initial))
-    final = frozenset(name_of[b] for b, members in classes.items() if members[0] in d.final)
-    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name_of[block[init]]}), final)
-    lmap = Rel(
-        obj(d.states), obj(min_states),
-        frozenset(((q,), (name_of[block[q]],)) for q in live if block[q] != sink_block),
-    )
+    final = frozenset(d.final & set(min_states.elements))
+    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[init]}), final)
+    lmap = Rel(obj(d.states), obj(min_states), frozenset(((q,), (c,)) for q, c in name.items()))
     return mdfa, lmap
 
 
@@ -327,27 +384,19 @@ def factor_closure(n: Nfa) -> Nfa:
     return nfa(t.alphabet, t.states, t.trans, everything, everything)
 
 
-def _cycle_states(n: Nfa) -> set[str]:
-    fwd = _forward_edges(n)
-    out = set()
-    for q in n.states.elements:
-        if q in _reachable(n.states, fwd, fwd.get(q, set())):
-            out.add(q)
-    return out
-
-
 def prune_language(n: Nfa) -> Nfa:
     """Automaton for the words with arbitrarily long two-sided extensions.
 
     A state may start (resp. end) a run iff it is reachable from an initial
     state (resp. co-reachable from a final state) through a cycle, which is
-    the finite stand-in for "by arbitrarily long paths".
+    the finite stand-in for "by arbitrarily long paths": it ends an infinite
+    backward path among the reachable states (resp. starts an infinite
+    forward path among the co-reachable ones).
     """
     fwd = _forward_edges(n)
     bwd = _backward_edges(n)
-    cyc = _cycle_states(n)
-    pumped_in = _reachable(n.states, fwd, cyc & _reachable(n.states, fwd, n.initial))
-    pumped_out = _reachable(n.states, bwd, cyc & _reachable(n.states, bwd, n.final))
+    pumped_in = long_path_states(_reachable(n.states, fwd, n.initial), bwd)
+    pumped_out = long_path_states(_reachable(n.states, bwd, n.final), fwd)
     return nfa(n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))
 
 

@@ -35,9 +35,10 @@ class CliError(Exception):
     pass
 
 
-def _load(path, *kinds):
+def _load_tagged(path, *kinds) -> tuple[str, object]:
+    """Read a machine file once; return its kind tag and its value."""
     try:
-        x = io.load_file(path)
+        kind, x = io.load_tagged(path)
     except FileNotFoundError:
         raise CliError(f"{path}: file not found")
     except MachineError as e:
@@ -46,8 +47,12 @@ def _load(path, *kinds):
         raise CliError(f"{path}: unreadable machine file ({e})")
     if kinds and not isinstance(x, kinds):
         names = "/".join(k.__name__ for k in kinds)
-        raise CliError(f"{path}: expected kind {names}, got {io.kind_of_file(path)}")
-    return x
+        raise CliError(f"{path}: expected kind {names}, got {kind}")
+    return kind, x
+
+
+def _load(path, *kinds):
+    return _load_tagged(path, *kinds)[1]
 
 
 def _emit(payload) -> None:
@@ -99,11 +104,10 @@ def _as_nfa(x) -> Nfa:
 
 
 def cmd_equiv(args) -> int:
-    x = _load(args.file1)
-    y = _load(args.file2)
+    kind1, x = _load_tagged(args.file1)
+    kind2, y = _load_tagged(args.file2)
     if isinstance(x, DIAGRAM_NODES) and isinstance(y, DIAGRAM_NODES):
-        has_z = any(io.kind_of_file(f) == "zdiagram" for f in (args.file1, args.file2))
-        if has_z:
+        if "zdiagram" in (kind1, kind2):
             equal = z_diagrams_equiv(x, y)
         else:
             equal, cert = diagrams_equiv(x, y)
@@ -132,9 +136,7 @@ def cmd_equiv(args) -> int:
         return _verdict("equal" if presentations_equiv(x, y) else "not-equal")
     if isinstance(x, ZTransducer) and isinstance(y, ZTransducer):
         return _verdict("equal" if ztransducers_equiv(x, y) else "not-equal")
-    raise CliError(
-        f"cannot compare kinds {io.kind_of_file(args.file1)} and {io.kind_of_file(args.file2)}"
-    )
+    raise CliError(f"cannot compare kinds {kind1} and {kind2}")
 
 
 def cmd_determinize(args) -> int:
@@ -208,8 +210,8 @@ def cmd_check_sim(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    x = _load(args.file, *DIAGRAM_NODES)
-    if io.kind_of_file(args.file) == "zdiagram":
+    kind, x = _load_tagged(args.file, *DIAGRAM_NODES)
+    if kind == "zdiagram":
         _emit(io.to_payload(z_normal_form(x)))
     else:
         _emit(io.to_payload(normal_form(x)))

@@ -4,7 +4,8 @@ Each file is a single JSON document with a top-level ``kind`` tag.  Output
 is canonical: object keys are sorted, words are arrays of symbol names,
 and every array of symbols, pairs, or transitions is sorted in the
 canonical order of its alphabets, so serialization is deterministic and
-round-trip stable.
+round-trip stable.  Reading a document that is not JSON, or whose
+structure does not fit its kind, raises ``MachineError``.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def to_payload(x) -> dict:
     raise MachineError(f"cannot serialize {type(x).__name__}")
 
 
-def from_payload(p: dict):
+def _parse(p: dict):
     kind = p.get("kind")
     if kind == "alphabet":
         return _parse_alphabet(p)
@@ -251,13 +252,32 @@ def from_payload(p: dict):
     raise MachineError(f"unknown kind {kind!r}")
 
 
+def from_payload(p: dict):
+    """Parse a decoded document; any structural fault raises MachineError."""
+    if not isinstance(p, dict):
+        raise MachineError(f"a machine document is a JSON object, not {type(p).__name__}")
+    try:
+        return _parse(p)
+    except KeyError as e:
+        raise MachineError(f"{p.get('kind')} document: missing field {e}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        raise MachineError(f"{p.get('kind')} document: malformed ({e})") from None
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MachineError(f"not a JSON document ({e})") from None
+
+
 def dumps(x) -> str:
     payload = x if isinstance(x, dict) else to_payload(x)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str):
-    return from_payload(json.loads(text))
+    return from_payload(_decode(text))
 
 
 def save_file(path, x) -> None:
@@ -265,11 +285,13 @@ def save_file(path, x) -> None:
         fh.write(dumps(x))
 
 
+def load_tagged(path) -> tuple[str, object]:
+    """Read a machine file once: its ``kind`` tag and its value."""
+    with open(path, encoding="utf-8") as fh:
+        payload = _decode(fh.read())
+    x = from_payload(payload)
+    return payload["kind"], x
+
+
 def load_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return from_payload(json.load(fh))
-
-
-def kind_of_file(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh).get("kind", "?")
+    return load_tagged(path)[1]

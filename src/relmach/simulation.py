@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .automata import Dfa, Nfa, determinize, minimize, _reachable, _forward_edges
+from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
+    long_path_states, minimize
 from .relcore import (
     MachineError,
     Rel,
@@ -124,29 +125,6 @@ def _material_presentation(p: "Presentation") -> "Presentation":
     return presentation(p.alphabet, material(p.states), p.trans, p.root)
 
 
-def _long_path_starters(p: "Presentation") -> set[str]:
-    """States starting a path with at least card(states) transitions."""
-    k = len(p.states)
-    can = set(p.states.elements)
-    step: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
-        step.setdefault(q, set()).add(q2)
-    for _ in range(k):
-        can = {q for q in p.states.elements if step.get(q, set()) & can}
-    return can
-
-
-def _long_path_enders(p: "Presentation") -> set[str]:
-    k = len(p.states)
-    can = set(p.states.elements)
-    back: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
-        back.setdefault(q2, set()).add(q)
-    for _ in range(k):
-        can = {q for q in p.states.elements if back.get(q, set()) & can}
-    return can
-
-
 def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:
     """Check the bi-infinite conditions for ``cert.s : states2 → states1``.
 
@@ -173,11 +151,11 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
 
     if cert.mode in (TWO_SIDED, FORWARD):
         domain = {x[0] for x, _ in s.pairs}
-        for q in p2.states.sort(_long_path_starters(p2) - domain):
+        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
             return SimReport("fail", "domain-path", ((q,), ()))
     if cert.mode in (TWO_SIDED, BACKWARD):
         codomain = {y[0] for _, y in s.pairs}
-        for q in p1.states.sort(_long_path_enders(p1) - codomain):
+        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")
 

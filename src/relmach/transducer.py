@@ -141,6 +141,8 @@ class UniformRelationSample:
         for w, v in self.pairs:
             if len(w) != len(v) or len(w) > self.max_len:
                 raise MachineError(f"sample pair {(w, v)!r} violates uniform length bound")
+        self.input.check_subset(s for w, _ in self.pairs for s in w)
+        self.output.check_subset(s for _, v in self.pairs for s in v)
 
     def sorted_pairs(self) -> list[tuple[Word, Word]]:
         ik = self.input.index

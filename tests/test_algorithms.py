@@ -1,0 +1,185 @@
+"""Hopcroft refinement and the linear long-path prune, tested differentially
+against the original Moore and k-round fixpoint code (``seed_algorithms``):
+every result must serialize to the same bytes, and every rejected input
+must raise the same error."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+import seed_algorithms as seed
+from relmach import io
+from relmach.automata import Dfa, _backward_edges, _forward_edges, determinize, \
+    long_path_states, minimize, nfa, prune_language, refine
+from relmach.relcore import Alphabet, MachineError
+from relmach.sofic import backward_prune, determinize_presentation, forward_prune, \
+    minimize_presentation, presentation, prune
+
+LETTERS = ("a", "b", "c")
+
+
+def dumps(result) -> str:
+    parts = result if isinstance(result, tuple) else (result,)
+    return "".join(io.dumps(x) for x in parts)
+
+
+def outcome(fn, *args):
+    """The serialized result of a call, or the class and message it raised."""
+    try:
+        return dumps(fn(*args))
+    except MachineError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def graphs(draw, deterministic=False):
+    """Alphabet, states and transitions: 0–14 states, 1–3 letters."""
+    n = draw(st.integers(0, 14))
+    alphabet = Alphabet("A", LETTERS[:draw(st.integers(1, 3))])
+    states = Alphabet("Q", tuple(f"q{i}" for i in range(n)))
+    slots = [(q, a) for q in states.elements for a in alphabet.elements]
+    if not n:
+        return alphabet, states, set()
+    targets = st.sampled_from(states.elements)
+    if deterministic:
+        chosen = draw(st.lists(st.sampled_from(slots), unique=True))
+        return alphabet, states, {(q, a, draw(targets)) for q, a in chosen}
+    trans = draw(st.lists(st.tuples(st.sampled_from(slots), targets), max_size=3 * n))
+    return alphabet, states, {(q, a, q2) for (q, a), q2 in trans}
+
+
+@st.composite
+def partial_dfas(draw):
+    alphabet, states, trans = draw(graphs(deterministic=True))
+    subsets = st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
+    initial = draw(subsets.filter(lambda s: len(s) <= 1))
+    return Dfa(alphabet, states, frozenset(trans), frozenset(initial), frozenset(draw(subsets)))
+
+
+def cycle_with_chord(n: int):
+    """An a-cycle on n states with one b-chord from q0 to the middle."""
+    states = Alphabet("Q", tuple(f"q{i}" for i in range(n)))
+    trans = {(f"q{i}", "a", f"q{(i + 1) % n}") for i in range(n)} | {("q0", "b", f"q{n // 2}")}
+    return presentation(Alphabet("A", ("a", "b")), states, trans)
+
+
+def chain(n: int, loop: bool):
+    """q0 -a-> q1 -a-> ... -a-> q(n-1), with an a-loop on the last state if asked."""
+    states = Alphabet("Q", tuple(f"q{i}" for i in range(n)))
+    trans = {(f"q{i}", "a", f"q{i + 1}") for i in range(n - 1)}
+    if loop:
+        trans.add((f"q{n - 1}", "a", f"q{n - 1}"))
+    return presentation(Alphabet("A", ("a",)), states, trans)
+
+
+def family():
+    empty = presentation(Alphabet("A", ("a",)), Alphabet("Q", ()), set())
+    return [empty] + [cycle_with_chord(n) for n in (1, 2, 3, 7, 12, 40)] + \
+        [chain(300, False), chain(300, True)]
+
+
+def check_presentation(p):
+    assert dumps(forward_prune(p)) == dumps(seed.forward_prune(p))
+    assert dumps(backward_prune(p)) == dumps(seed.backward_prune(p))
+    assert dumps(prune(p)) == dumps(seed.prune(p))
+    assert long_path_states(p.states.elements, _forward_edges(p)) == seed._long_path_starters(p)
+    assert long_path_states(p.states.elements, _backward_edges(p)) == seed._long_path_enders(p)
+    pruned = prune(p)
+    if not pruned.is_empty():
+        det, _ = determinize_presentation(pruned, validate=False)
+        assert outcome(minimize_presentation, det, det.root, False) == \
+            outcome(seed.minimize_presentation, det, det.root, False)
+
+
+def check_nfa(n):
+    assert dumps(prune_language(n)) == dumps(seed.prune_language(n))
+    d, _ = determinize(n)
+    assert dumps(minimize(d)) == dumps(seed.minimize(d))
+
+
+@given(graphs())
+def test_prunes_and_canonical_steps_match_oracle(graph):
+    check_presentation(presentation(*graph))
+
+
+@given(graphs(deterministic=True))
+def test_minimize_presentation_matches_oracle_with_validation(graph):
+    p = presentation(*graph)
+    assert outcome(minimize_presentation, p) == outcome(seed.minimize_presentation, p)
+
+
+@given(partial_dfas())
+def test_minimize_partial_dfa_matches_oracle(d):
+    assert outcome(minimize, d) == outcome(seed.minimize, d)
+    n = nfa(d.alphabet, d.states, d.trans, d.initial, d.final)
+    assert dumps(prune_language(n)) == dumps(seed.prune_language(n))
+
+
+@given(graphs(), st.data())
+def test_prune_language_and_minimize_of_nfa_match_oracle(graph, data):
+    alphabet, states, trans = graph
+    subsets = st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
+    check_nfa(nfa(alphabet, states, trans, data.draw(subsets), data.draw(subsets)))
+
+
+@pytest.mark.parametrize("p", family(), ids=lambda p: f"{len(p.states)}-{len(p.trans)}")
+def test_families_match_oracle(p):
+    check_presentation(p)
+    n = p.as_nfa()
+    check_nfa(n)
+    for initial in ({"q0"}, set()) if p.states.elements else ():
+        last = {p.states.elements[-1]}
+        check_nfa(nfa(n.alphabet, n.states, n.trans, initial, last))
+
+
+def test_chain_dfa_minimizes_to_itself():
+    p = chain(300, False)
+    d = Dfa(p.alphabet, p.states, p.trans, frozenset({"q0"}), frozenset({"q299"}))
+    assert minimize(d) == seed.minimize(d)
+    assert len(minimize(d)[0].states) == 300
+
+
+def moore_partition(universe, letters, step, key):
+    """Round-by-round refinement by (block, successor blocks) signatures."""
+    block = {q: key(q) for q in universe}
+    while True:
+        sig = {q: (block[q],) + tuple(block[step(q, a)] for a in letters) for q in universe}
+        if len(set(sig.values())) == len(set(block.values())):
+            return {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
+        block = sig
+
+
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_refine_matches_moore_on_complete_machines(n, k, marks, data):
+    universe = list(range(n))
+    letters = LETTERS[:k]
+    table = data.draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    key_of = data.draw(st.lists(st.integers(0, marks - 1), min_size=n, max_size=n))
+
+    def step(q, a):
+        return table[q * k + letters.index(a)]
+
+    block = refine(universe, letters, step, key_of.__getitem__)
+    classes = {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
+    assert classes == moore_partition(universe, letters, step, key_of.__getitem__)
+
+
+def test_refine_queues_both_halves_of_a_queued_block():
+    # Found by random search: queueing only one half of a block that splits
+    # while queued gives a partition here that is coarser than Moore's.
+    table, key = [5, 2, 3, 0, 6, 3, 0], [2, 2, 2, 1, 1, 0, 1]
+    universe = list(range(7))
+    block = refine(universe, ("a",), lambda q, a: table[q], key.__getitem__)
+    classes = {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
+    assert classes == moore_partition(universe, ("a",), lambda q, a: table[q], key.__getitem__)
+
+
+def test_refine_is_coarsest_stable_partition():
+    # q0..q5 on a 6-cycle with q0 the only marked state: every state is
+    # distinguished by its distance to q0, and the marking is kept.
+    step = {f"q{i}": f"q{(i + 1) % 6}" for i in range(6)}
+    block = refine(list(step), ("a",), lambda q, a: step[q], lambda q: q == "q0")
+    assert len(set(block.values())) == 6
+    # Marking every other state leaves two classes.
+    block = refine(list(step), ("a",), lambda q, a: step[q], lambda q: int(q[1]) % 2)
+    assert len(set(block.values())) == 2
+    assert refine([], ("a",), None, None) == {}

@@ -292,3 +292,48 @@ def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, monkeypatc
         code, out, err = run(capsys, "equiv", gm, gm)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1
+
+
+def test_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
+    from test_io import MALFORMED_DOCS
+    commands = {"nfa": "determinize", "relation": "export-dot", "diagram": "normalize",
+                "presentation": "canonical", "alphabet": "export-dot"}
+    for i, (doc, words) in enumerate(MALFORMED_DOCS):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        command = commands[doc["kind"]] if isinstance(doc, dict) else "determinize"
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "", doc
+        assert err.startswith(f"error: {path}: ") and words in err and err.count("\n") == 1
+
+
+def test_equiv_and_normalize_read_each_file_once(tmp_path, capsys, monkeypatch):
+    z = write(tmp_path, "z.json", FeedbackZ(Q2, Box(PARITY_REL)))
+    d = write(tmp_path, "d.json", Box(SWAP_REL))
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for argv in (("equiv", z, z), ("normalize", z), ("normalize", d), ("equiv", d, d)):
+        opened.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert sorted(opened) == sorted(argv[1:])
+    monkeypatch.undo()
+    # The tag, not the term, picks the semantics: a feedback-free term read
+    # as a zdiagram normalizes to a bi-infinite machine, and one zdiagram
+    # side makes equiv compare over bi-infinite words.
+    ident = rel(obj(Aa), obj(Aa), {(("a",), ("a",))})
+    plain = write(tmp_path, "plain.json", Box(ident))
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps({**io.to_payload(Box(ident)), "kind": "zdiagram"}))
+    code, out, _ = run(capsys, "normalize", str(tagged))
+    assert code == 0 and json.loads(out)["kind"] == "ztransducer"
+    assert run(capsys, "equiv", plain, z)[0] == 0
+    n = write(tmp_path, "n.json", nfa(Aa, Q2, {("q0", "a", "q1")}, {"q0"}, {"q1"}))
+    code, _, err = run(capsys, "equiv", n, z)
+    assert code == 2 and err == "error: cannot compare kinds nfa and zdiagram\n"

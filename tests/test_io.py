@@ -80,3 +80,49 @@ def test_dot_outputs():
 def test_dfa_round_trip_keeps_class():
     d = Dfa(Ab, Q2, frozenset({("q0", "a", "q1")}), frozenset({"q0"}), frozenset({"q1"}))
     assert isinstance(io.loads(io.dumps(d)), Dfa)
+
+
+NFA_DOC = {"kind": "nfa", "alphabet": {"name": "A", "elements": ["a"]},
+           "states": {"name": "Q", "elements": ["p"]},
+           "trans": [["p", "a", "p"]], "initial": ["p"], "final": ["p"]}
+ALPHA = {"name": "A", "elements": ["a"]}
+
+# Structurally malformed documents, each with the words its error must name.
+MALFORMED_DOCS = [
+    ({**NFA_DOC, "trans": [["p", "a"]]}, "nfa document: malformed"),
+    ({k: v for k, v in NFA_DOC.items() if k != "final"}, "missing field 'final'"),
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": [[["a"]]]},
+     "relation document: malformed"),
+    ({"kind": "diagram", "term": {"node": "seq"}}, "missing field 'first'"),
+    ([NFA_DOC], "JSON object, not list"),
+    ({"kind": "presentation", "alphabet": ALPHA, "states": 3, "trans": []}, "malformed"),
+    ({"kind": "alphabet", "name": "A", "elements": 7}, "malformed"),
+    ({"kind": "diagram", "term": ["box"]}, "malformed"),
+]
+
+
+@pytest.mark.parametrize("doc, words", MALFORMED_DOCS)
+def test_malformed_documents_raise_machine_error(doc, words, tmp_path):
+    text = json.dumps(doc)
+    with pytest.raises(MachineError, match=words):
+        io.loads(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(MachineError, match=words):
+        io.load_file(path)
+
+
+def test_invalid_json_raises_machine_error(tmp_path):
+    with pytest.raises(MachineError, match="not a JSON document"):
+        io.loads('{"kind": ')
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2")
+    with pytest.raises(MachineError, match="not a JSON document"):
+        io.load_file(path)
+
+
+def test_load_tagged_returns_the_document_kind(tmp_path):
+    path = tmp_path / "z.json"
+    io.save_file(path, FeedbackZ(Q2, Box(rel(obj(Q2), obj(Q2), {(("q0",), ("q1",))}))))
+    kind, x = io.load_tagged(path)
+    assert kind == "zdiagram" and x == io.load_file(path)

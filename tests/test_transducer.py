@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED
 from genrand import random_transducer
-from relmach.relcore import Alphabet, TypeMismatch, compose, obj, rel, rel_equals
+from relmach.relcore import Alphabet, MachineError, TypeMismatch, compose, obj, rel, rel_equals
 from relmach.transducer import (
     UniformRelationSample,
     behavior_upto,
@@ -238,3 +238,13 @@ def test_lift_faithfulness(rs):
 def test_sample_validates_uniformity():
     with pytest.raises(Exception):
         UniformRelationSample(A, A, 2, frozenset({(("a",), ())}))
+
+
+def test_sample_validates_symbols():
+    with pytest.raises(MachineError, match="symbol 'zz' not in alphabet 'A'"):
+        UniformRelationSample(A, A, 1, frozenset({(("zz",), ("a",))}))
+    with pytest.raises(MachineError, match="symbol 5 not in alphabet 'A'"):
+        UniformRelationSample(A, A, 1, frozenset({(("a",), (5,))}))
+    with pytest.raises(MachineError):
+        UniformRelationSample(A, A, 1, frozenset({(("zz",), (5,))}))
+    assert UniformRelationSample(A, A, 1, frozenset({(("a",), ("a",)), ((), ())})).max_len == 1
