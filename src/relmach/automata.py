@@ -2,10 +2,11 @@
 minimization, isomorphism of minimal machines, exact language equivalence,
 and the factor-closure / pruning operators on regular languages.
 
-Two graph algorithms here are shared with the sofic and simulation
-modules: ``refine``, Hopcroft's partition refinement in O(n·k·log n) for
-n states and k letters, and ``long_path_states``, the linear-time
-restriction to the states on infinite paths.
+Three graph algorithms here are shared with the sofic and simulation
+modules: ``subsets``, the subset construction; ``refine``, Hopcroft's
+partition refinement in O(n·k·log n) for n states and k letters; and
+``long_path_states``, the linear-time restriction to the states on
+infinite paths.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -39,9 +40,6 @@ class Nfa:
             self.states.index(q)
             self.states.index(q2)
             self.alphabet.index(a)
-
-    def successors(self, q: str, a: str) -> set[str]:
-        return {q2 for p, b, q2 in self.trans if p == q and b == a}
 
     def sorted_trans(self) -> list[Triple]:
         return sorted(
@@ -93,19 +91,27 @@ def transducer_to_nfa(t: Transducer) -> Nfa:
                {(q, a, q2) for a, q, _, q2 in t.quads()}, t.initial, t.final)
 
 
+def successor_map(m) -> dict[str, dict[str, set[str]]]:
+    """Each state's successors under each letter, of an ``Nfa`` or a
+    presentation (anything with ``states`` and ``trans``)."""
+    step: dict[str, dict[str, set[str]]] = {q: {} for q in m.states.elements}
+    for q, a, q2 in m.trans:
+        step[q].setdefault(a, set()).add(q2)
+    return step
+
+
 def accepts(n: Nfa, word) -> bool:
+    step = successor_map(n)
     current = set(n.initial)
     for a in word:
-        current = {q2 for q in current for q2 in n.successors(q, a)}
+        current = {q2 for q in current for q2 in step[q].get(a, ())}
         if not current:
             return False
     return bool(current & n.final)
 
 
 def language_upto(n: Nfa, k: int) -> set[Word]:
-    step: dict[str, dict[str, set[str]]] = {q: {} for q in n.states.elements}
-    for q, a, q2 in n.trans:
-        step[q].setdefault(a, set()).add(q2)
+    step = successor_map(n)
     out: set[Word] = set()
     frontier: dict[Word, frozenset[str]] = {(): frozenset(n.initial)}
     for length in range(k + 1):
@@ -261,6 +267,47 @@ def subset_name(members, order: Alphabet) -> str:
     return "{" + ",".join(order.sort(members)) + "}"
 
 
+def subsets(n: Nfa, start: frozenset[str]) -> dict[frozenset[str], dict[str, frozenset[str]]]:
+    """Subset construction: every subset of states accessible from ``start``
+    in ``n`` (an ``Nfa`` or a presentation), the empty subset included when
+    reached, with its image under each letter."""
+    step = successor_map(n)
+    graph: dict[frozenset[str], dict[str, frozenset[str]]] = {start: {}}
+    todo = [start]
+    while todo:
+        cur = todo.pop()
+        row = graph[cur]
+        for a in n.alphabet.elements:
+            image = row[a] = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
+            if image not in graph:
+                graph[image] = {}
+                todo.append(image)
+    return graph
+
+
+def subset_machine(states: Alphabet, graph) -> tuple[Alphabet, dict[frozenset[str], str], frozenset[Triple]]:
+    """Name the subsets of ``graph`` over ``states``: the subset alphabet in
+    name order, each subset's name, and the transitions between the subsets
+    of ``graph`` (those to a subset not in it are left out)."""
+    name = {sub: subset_name(sub, states) for sub in graph}
+    trans = frozenset((name[sub], a, name[image])
+                      for sub, row in graph.items() for a, image in row.items() if image in name)
+    return Alphabet(f"P({states.name})", tuple(sorted(name.values()))), name, trans
+
+
+def membership(subset_states: Alphabet, states: Alphabet, name: dict[frozenset[str], str]) -> Rel:
+    """The relation from each named subset to its members."""
+    return Rel(obj(subset_states), obj(states),
+               frozenset(((s,), (q,)) for sub, s in name.items() for q in sub))
+
+
+def _subset_dfa(n: Nfa) -> tuple[Dfa, dict[frozenset[str], str]]:
+    start = frozenset(n.initial)
+    states, name, trans = subset_machine(n.states, subsets(n, start))
+    final = frozenset(s for sub, s in name.items() if sub & n.final)
+    return Dfa(n.alphabet, states, trans, frozenset({name[start]}), final), name
+
+
 def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     """Subset construction from the set of initial states.
 
@@ -268,32 +315,8 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     is an ordinary sink state when reachable) together with the membership
     relation from subset states back to original states.
     """
-    start = frozenset(n.initial)
-    step: dict[str, dict[str, set[str]]] = {q: {} for q in n.states.elements}
-    for q, a, q2 in n.trans:
-        step[q].setdefault(a, set()).add(q2)
-
-    seen: dict[frozenset[str], str] = {start: subset_name(start, n.states)}
-    todo = [start]
-    trans: set[Triple] = set()
-    while todo:
-        cur = todo.pop()
-        for a in n.alphabet.elements:
-            image = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
-            if image not in seen:
-                seen[image] = subset_name(image, n.states)
-                todo.append(image)
-            trans.add((seen[cur], a, seen[image]))
-
-    names = sorted(seen.values())
-    subset_states = Alphabet(f"P({n.states.name})", tuple(names))
-    final = frozenset(name for sub, name in seen.items() if sub & n.final)
-    dfa = Dfa(n.alphabet, subset_states, frozenset(trans), frozenset({seen[start]}), final)
-    contains = Rel(
-        obj(subset_states), obj(n.states),
-        frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
-    )
-    return dfa, contains
+    dfa, name = _subset_dfa(n)
+    return dfa, membership(dfa.states, n.states, name)
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -366,14 +389,24 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
 
 
 def minimal_dfa(n: Nfa) -> Dfa:
-    return minimize(determinize(n)[0])[0]
+    return minimize(_subset_dfa(n)[0])[0]
+
+
+def renumbered(n: Nfa) -> Nfa:
+    """A copy of ``n`` with its states named "0", "1", … in order, so that
+    no subset of states is named like another."""
+    num = {q: str(i) for i, q in enumerate(n.states.elements)}
+    return nfa(n.alphabet, Alphabet(n.states.name, tuple(num.values())),
+               {(num[q], a, num[q2]) for q, a, q2 in n.trans},
+               {num[q] for q in n.initial}, {num[q] for q in n.final})
 
 
 def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
-    """Exact language equality via uniqueness of the minimal machine."""
+    """Exact language equality via uniqueness of the minimal machine; the
+    verdict needs no state names, so it is reached on renumbered copies."""
     if n1.alphabet.elements != n2.alphabet.elements:
         raise TypeMismatch("cannot compare automata over different alphabets")
-    return iso_check(minimal_dfa(n1), minimal_dfa(n2)) is not None
+    return iso_check(minimal_dfa(renumbered(n1)), minimal_dfa(renumbered(n2))) is not None
 
 
 def factor_closure(n: Nfa) -> Nfa:

@@ -8,6 +8,9 @@ it carries none.
 
 Every well-typed term collapses to a quasi-normal form: a single machine
 (one relation box under one feedback), computed by structural recursion.
+Both languages share that recursion and the transducer module's
+``compose_transducers`` and ``product_transducers``; a bi-infinite term's
+machine is the finite-word one with its initial and final states dropped.
 Equivalence of terms is decided exactly by pushing the normal form through
 the determinize/minimize pipeline and comparing the canonical machines;
 the pipeline's simulation certificates are returned so the decision can be
@@ -39,8 +42,7 @@ from .relcore import (
 )
 from .simulation import TWO_SIDED, SimCertificate, check_fin, certificate_for_determinization, \
     certificate_for_minimization
-from .sofic import ZTransducer, compose_z, presentation_of_ztransducer, presentations_equiv, \
-    product_z, ztransducer
+from .sofic import ZTransducer, presentation_of_ztransducer, presentations_equiv
 from .transducer import (
     Transducer,
     UniformRelationSample,
@@ -189,9 +191,10 @@ def _retype(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
     return transducer(input, output, t.states, quads, t.initial, t.final)
 
 
-def normal_form(d: Diagram) -> Transducer:
-    """Collapse a finite-word term to its quasi-normal form: a transducer
-    over the packed boundary alphabets."""
+def _collapse(d: Diagram, loop: type) -> Transducer:
+    """The quasi-normal form of a term whose feedback nodes are all of kind
+    ``loop``: a transducer over the packed boundary alphabets.  An
+    unlabelled loop folds like a labelled one with empty label sets."""
     match d:
         case Box(rel=r):
             return lift_transducer(pack_rel(r))
@@ -201,59 +204,42 @@ def normal_form(d: Diagram) -> Transducer:
             return lift_transducer(pack_rel(swap_rel(a, b)))
         case Seq(first=f, second=s):
             type_of(d)
-            return compose_transducers(normal_form(f), normal_form(s))
+            return compose_transducers(_collapse(f, loop), _collapse(s, loop))
         case Par(left=l, right=r):
             dom, cod = type_of(d)
-            t = product_transducers(normal_form(l), normal_form(r))
+            t = product_transducers(_collapse(l, loop), _collapse(r, loop))
             return _retype(t, pack_obj(dom), pack_obj(cod))
-        case Feedback(wire=w, initial=i, final=f, body=b):
+        case Feedback(wire=w, body=b) | FeedbackZ(wire=w, body=b) if isinstance(d, loop):
             _feedback_boundary(w, b)
-            tb = normal_form(b)
+            tb = _collapse(b, loop)
             db, cb = type_of(b)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
             input, output, quads = _fold_quads(tb.quads(), db, cb, spair)
+            i, f = (d.initial, d.final) if loop is Feedback else ((), ())
             return transducer(
                 input, output, states, quads,
                 {spair(p, q) for p in tb.initial for q in i},
                 {spair(p, q) for p in tb.final for q in f},
             )
+        case Feedback():
+            raise TypeMismatch("labelled feedback belongs to the finite-word language")
         case FeedbackZ():
             raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
     raise MachineError(f"not a diagram: {d!r}")
 
 
+def normal_form(d: Diagram) -> Transducer:
+    """Collapse a finite-word term to its quasi-normal form: a transducer
+    over the packed boundary alphabets."""
+    return _collapse(d, Feedback)
+
+
 def z_normal_form(d: Diagram) -> ZTransducer:
-    """Collapse a bi-infinite term to its quasi-normal form machine."""
-    match d:
-        case Box(rel=r):
-            t = lift_transducer(pack_rel(r))
-            return ztransducer(t.input, t.output, t.states, t.quads())
-        case Id(o=o):
-            return z_normal_form(Box(identity(o)))
-        case Swap(a=a, b=b):
-            return z_normal_form(Box(swap_rel(a, b)))
-        case Seq(first=f, second=s):
-            type_of(d)
-            return compose_z(z_normal_form(f), z_normal_form(s))
-        case Par(left=l, right=r):
-            dom, cod = type_of(d)
-            z = product_z(z_normal_form(l), z_normal_form(r))
-            imap = dict(zip(z.input.elements, pack_obj(dom).elements))
-            omap = dict(zip(z.output.elements, pack_obj(cod).elements))
-            quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.quads()}
-            return ztransducer(pack_obj(dom), pack_obj(cod), z.states, quads)
-        case FeedbackZ(wire=w, body=b):
-            _feedback_boundary(w, b)
-            zb = z_normal_form(b)
-            db, cb = type_of(b)
-            states = product_alphabet(zb.states, w)
-            spair = pair_symbol(zb.states, w)
-            input, output, quads = _fold_quads(zb.quads(), db, cb, spair)
-            return ztransducer(input, output, states, quads)
-        case Feedback():
-            raise TypeMismatch("labelled feedback belongs to the finite-word language")
-    raise MachineError(f"not a diagram: {d!r}")
+    """Collapse a bi-infinite term to its quasi-normal form machine: the
+    finite-word collapse with the initial and final states dropped."""
+    t = _collapse(d, FeedbackZ)
+    return ZTransducer(t.input, t.output, t.states, t.trans)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ compare the resulting rooted machines, which are unique up to isomorphism.
 The empty subshift is its own distinguished case (no rooted presentation
 exists for it).
 
+Each step is the finite-word algorithm of the automata module: pruning is
+``long_path_states``, the subset construction ``subsets`` (rooted at the
+full state set, without the empty subset), merging ``quotient``, and the
+isomorphism test ``iso_check`` on each presentation read as a DFA rooted
+at its root with every state final.
+
 Costs, for n states, m transitions and k letters: pruning peels states
 with no kept successor, then no kept predecessor, in O(n + m), leaving the
 essential graph (Lind & Marcus, Symbolic Dynamics and Coding, §2.2); the
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Nfa, Triple, _backward_edges, _forward_edges, _reachable, language_upto, \
-    long_path_states, nfa, nfa_equiv, prune_language, quotient, subset_name
+from .automata import Dfa, Nfa, Triple, _backward_edges, _forward_edges, _reachable, iso_check, \
+    language_upto, long_path_states, membership, nfa, nfa_equiv, prune_language, quotient, \
+    renumbered, subset_machine, subsets, successor_map
 from .relcore import (
     UNIT,
     Alphabet,
@@ -182,45 +189,28 @@ def find_root(p: Presentation) -> str | None:
     return None
 
 
+def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[frozenset[str], str]]:
+    start = frozenset(p.states.elements)
+    graph = subsets(p, start)
+    graph.pop(frozenset(), None)
+    states, name, trans = subset_machine(p.states, graph)
+    return Presentation(p.alphabet, states, trans, name[start]), name
+
+
 def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Presentation, SimCertificate]:
     """Subset construction rooted at the full state set.
 
-    Requires a pruned presentation of a non-empty subshift; transitions to
-    the empty subset are left undefined, so the result is right-resolving.
-    The certificate is the membership relation, two-sided for the pair
-    (input, determinized).
+    Requires a pruned presentation of a non-empty subshift; the empty
+    subset is left out, with the transitions into it, so the result is
+    right-resolving.  The certificate is the membership relation,
+    two-sided for the pair (input, determinized).
     """
     if p.is_empty():
         raise MachineError("cannot determinize the empty presentation")
     if validate and not is_language_pruned(p):
         raise MachineError("determinization requires a pruned presentation")
-
-    step: dict[str, dict[str, set[str]]] = {q: {} for q in p.states.elements}
-    for q, a, q2 in p.trans:
-        step[q].setdefault(a, set()).add(q2)
-    start = frozenset(p.states.elements)
-    seen: dict[frozenset[str], str] = {start: subset_name(start, p.states)}
-    todo = [start]
-    trans: set[Triple] = set()
-    while todo:
-        cur = todo.pop()
-        for a in p.alphabet.elements:
-            image = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
-            if not image:
-                continue
-            if image not in seen:
-                seen[image] = subset_name(image, p.states)
-                todo.append(image)
-            trans.add((seen[cur], a, seen[image]))
-
-    names = sorted(seen.values())
-    subset_states = Alphabet(f"P({p.states.name})", tuple(names))
-    det = Presentation(p.alphabet, subset_states, frozenset(trans), seen[start])
-    contains = Rel(
-        obj(subset_states), obj(p.states),
-        frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
-    )
-    return det, SimCertificate(contains, TWO_SIDED)
+    det, name = _subset_presentation(p)
+    return det, SimCertificate(membership(det.states, p.states, name), TWO_SIDED)
 
 
 def minimize_presentation(p: Presentation, root: str | None = None,
@@ -258,55 +248,32 @@ def canonical_form(p: Presentation) -> Presentation:
     pruned = prune(p)
     if pruned.is_empty():
         return Presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
-    det, _ = determinize_presentation(pruned, validate=False)
+    det, _ = _subset_presentation(pruned)
     minp, _ = minimize_presentation(det, root=det.root, validate=False)
     return minp
 
 
 def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
-    """Bijection between rooted right-resolving presentations, forced by a
-    synchronized walk from the roots."""
-    if len(p1.states) != len(p2.states):
-        return None
-    if p1.is_empty():
-        return {}
-    if p1.root is None or p2.root is None:
-        return None
-    d1 = {(q, a): q2 for q, a, q2 in p1.trans}
-    d2 = {(q, a): q2 for q, a, q2 in p2.trans}
-    mapping = {p1.root: p2.root}
-    inverse = {p2.root: p1.root}
-    todo = [p1.root]
-    while todo:
-        q = todo.pop()
-        r = mapping[q]
-        for a in p1.alphabet.elements:
-            q2 = d1.get((q, a))
-            r2 = d2.get((r, a))
-            if (q2 is None) != (r2 is None):
-                return None
-            if q2 is None:
-                continue
-            if q2 in mapping:
-                if mapping[q2] != r2:
-                    return None
-            elif r2 in inverse:
-                return None
-            else:
-                mapping[q2] = r2
-                inverse[r2] = q2
-                todo.append(q2)
-    if len(mapping) != len(p1.states):
-        return None
-    return mapping
+    """Bijection between rooted right-resolving presentations: ``iso_check``
+    on each read as a DFA rooted at its root (if any), every state final."""
+    d1, d2 = (Dfa(p.alphabet, p.states, p.trans, frozenset({p.root} - {None}),
+                  frozenset(p.states.elements)) for p in (p1, p2))
+    return iso_check(d1, d2)
+
+
+def _renumbered(p: Presentation) -> Presentation:
+    """A rootless copy with the states named by position (see ``renumbered``)."""
+    n = renumbered(p.as_nfa())
+    return Presentation(p.alphabet, n.states, n.trans)
 
 
 def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
-    """Whether two presentations present the same sofic subshift."""
+    """Whether two presentations present the same sofic subshift; the
+    verdict needs no state names, so it is reached on renumbered copies."""
     if p1.alphabet.elements != p2.alphabet.elements:
         raise TypeMismatch("presentations over different alphabets")
-    c1 = canonical_form(p1)
-    c2 = canonical_form(p2)
+    c1 = canonical_form(_renumbered(p1))
+    c2 = canonical_form(_renumbered(p2))
     if c1.is_empty() or c2.is_empty():
         return c1.is_empty() and c2.is_empty()
     return rooted_iso(c1, c2) is not None
@@ -329,39 +296,6 @@ def factors_upto(p: Presentation, k: int) -> set[Word]:
     return language_upto(factor_language(p), k)
 
 
-def compose_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
-    if z1.output.elements != z2.input.elements:
-        raise TypeMismatch(
-            f"cannot compose: output {z1.output.name!r} vs input {z2.input.name!r}"
-        )
-    states = product_alphabet(z1.states, z2.states)
-    pair = pair_symbol(z1.states, z2.states)
-    by_mid: dict[str, list[tuple[str, str, str]]] = {}
-    for b, p, d, p2 in z2.quads():
-        by_mid.setdefault(b, []).append((p, d, p2))
-    quads = set()
-    for a, q, b, q2 in z1.quads():
-        for p, d, p2 in by_mid.get(b, ()):
-            quads.add((a, pair(q, p), d, pair(q2, p2)))
-    return ztransducer(z1.input, z2.output, states, quads)
-
-
-def product_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
-    states = product_alphabet(z1.states, z2.states)
-    spair = pair_symbol(z1.states, z2.states)
-    ipair = pair_symbol(z1.input, z2.input)
-    opair = pair_symbol(z1.output, z2.output)
-    quads = set()
-    for a, q, b, q2 in z1.quads():
-        for c, p, d, p2 in z2.quads():
-            quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
-    return ztransducer(
-        product_alphabet(z1.input, z2.input),
-        product_alphabet(z1.output, z2.output),
-        states, quads,
-    )
-
-
 def periodic_membership(p: Presentation, word) -> bool:
     """Whether the periodic bi-infinite repetition of ``word`` is in the
     subshift: some power of the word labels a cycle of the pruned graph."""
@@ -372,9 +306,7 @@ def periodic_membership(p: Presentation, word) -> bool:
     for a in word:
         pruned.alphabet.index(a)
     states = pruned.states.elements
-    step: dict[str, dict[str, set[str]]] = {q: {} for q in states}
-    for q, a, q2 in pruned.trans:
-        step[q].setdefault(a, set()).add(q2)
+    step = successor_map(pruned)
 
     def word_image(srcs: set[str]) -> set[str]:
         cur = srcs

@@ -1,4 +1,4 @@
-"""The original quadratic algorithms of the automata, sofic and simulation
+"""The original algorithms of the automata, sofic, simulation and diagram
 modules, kept as differential oracles.
 
 Moore's round-by-round partition refinement (``minimize``,
@@ -8,16 +8,28 @@ Moore's round-by-round partition refinement (``minimize``,
 ``prune_language`` are copied unchanged from the first version of the
 library; only their imports are new.  ``is_language_pruned`` uses this
 module's ``prune_language``, so the validation in ``minimize_presentation``
-is the original one too.
+and ``determinize_presentation`` is the original one too.
+
+So are the algorithms of which the finite-word and the bi-infinite side
+each had a copy: both subset constructions (``determinize``,
+``determinize_presentation``), the synchronized walk of ``rooted_iso``,
+``compose_z``, ``product_z``, and both structural collapses
+(``normal_form``, ``z_normal_form``).
 """
 
 from __future__ import annotations
 
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, nfa, nfa_equiv
-from relmach.relcore import Alphabet, MachineError, Rel, obj
+    _forward_edges, _reachable, empty_dfa, nfa, nfa_equiv, subset_name
+from relmach.diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _feedback_boundary, \
+    _fold_quads, _retype, type_of
+from relmach.relcore import Alphabet, MachineError, Rel, TypeMismatch, identity, obj, pack_obj, \
+    pack_rel, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import TWO_SIDED, SimCertificate
-from relmach.sofic import Presentation, _restrict, find_root, is_right_resolving, is_root
+from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
+    ztransducer
+from relmach.transducer import Transducer, compose_transducers, lift_transducer, product_transducers, \
+    transducer
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -233,3 +245,217 @@ def _long_path_enders(p: "Presentation") -> set[str]:
     for _ in range(k):
         can = {q for q in p.states.elements if back.get(q, set()) & can}
     return can
+
+
+def determinize(n: Nfa) -> tuple[Dfa, Rel]:
+    """Subset construction from the set of initial states.
+
+    Returns the accessible-subsets DFA (which is complete: the empty subset
+    is an ordinary sink state when reachable) together with the membership
+    relation from subset states back to original states.
+    """
+    start = frozenset(n.initial)
+    step: dict[str, dict[str, set[str]]] = {q: {} for q in n.states.elements}
+    for q, a, q2 in n.trans:
+        step[q].setdefault(a, set()).add(q2)
+
+    seen: dict[frozenset[str], str] = {start: subset_name(start, n.states)}
+    todo = [start]
+    trans: set[Triple] = set()
+    while todo:
+        cur = todo.pop()
+        for a in n.alphabet.elements:
+            image = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
+            if image not in seen:
+                seen[image] = subset_name(image, n.states)
+                todo.append(image)
+            trans.add((seen[cur], a, seen[image]))
+
+    names = sorted(seen.values())
+    subset_states = Alphabet(f"P({n.states.name})", tuple(names))
+    final = frozenset(name for sub, name in seen.items() if sub & n.final)
+    dfa = Dfa(n.alphabet, subset_states, frozenset(trans), frozenset({seen[start]}), final)
+    contains = Rel(
+        obj(subset_states), obj(n.states),
+        frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
+    )
+    return dfa, contains
+
+
+def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Presentation, SimCertificate]:
+    """Subset construction rooted at the full state set.
+
+    Requires a pruned presentation of a non-empty subshift; transitions to
+    the empty subset are left undefined, so the result is right-resolving.
+    The certificate is the membership relation, two-sided for the pair
+    (input, determinized).
+    """
+    if p.is_empty():
+        raise MachineError("cannot determinize the empty presentation")
+    if validate and not is_language_pruned(p):
+        raise MachineError("determinization requires a pruned presentation")
+
+    step: dict[str, dict[str, set[str]]] = {q: {} for q in p.states.elements}
+    for q, a, q2 in p.trans:
+        step[q].setdefault(a, set()).add(q2)
+    start = frozenset(p.states.elements)
+    seen: dict[frozenset[str], str] = {start: subset_name(start, p.states)}
+    todo = [start]
+    trans: set[Triple] = set()
+    while todo:
+        cur = todo.pop()
+        for a in p.alphabet.elements:
+            image = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
+            if not image:
+                continue
+            if image not in seen:
+                seen[image] = subset_name(image, p.states)
+                todo.append(image)
+            trans.add((seen[cur], a, seen[image]))
+
+    names = sorted(seen.values())
+    subset_states = Alphabet(f"P({p.states.name})", tuple(names))
+    det = Presentation(p.alphabet, subset_states, frozenset(trans), seen[start])
+    contains = Rel(
+        obj(subset_states), obj(p.states),
+        frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
+    )
+    return det, SimCertificate(contains, TWO_SIDED)
+
+
+def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
+    """Bijection between rooted right-resolving presentations, forced by a
+    synchronized walk from the roots."""
+    if len(p1.states) != len(p2.states):
+        return None
+    if p1.is_empty():
+        return {}
+    if p1.root is None or p2.root is None:
+        return None
+    d1 = {(q, a): q2 for q, a, q2 in p1.trans}
+    d2 = {(q, a): q2 for q, a, q2 in p2.trans}
+    mapping = {p1.root: p2.root}
+    inverse = {p2.root: p1.root}
+    todo = [p1.root]
+    while todo:
+        q = todo.pop()
+        r = mapping[q]
+        for a in p1.alphabet.elements:
+            q2 = d1.get((q, a))
+            r2 = d2.get((r, a))
+            if (q2 is None) != (r2 is None):
+                return None
+            if q2 is None:
+                continue
+            if q2 in mapping:
+                if mapping[q2] != r2:
+                    return None
+            elif r2 in inverse:
+                return None
+            else:
+                mapping[q2] = r2
+                inverse[r2] = q2
+                todo.append(q2)
+    if len(mapping) != len(p1.states):
+        return None
+    return mapping
+
+
+def compose_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
+    if z1.output.elements != z2.input.elements:
+        raise TypeMismatch(
+            f"cannot compose: output {z1.output.name!r} vs input {z2.input.name!r}"
+        )
+    states = product_alphabet(z1.states, z2.states)
+    pair = pair_symbol(z1.states, z2.states)
+    by_mid: dict[str, list[tuple[str, str, str]]] = {}
+    for b, p, d, p2 in z2.quads():
+        by_mid.setdefault(b, []).append((p, d, p2))
+    quads = set()
+    for a, q, b, q2 in z1.quads():
+        for p, d, p2 in by_mid.get(b, ()):
+            quads.add((a, pair(q, p), d, pair(q2, p2)))
+    return ztransducer(z1.input, z2.output, states, quads)
+
+
+def product_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
+    states = product_alphabet(z1.states, z2.states)
+    spair = pair_symbol(z1.states, z2.states)
+    ipair = pair_symbol(z1.input, z2.input)
+    opair = pair_symbol(z1.output, z2.output)
+    quads = set()
+    for a, q, b, q2 in z1.quads():
+        for c, p, d, p2 in z2.quads():
+            quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
+    return ztransducer(
+        product_alphabet(z1.input, z2.input),
+        product_alphabet(z1.output, z2.output),
+        states, quads,
+    )
+
+
+def normal_form(d: Diagram) -> Transducer:
+    """Collapse a finite-word term to its quasi-normal form: a transducer
+    over the packed boundary alphabets."""
+    match d:
+        case Box(rel=r):
+            return lift_transducer(pack_rel(r))
+        case Id(o=o):
+            return lift_transducer(pack_rel(identity(o)))
+        case Swap(a=a, b=b):
+            return lift_transducer(pack_rel(swap_rel(a, b)))
+        case Seq(first=f, second=s):
+            type_of(d)
+            return compose_transducers(normal_form(f), normal_form(s))
+        case Par(left=l, right=r):
+            dom, cod = type_of(d)
+            t = product_transducers(normal_form(l), normal_form(r))
+            return _retype(t, pack_obj(dom), pack_obj(cod))
+        case Feedback(wire=w, initial=i, final=f, body=b):
+            _feedback_boundary(w, b)
+            tb = normal_form(b)
+            db, cb = type_of(b)
+            states = product_alphabet(tb.states, w)
+            spair = pair_symbol(tb.states, w)
+            input, output, quads = _fold_quads(tb.quads(), db, cb, spair)
+            return transducer(
+                input, output, states, quads,
+                {spair(p, q) for p in tb.initial for q in i},
+                {spair(p, q) for p in tb.final for q in f},
+            )
+        case FeedbackZ():
+            raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    raise MachineError(f"not a diagram: {d!r}")
+
+
+def z_normal_form(d: Diagram) -> ZTransducer:
+    """Collapse a bi-infinite term to its quasi-normal form machine."""
+    match d:
+        case Box(rel=r):
+            t = lift_transducer(pack_rel(r))
+            return ztransducer(t.input, t.output, t.states, t.quads())
+        case Id(o=o):
+            return z_normal_form(Box(identity(o)))
+        case Swap(a=a, b=b):
+            return z_normal_form(Box(swap_rel(a, b)))
+        case Seq(first=f, second=s):
+            type_of(d)
+            return compose_z(z_normal_form(f), z_normal_form(s))
+        case Par(left=l, right=r):
+            dom, cod = type_of(d)
+            z = product_z(z_normal_form(l), z_normal_form(r))
+            imap = dict(zip(z.input.elements, pack_obj(dom).elements))
+            omap = dict(zip(z.output.elements, pack_obj(cod).elements))
+            quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.quads()}
+            return ztransducer(pack_obj(dom), pack_obj(cod), z.states, quads)
+        case FeedbackZ(wire=w, body=b):
+            _feedback_boundary(w, b)
+            zb = z_normal_form(b)
+            db, cb = type_of(b)
+            states = product_alphabet(zb.states, w)
+            spair = pair_symbol(zb.states, w)
+            input, output, quads = _fold_quads(zb.quads(), db, cb, spair)
+            return ztransducer(input, output, states, quads)
+        case Feedback():
+            raise TypeMismatch("labelled feedback belongs to the finite-word language")
+    raise MachineError(f"not a diagram: {d!r}")

@@ -132,6 +132,31 @@ def test_equiv_transducers_and_presentations(tmp_path, capsys):
     assert run(capsys, "equiv", gm1, full)[0] == 1
 
 
+def test_equiv_on_states_whose_subset_names_collide(tmp_path, capsys):
+    """{a,b} and {"a,b"} spell the same subset name; a verdict needs none."""
+    Ax = Alphabet("A", ("x", "y"))
+    Q = Alphabet("Q", ("a", "b", "a,b"))
+    n1 = write(tmp_path, "n1.json", nfa(Ax, Q, {("a", "x", "a,b")}, {"a", "b"}, {"a,b"}))
+    just_x = write(tmp_path, "x.json", nfa(
+        Ax, Alphabet("P", ("0", "1")), {("0", "x", "1")}, {"0"}, {"1"}))
+    xx = write(tmp_path, "xx.json", nfa(
+        Ax, Alphabet("P", ("0", "1", "2")), {("0", "x", "1"), ("1", "x", "2")}, {"0"}, {"2"}))
+    p = write(tmp_path, "p.json", presentation(
+        Ax, Q, {("a", "x", "a"), ("b", "y", "a,b"), ("a,b", "x", "b")}))
+    full = write(tmp_path, "full.json", presentation(
+        Ax, Alphabet("P", ("0",)), {("0", "x", "0"), ("0", "y", "0")}))
+    for argv, expect in [
+        (("equiv", n1, just_x), 0),
+        (("equiv", n1, n1), 0),
+        (("equiv", n1, xx), 1),
+        (("equiv", p, p), 0),
+        (("equiv", p, full), 1),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == expect
+        assert json.loads(out)["status"] == ("equal" if expect == 0 else "not-equal")
+
+
 def test_equiv_diagrams_with_certificate(tmp_path, capsys):
     d = Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL))
     f1 = write(tmp_path, "d1.json", d)

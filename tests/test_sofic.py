@@ -5,13 +5,13 @@ import pytest
 
 from conftest import SEED
 from genrand import random_presentation
+from seed_algorithms import compose_z, product_z
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
 from relmach.simulation import check_inf
 from relmach.sofic import (
     backward_prune,
     canonical_form,
-    compose_z,
     determinize_presentation,
     factor_language,
     factors_upto,
@@ -264,8 +264,6 @@ def test_ztransducer_equivalences():
 
 def test_ztransducer_with_empty_states_is_empty_subshift():
     dead = ztransducer(Ab, Ab, Alphabet("Q", ()), set())
-    from relmach.sofic import product_z
-
     prod = product_z(swap_z(), dead)
     assert canonical_form(presentation_of_ztransducer(prod)).is_empty()
 
