@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, frozen, material, obj
+from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, check_rows, material, obj
 from .transducer import Transducer, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)
@@ -33,13 +33,9 @@ class Nfa:
     final: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "trans", frozen(self.trans, "transitions"))
         object.__setattr__(self, "initial", self.states.check_subset(self.initial))
         object.__setattr__(self, "final", self.states.check_subset(self.final))
-        for q, a, q2 in self.trans:
-            self.states.index(q)
-            self.states.index(q2)
-            self.alphabet.index(a)
+        object.__setattr__(self, "trans", check_triples(self.alphabet, self.states, self.trans))
 
     def sorted_trans(self) -> list[Triple]:
         return sorted(
@@ -62,6 +58,12 @@ class Dfa(Nfa):
 
     def delta(self) -> dict[tuple[str, str], str]:
         return {(q, a): q2 for q, a, q2 in self.trans}
+
+
+def check_triples(alphabet: Alphabet, states: Alphabet, trans) -> frozenset[Triple]:
+    """Validate transitions (state, letter, next state), reporting a bad
+    state before a bad letter."""
+    return check_rows(trans, {0: states, 2: states, 1: alphabet})
 
 
 def nfa(alphabet, states, trans, initial, final) -> Nfa:
@@ -88,7 +90,7 @@ def transducer_to_nfa(t: Transducer) -> Nfa:
     if len(t.output) != 1:
         raise TypeMismatch("only unit-output transducers can be read as automata")
     return nfa(t.input, material(t.states),
-               {(q, a, q2) for a, q, _, q2 in t.quads()}, t.initial, t.final)
+               {(q, a, q2) for a, q, _, q2 in t.trans}, t.initial, t.final)
 
 
 def successor_map(m) -> dict[str, dict[str, set[str]]]:
@@ -263,8 +265,30 @@ def trim(n: Nfa) -> Nfa:
     )
 
 
+def subset_namer(order: Alphabet):
+    """The function that names each set of states of ``order`` by its
+    members in state order, comma-separated in braces.  Distinct sets get
+    distinct names.  When a state name begins with another one and a
+    comma, as "a,b" begins with "a", each member's backslashes and commas
+    are escaped with a backslash.  When a state is named "", the empty set
+    is named "∅", apart from "{}", the set of that state."""
+    escape = "," in "".join(order.elements) and any(
+        q[:i] in order for q in order.elements for i, c in enumerate(q) if c == ",")
+    empty = "∅" if "" in order else "{}"
+
+    def name(members) -> str:
+        names = order.sort(members)
+        if not names:
+            return empty
+        if escape:
+            names = [q.replace("\\", "\\\\").replace(",", "\\,") for q in names]
+        return "{" + ",".join(names) + "}"
+
+    return name
+
+
 def subset_name(members, order: Alphabet) -> str:
-    return "{" + ",".join(order.sort(members)) + "}"
+    return subset_namer(order)(members)
 
 
 def subsets(n: Nfa, start: frozenset[str]) -> dict[frozenset[str], dict[str, frozenset[str]]]:
@@ -289,7 +313,8 @@ def subset_machine(states: Alphabet, graph) -> tuple[Alphabet, dict[frozenset[st
     """Name the subsets of ``graph`` over ``states``: the subset alphabet in
     name order, each subset's name, and the transitions between the subsets
     of ``graph`` (those to a subset not in it are left out)."""
-    name = {sub: subset_name(sub, states) for sub in graph}
+    spell = subset_namer(states)
+    name = {sub: spell(sub) for sub in graph}
     trans = frozenset((name[sub], a, name[image])
                       for sub, row in graph.items() for a, image in row.items() if image in name)
     return Alphabet(f"P({states.name})", tuple(sorted(name.values()))), name, trans
@@ -319,6 +344,25 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     return dfa, membership(dfa.states, n.states, name)
 
 
+def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
+    """The relation from each state to its class."""
+    return Rel(obj(states), obj(classes), frozenset(((q,), (c,)) for q, c in name.items()))
+
+
+def _minimal(d: Dfa) -> tuple[Dfa, dict[str, str]]:
+    reach = _reachable(d.states, _forward_edges(d), d.initial)
+    live = [q for q in d.states.elements if q in reach]
+    if not live or not (set(live) & d.final):
+        return empty_dfa(d.alphabet), {}
+
+    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
+    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
+                                       lambda q: q in d.final)
+    init = next(iter(d.initial))
+    final = frozenset(d.final & set(min_states.elements))
+    return Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[init]}), final), name
+
+
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     """Merge states with equal follow languages.
 
@@ -329,20 +373,8 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     The returned relation maps each live accessible input state to its
     class in the minimal machine.
     """
-    reach = _reachable(d.states, _forward_edges(d), d.initial)
-    live = [q for q in d.states.elements if q in reach]
-    lmap_empty = Rel(obj(d.states), obj(EMPTY_DFA_STATES), frozenset())
-    if not live or not (set(live) & d.final):
-        return empty_dfa(d.alphabet), lmap_empty
-
-    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
-    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
-                                       lambda q: q in d.final)
-    init = next(iter(d.initial))
-    final = frozenset(d.final & set(min_states.elements))
-    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[init]}), final)
-    lmap = Rel(obj(d.states), obj(min_states), frozenset(((q,), (c,)) for q, c in name.items()))
-    return mdfa, lmap
+    mdfa, name = _minimal(d)
+    return mdfa, class_relation(d.states, mdfa.states, name)
 
 
 def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
@@ -389,7 +421,7 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
 
 
 def minimal_dfa(n: Nfa) -> Dfa:
-    return minimize(_subset_dfa(n)[0])[0]
+    return _minimal(_subset_dfa(n)[0])[0]
 
 
 def renumbered(n: Nfa) -> Nfa:

@@ -105,9 +105,13 @@ Diagram = Union[Box, Id, Swap, Seq, Par, Feedback, FeedbackZ]
 
 
 def _feedback_boundary(wire: Alphabet, body: Diagram) -> tuple[Obj, Obj]:
+    return _loop_boundary(wire, *type_of(body))
+
+
+def _loop_boundary(wire: Alphabet, db: Obj, cb: Obj) -> tuple[Obj, Obj]:
+    """The boundary of a feedback over ``wire`` around a body db → cb."""
     if is_unit(wire):
         raise TypeMismatch("feedback over the unit wire is not supported")
-    db, cb = type_of(body)
     for side, o in (("domain", db), ("codomain", cb)):
         flat = o.flat
         if not flat or flat[-1].elements != wire.elements:
@@ -187,41 +191,46 @@ def _retype(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
     """Rename boundary symbols positionally (same cardinality and order)."""
     imap = dict(zip(t.input.elements, input.elements))
     omap = dict(zip(t.output.elements, output.elements))
-    quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in t.quads()}
+    quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in t.trans}
     return transducer(input, output, t.states, quads, t.initial, t.final)
 
 
-def _collapse(d: Diagram, loop: type) -> Transducer:
+def _collapse(d: Diagram, loop: type) -> tuple[Transducer, Obj, Obj]:
     """The quasi-normal form of a term whose feedback nodes are all of kind
-    ``loop``: a transducer over the packed boundary alphabets.  An
-    unlabelled loop folds like a labelled one with empty label sets."""
+    ``loop``, a transducer over the packed boundary alphabets, with the
+    term's domain and codomain.  An unlabelled loop folds like a labelled
+    one with empty label sets."""
     match d:
         case Box(rel=r):
-            return lift_transducer(pack_rel(r))
+            return lift_transducer(pack_rel(r)), r.dom, r.cod
         case Id(o=o):
-            return lift_transducer(pack_rel(identity(o)))
+            return lift_transducer(pack_rel(identity(o))), o, o
         case Swap(a=a, b=b):
-            return lift_transducer(pack_rel(swap_rel(a, b)))
+            return lift_transducer(pack_rel(swap_rel(a, b))), obj(a, b), obj(b, a)
         case Seq(first=f, second=s):
-            type_of(d)
-            return compose_transducers(_collapse(f, loop), _collapse(s, loop))
+            tf, df, cf = _collapse(f, loop)
+            ts, ds, cs = _collapse(s, loop)
+            if cf.signature() != ds.signature():
+                raise TypeMismatch("sequential composition of incompatible terms")
+            return compose_transducers(tf, ts), df, cs
         case Par(left=l, right=r):
-            dom, cod = type_of(d)
-            t = product_transducers(_collapse(l, loop), _collapse(r, loop))
-            return _retype(t, pack_obj(dom), pack_obj(cod))
+            tl, dl, cl = _collapse(l, loop)
+            tr, dr, cr = _collapse(r, loop)
+            dom, cod = dl + dr, cl + cr
+            return _retype(product_transducers(tl, tr), pack_obj(dom), pack_obj(cod)), dom, cod
         case Feedback(wire=w, body=b) | FeedbackZ(wire=w, body=b) if isinstance(d, loop):
-            _feedback_boundary(w, b)
-            tb = _collapse(b, loop)
-            db, cb = type_of(b)
+            tb, db, cb = _collapse(b, loop)
+            dom, cod = _loop_boundary(w, db, cb)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
-            input, output, quads = _fold_quads(tb.quads(), db, cb, spair)
+            input, output, quads = _fold_quads(tb.trans, db, cb, spair)
             i, f = (d.initial, d.final) if loop is Feedback else ((), ())
-            return transducer(
+            t = transducer(
                 input, output, states, quads,
                 {spair(p, q) for p in tb.initial for q in i},
                 {spair(p, q) for p in tb.final for q in f},
             )
+            return t, dom, cod
         case Feedback():
             raise TypeMismatch("labelled feedback belongs to the finite-word language")
         case FeedbackZ():
@@ -232,13 +241,13 @@ def _collapse(d: Diagram, loop: type) -> Transducer:
 def normal_form(d: Diagram) -> Transducer:
     """Collapse a finite-word term to its quasi-normal form: a transducer
     over the packed boundary alphabets."""
-    return _collapse(d, Feedback)
+    return _collapse(d, Feedback)[0]
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
     """Collapse a bi-infinite term to its quasi-normal form machine: the
     finite-word collapse with the initial and final states dropped."""
-    t = _collapse(d, FeedbackZ)
+    t = _collapse(d, FeedbackZ)[0]
     return ZTransducer(t.input, t.output, t.states, t.trans)
 
 

@@ -47,10 +47,9 @@ def dot_transducer(t: Transducer) -> str:
 
 
 def dot_ztransducer(z: ZTransducer) -> str:
-    t = Transducer(z.input, z.output, z.states, z.trans, frozenset(), frozenset())
     return _state_graph(
         z.states.elements, [], frozenset(),
-        [(q, f"{a} / {b}", q2) for a, q, b, q2 in t.sorted_quads()],
+        [(q, f"{a} / {b}", q2) for a, q, b, q2 in z.sorted_quads()],
     )
 
 

@@ -14,10 +14,10 @@ import json
 
 from .automata import Dfa, Nfa
 from .diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _contains_node
-from .relcore import Alphabet, MachineError, Obj, Rel
+from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
-from .transducer import Transducer, UniformRelationSample, transducer
+from .transducer import QuadMachine, Transducer, UniformRelationSample, transducer
 
 KINDS = (
     "alphabet", "relation", "transducer", "nfa", "dfa",
@@ -56,24 +56,24 @@ def _parse_rel(p: dict) -> Rel:
     )
 
 
-def _transducer_payload(t: Transducer) -> dict:
+def _quads_payload(m: QuadMachine) -> dict:
+    """A transducer's or a ztransducer's alphabets and transitions."""
     return {
-        "input": _alphabet_payload(t.input),
-        "output": _alphabet_payload(t.output),
-        "states": _alphabet_payload(t.states),
-        "trans": [list(q) for q in t.sorted_quads()],
-        "initial": t.states.sort(t.initial),
-        "final": t.states.sort(t.final),
+        "input": _alphabet_payload(m.input),
+        "output": _alphabet_payload(m.output),
+        "states": _alphabet_payload(m.states),
+        "trans": [list(q) for q in m.sorted_quads()],
     }
 
 
-def _parse_transducer(p: dict) -> Transducer:
-    return transducer(
-        _parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
-        _parse_alphabet(p["states"]),
-        (tuple(q) for q in p["trans"]),
-        p["initial"], p["final"],
-    )
+def _parse_quads(p: dict) -> tuple:
+    return (_parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
+            _parse_alphabet(p["states"]), (tuple(q) for q in p["trans"]))
+
+
+def _transducer_payload(t: Transducer) -> dict:
+    return {**_quads_payload(t), "initial": t.states.sort(t.initial),
+            "final": t.states.sort(t.final)}
 
 
 def _nfa_payload(n: Nfa) -> dict:
@@ -108,24 +108,6 @@ def _parse_presentation(p: dict) -> Presentation:
     return presentation(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
         (tuple(t) for t in p["trans"]), p.get("root"),
-    )
-
-
-def _ztransducer_payload(z: ZTransducer) -> dict:
-    t = Transducer(z.input, z.output, z.states, z.trans, frozenset(), frozenset())
-    return {
-        "input": _alphabet_payload(z.input),
-        "output": _alphabet_payload(z.output),
-        "states": _alphabet_payload(z.states),
-        "trans": [list(q) for q in t.sorted_quads()],
-    }
-
-
-def _parse_ztransducer(p: dict) -> ZTransducer:
-    return ztransducer(
-        _parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
-        _parse_alphabet(p["states"]),
-        (tuple(q) for q in p["trans"]),
     )
 
 
@@ -214,7 +196,7 @@ def to_payload(x) -> dict:
     if isinstance(x, Presentation):
         return {"kind": "presentation", **_presentation_payload(x)}
     if isinstance(x, ZTransducer):
-        return {"kind": "ztransducer", **_ztransducer_payload(x)}
+        return {"kind": "ztransducer", **_quads_payload(x)}
     if isinstance(x, SimCertificate):
         return {"kind": "certificate", **_certificate_payload(x)}
     if isinstance(x, (Box, Id, Swap, Seq, Par, Feedback, FeedbackZ)):
@@ -230,7 +212,7 @@ def _parse(p: dict):
     if kind == "relation":
         return _parse_rel(p)
     if kind == "transducer":
-        return _parse_transducer(p)
+        return transducer(*_parse_quads(p), p["initial"], p["final"])
     if kind == "nfa":
         return _parse_nfa(p, Nfa)
     if kind == "dfa":
@@ -238,7 +220,7 @@ def _parse(p: dict):
     if kind == "presentation":
         return _parse_presentation(p)
     if kind == "ztransducer":
-        return _parse_ztransducer(p)
+        return ztransducer(*_parse_quads(p))
     if kind in ("diagram", "zdiagram"):
         term = _parse_term(p["term"])
         has_z = _contains_node(term, FeedbackZ)
@@ -260,7 +242,7 @@ def from_payload(p: dict):
         return _parse(p)
     except KeyError as e:
         raise MachineError(f"{p.get('kind')} document: missing field {e}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as e:
+    except (AttributeError, IndexError, TypeError, ValueError, ShapeError) as e:
         raise MachineError(f"{p.get('kind')} document: malformed ({e})") from None
 
 

@@ -14,8 +14,12 @@ a unit wire are interchangeable.
 Validation contract: every constructor validates all of its input, each
 pair of a relation included, and the constructors of the layers above do
 the same for transitions, roots and label sets.  A symbol lookup costs
-O(1) through the symbol→position dict each alphabet keeps, and a relation
-checks its distinct domain and codomain tuples column by column.
+O(1) through the symbol→position dict each alphabet keeps.  A relation
+checks its distinct domain and codomain tuples column by column, and so
+does :func:`check_rows` for the transitions every machine stores: triples
+(state, letter, next state) or quadruples (input letter, state, output
+letter, next state).  A machine's transition relation is not stored; the
+simulation checker builds it as a view (``transducer.trans_rel``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ class MachineError(Exception):
 
 class TypeMismatch(MachineError):
     """Raised when two values cannot be combined because their types differ."""
+
+
+class ShapeError(MachineError):
+    """Raised when a transition is not a tuple of as many symbols as its
+    machine's transitions have."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,30 @@ def frozen(items, what: str) -> frozenset:
         return frozenset(items)
     except TypeError as e:
         raise MachineError(f"{what} is not a set of hashable values ({e})") from None
+
+
+def check_rows(rows, columns: dict[int, Alphabet]) -> frozenset:
+    """Validate ``rows`` as a set of transitions, tuples with one symbol of
+    ``columns[i]`` at each position ``i``, and return it as a frozenset.
+
+    The rows are checked column by column, like the pairs of a :class:`Rel`.
+    Only when that fails are they scanned one by one, each checked at the
+    positions in the order of ``columns``, to name the first offender.
+    """
+    out = frozen(rows, "transitions")
+    arity = len(columns)
+    try:
+        if set(map(len, out)) <= {arity} and all(
+                columns[i]._pos.keys() >= set(col) for i, col in enumerate(zip(*out))):
+            return out
+    except TypeError:  # a row without a length; the scan below reports it
+        pass
+    for row in out:
+        if not isinstance(row, tuple) or len(row) != arity:
+            raise ShapeError(f"transition {row!r} is not a tuple of {arity} symbols")
+        for i, a in columns.items():
+            a.index(row[i])
+    return out
 
 
 #: The monoidal unit: a one-element alphabet.  A wire labeled by it is

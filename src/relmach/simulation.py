@@ -25,17 +25,19 @@ from typing import TYPE_CHECKING
 from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     long_path_states, minimize
 from .relcore import (
+    UNIT,
     MachineError,
     Rel,
     TypeMismatch,
     compose,
     identity,
+    material,
     obj,
     product,
     subset_as_copoint,
     subset_as_point,
 )
-from .transducer import Transducer, materialize_states
+from .transducer import Transducer, trans_rel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sofic import Presentation
@@ -84,28 +86,28 @@ def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport
     """Check the three finite-word conditions for ``cert.s : states2 → states1``."""
     if m1.input.elements != m2.input.elements or m1.output.elements != m2.output.elements:
         raise TypeMismatch("machines do not share input/output alphabets")
-    m1 = materialize_states(m1)
-    m2 = materialize_states(m2)
+    q1, q2 = material(m1.states), material(m2.states)
     s = cert.s
-    if s.dom.signature() != obj(m2.states).signature() or \
-            s.cod.signature() != obj(m1.states).signature():
+    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
         raise TypeMismatch("certificate relation is not typed states2 → states1")
 
+    r1 = trans_rel(m1.input, m1.output, q1, m1.trans)
+    r2 = trans_rel(m2.input, m2.output, q2, m2.trans)
     conditions = [
         (
             "initial",
-            subset_as_point(m1.states, m1.initial),
-            compose(subset_as_point(m2.states, m2.initial), s),
+            subset_as_point(q1, m1.initial),
+            compose(subset_as_point(q2, m2.initial), s),
         ),
         (
             "transition",
-            compose(product(identity(obj(m1.input)), s), m1.trans),
-            compose(m2.trans, product(identity(obj(m1.output)), s)),
+            compose(product(identity(obj(m1.input)), s), r1),
+            compose(r2, product(identity(obj(m1.output)), s)),
         ),
         (
             "final",
-            compose(s, subset_as_copoint(m1.states, m1.final)),
-            subset_as_copoint(m2.states, m2.final),
+            compose(s, subset_as_copoint(q1, m1.final)),
+            subset_as_copoint(q2, m2.final),
         ),
     ]
     for name, lhs, rhs in conditions:
@@ -115,14 +117,10 @@ def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport
     return SimReport("pass")
 
 
-def _material_presentation(p: "Presentation") -> "Presentation":
-    from .relcore import is_unit, material
-
-    if not is_unit(p.states):
-        return p
-    from .sofic import presentation
-
-    return presentation(p.alphabet, material(p.states), p.trans, p.root)
+def _letter_rel(p: "Presentation", states) -> Rel:
+    """The transition relation A×Q → Q of a presentation over ``states``."""
+    star = UNIT.elements[0]
+    return trans_rel(p.alphabet, UNIT, states, {(a, q, star, q2) for q, a, q2 in p.trans})
 
 
 def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:
@@ -134,17 +132,13 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
     """
     if p1.alphabet.elements != p2.alphabet.elements:
         raise TypeMismatch("presentations do not share an alphabet")
-    p1 = _material_presentation(p1)
-    p2 = _material_presentation(p2)
+    q1, q2 = material(p1.states), material(p2.states)
     s = cert.s
-    if s.dom.signature() != obj(p2.states).signature() or \
-            s.cod.signature() != obj(p1.states).signature():
+    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
         raise TypeMismatch("certificate relation is not typed states2 → states1")
 
-    r1 = p1.trans_rel()
-    r2 = p2.trans_rel()
-    lhs = compose(product(identity(obj(p1.alphabet)), s), r1)
-    rhs = compose(r2, s)
+    lhs = compose(product(identity(obj(p1.alphabet)), s), _letter_rel(p1, q1))
+    rhs = compose(_letter_rel(p2, q2), s)
     ok, witness = _holds(lhs, rhs, cert.mode)
     if not ok:
         return SimReport("fail", "transition", witness)

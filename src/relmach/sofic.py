@@ -27,23 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Nfa, Triple, _backward_edges, _forward_edges, _reachable, iso_check, \
-    language_upto, long_path_states, membership, nfa, nfa_equiv, prune_language, quotient, \
-    renumbered, subset_machine, subsets, successor_map
-from .relcore import (
-    UNIT,
-    Alphabet,
-    MachineError,
-    Rel,
-    TypeMismatch,
-    frozen,
-    material,
-    obj,
-    pair_symbol,
-    product_alphabet,
-)
+from .automata import Dfa, Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
+    class_relation, iso_check, language_upto, long_path_states, membership, nfa, nfa_equiv, \
+    prune_language, quotient, renumbered, subset_machine, subsets, successor_map
+from .relcore import Alphabet, MachineError, TypeMismatch, material, pair_symbol, product_alphabet
 from .simulation import TWO_SIDED, SimCertificate
-from .transducer import Quad, rel_quads, trans_rel
+from .transducer import QuadMachine
 
 Word = tuple[str, ...]
 
@@ -62,11 +51,7 @@ class Presentation:
     root: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trans", frozen(self.trans, "transitions"))
-        for q, a, q2 in self.trans:
-            self.states.index(q)
-            self.states.index(q2)
-            self.alphabet.index(a)
+        object.__setattr__(self, "trans", check_triples(self.alphabet, self.states, self.trans))
         if self.root is not None:
             self.states.index(self.root)
 
@@ -76,12 +61,6 @@ class Presentation:
     def as_nfa(self) -> Nfa:
         everything = frozenset(self.states.elements)
         return nfa(self.alphabet, self.states, self.trans, everything, everything)
-
-    def trans_rel(self) -> Rel:
-        """The transition relation typed A×Q → Q (unit output implicit)."""
-        star = UNIT.elements[0]
-        return trans_rel(self.alphabet, UNIT, self.states,
-                         {(a, q, star, q2) for q, a, q2 in self.trans})
 
     def sorted_trans(self) -> list[Triple]:
         return sorted(
@@ -96,26 +75,12 @@ def presentation(alphabet, states, trans, root=None) -> Presentation:
 
 
 @dataclass(frozen=True)
-class ZTransducer:
+class ZTransducer(QuadMachine):
     """A transducer run over bi-infinite words; no initial or final states."""
-
-    input: Alphabet
-    output: Alphabet
-    states: Alphabet
-    trans: Rel
-
-    def __post_init__(self):
-        want_dom = obj(self.input, self.states).signature()
-        want_cod = obj(self.output, self.states).signature()
-        if self.trans.dom.signature() != want_dom or self.trans.cod.signature() != want_cod:
-            raise TypeMismatch("transition relation is not typed A×Q → B×Q")
-
-    def quads(self) -> frozenset[Quad]:
-        return rel_quads(self.input, self.output, self.states, self.trans)
 
 
 def ztransducer(input, output, states, quads) -> ZTransducer:
-    return ZTransducer(input, output, states, trans_rel(input, output, states, tuple(quads)))
+    return ZTransducer(input, output, states, quads)
 
 
 def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
@@ -123,7 +88,7 @@ def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
     pair = pair_symbol(z.input, z.output)
     return presentation(
         product_alphabet(z.input, z.output), material(z.states),
-        {(q, pair(a, b), q2) for a, q, b, q2 in z.quads()},
+        {(q, pair(a, b), q2) for a, q, b, q2 in z.trans},
     )
 
 
@@ -232,14 +197,16 @@ def minimize_presentation(p: Presentation, root: str | None = None,
             raise MachineError("minimization requires a rooted presentation")
     elif validate and not is_root(p, root):
         raise MachineError(f"state {root!r} is not a root")
+    minp, name = _minimal_presentation(p, root)
+    return minp, SimCertificate(class_relation(p.states, minp.states, name), TWO_SIDED)
 
+
+def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, dict[str, str]]:
     delta = {(q, a): q2 for q, a, q2 in p.trans}
     # All real states accept; refinement only separates by definedness.
     name, min_states, trans = quotient(p.states, list(p.states.elements), p.alphabet.elements,
                                        delta, lambda q: q is None)
-    minp = Presentation(p.alphabet, min_states, frozenset(trans), name[root])
-    lmap = Rel(obj(p.states), obj(min_states), frozenset(((q,), (c,)) for q, c in name.items()))
-    return minp, SimCertificate(lmap, TWO_SIDED)
+    return Presentation(p.alphabet, min_states, frozenset(trans), name[root]), name
 
 
 def canonical_form(p: Presentation) -> Presentation:
@@ -249,8 +216,7 @@ def canonical_form(p: Presentation) -> Presentation:
     if pruned.is_empty():
         return Presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
     det, _ = _subset_presentation(pruned)
-    minp, _ = minimize_presentation(det, root=det.root, validate=False)
-    return minp
+    return _minimal_presentation(det, det.root)[0]
 
 
 def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:

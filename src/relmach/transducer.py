@@ -6,6 +6,11 @@ Its behavior is the length-preserving relation between input and output
 words realized by runs from an initial to a final state.  Behaviors of
 bounded length are materialized as :class:`UniformRelationSample` values;
 exact (unbounded) comparisons go through the automata module.
+
+A machine stores its transitions as validated quadruples (input letter,
+state, output letter, next state).  The paper's transition relation
+A×Q → B×Q is a view of them that :func:`trans_rel` builds; only the
+simulation checker needs it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .relcore import (
     MachineError,
     Rel,
     TypeMismatch,
+    check_rows,
     is_unit,
     obj,
     pair_symbol,
@@ -30,75 +36,25 @@ Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next st
 Word = tuple[str, ...]
 
 
-def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet,
-              quads: tuple[Quad, ...] | set[Quad] | frozenset[Quad]) -> Rel:
-    """Build the transition relation A×Q → B×Q from explicit quadruples."""
-    dom = obj(input, states)
-    cod = obj(output, states)
-    star = UNIT.elements[0]
-
-    def dtup(a: str, q: str) -> Word:
-        t = ()
-        if not is_unit(input):
-            t += (a,)
-        if not is_unit(states):
-            t += (q,)
-        return t
-
-    def ctup(b: str, q: str) -> Word:
-        t = ()
-        if not is_unit(output):
-            t += (b,)
-        if not is_unit(states):
-            t += (q,)
-        return t
-
-    for a, q, b, q2 in quads:
-        if is_unit(input) and a != star:
-            raise MachineError(f"letter {a!r} not in unit input alphabet")
-        if is_unit(output) and b != star:
-            raise MachineError(f"letter {b!r} not in unit output alphabet")
-    return Rel(dom, cod, ((dtup(a, q), ctup(b, q2)) for a, q, b, q2 in quads))
-
-
-def rel_quads(input: Alphabet, output: Alphabet, states: Alphabet, r: Rel) -> frozenset[Quad]:
-    """Recover explicit quadruples from a transition relation."""
-    star = UNIT.elements[0]
-    out = set()
-    for x, y in r.pairs:
-        xs = list(x)
-        ys = list(y)
-        a = star if is_unit(input) else xs.pop(0)
-        q = star if is_unit(states) else xs.pop(0)
-        b = star if is_unit(output) else ys.pop(0)
-        q2 = star if is_unit(states) else ys.pop(0)
-        out.add((a, q, b, q2))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
-class Transducer:
+class QuadMachine:
+    """Alphabets and transitions, the data a :class:`Transducer` and a
+    bi-infinite ``sofic.ZTransducer`` share.  ``trans`` holds quadruples
+    (a, q, b, q2) with ``a`` in ``input``, ``b`` in ``output`` and ``q``,
+    ``q2`` in ``states``; a unit alphabet's only symbol is ``"*"``."""
+
     input: Alphabet
     output: Alphabet
     states: Alphabet
-    trans: Rel
-    initial: frozenset[str]
-    final: frozenset[str]
+    trans: frozenset[Quad]
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", self.states.check_subset(self.initial))
-        object.__setattr__(self, "final", self.states.check_subset(self.final))
-        want_dom = obj(self.input, self.states).signature()
-        want_cod = obj(self.output, self.states).signature()
-        if self.trans.dom.signature() != want_dom or self.trans.cod.signature() != want_cod:
-            raise TypeMismatch("transition relation is not typed A×Q → B×Q")
-
-    def quads(self) -> frozenset[Quad]:
-        return rel_quads(self.input, self.output, self.states, self.trans)
+        columns = {0: self.input, 1: self.states, 2: self.output, 3: self.states}
+        object.__setattr__(self, "trans", check_rows(self.trans, columns))
 
     def sorted_quads(self) -> list[Quad]:
         return sorted(
-            self.quads(),
+            self.trans,
             key=lambda t: (
                 self.states.index(t[1]),
                 self.input.index(t[0]),
@@ -108,24 +64,34 @@ class Transducer:
         )
 
 
+@dataclass(frozen=True)
+class Transducer(QuadMachine):
+    initial: frozenset[str]
+    final: frozenset[str]
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "initial", self.states.check_subset(self.initial))
+        object.__setattr__(self, "final", self.states.check_subset(self.final))
+
+
 def transducer(input: Alphabet, output: Alphabet, states: Alphabet,
                quads, initial, final) -> Transducer:
-    return Transducer(
-        input, output, states,
-        trans_rel(input, output, states, tuple(quads)),
-        initial, final,
-    )
+    return Transducer(input, output, states, quads, initial, final)
 
 
-def materialize_states(t: Transducer) -> Transducer:
-    """Replace a literal-unit state space by an ordinary singleton, so that
-    state-typed relations about ``t`` have a real wire to attach to."""
-    if not is_unit(t.states):
-        return t
-    from .relcore import material
+def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel:
+    """The transition relation A×Q → B×Q as a view of validated quadruples:
+    (a, q, b, q2) relates (a, q) to (b, q2), and a unit alphabet gives no
+    tuple component, so a caller that needs the states passes
+    ``material(states)``."""
 
-    return transducer(t.input, t.output, material(t.states), t.quads(),
-                      t.initial, t.final)
+    def view(*columns):
+        kept = [i for i, a in columns if not is_unit(a)]
+        return lambda t: tuple(t[i] for i in kept)
+
+    x, y = view((0, input), (1, states)), view((2, output), (3, states))
+    return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))
 
 
 @dataclass(frozen=True)
@@ -156,7 +122,7 @@ class UniformRelationSample:
 def behavior_upto(t: Transducer, n: int) -> UniformRelationSample:
     """Behavior sample computed by direct run enumeration."""
     step: dict[str, list[tuple[str, str, str]]] = {q: [] for q in t.states.elements}
-    for a, q, b, q2 in t.quads():
+    for a, q, b, q2 in t.trans:
         step[q].append((a, b, q2))
     pairs: set[tuple[Word, Word]] = set()
     frontier: set[tuple[str, Word, Word]] = {(q, (), ()) for q in t.initial}
@@ -203,7 +169,7 @@ def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
     from the per-position lift sections.
     """
     letter_pairs: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for a, q, b, q2 in t.quads():
+    for a, q, b, q2 in t.trans:
         letter_pairs.setdefault((q, q2), []).append((a, b))
     pairs: set[tuple[Word, Word]] = set()
     for k in range(n + 1):
@@ -230,10 +196,10 @@ def compose_transducers(t1: Transducer, t2: Transducer) -> Transducer:
     states = product_alphabet(t1.states, t2.states)
     pair = pair_symbol(t1.states, t2.states)
     by_mid: dict[str, list[tuple[str, str, str]]] = {}
-    for b, p, d, p2 in t2.quads():
+    for b, p, d, p2 in t2.trans:
         by_mid.setdefault(b, []).append((p, d, p2))
     quads = set()
-    for a, q, b, q2 in t1.quads():
+    for a, q, b, q2 in t1.trans:
         for p, d, p2 in by_mid.get(b, ()):
             quads.add((a, pair(q, p), d, pair(q2, p2)))
     return transducer(
@@ -250,8 +216,8 @@ def product_transducers(t1: Transducer, t2: Transducer) -> Transducer:
     ipair = pair_symbol(t1.input, t2.input)
     opair = pair_symbol(t1.output, t2.output)
     quads = set()
-    for a, q, b, q2 in t1.quads():
-        for c, p, d, p2 in t2.quads():
+    for a, q, b, q2 in t1.trans:
+        for c, p, d, p2 in t2.trans:
             quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
     return transducer(
         product_alphabet(t1.input, t2.input),
@@ -282,7 +248,7 @@ def to_automaton(t: Transducer) -> Transducer:
     """View a transducer over A, B as an acceptor over the product A×B."""
     ipair = pair_symbol(t.input, t.output)
     star = UNIT.elements[0]
-    quads = {(ipair(a, b), q, star, q2) for a, q, b, q2 in t.quads()}
+    quads = {(ipair(a, b), q, star, q2) for a, q, b, q2 in t.trans}
     return transducer(
         product_alphabet(t.input, t.output), UNIT, t.states, quads, t.initial, t.final
     )
@@ -297,7 +263,7 @@ def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transduc
         raise TypeMismatch("acceptor alphabet is not the product of the given alphabets")
     unpair = unpair_symbol(input, output)
     quads = set()
-    for ab, q, _, q2 in t.quads():
+    for ab, q, _, q2 in t.trans:
         a, b = unpair(ab)
         quads.add((a, q, b, q2))
     return transducer(input, output, t.states, quads, t.initial, t.final)

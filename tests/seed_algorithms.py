@@ -369,10 +369,10 @@ def compose_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
     states = product_alphabet(z1.states, z2.states)
     pair = pair_symbol(z1.states, z2.states)
     by_mid: dict[str, list[tuple[str, str, str]]] = {}
-    for b, p, d, p2 in z2.quads():
+    for b, p, d, p2 in z2.trans:
         by_mid.setdefault(b, []).append((p, d, p2))
     quads = set()
-    for a, q, b, q2 in z1.quads():
+    for a, q, b, q2 in z1.trans:
         for p, d, p2 in by_mid.get(b, ()):
             quads.add((a, pair(q, p), d, pair(q2, p2)))
     return ztransducer(z1.input, z2.output, states, quads)
@@ -384,8 +384,8 @@ def product_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
     ipair = pair_symbol(z1.input, z2.input)
     opair = pair_symbol(z1.output, z2.output)
     quads = set()
-    for a, q, b, q2 in z1.quads():
-        for c, p, d, p2 in z2.quads():
+    for a, q, b, q2 in z1.trans:
+        for c, p, d, p2 in z2.trans:
             quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
     return ztransducer(
         product_alphabet(z1.input, z2.input),
@@ -417,7 +417,7 @@ def normal_form(d: Diagram) -> Transducer:
             db, cb = type_of(b)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
-            input, output, quads = _fold_quads(tb.quads(), db, cb, spair)
+            input, output, quads = _fold_quads(tb.trans, db, cb, spair)
             return transducer(
                 input, output, states, quads,
                 {spair(p, q) for p in tb.initial for q in i},
@@ -433,7 +433,7 @@ def z_normal_form(d: Diagram) -> ZTransducer:
     match d:
         case Box(rel=r):
             t = lift_transducer(pack_rel(r))
-            return ztransducer(t.input, t.output, t.states, t.quads())
+            return ztransducer(t.input, t.output, t.states, t.trans)
         case Id(o=o):
             return z_normal_form(Box(identity(o)))
         case Swap(a=a, b=b):
@@ -446,7 +446,7 @@ def z_normal_form(d: Diagram) -> ZTransducer:
             z = product_z(z_normal_form(l), z_normal_form(r))
             imap = dict(zip(z.input.elements, pack_obj(dom).elements))
             omap = dict(zip(z.output.elements, pack_obj(cod).elements))
-            quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.quads()}
+            quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.trans}
             return ztransducer(pack_obj(dom), pack_obj(cod), z.states, quads)
         case FeedbackZ(wire=w, body=b):
             _feedback_boundary(w, b)
@@ -454,7 +454,7 @@ def z_normal_form(d: Diagram) -> ZTransducer:
             db, cb = type_of(b)
             states = product_alphabet(zb.states, w)
             spair = pair_symbol(zb.states, w)
-            input, output, quads = _fold_quads(zb.quads(), db, cb, spair)
+            input, output, quads = _fold_quads(zb.trans, db, cb, spair)
             return ztransducer(input, output, states, quads)
         case Feedback():
             raise TypeMismatch("labelled feedback belongs to the finite-word language")

@@ -5,9 +5,17 @@ flat wire list is rebuilt for every tuple, exactly as the first version of
 the constructors did.  Each ``check_*`` function raises what that version
 raised for the same arguments (``MachineError`` with the same message, or
 the same Python exception), and returns ``None`` when it accepted them.
+
+Transducers stored their transitions as a ``Rel``; ``trans_rel`` is the
+encoding that validated them, copied unchanged.
 """
 
-from relmach.relcore import UNIT, MachineError
+from __future__ import annotations
+
+from relmach.relcore import UNIT, Alphabet, MachineError, Rel, is_unit, obj
+
+Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
+Word = tuple[str, ...]
 
 
 def index(a, symbol):
@@ -60,3 +68,45 @@ def check_label_sets(a, initial, final):
     """Transducer initial/final states and feedback label sets."""
     check_subset(a, initial)
     check_subset(a, final)
+
+
+def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet,
+              quads: tuple[Quad, ...] | set[Quad] | frozenset[Quad]) -> Rel:
+    """Build the transition relation A×Q → B×Q from explicit quadruples."""
+    dom = obj(input, states)
+    cod = obj(output, states)
+    star = UNIT.elements[0]
+
+    def dtup(a: str, q: str) -> Word:
+        t = ()
+        if not is_unit(input):
+            t += (a,)
+        if not is_unit(states):
+            t += (q,)
+        return t
+
+    def ctup(b: str, q: str) -> Word:
+        t = ()
+        if not is_unit(output):
+            t += (b,)
+        if not is_unit(states):
+            t += (q,)
+        return t
+
+    for a, q, b, q2 in quads:
+        if is_unit(input) and a != star:
+            raise MachineError(f"letter {a!r} not in unit input alphabet")
+        if is_unit(output) and b != star:
+            raise MachineError(f"letter {b!r} not in unit output alphabet")
+    return Rel(dom, cod, ((dtup(a, q), ctup(b, q2)) for a, q, b, q2 in quads))
+
+
+def check_ztransducer(input, output, states, quads):
+    """``ztransducer``: the transition relation was the whole check."""
+    trans_rel(input, output, states, tuple(quads))
+
+
+def check_transducer(input, output, states, quads, initial, final):
+    """``transducer``: the transition relation, then the label sets."""
+    check_ztransducer(input, output, states, quads)
+    check_label_sets(states, initial, final)

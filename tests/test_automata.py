@@ -25,7 +25,7 @@ from relmach.automata import (
     trim,
 )
 from relmach.relcore import Alphabet, TypeMismatch, compose, identity, obj, product, rel_equals
-from relmach.transducer import behavior_upto
+from relmach.transducer import behavior_upto, trans_rel
 
 Aa = Alphabet("A", ("a",))
 Ab = Alphabet("A", ("a", "b"))
@@ -80,8 +80,9 @@ def test_determinize_certificate_equation():
     d, contains = determinize(n)
     t1 = nfa_to_transducer(n)
     t2 = nfa_to_transducer(d)
-    lhs = compose(product(identity(obj(n.alphabet)), contains), t1.trans)
-    rhs = compose(t2.trans, contains)
+    lhs = compose(product(identity(obj(n.alphabet)), contains),
+                  trans_rel(t1.input, t1.output, t1.states, t1.trans))
+    rhs = compose(trans_rel(t2.input, t2.output, t2.states, t2.trans), contains)
     assert rel_equals(lhs, rhs)
 
 

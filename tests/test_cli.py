@@ -157,6 +157,26 @@ def test_equiv_on_states_whose_subset_names_collide(tmp_path, capsys):
         assert json.loads(out)["status"] == ("equal" if expect == 0 else "not-equal")
 
 
+def test_subset_names_of_states_with_commas(tmp_path, capsys):
+    """{a,b} and {"a,b"} get distinct names, so the commands that print
+    subsets accept these machines, and the certificate checks."""
+    Ax = Alphabet("A", ("x", "y"))
+    Q = Alphabet("Q", ("a", "b", "a,b"))
+    n = write(tmp_path, "n.json", nfa(Ax, Q, {("a", "x", "a,b")}, {"a", "b"}, {"a,b"}))
+    p = write(tmp_path, "p.json", presentation(
+        Ax, Q, {("a", "x", "a"), ("b", "y", "a,b"), ("a,b", "x", "b")}))
+    cert = str(tmp_path / "cert.json")
+    code, out, _ = run(capsys, "determinize", n, "--certify", cert)
+    assert code == 0
+    assert json.loads(out)["states"]["elements"] == ["{a,b}", "{a\\,b}", "{}"]
+    det = str(tmp_path / "det.json")
+    with open(det, "w", encoding="utf-8") as fh:
+        fh.write(out)
+    assert run(capsys, "check-sim", n, det, cert)[0] == 0
+    code, out, _ = run(capsys, "canonical", p)
+    assert code == 0 and json.loads(out)["kind"] == "presentation"
+
+
 def test_equiv_diagrams_with_certificate(tmp_path, capsys):
     d = Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL))
     f1 = write(tmp_path, "d1.json", d)

@@ -15,7 +15,7 @@ from genrand import random_alphabet, random_diagram
 from relmach import automata, sofic
 from relmach.automata import determinize, minimal_dfa, nfa, nfa_equiv
 from relmach.diagram import Feedback, FeedbackZ, Par, Seq, bend, normal_form, z_normal_form
-from relmach.relcore import Alphabet, obj
+from relmach.relcore import Alphabet, Rel, obj
 from relmach.sofic import canonical_form, determinize_presentation, presentation, \
     presentations_equiv, prune, rooted_iso
 from test_algorithms import graphs, outcome
@@ -130,12 +130,30 @@ def test_empty_subset_is_dropped_by_set_not_name():
     assert outcome(determinize, n) == outcome(seed.determinize, n)
 
 
+# State names whose plain comma-joined subset names collide, or nearly so.
+STATE_NAMES = ["a", "b", "a,b", "a,", ",b", ",", "", "\\", "\\,", "a\\", "(a,b)", "(a", "{}", "∅"]
+
+
+@given(st.lists(st.sampled_from(STATE_NAMES), unique=True, max_size=6))
+def test_distinct_subsets_get_distinct_names(names):
+    order = Alphabet("Q", tuple(names))
+    every = [frozenset(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)]
+    spelled = {automata.subset_name(sub, order) for sub in every}
+    assert len(spelled) == len(every)
+    if not any(q.startswith(p + ",") for q in names for p in names) and "" not in names:
+        # no name could be misread, so every name is the plain one
+        assert all(automata.subset_name(sub, order) == "{" + ",".join(order.sort(sub)) + "}"
+                   for sub in every)
+
+
 def test_verdicts_build_no_membership_relation(monkeypatch):
     def refuse(*args):
-        raise AssertionError("membership relation built for a verdict")
+        raise AssertionError("certificate relation built for a verdict")
 
     monkeypatch.setattr(automata, "membership", refuse)
     monkeypatch.setattr(sofic, "membership", refuse)
+    # nor the follow-language relation of minimization, nor any other
+    monkeypatch.setattr(Rel, "__post_init__", refuse)
     p = colliding_presentation()
     canonical_form(presentation(A, Alphabet("Q", ("0", "1")), {("0", "x", "1"), ("1", "y", "0")}))
     assert presentations_equiv(p, p)

@@ -12,6 +12,7 @@ from genrand import (
     random_rel,
     rename_feedback,
 )
+from relmach import diagram
 from relmach.diagram import (
     Box,
     Feedback,
@@ -42,7 +43,7 @@ from relmach.relcore import (
     rel,
 )
 from relmach.sofic import presentation_of_ztransducer, presentations_equiv
-from relmach.transducer import behavior_upto, lift_transducer, transducer
+from relmach.transducer import behavior_upto, lift_transducer, trans_rel, transducer
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -93,7 +94,29 @@ def test_normal_form_merges_sequenced_boxes():
     assert len(nf.states) == 1
     want = lift_transducer(compose(r, s))
     assert behavior_upto(nf, 3).pairs == behavior_upto(want, 3).pairs
-    assert nf.trans.pairs == compose(r, s).pairs
+    assert trans_rel(nf.input, nf.output, nf.states, nf.trans).pairs == compose(r, s).pairs
+
+
+def test_terms_are_typed_in_linear_time(monkeypatch):
+    calls = 0
+
+    def counting(d):
+        nonlocal calls
+        calls += 1
+        return type_of(d)
+
+    monkeypatch.setattr(diagram, "type_of", counting)
+    for depth in (100, 400):
+        term = Box(SWAP_REL)
+        for _ in range(depth - 1):
+            term = Seq(Box(SWAP_REL), term)
+        nodes = 2 * depth - 1
+        calls = 0
+        normal_form(term)
+        assert calls <= nodes
+        calls = 0
+        assert diagrams_equiv(term, term)[0]
+        assert calls <= 4 * (nodes + 3)  # both terms, each bent once
 
 
 def test_interpret_box_swap():
@@ -259,7 +282,7 @@ def test_z_normal_form_of_wrapped_machine():
     zd = FeedbackZ(Q2, Box(PARITY_REL))
     z = z_normal_form(zd)
     assert z.states == Q2
-    assert z.trans.pairs == PARITY_REL.pairs
+    assert trans_rel(z.input, z.output, z.states, z.trans).pairs == PARITY_REL.pairs
     with pytest.raises(TypeMismatch):
         z_normal_form(parity_feedback())
     with pytest.raises(TypeMismatch):
@@ -328,8 +351,10 @@ def test_universality_round_trip():
     for _ in range(20):
         t1 = random_transducer(rng, input=inp, output=out)
         t2 = random_transducer(rng, input=inp, output=out)
-        d1 = Feedback(t1.states, t1.initial, t1.final, Box(t1.trans))
-        d2 = Feedback(t2.states, t2.initial, t2.final, Box(t2.trans))
+        d1 = Feedback(t1.states, t1.initial, t1.final,
+                      Box(trans_rel(t1.input, t1.output, t1.states, t1.trans)))
+        d2 = Feedback(t2.states, t2.initial, t2.final,
+                      Box(trans_rel(t2.input, t2.output, t2.states, t2.trans)))
         want = nfa_equiv(transducer_to_nfa(to_automaton(t1)),
                          transducer_to_nfa(to_automaton(t2)))
         eq, _ = diagrams_equiv(d1, d2)

@@ -33,7 +33,7 @@ PARITY = transducer(Aa, Aa, Q2, {("a", "q0", "a", "q1"), ("a", "q1", "a", "q0")}
 
 def brute_behavior(t, n):
     """Oracle: test every word pair of every length by set-based stepping."""
-    quads = t.quads()
+    quads = t.trans
 
     def reachable(w, v):
         cur = set(t.initial)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import seed_validator as seed
 from relmach import io
-from relmach.automata import Nfa
+from relmach.automata import Dfa, Nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback
-from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, obj, rel
-from relmach.sofic import Presentation
+from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError, is_unit, obj, rel
+from relmach.sofic import Presentation, ZTransducer, ztransducer
 from relmach.transducer import Transducer, trans_rel, transducer
 
 A = Alphabet("A", ("a", "b", "c"))
@@ -112,10 +112,89 @@ QUADS = {("a", "p", "0", "q"), ("b", "q", "1", "p")}
 def test_transducer_and_feedback_label_sets_match_seed(initial, final):
     want = outcome(seed.check_label_sets, Q, initial, final)
     assert outcome(transducer, A, B, Q, QUADS, initial, final) == want
-    t_rel = trans_rel(A, B, Q, QUADS)
-    assert outcome(Transducer, A, B, Q, t_rel, initial, final) == want
+    assert outcome(Transducer, A, B, Q, QUADS, initial, final) == want
     body = Box(rel(obj(A, Q), obj(B, Q), set()))
     assert outcome(Feedback, Q, initial, final, body) == want
+
+
+# -- transducer transitions -----------------------------------------------------
+
+@st.composite
+def quad_machines(draw):
+    """Alphabets (the unit among them), transitions and label sets, now and
+    then with one transition of the wrong arity."""
+    input, output, states = (draw(st.sampled_from([A, B, Q, UNIT])) for _ in range(3))
+    quad = st.tuples(*(symbol_of(a) for a in (input, states, output, states)))
+    quads = draw(st.lists(quad, max_size=5))
+    if not draw(st.integers(0, 9)):
+        quads.append(tuple(draw(st.lists(symbols, min_size=2, max_size=5).filter(lambda t: len(t) != 4))))
+    labels = st.frozensets(symbol_of(states), max_size=2)
+    return input, output, states, quads, draw(labels), draw(labels)
+
+
+@settings(max_examples=300)
+@given(quad_machines())
+def test_transducer_validation_matches_seed(case):
+    """Same verdict and exception class as the first version, which encoded
+    the transitions as a relation, except on a wrong arity or a unit state
+    alphabet."""
+    input, output, states, quads, initial, final = case
+    for new, old, args in [
+        (Transducer, seed.check_transducer, (input, output, states, quads, initial, final)),
+        (ZTransducer, seed.check_ztransducer, (input, output, states, quads)),
+    ]:
+        got, want = outcome(new, *args), outcome(old, *args)
+        if any(len(q) != 4 for q in quads):
+            # It raised ValueError when unpacking a row, or MachineError first.
+            assert want is not None and issubclass(got[0], MachineError)
+        elif is_unit(states) and any({q[1], q[3]} != {"*"} for q in quads):
+            # Its relation had no state column, so it accepted any state.
+            assert got[0] is MachineError
+        else:
+            assert (got and got[0]) == (want and want[0])
+        if got is None:
+            t = new(*args)
+            assert t.trans == frozenset(quads)
+            assert trans_rel(input, output, states, t.trans) == \
+                seed.trans_rel(input, output, states, quads)
+
+
+def test_unit_states_hold_only_the_unit_symbol(tmp_path):
+    quad = ("a", "zz", "0", "yy")
+    assert outcome(seed.check_transducer, A, B, UNIT, [quad], {"*"}, {"*"}) is None
+    with pytest.raises(MachineError, match="symbol 'zz' not in alphabet 'unit'"):
+        transducer(A, B, UNIT, {quad}, {"*"}, {"*"})
+    with pytest.raises(MachineError, match="symbol 'zz' not in alphabet 'unit'"):
+        ztransducer(A, B, UNIT, {quad})
+    assert transducer(A, B, UNIT, {("a", "*", "0", "*")}, {"*"}, {"*"}).trans == {("a", "*", "0", "*")}
+    doc = {"kind": "transducer", "input": {"name": "A", "elements": ["a"]},
+           "output": {"name": "A", "elements": ["a"]},
+           "states": {"name": "unit", "elements": ["*"]},
+           "trans": [["a", "zz", "a", "yy"]], "initial": ["*"], "final": ["*"]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["behavior", str(path), "--max-len", "1"]) == 2
+    assert main(["equiv", str(path), str(path)]) == 2
+
+
+WRONG_SHAPES = [
+    (Nfa, seed.check_nfa, (A, Q, [("p", "a")], [], [])),
+    (Dfa, seed.check_nfa, (A, Q, [("p", "a", "q", "r")], [], [])),
+    (Presentation, seed.check_presentation, (A, Q, [("p", "a", "p", "p")], None)),
+    (transducer, seed.check_transducer, (A, A, Q, [("a", "p", "a")], [], [])),
+    (Transducer, seed.check_transducer, (A, B, Q, [("a", "p", "0", "q", "r")], [], [])),
+    (ztransducer, seed.check_ztransducer, (A, B, Q, [("a", "p", "0")])),
+    (ZTransducer, seed.check_ztransducer, (A, B, Q, [7])),
+]
+
+
+@pytest.mark.parametrize("new, old, args", WRONG_SHAPES, ids=lambda x: getattr(x, "__name__", None))
+def test_wrongly_shaped_transitions_raise_machine_error(new, old, args):
+    """The first version failed to unpack such a transition."""
+    assert outcome(old, *args)[0] in (ValueError, TypeError)
+    with pytest.raises(ShapeError, match="is not a tuple of [34] symbols"):
+        new(*args)
+    assert issubclass(ShapeError, MachineError)
 
 
 # -- malformed symbols --------------------------------------------------------
