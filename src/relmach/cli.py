@@ -4,11 +4,18 @@ Every subcommand reads machine files (JSON with a top-level ``kind``),
 prints canonical JSON (or DOT) on stdout, and exits with 0 for
 equal/pass, 1 for not-equal/fail, and 2 for errors; diagnostics name the
 offending file and the first violated invariant.
+
+``main(argv)`` returns the exit status for every argv, usage errors (2)
+and ``--help`` (0) included; only ``entry`` raises ``SystemExit``.  The
+argument parser is built once per process, on the first call, so
+in-process callers pay its set-up once; each call looks its command up
+as the module function ``cmd_<command>`` (``-`` read as ``_``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import dot, io
@@ -250,32 +257,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--via", choices=["shift", "runs"])
-    p.set_defaults(func=cmd_behavior)
 
     p = sub.add_parser("equiv", help="decide equivalence of two machine files")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--certify", metavar="PATH", help="write the certificate chain (diagrams)")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("determinize", help="subset construction with certificate")
     p.add_argument("file")
     p.add_argument("--certify", metavar="PATH")
-    p.set_defaults(func=cmd_determinize)
 
     p = sub.add_parser("minimize", help="merge states with equal follow languages")
     p.add_argument("file")
     p.add_argument("--certify", metavar="PATH")
-    p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("prune", help="restrict to states on unbounded paths")
     p.add_argument("file")
     p.add_argument("--mode", choices=["fwd", "bwd", "full"], default="full")
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("canonical", help="canonical presentation of a subshift")
     p.add_argument("file")
-    p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("check-sim", help="check a simulation certificate")
     p.add_argument("m1")
@@ -283,34 +284,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert")
     p.add_argument("--mode", choices=["two-sided", "backward", "forward"])
     p.add_argument("--infinite", action="store_true")
-    p.set_defaults(func=cmd_check_sim)
 
     p = sub.add_parser("normalize", help="quasi-normal form of a diagram term")
     p.add_argument("file")
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("factors", help="bounded factor language of a presentation")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("periodic", help="periodic-point membership in a subshift")
     p.add_argument("file")
     p.add_argument("word", help="symbols, concatenated or comma-separated")
-    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("export-dot", help="render a machine file as Graphviz DOT")
     p.add_argument("file")
-    p.set_defaults(func=cmd_export_dot)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # usage error (2) or --help (0), already printed
+        return e.code
+    try:
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliError, MachineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -5,7 +5,9 @@ is canonical: object keys are sorted, words are arrays of symbol names,
 and every array of symbols, pairs, or transitions is sorted in the
 canonical order of its alphabets, so serialization is deterministic and
 round-trip stable.  Reading a document that is not JSON, or whose
-structure does not fit its kind, raises ``MachineError``.
+structure does not fit its kind, raises ``MachineError``; so does one
+nested too deeply to decode or parse, a depth limit that follows Python's
+recursion limit (``sys.getrecursionlimit``).
 """
 
 from __future__ import annotations
@@ -244,6 +246,8 @@ def from_payload(p: dict):
         raise MachineError(f"{p.get('kind')} document: missing field {e}") from None
     except (AttributeError, IndexError, TypeError, ValueError, ShapeError) as e:
         raise MachineError(f"{p.get('kind')} document: malformed ({e})") from None
+    except RecursionError:
+        raise MachineError(f"{p.get('kind')} document: nested too deeply") from None
 
 
 def _decode(text: str):
@@ -251,6 +255,8 @@ def _decode(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MachineError(f"not a JSON document ({e})") from None
+    except RecursionError:
+        raise MachineError("JSON document nested too deeply") from None
 
 
 def dumps(x) -> str:

@@ -173,13 +173,3 @@ def certificate_for_minimization(d: Dfa) -> tuple[Dfa, SimCertificate]:
     mdfa, lmap = minimize(d)
     return mdfa, SimCertificate(lmap, TWO_SIDED)
 
-
-def verify_report(m1: Transducer, m2: Transducer, cert: SimCertificate,
-                  report: SimReport) -> bool:
-    """Re-check that a failing report's witness indeed violates the named
-    condition (passing reports verify trivially)."""
-    if report.ok:
-        return check_fin(m1, m2, cert).ok
-    again = check_fin(m1, m2, cert)
-    return (not again.ok and again.failed_condition == report.failed_condition
-            and again.witness == report.witness)

@@ -1,11 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
+
+import pytest
 
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
-from relmach import io
+import relmach
+from relmach import cli, io
 from relmach.automata import determinize, minimize, nfa
-from relmach.cli import main
+from relmach.cli import build_parser, main
 from relmach.diagram import Box, Feedback, FeedbackZ, Seq
 from relmach.relcore import UNIT_OBJ, Alphabet, obj, rel
 from relmach.simulation import SimCertificate
@@ -382,3 +388,79 @@ def test_equiv_and_normalize_read_each_file_once(tmp_path, capsys, monkeypatch):
     n = write(tmp_path, "n.json", nfa(Aa, Q2, {("q0", "a", "q1")}, {"q0"}, {"q1"}))
     code, _, err = run(capsys, "equiv", n, z)
     assert code == 2 and err == "error: cannot compare kinds nfa and zdiagram\n"
+
+
+def test_over_deep_document_exits_2_with_one_line(tmp_path, capsys):
+    from test_io import deep_seq_document
+    path = tmp_path / "deep.json"
+    path.write_text(deep_seq_document(1500))
+    for argv in (("normalize", str(path)), ("equiv", str(path), str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+
+def test_main_returns_argparse_status(capsys):
+    """Usage errors and --help return their status with argparse's own text."""
+    for argv, status in ((["equiv"], 2), (["bogus"], 2),
+                         (["behavior", "x", "--max-len", "z"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert exc.value.code == status
+        assert run(capsys, *argv) == (status, expected.out, expected.err)
+        assert (expected.out if status == 0 else expected.err).startswith("usage: relmach")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    gm = write(tmp_path, "gm.json", presentation(
+        Ab, Alphabet("Q", ("0",)), {("0", "a", "0"), ("0", "b", "0")}))
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    for argv in (("equiv", gm, gm), ("canonical", gm), ("bogus",), ("equiv", gm, gm)):
+        run(capsys, *argv)
+    assert len(built) == 1
+
+
+def test_no_state_leaks_between_calls(tmp_path, capsys):
+    n = write(tmp_path, "n.json", nfa(
+        Aa, Alphabet("Q", ("0", "1")), {("0", "a", "0"), ("0", "a", "1")}, {"0"}, {"1"}))
+    cert = tmp_path / "c.json"
+    code, det, _ = run(capsys, "determinize", n, "--certify", str(cert))
+    assert code == 0 and cert.exists()
+    cert.unlink()
+    assert run(capsys, "determinize", n) == (0, det, "")
+    assert not cert.exists()
+
+    # p -> q, q -> q, q -> r: fwd drops r, bwd drops p, full drops both
+    p = write(tmp_path, "p.json", presentation(
+        Aa, Alphabet("Q", ("p", "q", "r")), {("p", "a", "q"), ("q", "a", "q"), ("q", "a", "r")}))
+    full = run(capsys, "prune", p, "--mode", "full")
+    assert json.loads(full[1])["states"]["elements"] == ["q"]
+    assert run(capsys, "prune", p, "--mode", "fwd") != full
+    assert run(capsys, "prune", p) == full
+
+    valid = run(capsys, "equiv", n, n)
+    assert valid[0] == 0
+    assert run(capsys, "equiv", n)[0] == 2
+    assert run(capsys, "equiv", n, n) == valid
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """``python -m relmach.cli`` exits with main's status: 0 / 1 / 2."""
+    gm = write(tmp_path, "gm.json", presentation(
+        Ab, Alphabet("Q", ("0", "1")), {("0", "a", "0"), ("0", "b", "1"), ("1", "a", "0")}))
+    full = write(tmp_path, "full.json", presentation(
+        Ab, Alphabet("Q", ("0",)), {("0", "a", "0"), ("0", "b", "0")}))
+    src = os.path.dirname(os.path.dirname(relmach.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, status, stdout in (((gm, gm), 0, '"equal"'), ((gm, full), 1, '"not-equal"'),
+                                 ((gm,), 2, "")):
+        proc = subprocess.run([sys.executable, "-m", "relmach.cli", "equiv", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == status, proc.stderr
+        assert stdout in proc.stdout and (status != 2 or proc.stderr.startswith("usage: relmach"))

@@ -121,6 +121,31 @@ def test_invalid_json_raises_machine_error(tmp_path):
         io.load_file(path)
 
 
+ID_TERM = {"node": "id", "obj": [ALPHA]}
+
+
+def deep_seq_document(depth: int) -> str:
+    """A right-nested chain of ``depth`` ``seq`` nodes, written without recursion."""
+    head = '{"node": "seq", "first": %s, "second": ' % json.dumps(ID_TERM)
+    return '{"kind": "diagram", "term": ' + head * depth + json.dumps(ID_TERM) + "}" * depth + "}"
+
+
+def test_over_deep_documents_raise_machine_error(tmp_path):
+    assert isinstance(io.loads(deep_seq_document(100)), Seq)
+    text = deep_seq_document(1500)
+    with pytest.raises(MachineError, match="nested too deeply"):
+        io.loads(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(MachineError, match="nested too deeply"):
+        io.load_file(path)
+    term = ID_TERM
+    for _ in range(1500):  # past the decoder: the term parser recurses too
+        term = {"node": "seq", "first": ID_TERM, "second": term}
+    with pytest.raises(MachineError, match="diagram document: nested too deeply"):
+        io.from_payload({"kind": "diagram", "term": term})
+
+
 def test_load_tagged_returns_the_document_kind(tmp_path):
     path = tmp_path / "z.json"
     io.save_file(path, FeedbackZ(Q2, Box(rel(obj(Q2), obj(Q2), {(("q0",), ("q1",))}))))
