@@ -4,9 +4,17 @@ and the factor-closure / pruning operators on regular languages.
 
 Three graph algorithms here are shared with the sofic and simulation
 modules: ``subsets``, the subset construction; ``refine``, Hopcroft's
-partition refinement in O(n·k·log n) for n states and k letters; and
-``long_path_states``, the linear-time restriction to the states on
-infinite paths.
+partition refinement; and ``long_path_states``, the linear-time
+restriction to the states on infinite paths.
+
+The first two run on state positions.  A subset is an ``int`` bitmask, and
+its image under a letter is the OR of its members' successor masks: k ORs
+per member for k letters.  ``refine`` runs on ``list`` transition tables
+in O(n·k·log n) for n states.  States and subsets are named only where a
+machine is emitted.  A verdict is one refinement of the disjoint union of
+two subset graphs (``same_words``): beyond the subset construction, which
+is exponential in the worst case, it costs O(N·k·log N) for N subsets, and
+it builds, names and validates no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -16,6 +24,9 @@ checkable by the simulation module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, check_rows, material, obj
 from .transducer import Transducer, transducer
@@ -55,9 +66,6 @@ class Dfa(Nfa):
             if (q, a) in seen:
                 raise MachineError(f"nondeterministic transition on ({q!r}, {a!r})")
             seen.add((q, a))
-
-    def delta(self) -> dict[tuple[str, str], str]:
-        return {(q, a): q2 for q, a, q2 in self.trans}
 
 
 def check_triples(alphabet: Alphabet, states: Alphabet, trans) -> frozenset[Triple]:
@@ -184,27 +192,25 @@ def long_path_states(states, edges: dict[str, set[str]]) -> set[str]:
     return kept
 
 
-def refine(universe, letters, step, key) -> dict:
-    """The coarsest partition of ``universe`` that refines ``key`` and is
-    stable under the complete transition function ``step``, as a map from
-    each state to its block number.
+def refine(delta: list[list[int]], key: list) -> list[int]:
+    """The coarsest partition of the states ``0..n-1`` that refines ``key``
+    (one key per state) and is stable under the complete transition table
+    ``delta[letter][state] -> state``, as each state's block number.
 
-    Hopcroft's algorithm (1971), O(n·|letters|·log n): each queued block
-    splits every block by its predecessors under all letters; a block that
-    splits while queued has both halves queued, otherwise only the smaller.
+    Hopcroft's algorithm (1971), O(n·k·log n) for k letters: each queued
+    block splits every block by its predecessors under all letters; a block
+    that splits while queued has both halves queued, otherwise only the
+    smaller.
     """
-    pre: dict = {a: {} for a in letters}
-    for q in universe:
-        for a in letters:
-            pre[a].setdefault(step(q, a), []).append(q)
-    block: dict = {}
-    members: list[set] = []
     number: dict = {}
-    for q in universe:
-        b = block[q] = number.setdefault(key(q), len(members))
-        if b == len(members):
-            members.append(set())
+    block = [number.setdefault(k, len(number)) for k in key]
+    members: list[set[int]] = [set() for _ in number]
+    for q, b in enumerate(block):
         members[b].add(q)
+    pre: list[list[list[int]]] = [[[] for _ in key] for _ in delta]
+    for rows, col in zip(pre, delta):
+        for q, q2 in enumerate(col):
+            rows[q2].append(q)
     largest = max(range(len(members)), key=lambda b: len(members[b]), default=0)
     queue = [b for b in range(len(members)) if b != largest]
     queued = set(queue)
@@ -212,10 +218,10 @@ def refine(universe, letters, step, key) -> dict:
         splitter = queue.pop()
         queued.discard(splitter)
         targets = list(members[splitter])
-        for a in letters:
-            hit: dict[int, list] = {}
+        for rows in pre:
+            hit: dict[int, list[int]] = {}
             for q2 in targets:
-                for q in pre[a].get(q2, ()):
+                for q in rows[q2]:
                     hit.setdefault(block[q], []).append(q)
             for b, inside in hit.items():
                 rest = members[b]
@@ -241,12 +247,17 @@ def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
     Returns each kept state's class, named by its smallest member, the
     class alphabet in state order, and the class transitions.
     """
-    block = refine(live + [None], letters, lambda q, a: delta.get((q, a)), key)
+    sink = len(live)
+    pos = dict(zip(live, range(sink)))
+    table = [[sink] * (sink + 1) for _ in letters]
+    column = dict(zip(letters, table))
+    for (q, a), q2 in delta.items():
+        column[a][pos[q]] = pos[q2]
+    block = refine(table, [key(q) for q in live] + [key(None)])
     first: dict[int, str] = {}
-    for q in live:
-        if block[q] != block[None]:
-            first.setdefault(block[q], q)
-    name = {q: first[block[q]] for q in live if block[q] in first}
+    for q, b in zip(live, block):
+        first.setdefault(b, q)
+    name = {q: first[b] for q, b in zip(live, block) if b != block[sink]}
     classes = Alphabet(states.name, tuple(q for q in live if name.get(q) == q))
     trans = {(name[q], a, name[q2]) for (q, a), q2 in delta.items() if q in name and q2 in name}
     return name, classes, trans
@@ -265,72 +276,78 @@ def trim(n: Nfa) -> Nfa:
     )
 
 
-def subset_namer(order: Alphabet):
-    """The function that names each set of states of ``order`` by its
-    members in state order, comma-separated in braces.  Distinct sets get
-    distinct names.  When a state name begins with another one and a
-    comma, as "a,b" begins with "a", each member's backslashes and commas
-    are escaped with a backslash.  When a state is named "", the empty set
-    is named "∅", apart from "{}", the set of that state."""
-    escape = "," in "".join(order.elements) and any(
-        q[:i] in order for q in order.elements for i, c in enumerate(q) if c == ",")
-    empty = "∅" if "" in order else "{}"
-
-    def name(members) -> str:
-        names = order.sort(members)
-        if not names:
-            return empty
-        if escape:
-            names = [q.replace("\\", "\\\\").replace(",", "\\,") for q in names]
-        return "{" + ",".join(names) + "}"
-
-    return name
+def mask_of(states: Alphabet, subset) -> int:
+    """The bitmask over the positions of ``states`` of a set of states."""
+    return sum([1 << states.index(q) for q in subset])
 
 
-def subset_name(members, order: Alphabet) -> str:
-    return subset_namer(order)(members)
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def subsets(n: Nfa, start: frozenset[str]) -> dict[frozenset[str], dict[str, frozenset[str]]]:
-    """Subset construction: every subset of states accessible from ``start``
-    in ``n`` (an ``Nfa`` or a presentation), the empty subset included when
-    reached, with its image under each letter."""
-    step = successor_map(n)
-    graph: dict[frozenset[str], dict[str, frozenset[str]]] = {start: {}}
+def bits(mask: int) -> bytes:
+    """Per position, 1 for a member of ``mask`` and 0 otherwise, read off
+    ``bin(mask)``, for ``itertools.compress``."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def subsets(m, start: int) -> dict[int, list[int]]:
+    """Subset construction: every subset of states accessible from the
+    bitmask ``start`` in ``m`` (an ``Nfa`` or a presentation), the empty
+    subset 0 included when reached, with its image under each letter, in
+    alphabet order."""
+    index, letter = m.states.index, m.alphabet.index
+    table = [[0] * len(m.states) for _ in m.alphabet.elements]  # per letter, per state
+    for q, a, q2 in m.trans:
+        table[letter(a)][index(q)] |= 1 << index(q2)
+    graph: dict[int, list[int]] = {start: []}
     todo = [start]
     while todo:
         cur = todo.pop()
-        row = graph[cur]
-        for a in n.alphabet.elements:
-            image = row[a] = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
+        flags = bits(cur)
+        row = graph[cur] = [reduce(or_, compress(col, flags), 0) for col in table]
+        for image in row:
             if image not in graph:
-                graph[image] = {}
+                graph[image] = []
                 todo.append(image)
     return graph
 
 
-def subset_machine(states: Alphabet, graph) -> tuple[Alphabet, dict[frozenset[str], str], frozenset[Triple]]:
-    """Name the subsets of ``graph`` over ``states``: the subset alphabet in
-    name order, each subset's name, and the transitions between the subsets
-    of ``graph`` (those to a subset not in it are left out)."""
-    spell = subset_namer(states)
-    name = {sub: spell(sub) for sub in graph}
-    trans = frozenset((name[sub], a, name[image])
-                      for sub, row in graph.items() for a, image in row.items() if image in name)
-    return Alphabet(f"P({states.name})", tuple(sorted(name.values()))), name, trans
+def subset_namer(order: Alphabet):
+    """The function that names each bitmask over the positions of ``order``
+    by its members in state order, comma-separated in braces.  Distinct
+    sets get distinct names.  When a state name begins with another one
+    and a comma, as "a,b" begins with "a", each member's backslashes and
+    commas are escaped with a backslash.  When a state is named "", the
+    empty set is named "∅", apart from "{}", the set of that state."""
+    names = order.elements
+    if "," in "".join(names) and any(
+            q[:i] in order for q in names for i, c in enumerate(q) if c == ","):
+        names = tuple(q.replace("\\", "\\\\").replace(",", "\\,") for q in names)
+    empty = "∅" if "" in order else "{}"
+
+    def name(mask: int) -> str:
+        return "{" + ",".join(compress(names, bits(mask))) + "}" if mask else empty
+
+    return name
 
 
-def membership(subset_states: Alphabet, states: Alphabet, name: dict[frozenset[str], str]) -> Rel:
+def subset_machine(m, graph: dict[int, list[int]]) -> tuple[Alphabet, dict[int, str], frozenset[Triple]]:
+    """Name the subsets of ``graph`` over the states of ``m``: the subset
+    alphabet in name order, each subset's name, and the transitions between
+    the subsets of ``graph`` (those to a subset not in it are left out)."""
+    spell = subset_namer(m.states)
+    name = {mask: spell(mask) for mask in graph}
+    letters = m.alphabet.elements
+    trans = frozenset((name[mask], a, name[image]) for mask, row in graph.items()
+                      for a, image in zip(letters, row) if image in name)
+    return Alphabet(f"P({m.states.name})", tuple(sorted(name.values()))), name, trans
+
+
+def membership(subset_states: Alphabet, states: Alphabet, name: dict[int, str]) -> Rel:
     """The relation from each named subset to its members."""
     return Rel(obj(subset_states), obj(states),
-               frozenset(((s,), (q,)) for sub, s in name.items() for q in sub))
-
-
-def _subset_dfa(n: Nfa) -> tuple[Dfa, dict[frozenset[str], str]]:
-    start = frozenset(n.initial)
-    states, name, trans = subset_machine(n.states, subsets(n, start))
-    final = frozenset(s for sub, s in name.items() if sub & n.final)
-    return Dfa(n.alphabet, states, trans, frozenset({name[start]}), final), name
+               frozenset(((s,), (q,)) for mask, s in name.items()
+                         for q in compress(states.elements, bits(mask))))
 
 
 def determinize(n: Nfa) -> tuple[Dfa, Rel]:
@@ -340,27 +357,16 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     is an ordinary sink state when reachable) together with the membership
     relation from subset states back to original states.
     """
-    dfa, name = _subset_dfa(n)
-    return dfa, membership(dfa.states, n.states, name)
+    start, final = mask_of(n.states, n.initial), mask_of(n.states, n.final)
+    states, name, trans = subset_machine(n, subsets(n, start))
+    dfa = Dfa(n.alphabet, states, trans, frozenset({name[start]}),
+              frozenset(s for mask, s in name.items() if mask & final))
+    return dfa, membership(states, n.states, name)
 
 
 def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
     """The relation from each state to its class."""
     return Rel(obj(states), obj(classes), frozenset(((q,), (c,)) for q, c in name.items()))
-
-
-def _minimal(d: Dfa) -> tuple[Dfa, dict[str, str]]:
-    reach = _reachable(d.states, _forward_edges(d), d.initial)
-    live = [q for q in d.states.elements if q in reach]
-    if not live or not (set(live) & d.final):
-        return empty_dfa(d.alphabet), {}
-
-    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
-    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
-                                       lambda q: q in d.final)
-    init = next(iter(d.initial))
-    final = frozenset(d.final & set(min_states.elements))
-    return Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[init]}), final), name
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -373,8 +379,17 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     The returned relation maps each live accessible input state to its
     class in the minimal machine.
     """
-    mdfa, name = _minimal(d)
-    return mdfa, class_relation(d.states, mdfa.states, name)
+    reach = _reachable(d.states, _forward_edges(d), d.initial)
+    live = [q for q in d.states.elements if q in reach]
+    if not live or not (set(live) & d.final):
+        empty = empty_dfa(d.alphabet)
+        return empty, class_relation(d.states, empty.states, {})
+    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
+    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
+                                       lambda q: q in d.final)
+    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[next(iter(d.initial))]}),
+               frozenset(d.final & set(min_states.elements)))
+    return mdfa, class_relation(d.states, min_states, name)
 
 
 def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
@@ -389,7 +404,7 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
         return {}
     if len(d1.initial) != 1 or len(d2.initial) != 1:
         return None
-    delta1, delta2 = d1.delta(), d2.delta()
+    delta1, delta2 = ({(q, a): q2 for q, a, q2 in d.trans} for d in (d1, d2))
     i1, i2 = next(iter(d1.initial)), next(iter(d2.initial))
     mapping: dict[str, str] = {i1: i2}
     inverse: dict[str, str] = {i2: i1}
@@ -420,25 +435,31 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
     return mapping
 
 
-def minimal_dfa(n: Nfa) -> Dfa:
-    return _minimal(_subset_dfa(n)[0])[0]
-
-
-def renumbered(n: Nfa) -> Nfa:
-    """A copy of ``n`` with its states named "0", "1", … in order, so that
-    no subset of states is named like another."""
-    num = {q: str(i) for i, q in enumerate(n.states.elements)}
-    return nfa(n.alphabet, Alphabet(n.states.name, tuple(num.values())),
-               {(num[q], a, num[q2]) for q, a, q2 in n.trans},
-               {num[q] for q in n.initial}, {num[q] for q in n.final})
+def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
+    """Whether the subset DFA of ``m1`` from ``start1`` accepts the same
+    words as that of ``m2`` (same alphabet) from ``start2``, a subset being
+    final when it meets ``final1`` (``final2``).  Both DFAs are complete,
+    so this holds iff one refinement of their disjoint union, keyed by
+    finality, puts both starts in one block."""
+    rows: list[list[int]] = []
+    key: list[bool] = []
+    starts = []
+    for m, start, final in ((m1, start1, final1), (m2, start2, final2)):
+        graph = subsets(m, start)
+        number = dict(zip(graph, range(len(key), len(key) + len(graph))))
+        rows += [[number[image] for image in row] for row in graph.values()]
+        key += [not mask & final for mask in graph]
+        starts.append(number[start])
+    block = refine([list(col) for col in zip(*rows)], key)
+    return block[starts[0]] == block[starts[1]]
 
 
 def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
-    """Exact language equality via uniqueness of the minimal machine; the
-    verdict needs no state names, so it is reached on renumbered copies."""
+    """Exact language equality of two NFAs (see ``same_words``)."""
     if n1.alphabet.elements != n2.alphabet.elements:
         raise TypeMismatch("cannot compare automata over different alphabets")
-    return iso_check(minimal_dfa(renumbered(n1)), minimal_dfa(renumbered(n2))) is not None
+    return same_words(n1, mask_of(n1.states, n1.initial), mask_of(n1.states, n1.final),
+                      n2, mask_of(n2.states, n2.initial), mask_of(n2.states, n2.final))
 
 
 def factor_closure(n: Nfa) -> Nfa:
@@ -463,11 +484,3 @@ def prune_language(n: Nfa) -> Nfa:
     pumped_in = long_path_states(_reachable(n.states, fwd, n.initial), bwd)
     pumped_out = long_path_states(_reachable(n.states, bwd, n.final), fwd)
     return nfa(n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))
-
-
-def is_factor_closed(n: Nfa) -> bool:
-    return nfa_equiv(n, factor_closure(n))
-
-
-def is_pruned_lang(n: Nfa) -> bool:
-    return nfa_equiv(n, prune_language(n))

@@ -246,6 +246,13 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+def length(text: str) -> int:
+    """A word length bound: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relmach",
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("behavior", help="bounded-length behavior of a transducer or diagram")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=length, required=True)
     p.add_argument("--via", choices=["shift", "runs"])
 
     p = sub.add_parser("equiv", help="decide equivalence of two machine files")
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", help="bounded factor language of a presentation")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=length, required=True)
 
     p = sub.add_parser("periodic", help="periodic-point membership in a subshift")
     p.add_argument("file")

@@ -408,7 +408,8 @@ def verify_equiv_certificate(cert: EquivCertificate) -> bool:
 
 
 def z_diagrams_equiv(d1: Diagram, d2: Diagram) -> bool:
-    """Decide equality of bi-infinite terms via canonical presentations."""
+    """Decide equality of bi-infinite terms: equality of the subshifts
+    their bent normal forms present."""
     t1 = type_of(d1)
     t2 = type_of(d2)
     if t1[0].signature() != t2[0].signature() or t1[1].signature() != t2[1].signature():

@@ -3,33 +3,31 @@
 A presentation is an automaton in which every state is both initial and
 final; the subshift it presents is the set of bi-infinite words labelling
 bi-infinite runs.  Equality of subshifts is decided entirely through
-finite data: prune away states not on any bi-infinite path, determinize
-from the full state set, merge states with equal follow languages, and
-compare the resulting rooted machines, which are unique up to isomorphism.
-The empty subshift is its own distinguished case (no rooted presentation
-exists for it).
+finite data: two subshifts are equal iff their factor languages are (Lind
+& Marcus, Symbolic Dynamics and Coding, Prop. 1.3.4), the language of a
+pruned presentation's subset DFA from the full state set, a subset being
+final when it is not empty.  So both presentations are pruned, and one
+refinement of the disjoint union of their subset graphs decides
+(``automata.same_words``); the empty subshift is no special case.
 
-Each step is the finite-word algorithm of the automata module: pruning is
-``long_path_states``, the subset construction ``subsets`` (rooted at the
-full state set, without the empty subset), merging ``quotient``, and the
-isomorphism test ``iso_check`` on each presentation read as a DFA rooted
-at its root with every state final.
+The canonical form takes the same steps and names what it emits: pruning
+is ``long_path_states``, the subset construction ``subsets`` (rooted at
+the full state set, without the empty subset), merging ``quotient``.
 
 Costs, for n states, m transitions and k letters: pruning peels states
 with no kept successor, then no kept predecessor, in O(n + m), leaving the
-essential graph (Lind & Marcus, Symbolic Dynamics and Coding, §2.2); the
-subset construction is exponential in the worst case; merging uses
-Hopcroft's refinement, O(n·k·log n); the rooted isomorphism test is a
-synchronized walk in O(n·k).
+essential graph (Lind & Marcus, §2.2); the subset construction is
+exponential in the worst case, a bitmask per subset and k ORs per member;
+merging N subsets uses Hopcroft's refinement, O(N·k·log N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
-    class_relation, iso_check, language_upto, long_path_states, membership, nfa, nfa_equiv, \
-    prune_language, quotient, renumbered, subset_machine, subsets, successor_map
+from .automata import Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
+    class_relation, language_upto, long_path_states, membership, nfa, nfa_equiv, prune_language, \
+    quotient, same_words, subset_machine, subsets, successor_map
 from .relcore import Alphabet, MachineError, TypeMismatch, material, pair_symbol, product_alphabet
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import QuadMachine
@@ -62,12 +60,7 @@ class Presentation:
         everything = frozenset(self.states.elements)
         return nfa(self.alphabet, self.states, self.trans, everything, everything)
 
-    def sorted_trans(self) -> list[Triple]:
-        return sorted(
-            self.trans,
-            key=lambda t: (self.states.index(t[0]), self.alphabet.index(t[1]),
-                           self.states.index(t[2])),
-        )
+    sorted_trans = Nfa.sorted_trans
 
 
 def presentation(alphabet, states, trans, root=None) -> Presentation:
@@ -140,9 +133,8 @@ def is_root(p: Presentation, r: str) -> bool:
     """A root reaches every state and every accepted word runs from it."""
     if _reachable(p.states, _forward_edges(p), [r]) != set(p.states.elements):
         return False
-    everything = frozenset(p.states.elements)
-    from_root = nfa(p.alphabet, p.states, p.trans, frozenset({r}), everything)
-    return nfa_equiv(from_root, p.as_nfa())
+    full = (1 << len(p.states)) - 1
+    return same_words(p, 1 << p.states.index(r), full, p, full, full)
 
 
 def find_root(p: Presentation) -> str | None:
@@ -154,11 +146,11 @@ def find_root(p: Presentation) -> str | None:
     return None
 
 
-def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[frozenset[str], str]]:
-    start = frozenset(p.states.elements)
+def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[int, str]]:
+    start = (1 << len(p.states)) - 1
     graph = subsets(p, start)
-    graph.pop(frozenset(), None)
-    states, name, trans = subset_machine(p.states, graph)
+    graph.pop(0, None)
+    states, name, trans = subset_machine(p, graph)
     return Presentation(p.alphabet, states, trans, name[start]), name
 
 
@@ -219,30 +211,14 @@ def canonical_form(p: Presentation) -> Presentation:
     return _minimal_presentation(det, det.root)[0]
 
 
-def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
-    """Bijection between rooted right-resolving presentations: ``iso_check``
-    on each read as a DFA rooted at its root (if any), every state final."""
-    d1, d2 = (Dfa(p.alphabet, p.states, p.trans, frozenset({p.root} - {None}),
-                  frozenset(p.states.elements)) for p in (p1, p2))
-    return iso_check(d1, d2)
-
-
-def _renumbered(p: Presentation) -> Presentation:
-    """A rootless copy with the states named by position (see ``renumbered``)."""
-    n = renumbered(p.as_nfa())
-    return Presentation(p.alphabet, n.states, n.trans)
-
-
 def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
-    """Whether two presentations present the same sofic subshift; the
-    verdict needs no state names, so it is reached on renumbered copies."""
+    """Whether two presentations present the same sofic subshift, decided
+    on their factor languages (see the module docstring)."""
     if p1.alphabet.elements != p2.alphabet.elements:
         raise TypeMismatch("presentations over different alphabets")
-    c1 = canonical_form(_renumbered(p1))
-    c2 = canonical_form(_renumbered(p2))
-    if c1.is_empty() or c2.is_empty():
-        return c1.is_empty() and c2.is_empty()
-    return rooted_iso(c1, c2) is not None
+    q1, q2 = prune(p1), prune(p2)
+    full1, full2 = (1 << len(q1.states)) - 1, (1 << len(q2.states)) - 1
+    return same_words(q1, full1, full1, q2, full2, full2)
 
 
 def ztransducers_equiv(z1: ZTransducer, z2: ZTransducer) -> bool:

@@ -15,12 +15,22 @@ each had a copy: both subset constructions (``determinize``,
 ``determinize_presentation``), the synchronized walk of ``rooted_iso``,
 ``compose_z``, ``product_z``, and both structural collapses
 (``normal_form``, ``z_normal_form``).
+
+So is the shared core that ran on state names before it ran on positions:
+the subset construction over frozensets of names (``subsets``), Hopcroft's
+refinement keyed by names (``refine``), and the verdicts that minimized
+renumbered copies and compared the results (``renumbered``,
+``nfa_equiv``; ``_renumbered``, ``presentations_equiv``).  In this module
+those verdicts run on the oracles above: ``minimal_dfa`` and
+``canonical_form`` are composed of them, and ``presentations_equiv``
+compares canonical forms by the walk of ``rooted_iso``.
 """
 
 from __future__ import annotations
 
+from helpers import subset_name
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, nfa, nfa_equiv, subset_name
+    _forward_edges, _reachable, empty_dfa, iso_check, nfa, successor_map
 from relmach.diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _feedback_boundary, \
     _fold_quads, _retype, type_of
 from relmach.relcore import Alphabet, MachineError, Rel, TypeMismatch, identity, obj, pack_obj, \
@@ -359,6 +369,120 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
     if len(mapping) != len(p1.states):
         return None
     return mapping
+
+
+def subsets(n: Nfa, start: frozenset[str]) -> dict[frozenset[str], dict[str, frozenset[str]]]:
+    """Subset construction: every subset of states accessible from ``start``
+    in ``n`` (an ``Nfa`` or a presentation), the empty subset included when
+    reached, with its image under each letter."""
+    step = successor_map(n)
+    graph: dict[frozenset[str], dict[str, frozenset[str]]] = {start: {}}
+    todo = [start]
+    while todo:
+        cur = todo.pop()
+        row = graph[cur]
+        for a in n.alphabet.elements:
+            image = row[a] = frozenset(q2 for q in cur for q2 in step[q].get(a, ()))
+            if image not in graph:
+                graph[image] = {}
+                todo.append(image)
+    return graph
+
+
+def refine(universe, letters, step, key) -> dict:
+    """The coarsest partition of ``universe`` that refines ``key`` and is
+    stable under the complete transition function ``step``, as a map from
+    each state to its block number.
+
+    Hopcroft's algorithm (1971), O(n·|letters|·log n): each queued block
+    splits every block by its predecessors under all letters; a block that
+    splits while queued has both halves queued, otherwise only the smaller.
+    """
+    pre: dict = {a: {} for a in letters}
+    for q in universe:
+        for a in letters:
+            pre[a].setdefault(step(q, a), []).append(q)
+    block: dict = {}
+    members: list[set] = []
+    number: dict = {}
+    for q in universe:
+        b = block[q] = number.setdefault(key(q), len(members))
+        if b == len(members):
+            members.append(set())
+        members[b].add(q)
+    largest = max(range(len(members)), key=lambda b: len(members[b]), default=0)
+    queue = [b for b in range(len(members)) if b != largest]
+    queued = set(queue)
+    while queue:
+        splitter = queue.pop()
+        queued.discard(splitter)
+        targets = list(members[splitter])
+        for a in letters:
+            hit: dict[int, list] = {}
+            for q2 in targets:
+                for q in pre[a].get(q2, ()):
+                    hit.setdefault(block[q], []).append(q)
+            for b, inside in hit.items():
+                rest = members[b]
+                if len(inside) == len(rest):
+                    continue
+                rest.difference_update(inside)
+                new = len(members)
+                members.append(set(inside))
+                for q in inside:
+                    block[q] = new
+                if b not in queued and len(rest) < len(inside):
+                    new = b
+                queue.append(new)
+                queued.add(new)
+    return block
+
+
+def minimal_dfa(n: Nfa) -> Dfa:
+    return minimize(determinize(n)[0])[0]
+
+
+def renumbered(n: Nfa) -> Nfa:
+    """A copy of ``n`` with its states named "0", "1", … in order, so that
+    no subset of states is named like another."""
+    num = {q: str(i) for i, q in enumerate(n.states.elements)}
+    return nfa(n.alphabet, Alphabet(n.states.name, tuple(num.values())),
+               {(num[q], a, num[q2]) for q, a, q2 in n.trans},
+               {num[q] for q in n.initial}, {num[q] for q in n.final})
+
+
+def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
+    """Exact language equality via uniqueness of the minimal machine; the
+    verdict needs no state names, so it is reached on renumbered copies."""
+    if n1.alphabet.elements != n2.alphabet.elements:
+        raise TypeMismatch("cannot compare automata over different alphabets")
+    return iso_check(minimal_dfa(renumbered(n1)), minimal_dfa(renumbered(n2))) is not None
+
+
+def canonical_form(p: Presentation) -> Presentation:
+    pruned = prune(p)
+    if pruned.is_empty():
+        return Presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
+    det, _ = determinize_presentation(pruned, False)
+    return minimize_presentation(det, det.root, False)[0]
+
+
+def _renumbered(p: Presentation) -> Presentation:
+    """A rootless copy with the states named by position (see ``renumbered``)."""
+    n = renumbered(p.as_nfa())
+    return Presentation(p.alphabet, n.states, n.trans)
+
+
+def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
+    """Whether two presentations present the same sofic subshift; the
+    verdict needs no state names, so it is reached on renumbered copies."""
+    if p1.alphabet.elements != p2.alphabet.elements:
+        raise TypeMismatch("presentations over different alphabets")
+    c1 = canonical_form(_renumbered(p1))
+    c2 = canonical_form(_renumbered(p2))
+    if c1.is_empty() or c2.is_empty():
+        return c1.is_empty() and c2.is_empty()
+    return rooted_iso(c1, c2) is not None
 
 
 def compose_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:

@@ -21,6 +21,7 @@ from genrand import (
     random_rel,
     random_transducer,
 )
+from helpers import rooted_iso
 from relmach import io
 from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv, \
     nfa_to_transducer
@@ -45,7 +46,6 @@ from relmach.sofic import (
     presentation,
     presentations_equiv,
     prune,
-    rooted_iso,
 )
 from relmach.transducer import behavior_upto, behavior_via_shift_upto, lift_transducer
 

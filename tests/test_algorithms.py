@@ -138,48 +138,40 @@ def test_chain_dfa_minimizes_to_itself():
     assert len(minimize(d)[0].states) == 300
 
 
-def moore_partition(universe, letters, step, key):
+def classes(block):
+    return {frozenset(q for q, b in enumerate(block) if b == c) for c in set(block)}
+
+
+def moore_partition(delta, key):
     """Round-by-round refinement by (block, successor blocks) signatures."""
-    block = {q: key(q) for q in universe}
+    block = list(key)
     while True:
-        sig = {q: (block[q],) + tuple(block[step(q, a)] for a in letters) for q in universe}
-        if len(set(sig.values())) == len(set(block.values())):
-            return {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
+        sig = [(b,) + tuple(block[col[q]] for col in delta) for q, b in enumerate(block)]
+        if len(set(sig)) == len(set(block)):
+            return classes(block)
         block = sig
 
 
 @given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 4), st.data())
 def test_refine_matches_moore_on_complete_machines(n, k, marks, data):
-    universe = list(range(n))
-    letters = LETTERS[:k]
     table = data.draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
-    key_of = data.draw(st.lists(st.integers(0, marks - 1), min_size=n, max_size=n))
-
-    def step(q, a):
-        return table[q * k + letters.index(a)]
-
-    block = refine(universe, letters, step, key_of.__getitem__)
-    classes = {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
-    assert classes == moore_partition(universe, letters, step, key_of.__getitem__)
+    key = data.draw(st.lists(st.integers(0, marks - 1), min_size=n, max_size=n))
+    delta = [table[j::k] for j in range(k)]
+    assert classes(refine(delta, key)) == moore_partition(delta, key)
 
 
 def test_refine_queues_both_halves_of_a_queued_block():
     # Found by random search: queueing only one half of a block that splits
     # while queued gives a partition here that is coarser than Moore's.
-    table, key = [5, 2, 3, 0, 6, 3, 0], [2, 2, 2, 1, 1, 0, 1]
-    universe = list(range(7))
-    block = refine(universe, ("a",), lambda q, a: table[q], key.__getitem__)
-    classes = {frozenset(q for q in universe if block[q] == b) for b in set(block.values())}
-    assert classes == moore_partition(universe, ("a",), lambda q, a: table[q], key.__getitem__)
+    delta, key = [[5, 2, 3, 0, 6, 3, 0]], [2, 2, 2, 1, 1, 0, 1]
+    assert classes(refine(delta, key)) == moore_partition(delta, key)
 
 
 def test_refine_is_coarsest_stable_partition():
-    # q0..q5 on a 6-cycle with q0 the only marked state: every state is
-    # distinguished by its distance to q0, and the marking is kept.
-    step = {f"q{i}": f"q{(i + 1) % 6}" for i in range(6)}
-    block = refine(list(step), ("a",), lambda q, a: step[q], lambda q: q == "q0")
-    assert len(set(block.values())) == 6
+    # 0..5 on a 6-cycle with 0 the only marked state: every state is
+    # distinguished by its distance to 0, and the marking is kept.
+    cycle = [[(i + 1) % 6 for i in range(6)]]
+    assert len(set(refine(cycle, [i == 0 for i in range(6)]))) == 6
     # Marking every other state leaves two classes.
-    block = refine(list(step), ("a",), lambda q, a: step[q], lambda q: int(q[1]) % 2)
-    assert len(set(block.values())) == 2
-    assert refine([], ("a",), None, None) == {}
+    assert len(set(refine(cycle, [i % 2 for i in range(6)]))) == 2
+    assert refine([[]], []) == []

@@ -5,17 +5,15 @@ import pytest
 
 from conftest import SEED
 from genrand import random_nfa
+from helpers import is_factor_closed, is_pruned_lang, minimal_dfa
 from relmach.automata import (
     Dfa,
     accepts,
     determinize,
     empty_dfa,
     factor_closure,
-    is_factor_closed,
-    is_pruned_lang,
     iso_check,
     language_upto,
-    minimal_dfa,
     minimize,
     nfa,
     nfa_equiv,

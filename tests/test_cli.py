@@ -413,6 +413,23 @@ def test_main_returns_argparse_status(capsys):
         assert (expected.out if status == 0 else expected.err).startswith("usage: relmach")
 
 
+def test_negative_max_len_is_a_usage_error(tmp_path, capsys):
+    gm = write(tmp_path, "gm.json", presentation(
+        Ab, Alphabet("Q", ("0", "1")), {("0", "a", "0"), ("0", "b", "1"), ("1", "a", "0")}))
+    code, out, err = run(capsys, "factors", gm, "--max-len", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: relmach factors") and "argument --max-len: " in err
+    assert run(capsys, "factors", gm, "--max-len", "0")[0] == 0
+
+
+def test_negative_behavior_max_len_is_a_usage_error(tmp_path, capsys):
+    t = write(tmp_path, "swap.json", lift_transducer(SWAP_REL))
+    code, out, err = run(capsys, "behavior", t, "--max-len", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: relmach behavior") and "argument --max-len: " in err
+    assert "uniform length bound" not in err
+
+
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     gm = write(tmp_path, "gm.json", presentation(
         Ab, Alphabet("Q", ("0",)), {("0", "a", "0"), ("0", "b", "0")}))

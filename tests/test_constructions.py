@@ -1,9 +1,9 @@
 """The bi-infinite side runs the finite-word constructions: normal forms of
 both term languages through one collapse, both subset constructions through
-one loop, and rooted isomorphism through ``iso_check``.  Each is tested
-differentially against the former separate copy (``seed_algorithms``):
-every result must serialize to the same bytes, and every rejected input
-must raise the same error."""
+one loop on bitmask subsets, and both verdicts through one refinement.
+Each is tested differentially against the former code (``seed_algorithms``):
+every result must serialize to the same bytes, every verdict must agree,
+and every rejected input must raise the same error."""
 
 import itertools
 import random
@@ -12,13 +12,14 @@ from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
 from genrand import random_alphabet, random_diagram
+from helpers import minimal_dfa, rooted_iso, subset_name
 from relmach import automata, sofic
-from relmach.automata import determinize, minimal_dfa, nfa, nfa_equiv
+from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
 from relmach.diagram import Feedback, FeedbackZ, Par, Seq, bend, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, obj
-from relmach.sofic import canonical_form, determinize_presentation, presentation, \
-    presentations_equiv, prune, rooted_iso
-from test_algorithms import graphs, outcome
+from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
+    presentation, presentations_equiv, prune
+from test_algorithms import LETTERS, graphs, outcome
 
 
 def unlabel(d, chosen):
@@ -138,17 +139,17 @@ STATE_NAMES = ["a", "b", "a,b", "a,", ",b", ",", "", "\\", "\\,", "a\\", "(a,b)"
 def test_distinct_subsets_get_distinct_names(names):
     order = Alphabet("Q", tuple(names))
     every = [frozenset(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)]
-    spelled = {automata.subset_name(sub, order) for sub in every}
+    spelled = {subset_name(sub, order) for sub in every}
     assert len(spelled) == len(every)
     if not any(q.startswith(p + ",") for q in names for p in names) and "" not in names:
         # no name could be misread, so every name is the plain one
-        assert all(automata.subset_name(sub, order) == "{" + ",".join(order.sort(sub)) + "}"
+        assert all(subset_name(sub, order) == "{" + ",".join(order.sort(sub)) + "}"
                    for sub in every)
 
 
 def test_verdicts_build_no_membership_relation(monkeypatch):
     def refuse(*args):
-        raise AssertionError("certificate relation built for a verdict")
+        raise AssertionError("called for a verdict")
 
     monkeypatch.setattr(automata, "membership", refuse)
     monkeypatch.setattr(sofic, "membership", refuse)
@@ -156,6 +157,101 @@ def test_verdicts_build_no_membership_relation(monkeypatch):
     monkeypatch.setattr(Rel, "__post_init__", refuse)
     p = colliding_presentation()
     canonical_form(presentation(A, Alphabet("Q", ("0", "1")), {("0", "x", "1"), ("1", "y", "0")}))
+    # A verdict builds no DFA, names no subset and compares no machines.
+    monkeypatch.setattr(Dfa, "__post_init__", refuse)
+    monkeypatch.setattr(automata, "iso_check", refuse)
+    monkeypatch.setattr(sofic, "iso_check", refuse, raising=False)
+    monkeypatch.setattr(automata, "subset_namer", refuse)
     assert presentations_equiv(p, p)
     assert nfa_equiv(colliding_nfa(), colliding_nfa())
-    assert len(minimal_dfa(automata.renumbered(colliding_nfa())).states) == 2
+    assert is_language_pruned(p) and find_root(p) is None
+
+
+# State names whose subsets were once named alike, and plain ones.
+VERDICT_NAMES = ["q0", "q1", "q2", "q3", "a", "b", "a,b", ""]
+
+
+@st.composite
+def machines(draw, letters):
+    """States (0–6, comma and "" names among them) and transitions over
+    ``letters``, some of which may have no transition."""
+    names = draw(st.lists(st.sampled_from(VERDICT_NAMES), unique=True, max_size=6))
+    states = Alphabet("Q", tuple(names))
+    if not names or not letters:
+        return states, frozenset()
+    triples = st.tuples(st.sampled_from(names), st.sampled_from(letters), st.sampled_from(names))
+    return states, frozenset(draw(st.lists(triples, max_size=3 * len(names))))
+
+
+def mutant(draw, states, letters, trans):
+    """``trans`` with one transition added or removed, when there is one."""
+    if not states.elements or not letters:
+        return trans
+    q, q2 = (draw(st.sampled_from(states.elements)) for _ in range(2))
+    return trans ^ {(q, draw(st.sampled_from(letters)), q2)}
+
+
+def subsets_of(states):
+    return st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
+
+
+@st.composite
+def nfa_pairs(draw):
+    """An NFA, a one-transition mutant of it and an unrelated NFA, over 0–3
+    letters; initial and final sets may be empty."""
+    alphabet = Alphabet("A", LETTERS[:draw(st.integers(0, 3))])
+    made = []
+    for _ in range(2):
+        states, trans = draw(machines(alphabet.elements))
+        made.append(nfa(alphabet, states, trans, draw(subsets_of(states)), draw(subsets_of(states))))
+    n, other = made
+    changed = nfa(alphabet, n.states, mutant(draw, n.states, alphabet.elements, n.trans),
+                  draw(st.sampled_from([n.initial, draw(subsets_of(n.states))])), n.final)
+    return n, changed, other
+
+
+@st.composite
+def presentation_triples(draw):
+    """A presentation, a one-transition mutant of it and an unrelated one,
+    over 0–3 letters; any may be empty, and the root, if any, is a guess."""
+    alphabet = Alphabet("A", LETTERS[:draw(st.integers(0, 3))])
+    made = []
+    for _ in range(2):
+        states, trans = draw(machines(alphabet.elements))
+        made.append(presentation(alphabet, states, trans,
+                                 draw(st.sampled_from(states.elements + (None,)))))
+    p, other = made
+    return p, presentation(alphabet, p.states, mutant(draw, p.states, alphabet.elements, p.trans)), other
+
+
+@given(nfa_pairs())
+def test_nfa_verdicts_match_oracle(triple):
+    n, changed, other = triple
+    for x, y in [(n, n), (n, changed), (changed, n), (n, other), (n, minimal_dfa(n))]:
+        assert nfa_equiv(x, y) == seed.nfa_equiv(x, y)
+
+
+@given(presentation_triples())
+def test_presentation_verdicts_match_oracle(triple):
+    p, changed, other = triple
+    for x, y in [(p, p), (p, changed), (changed, p), (p, other), (p, canonical_form(p))]:
+        assert presentations_equiv(x, y) == seed.presentations_equiv(x, y)
+    assert is_language_pruned(p) == seed.is_language_pruned(p)
+
+
+@given(nfa_pairs(), presentation_triples())
+def test_emitted_machines_match_oracle(nfas, presentations):
+    for n in nfas:
+        assert outcome(determinize, n) == outcome(seed.determinize, n)
+        d = determinize(n)[0]
+        assert outcome(minimize, d) == outcome(seed.minimize, d)
+        spell = {mask: frozenset(q for q in n.states.elements if mask >> n.states.index(q) & 1)
+                 for mask in range(1 << len(n.states))}
+        graph = subsets(n, mask_of(n.states, n.initial))
+        assert {spell[m]: dict(zip(n.alphabet.elements, map(spell.get, row)))
+                for m, row in graph.items()} == seed.subsets(n, frozenset(n.initial))
+    for p in presentations:
+        assert outcome(canonical_form, p) == outcome(seed.canonical_form, p)
+        pruned = prune(p)
+        assert outcome(determinize_presentation, pruned, False) == \
+            outcome(seed.determinize_presentation, pruned, False)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SEED
 from genrand import random_presentation
+from helpers import rooted_iso
 from seed_algorithms import compose_z, product_z
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
@@ -24,7 +25,6 @@ from relmach.sofic import (
     presentation_of_ztransducer,
     presentations_equiv,
     prune,
-    rooted_iso,
     ztransducer,
     ztransducers_equiv,
 )
