@@ -111,6 +111,9 @@ def successor_map(m) -> dict[str, dict[str, set[str]]]:
 
 
 def accepts(n: Nfa, word) -> bool:
+    """Whether ``n`` accepts ``word``; a letter outside its alphabet is an error."""
+    word = tuple(word)
+    n.alphabet.check_subset(word)
     step = successor_map(n)
     current = set(n.initial)
     for a in word:

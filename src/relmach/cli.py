@@ -21,14 +21,13 @@ import sys
 from . import dot, io
 from .automata import Dfa, Nfa, determinize, minimize, nfa_equiv, nfa_to_transducer, \
     prune_language, transducer_to_nfa
-from .diagram import Box, Feedback, FeedbackZ, Id, Par, Seq, Swap, diagrams_equiv, \
-    interpret_upto, normal_form, z_diagrams_equiv, z_normal_form
-from .relcore import MachineError
+from .diagram import Box, Feedback, FeedbackZ, Id, Par, Seq, Swap, acceptor, bend, \
+    check_same_type, equiv_chain, interpret_upto, normal_form, z_normal_form
+from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, check_fin, check_inf
 from .sofic import Presentation, ZTransducer, backward_prune, canonical_form, \
-    determinize_presentation, factors_upto, forward_prune, minimize_presentation, \
-    periodic_membership, presentation_of_ztransducer, presentations_equiv, prune, \
-    ztransducers_equiv
+    determinize_presentation, factor_language, factors_upto, forward_prune, \
+    minimize_presentation, periodic_membership, presentation_of_ztransducer, prune
 from .transducer import Transducer, behavior_upto, behavior_via_shift_upto, to_automaton
 
 EXIT_OK = 0
@@ -102,48 +101,40 @@ def cmd_behavior(args) -> int:
     return EXIT_OK
 
 
-def _as_nfa(x) -> Nfa:
-    if isinstance(x, Nfa):
-        return x
-    if isinstance(x, Transducer):
-        return transducer_to_nfa(to_automaton(x))
-    raise CliError("expected an automaton or transducer")
+# The finite-word acceptor of each kind that ``equiv`` compares: a subshift
+# is decided by its factor language.
+ACCEPTORS = {
+    "nfa": lambda n: n,
+    "transducer": lambda t: transducer_to_nfa(to_automaton(t)),
+    "diagram": acceptor,
+    "presentation": factor_language,
+    "ztransducer": lambda z: factor_language(presentation_of_ztransducer(z)),
+    "zdiagram": lambda d: factor_language(presentation_of_ztransducer(z_normal_form(bend(d)))),
+}
 
 
 def cmd_equiv(args) -> int:
     kind1, x = _load_tagged(args.file1)
     kind2, y = _load_tagged(args.file2)
-    if isinstance(x, DIAGRAM_NODES) and isinstance(y, DIAGRAM_NODES):
-        if "zdiagram" in (kind1, kind2):
-            equal = z_diagrams_equiv(x, y)
-        else:
-            equal, cert = diagrams_equiv(x, y)
-            if args.certify and cert is not None:
-                chain = {
-                    "kind": "certificate-chain",
-                    "left": {
-                        "contains": io.to_payload(cert.left.contains),
-                        "follow": io.to_payload(cert.left.follow),
-                    },
-                    "right": {
-                        "contains": io.to_payload(cert.right.contains),
-                        "follow": io.to_payload(cert.right.follow),
-                    },
-                    "iso": io.to_payload(cert.iso),
-                }
-                with open(args.certify, "w", encoding="utf-8") as fh:
-                    fh.write(io.dumps(chain))
-        return _verdict("equal" if equal else "not-equal")
-    if isinstance(x, Nfa) and isinstance(y, Nfa):
-        return _verdict("equal" if nfa_equiv(x, y) else "not-equal")
-    if isinstance(x, Transducer) and isinstance(y, Transducer):
-        equal = nfa_equiv(_as_nfa(x), _as_nfa(y))
-        return _verdict("equal" if equal else "not-equal")
-    if isinstance(x, Presentation) and isinstance(y, Presentation):
-        return _verdict("equal" if presentations_equiv(x, y) else "not-equal")
-    if isinstance(x, ZTransducer) and isinstance(y, ZTransducer):
-        return _verdict("equal" if ztransducers_equiv(x, y) else "not-equal")
-    raise CliError(f"cannot compare kinds {kind1} and {kind2}")
+    # An nfa compares with a dfa, a diagram with a zdiagram over bi-infinite
+    # words, and every other kind only with itself.
+    kinds = {"nfa" if k == "dfa" else k for k in (kind1, kind2)}
+    if kinds == {"diagram", "zdiagram"}:
+        kinds = {"zdiagram"}
+    if len(kinds) > 1 or not kinds <= ACCEPTORS.keys():
+        raise CliError(f"cannot compare kinds {kind1} and {kind2}")
+    (kind,) = kinds
+    # nfa_equiv checks that automata and subshifts share an alphabet
+    if kind in ("diagram", "zdiagram"):
+        check_same_type(x, y)
+    elif kind in ("transducer", "ztransducer") and \
+            (x.input.elements, x.output.elements) != (y.input.elements, y.output.elements):
+        raise TypeMismatch("machines do not share input/output alphabets")
+    n1, n2 = ACCEPTORS[kind](x), ACCEPTORS[kind](y)
+    equal = nfa_equiv(n1, n2)
+    if equal and args.certify and kind == "diagram":
+        io.save_file(args.certify, equiv_chain(n1, n2))
+    return _verdict("equal" if equal else "not-equal")
 
 
 def cmd_determinize(args) -> int:
@@ -268,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence of two machine files")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--certify", metavar="PATH", help="write the certificate chain (diagrams)")
+    p.add_argument("--certify", metavar="PATH",
+                   help="when two diagrams are equal, write their certificate chain")
 
     p = sub.add_parser("determinize", help="subset construction with certificate")
     p.add_argument("file")

@@ -11,10 +11,11 @@ Every well-typed term collapses to a quasi-normal form: a single machine
 Both languages share that recursion and the transducer module's
 ``compose_transducers`` and ``product_transducers``; a bi-infinite term's
 machine is the finite-word one with its initial and final states dropped.
-Equivalence of terms is decided exactly by pushing the normal form through
-the determinize/minimize pipeline and comparing the canonical machines;
-the pipeline's simulation certificates are returned so the decision can be
-re-verified independently.
+Terms of one type are equal iff their bent normal forms, NFAs
+(``acceptor``), accept the same words (``automata.nfa_equiv``).  Only when
+asked, ``equiv_chain`` builds the re-checkable certificate chain of that
+verdict: each NFA determinized and minimized, and the isomorphism of the
+minimal machines.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .automata import Dfa, Nfa, iso_check, nfa_to_transducer, transducer_to_nfa
+from .automata import Dfa, Nfa, iso_check, nfa_equiv, transducer_to_nfa
 from .relcore import (
     Alphabet,
     MachineError,
@@ -40,9 +41,9 @@ from .relcore import (
     product_alphabet,
     swap as swap_rel,
 )
-from .simulation import TWO_SIDED, SimCertificate, check_fin, certificate_for_determinization, \
+from .simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
     certificate_for_minimization
-from .sofic import ZTransducer, presentation_of_ztransducer, presentations_equiv
+from .sofic import ZTransducer
 from .transducer import (
     Transducer,
     UniformRelationSample,
@@ -334,7 +335,7 @@ def interpret_upto(d: Diagram, n: int) -> UniformRelationSample:
 
 @dataclass(frozen=True)
 class PipelineCertificate:
-    """Machines and certificates produced while canonicalizing one term."""
+    """Machines and certificates produced while canonicalizing one acceptor."""
 
     nfa: Nfa
     dfa: Dfa
@@ -358,65 +359,49 @@ def bend(d: Diagram) -> Diagram:
     return Seq(Par(Id(cod), d), Box(cap_obj(cod)))
 
 
-def _pipeline(d: Diagram) -> PipelineCertificate:
-    nf = normal_form(bend(d))
-    acceptor = transducer_to_nfa(nf)
-    dfa, cert_det = certificate_for_determinization(acceptor)
-    mdfa, cert_min = certificate_for_minimization(dfa)
-    return PipelineCertificate(acceptor, dfa, mdfa, cert_det, cert_min)
-
-
-def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
-    """Decide whether two terms denote the same uniform relation.
-
-    Both terms are bent into acceptors, normalized, determinized, and
-    minimized; they are equivalent exactly when the minimal machines are
-    isomorphic.  On success the full certificate chain is returned.
-    """
-    t1 = type_of(d1)
-    t2 = type_of(d2)
-    if t1[0].signature() != t2[0].signature() or t1[1].signature() != t2[1].signature():
+def check_same_type(d1: Diagram, d2: Diagram) -> None:
+    """Raise ``TypeMismatch`` unless both terms have one domain and one codomain."""
+    (dom1, cod1), (dom2, cod2) = type_of(d1), type_of(d2)
+    if dom1.signature() != dom2.signature() or cod1.signature() != cod2.signature():
         raise TypeMismatch("cannot compare terms of different types")
-    left = _pipeline(d1)
-    right = _pipeline(d2)
+
+
+def acceptor(d: Diagram) -> Nfa:
+    """The bent normal form of a term A → B, an NFA over the packed B ++ A:
+    two terms of one type are equal iff their acceptors accept the same words."""
+    return transducer_to_nfa(normal_form(bend(d)))
+
+
+def _pipeline(n: Nfa) -> PipelineCertificate:
+    dfa, cert_det = certificate_for_determinization(n)
+    mdfa, cert_min = certificate_for_minimization(dfa)
+    return PipelineCertificate(n, dfa, mdfa, cert_det, cert_min)
+
+
+def equiv_chain(n1: Nfa, n2: Nfa) -> EquivCertificate:
+    """The certificate chain of two NFAs that accept the same words: each
+    determinized and minimized with its certificates, and the isomorphism
+    of the two minimal machines."""
+    left, right = _pipeline(n1), _pipeline(n2)
     mapping = iso_check(left.minimal, right.minimal)
     if mapping is None:
-        return False, None
+        raise MachineError("no certificate chain: the automata accept different words")
     iso_rel = Rel(
         obj(right.minimal.states), obj(left.minimal.states),
         frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()),
     )
-    return True, EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))
+    return EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))
 
 
-def verify_equiv_certificate(cert: EquivCertificate) -> bool:
-    """Re-check every simulation relation in a certificate chain."""
-    for side in (cert.left, cert.right):
-        ok_det = check_fin(
-            nfa_to_transducer(side.nfa), nfa_to_transducer(side.dfa), side.contains
-        ).ok
-        ok_min = check_fin(
-            nfa_to_transducer(side.minimal), nfa_to_transducer(side.dfa), side.follow
-        ).ok
-        if not (ok_det and ok_min):
-            return False
-    return check_fin(
-        nfa_to_transducer(cert.left.minimal),
-        nfa_to_transducer(cert.right.minimal),
-        cert.iso,
-    ).ok
-
-
-def z_diagrams_equiv(d1: Diagram, d2: Diagram) -> bool:
-    """Decide equality of bi-infinite terms: equality of the subshifts
-    their bent normal forms present."""
-    t1 = type_of(d1)
-    t2 = type_of(d2)
-    if t1[0].signature() != t2[0].signature() or t1[1].signature() != t2[1].signature():
-        raise TypeMismatch("cannot compare terms of different types")
-    p1 = presentation_of_ztransducer(z_normal_form(bend(d1)))
-    p2 = presentation_of_ztransducer(z_normal_form(bend(d2)))
-    return presentations_equiv(p1, p2)
+def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
+    """Decide whether two terms denote the same uniform relation: whether
+    their acceptors accept the same words (``nfa_equiv``).  The certificate
+    chain is built, by ``equiv_chain``, only for an "equal" verdict."""
+    check_same_type(d1, d2)
+    n1, n2 = acceptor(d1), acceptor(d2)
+    if not nfa_equiv(n1, n2):
+        return False, None
+    return True, equiv_chain(n1, n2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 
 from .automata import Dfa, Nfa
-from .diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _contains_node
+from .diagram import Box, Diagram, EquivCertificate, Feedback, FeedbackZ, Id, Par, Seq, Swap, \
+    _contains_node
 from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
@@ -201,6 +202,10 @@ def to_payload(x) -> dict:
         return {"kind": "ztransducer", **_quads_payload(x)}
     if isinstance(x, SimCertificate):
         return {"kind": "certificate", **_certificate_payload(x)}
+    if isinstance(x, EquivCertificate):
+        sides = {side: {"contains": to_payload(p.contains), "follow": to_payload(p.follow)}
+                 for side, p in (("left", x.left), ("right", x.right))}
+        return {"kind": "certificate-chain", **sides, "iso": to_payload(x.iso)}
     if isinstance(x, (Box, Id, Swap, Seq, Par, Feedback, FeedbackZ)):
         kind = "zdiagram" if _contains_node(x, FeedbackZ) else "diagram"
         return {"kind": kind, "term": _term_payload(x)}

@@ -6,9 +6,9 @@ bi-infinite runs.  Equality of subshifts is decided entirely through
 finite data: two subshifts are equal iff their factor languages are (Lind
 & Marcus, Symbolic Dynamics and Coding, Prop. 1.3.4), the language of a
 pruned presentation's subset DFA from the full state set, a subset being
-final when it is not empty.  So both presentations are pruned, and one
-refinement of the disjoint union of their subset graphs decides
-(``automata.same_words``); the empty subshift is no special case.
+final when it is not empty: the pruned presentation read as an NFA with
+every state initial and final (``factor_language``), which
+``automata.nfa_equiv`` compares; the empty subshift is no special case.
 
 The canonical form takes the same steps and names what it emits: pruning
 is ``long_path_states``, the subset construction ``subsets`` (rooted at
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .automata import Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
     class_relation, language_upto, long_path_states, membership, nfa, nfa_equiv, prune_language, \
     quotient, same_words, subset_machine, subsets, successor_map
-from .relcore import Alphabet, MachineError, TypeMismatch, material, pair_symbol, product_alphabet
+from .relcore import Alphabet, MachineError, material, pair_symbol, product_alphabet
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import QuadMachine
 
@@ -211,27 +211,16 @@ def canonical_form(p: Presentation) -> Presentation:
     return _minimal_presentation(det, det.root)[0]
 
 
-def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
-    """Whether two presentations present the same sofic subshift, decided
-    on their factor languages (see the module docstring)."""
-    if p1.alphabet.elements != p2.alphabet.elements:
-        raise TypeMismatch("presentations over different alphabets")
-    q1, q2 = prune(p1), prune(p2)
-    full1, full2 = (1 << len(q1.states)) - 1, (1 << len(q2.states)) - 1
-    return same_words(q1, full1, full1, q2, full2, full2)
-
-
-def ztransducers_equiv(z1: ZTransducer, z2: ZTransducer) -> bool:
-    if z1.input.elements != z2.input.elements or z1.output.elements != z2.output.elements:
-        raise TypeMismatch("machines do not share input/output alphabets")
-    return presentations_equiv(presentation_of_ztransducer(z1),
-                               presentation_of_ztransducer(z2))
-
-
 def factor_language(p: Presentation) -> Nfa:
     """Automaton for the finite words readable inside bi-infinite runs:
     the pruned state graph with every state initial and final."""
     return prune(p).as_nfa()
+
+
+def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
+    """Whether two presentations present the same sofic subshift, decided
+    on their factor languages (see the module docstring)."""
+    return nfa_equiv(factor_language(p1), factor_language(p2))
 
 
 def factors_upto(p: Presentation, k: int) -> set[Word]:

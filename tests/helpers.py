@@ -3,16 +3,20 @@
 ``minimal_dfa`` is the minimal DFA of an NFA's language, ``subset_name``
 the name the subset construction gives a set of states, ``rooted_iso``
 the isomorphism of two rooted right-resolving presentations through
-``iso_check``, and ``is_factor_closed`` and ``is_pruned_lang`` whether a
-language is its own factor closure or pruning.  The library's verdicts need none of them: they decide on
-bitmask subsets and one partition refinement, and name nothing.
+``iso_check``, ``is_factor_closed`` and ``is_pruned_lang`` whether a
+language is its own factor closure or pruning, and
+``verify_equiv_certificate`` whether every simulation relation of a
+certificate chain checks.  The library's verdicts need none of them: they
+decide on bitmask subsets and one partition refinement, and name nothing.
 """
 
 from __future__ import annotations
 
 from relmach.automata import Dfa, Nfa, determinize, factor_closure, iso_check, mask_of, minimize, \
-    nfa_equiv, prune_language, subset_namer
+    nfa_equiv, nfa_to_transducer, prune_language, subset_namer
+from relmach.diagram import EquivCertificate
 from relmach.relcore import Alphabet
+from relmach.simulation import check_fin
 from relmach.sofic import Presentation
 
 
@@ -38,3 +42,21 @@ def is_factor_closed(n: Nfa) -> bool:
 
 def is_pruned_lang(n: Nfa) -> bool:
     return nfa_equiv(n, prune_language(n))
+
+
+def verify_equiv_certificate(cert: EquivCertificate) -> bool:
+    """Re-check every simulation relation in a certificate chain."""
+    for side in (cert.left, cert.right):
+        ok_det = check_fin(
+            nfa_to_transducer(side.nfa), nfa_to_transducer(side.dfa), side.contains
+        ).ok
+        ok_min = check_fin(
+            nfa_to_transducer(side.minimal), nfa_to_transducer(side.dfa), side.follow
+        ).ok
+        if not (ok_det and ok_min):
+            return False
+    return check_fin(
+        nfa_to_transducer(cert.left.minimal),
+        nfa_to_transducer(cert.right.minimal),
+        cert.iso,
+    ).ok

@@ -16,6 +16,17 @@ each had a copy: both subset constructions (``determinize``,
 ``compose_z``, ``product_z``, and both structural collapses
 (``normal_form``, ``z_normal_form``).
 
+So are the verdicts that decided equality one kind at a time, before every
+kind became a finite-word acceptor for ``nfa_equiv``: ``diagrams_equiv``,
+which canonicalized both bent terms through the determinize/minimize
+pipeline (``_pipeline``) and built the certificate chain on every call,
+``z_diagrams_equiv``, ``ztransducers_equiv``, and the refinement on the
+factor languages of two presentations, kept here as
+``presentations_equiv_by_refinement``; ``chain_payload`` is the chain
+document the command line wrote.  Their bodies are unchanged, so names they
+share with the oracles above (``normal_form``, ``z_normal_form``,
+``prune``, ``presentations_equiv``) resolve to those oracles.
+
 So is the shared core that ran on state names before it ran on positions:
 the subset construction over frozensets of names (``subsets``), Hopcroft's
 refinement keyed by names (``refine``), and the verdicts that minimized
@@ -28,16 +39,21 @@ compares canonical forms by the walk of ``rooted_iso``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from helpers import subset_name
+from relmach import io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, iso_check, nfa, successor_map
+    _forward_edges, _reachable, empty_dfa, iso_check, nfa, same_words, successor_map, \
+    transducer_to_nfa
 from relmach.diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _feedback_boundary, \
-    _fold_quads, _retype, type_of
+    _fold_quads, _retype, bend, type_of
 from relmach.relcore import Alphabet, MachineError, Rel, TypeMismatch, identity, obj, pack_obj, \
     pack_rel, pair_symbol, product_alphabet, swap as swap_rel
-from relmach.simulation import TWO_SIDED, SimCertificate
+from relmach.simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
+    certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
-    ztransducer
+    presentation_of_ztransducer, ztransducer
 from relmach.transducer import Transducer, compose_transducers, lift_transducer, product_transducers, \
     transducer
 
@@ -583,3 +599,99 @@ def z_normal_form(d: Diagram) -> ZTransducer:
         case Feedback():
             raise TypeMismatch("labelled feedback belongs to the finite-word language")
     raise MachineError(f"not a diagram: {d!r}")
+
+
+# ---------------------------------------------------------------------------
+# The per-kind verdicts and the diagram pipeline.
+
+@dataclass(frozen=True)
+class PipelineCertificate:
+    """Machines and certificates produced while canonicalizing one term."""
+
+    nfa: Nfa
+    dfa: Dfa
+    minimal: Dfa
+    contains: SimCertificate
+    follow: SimCertificate
+
+
+@dataclass(frozen=True)
+class EquivCertificate:
+    left: PipelineCertificate
+    right: PipelineCertificate
+    iso: SimCertificate
+
+
+def _pipeline(d: Diagram) -> PipelineCertificate:
+    nf = normal_form(bend(d))
+    acceptor = transducer_to_nfa(nf)
+    dfa, cert_det = certificate_for_determinization(acceptor)
+    mdfa, cert_min = certificate_for_minimization(dfa)
+    return PipelineCertificate(acceptor, dfa, mdfa, cert_det, cert_min)
+
+
+def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
+    """Decide whether two terms denote the same uniform relation.
+
+    Both terms are bent into acceptors, normalized, determinized, and
+    minimized; they are equivalent exactly when the minimal machines are
+    isomorphic.  On success the full certificate chain is returned.
+    """
+    t1 = type_of(d1)
+    t2 = type_of(d2)
+    if t1[0].signature() != t2[0].signature() or t1[1].signature() != t2[1].signature():
+        raise TypeMismatch("cannot compare terms of different types")
+    left = _pipeline(d1)
+    right = _pipeline(d2)
+    mapping = iso_check(left.minimal, right.minimal)
+    if mapping is None:
+        return False, None
+    iso_rel = Rel(
+        obj(right.minimal.states), obj(left.minimal.states),
+        frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()),
+    )
+    return True, EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))
+
+
+def chain_payload(cert: EquivCertificate) -> dict:
+    return {
+        "kind": "certificate-chain",
+        "left": {
+            "contains": io.to_payload(cert.left.contains),
+            "follow": io.to_payload(cert.left.follow),
+        },
+        "right": {
+            "contains": io.to_payload(cert.right.contains),
+            "follow": io.to_payload(cert.right.follow),
+        },
+        "iso": io.to_payload(cert.iso),
+    }
+
+
+def z_diagrams_equiv(d1: Diagram, d2: Diagram) -> bool:
+    """Decide equality of bi-infinite terms: equality of the subshifts
+    their bent normal forms present."""
+    t1 = type_of(d1)
+    t2 = type_of(d2)
+    if t1[0].signature() != t2[0].signature() or t1[1].signature() != t2[1].signature():
+        raise TypeMismatch("cannot compare terms of different types")
+    p1 = presentation_of_ztransducer(z_normal_form(bend(d1)))
+    p2 = presentation_of_ztransducer(z_normal_form(bend(d2)))
+    return presentations_equiv(p1, p2)
+
+
+def presentations_equiv_by_refinement(p1: Presentation, p2: Presentation) -> bool:
+    """Whether two presentations present the same sofic subshift, decided
+    on their factor languages (see the module docstring)."""
+    if p1.alphabet.elements != p2.alphabet.elements:
+        raise TypeMismatch("presentations over different alphabets")
+    q1, q2 = prune(p1), prune(p2)
+    full1, full2 = (1 << len(q1.states)) - 1, (1 << len(q2.states)) - 1
+    return same_words(q1, full1, full1, q2, full2, full2)
+
+
+def ztransducers_equiv(z1: ZTransducer, z2: ZTransducer) -> bool:
+    if z1.input.elements != z2.input.elements or z1.output.elements != z2.output.elements:
+        raise TypeMismatch("machines do not share input/output alphabets")
+    return presentations_equiv(presentation_of_ztransducer(z1),
+                               presentation_of_ztransducer(z2))

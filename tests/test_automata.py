@@ -22,7 +22,8 @@ from relmach.automata import (
     transducer_to_nfa,
     trim,
 )
-from relmach.relcore import Alphabet, TypeMismatch, compose, identity, obj, product, rel_equals
+from relmach.relcore import Alphabet, MachineError, TypeMismatch, compose, identity, obj, product, \
+    rel_equals
 from relmach.transducer import behavior_upto, trans_rel
 
 Aa = Alphabet("A", ("a",))
@@ -147,6 +148,18 @@ def test_language_upto_and_accepts():
     assert language_upto(n, 3) == {("a",), ("a", "a"), ("a", "a", "a")}
     assert accepts(n, ("a", "a"))
     assert not accepts(n, ())
+
+
+def test_accepts_rejects_letters_outside_the_alphabet():
+    n = aplus_nfa()
+    for word in (["z"], ("a", "z"), ("z", "a", "a")):
+        with pytest.raises(MachineError, match="'z' not in alphabet"):
+            accepts(n, word)
+    # also where no run is left before the foreign letter is read
+    empty = nfa(Aa, Alphabet("Q", ("0",)), set(), set(), set())
+    with pytest.raises(MachineError):
+        accepts(empty, ("a", "z"))
+    assert accepts(n, iter(["a"]))
 
 
 def test_factor_closure_of_ab():

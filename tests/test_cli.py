@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -9,11 +10,11 @@ import pytest
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
 import relmach
-from relmach import cli, io
+from relmach import automata, cli, diagram, io, simulation
 from relmach.automata import determinize, minimize, nfa
 from relmach.cli import build_parser, main
 from relmach.diagram import Box, Feedback, FeedbackZ, Seq
-from relmach.relcore import UNIT_OBJ, Alphabet, obj, rel
+from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, obj, rel
 from relmach.simulation import SimCertificate
 from relmach.sofic import presentation, ztransducer
 from relmach.transducer import lift_transducer, transducer
@@ -202,6 +203,96 @@ def test_equiv_kind_mismatch_is_error(tmp_path, capsys):
     code, _, err = run(capsys, "equiv", t, gm)
     assert code == 2
     assert "error" in err
+
+
+def test_equiv_transducers_of_different_types_is_error(tmp_path, capsys):
+    """Two transducers whose alphabets pack to one product alphabet are
+    still of different types."""
+    Aab, Ac, Abc = Alphabet("A", ("a", "b")), Alphabet("C", ("c",)), Alphabet("B", ("b", "c"))
+    s = Alphabet("Q", ("s",))
+
+    def one_state(input, output):
+        quad = (input.elements[0], "s", output.elements[0], "s")
+        return transducer(input, output, s, {quad}, {"s"}, {"s"})
+
+    for t1, t2 in ((one_state(UNIT, Aab), one_state(Aab, UNIT)),
+                   (one_state(Aa, Abc), one_state(Aab, Ac))):
+        f1, f2 = write(tmp_path, "t1.json", t1), write(tmp_path, "t2.json", t2)
+        assert run(capsys, "equiv", f1, f1)[0] == 0
+        assert run(capsys, "equiv", f1, f2) == \
+            (2, "", "error: machines do not share input/output alphabets\n")
+
+
+def kind_files(tmp_path):
+    """One file per kind, two diagrams among them, every machine over the
+    one-letter alphabet so that the kinds that compare do."""
+    aplus = nfa(Aa, Q2, {("q0", "a", "q0"), ("q0", "a", "q1")}, {"q0"}, {"q1"})
+    ident = rel(obj(Aa), obj(Aa), {(("a",), ("a",))})
+    values = {
+        "alphabet": Aa,
+        "relation": ident,
+        "transducer": lift_transducer(ident),
+        "nfa": aplus,
+        "dfa": determinize(aplus)[0],
+        "presentation": presentation(Aa, Q2, {("q0", "a", "q1"), ("q1", "a", "q0")}),
+        "ztransducer": ztransducer(Aa, Aa, Q2, {("a", "q0", "a", "q1"), ("a", "q1", "a", "q0")}),
+        "diagram": Box(ident),
+        "feedback-diagram": Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL)),
+        "zdiagram": FeedbackZ(Q2, Box(PARITY_REL)),
+        "certificate": SimCertificate(rel(obj(Q2), obj(Q2), {(("q0",), ("q0",))})),
+    }
+    return {name: write(tmp_path, f"{name}.json", x) for name, x in values.items()}
+
+
+# Exit codes of the kind pairs that compare; every other pair is an error.
+COMPARABLE = {
+    ("nfa", "nfa"): 0, ("nfa", "dfa"): 0, ("dfa", "nfa"): 0, ("dfa", "dfa"): 0,
+    ("transducer", "transducer"): 0, ("presentation", "presentation"): 0,
+    ("ztransducer", "ztransducer"): 0,
+    ("diagram", "diagram"): 0, ("feedback-diagram", "feedback-diagram"): 0,
+    ("diagram", "feedback-diagram"): 1, ("feedback-diagram", "diagram"): 1,
+    ("diagram", "zdiagram"): 0, ("zdiagram", "diagram"): 0, ("zdiagram", "zdiagram"): 0,
+}
+
+
+def test_equiv_kind_pair_matrix(tmp_path, capsys):
+    files = kind_files(tmp_path)
+    tag = {name: io.load_tagged(path)[0] for name, path in files.items()}
+    labelled = "error: labelled feedback belongs to the finite-word language\n"
+    for (name1, f1), (name2, f2) in itertools.product(files.items(), repeat=2):
+        code, out, err = run(capsys, "equiv", f1, f2)
+        if (name1, name2) in COMPARABLE:
+            status = COMPARABLE[name1, name2]
+            assert (code, err) == (status, ""), (name1, name2)
+            assert json.loads(out)["status"] == ("equal" if status == 0 else "not-equal")
+        elif {name1, name2} == {"feedback-diagram", "zdiagram"}:
+            assert (code, out, err) == (2, "", labelled)
+        else:
+            assert (code, out) == (2, ""), (name1, name2)
+            assert err == f"error: cannot compare kinds {tag[name1]} and {tag[name2]}\n"
+
+
+def test_chain_is_built_only_for_certify_on_equal_diagrams(tmp_path, capsys, monkeypatch):
+    d = Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL))
+    ident = Box(rel(obj(Aa), obj(Aa), {(("a",), ("a",))}))
+    f1, f2, other = (write(tmp_path, f"{i}.json", x) for i, x in enumerate((d, d, ident)))
+    files = kind_files(tmp_path)
+    chain = tmp_path / "chain.json"
+
+    def refuse(*args):
+        raise AssertionError("certificate work for a verdict")
+
+    for module in (automata, diagram, simulation):
+        for name in ("iso_check", "certificate_for_minimization"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run(capsys, "equiv", f1, f2)[0] == 0
+    assert run(capsys, "equiv", f1, other, "--certify", str(chain))[0] == 1
+    for name in ("nfa", "transducer", "presentation", "ztransducer", "zdiagram"):
+        assert run(capsys, "equiv", files[name], files[name], "--certify", str(chain))[0] == 0
+    assert not chain.exists()
+    monkeypatch.undo()
+    assert run(capsys, "equiv", f1, f2, "--certify", str(chain))[0] == 0
+    assert json.loads(chain.read_text())["kind"] == "certificate-chain"
 
 
 def test_determinize_minimize_with_certificates(tmp_path, capsys):

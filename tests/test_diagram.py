@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import SEED
+from helpers import verify_equiv_certificate
 from genrand import (
     alter_one_box,
     merge_boxes,
@@ -21,19 +22,20 @@ from relmach.diagram import (
     Par,
     Seq,
     Swap,
+    acceptor,
     bend,
     denotation_upto,
     diagrams_equiv,
+    equiv_chain,
     interpret_upto,
     normal_form,
     slide,
     type_of,
-    verify_equiv_certificate,
-    z_diagrams_equiv,
     z_normal_form,
 )
 from relmach.relcore import (
     Alphabet,
+    MachineError,
     Obj,
     TypeMismatch,
     UNIT_OBJ,
@@ -181,6 +183,12 @@ def test_diagrams_equiv_distinguishes_boxes():
     assert not eq and cert is None
 
 
+def test_equiv_chain_needs_one_language():
+    s = rel(obj(A), obj(A), {(("a",), ("b",))})
+    with pytest.raises(MachineError, match="accept different words"):
+        equiv_chain(acceptor(Box(SWAP_REL)), acceptor(Box(s)))
+
+
 def test_diagrams_equiv_type_mismatch():
     with pytest.raises(TypeMismatch):
         diagrams_equiv(Box(SWAP_REL), Box(PARITY_REL))
@@ -287,6 +295,11 @@ def test_z_normal_form_of_wrapped_machine():
         z_normal_form(parity_feedback())
     with pytest.raises(TypeMismatch):
         normal_form(zd)
+
+
+def z_diagrams_equiv(d1, d2):
+    p1, p2 = (presentation_of_ztransducer(z_normal_form(bend(d))) for d in (d1, d2))
+    return presentations_equiv(p1, p2)
 
 
 def test_z_diagrams_equiv_golden_mean():

@@ -26,7 +26,6 @@ from relmach.sofic import (
     presentations_equiv,
     prune,
     ztransducer,
-    ztransducers_equiv,
 )
 
 Ab = Alphabet("A", ("a", "b"))
@@ -253,6 +252,10 @@ def identity_z(alpha):
 def swap_z():
     return ztransducer(Ab, Ab, Alphabet("QS", ("s",)),
                        {("a", "s", "b", "s"), ("b", "s", "a", "s")})
+
+
+def ztransducers_equiv(z1, z2):
+    return presentations_equiv(presentation_of_ztransducer(z1), presentation_of_ztransducer(z2))
 
 
 def test_ztransducer_equivalences():
