@@ -347,8 +347,10 @@ def subset_machine(m, graph: dict[int, list[int]]) -> tuple[Alphabet, dict[int, 
 
 
 def membership(subset_states: Alphabet, states: Alphabet, name: dict[int, str]) -> Rel:
-    """The relation from each named subset to its members."""
-    return Rel(obj(subset_states), obj(states),
+    """The relation from each named subset to its members.  Both sides are
+    typed over :func:`material` alphabets, as the simulation checker reads
+    a certificate, so a unit state alphabet keeps its wire."""
+    return Rel(obj(material(subset_states)), obj(material(states)),
                frozenset(((s,), (q,)) for mask, s in name.items()
                          for q in compress(states.elements, bits(mask))))
 
@@ -368,8 +370,9 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
 
 
 def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
-    """The relation from each state to its class."""
-    return Rel(obj(states), obj(classes), frozenset(((q,), (c,)) for q, c in name.items()))
+    """The relation from each state to its class, typed as :func:`membership`."""
+    return Rel(obj(material(states)), obj(material(classes)),
+               frozenset(((q,), (c,)) for q, c in name.items()))
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:

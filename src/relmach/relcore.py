@@ -19,13 +19,14 @@ checks its distinct domain and codomain tuples column by column, and so
 does :func:`check_rows` for the transitions every machine stores: triples
 (state, letter, next state) or quadruples (input letter, state, output
 letter, next state).  A machine's transition relation is not stored; the
-simulation checker builds it as a view (``transducer.trans_rel``).
+simulation checker enumerates its conditions from the rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Collection, Iterable, Iterator
 
 
@@ -196,18 +197,14 @@ class Rel:
                 raise MachineError(f"pair component {y!r} is not a valid codomain tuple")
 
     def sorted_pairs(self) -> list[Pair]:
-        """Pairs in canonical order (by per-wire symbol indices)."""
-        dkey = _tuple_key(self.dom)
-        ckey = _tuple_key(self.cod)
-        return sorted(self.pairs, key=lambda p: (dkey(p[0]), ckey(p[1])))
+        """Pairs in canonical order (by per-wire symbol indices).  Every
+        domain tuple has one symbol per domain wire, so ordering by the
+        indices of x + y orders by those of x, then by those of y."""
+        positions = [w._pos for w in self.dom.flat + self.cod.flat]
+        return sorted(self.pairs, key=lambda p: tuple(map(getitem, positions, p[0] + p[1])))
 
     def image(self, x: tuple[str, ...]) -> set[tuple[str, ...]]:
         return {b for a, b in self.pairs if a == x}
-
-
-def _tuple_key(o: Obj):
-    flat = o.flat
-    return lambda t: tuple(w.index(s) for s, w in zip(t, flat))
 
 
 def rel(dom: Obj, cod: Obj, pairs: Iterable[Pair]) -> Rel:

@@ -2,7 +2,9 @@
 
 A certificate is a relation ``s`` from the state space of the second
 machine to the state space of the first.  For finite-word machines the
-checker evaluates three relational conditions by full enumeration:
+checker evaluates three relational conditions by full enumeration, each
+side straight from the machines' transition rows and an image and a
+preimage list per state of ``s``; no relation is composed:
 
   initial:     point(I1)                ⊲  s ∘ point(J2)
   transition:  R1 ∘ (id × s)            ⊲  (id × s) ∘ T2
@@ -19,25 +21,14 @@ must be in its codomain (backward / two-sided).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     long_path_states, minimize
-from .relcore import (
-    UNIT,
-    MachineError,
-    Rel,
-    TypeMismatch,
-    compose,
-    identity,
-    material,
-    obj,
-    product,
-    subset_as_copoint,
-    subset_as_point,
-)
-from .transducer import Transducer, trans_rel
+from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit
+from .transducer import Transducer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sofic import Presentation
@@ -69,58 +60,71 @@ class SimReport:
         return self.verdict == "pass"
 
 
-def _holds(lhs: Rel, rhs: Rel, mode: str) -> tuple[bool, tuple | None]:
-    """Evaluate lhs ⊲ rhs; on failure return a pair witnessing the violation."""
-    if mode in (TWO_SIDED, BACKWARD):
-        extra = lhs.pairs - rhs.pairs
-        if extra:
-            return False, min(extra)
-    if mode in (TWO_SIDED, FORWARD):
-        missing = rhs.pairs - lhs.pairs
-        if missing:
-            return False, min(missing)
-    return True, None
+def _holds(lhs: set, rhs: set, mode: str, tail: int) -> tuple[bool, tuple | None]:
+    """Evaluate lhs ⊲ rhs; on failure return a pair witnessing the violation.
+
+    The pairs (x, y) of both sides are stored as flat tuples x + y, and
+    ``tail`` is len(y).  Within one side every pair has the same shape, so
+    the least flat tuple of a difference is its least pair.
+    """
+    if lhs == rhs:
+        return True, None
+    extra = lhs - rhs if mode in (TWO_SIDED, BACKWARD) else set()
+    if not extra and mode in (TWO_SIDED, FORWARD):
+        extra = rhs - lhs
+    if not extra:
+        return True, None
+    w = min(extra)
+    return False, (w[:len(w) - tail], w[len(w) - tail:])
+
+
+def _check_typed(s: Rel, q1: Alphabet, q2: Alphabet) -> None:
+    if s.dom.signature() != (q2.elements,) or s.cod.signature() != (q1.elements,):
+        raise TypeMismatch("certificate relation is not typed states2 → states1")
+
+
+def _parts(alphabet: Alphabet) -> dict[str, tuple]:
+    """The tuple component each letter gives: ``(a,)``, or ``()`` for the
+    letter of the unit alphabet."""
+    return {a: () if is_unit(alphabet) else (a,) for a in alphabet.elements}
+
+
+def _intertwining(s: Rel, rows1: list, rows2: list) -> tuple[set, set]:
+    """Both sides of R1 ∘ (id × s) ⊲ (id × s) ∘ R2: the pairs
+    ((a, state of machine 2), (b, state of machine 1)), stored flat.  Each
+    machine's rows are (a, q, b, q') with letters as tuple components."""
+    image, preimage = defaultdict(list), defaultdict(list)
+    for (x,), (y,) in s.pairs:
+        image[x].append(y)
+        preimage[y].append(x)
+    lhs = {a + (p,) + b + (q1,) for a, q, b, q1 in rows1 for p in preimage.get(q, ())}
+    rhs = {a + (q2,) + b + (p,) for a, q2, b, q in rows2 for p in image.get(q, ())}
+    return lhs, rhs
 
 
 def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport:
     """Check the three finite-word conditions for ``cert.s : states2 → states1``."""
     if m1.input.elements != m2.input.elements or m1.output.elements != m2.output.elements:
         raise TypeMismatch("machines do not share input/output alphabets")
-    q1, q2 = material(m1.states), material(m2.states)
     s = cert.s
-    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
-        raise TypeMismatch("certificate relation is not typed states2 → states1")
+    _check_typed(s, m1.states, m2.states)
+    if is_unit(m1.output) != is_unit(m2.output):
+        raise TypeMismatch("machines differ in whether their output alphabet is the unit")
 
-    r1 = trans_rel(m1.input, m1.output, q1, m1.trans)
-    r2 = trans_rel(m2.input, m2.output, q2, m2.trans)
-    conditions = [
-        (
-            "initial",
-            subset_as_point(q1, m1.initial),
-            compose(subset_as_point(q2, m2.initial), s),
-        ),
-        (
-            "transition",
-            compose(product(identity(obj(m1.input)), s), r1),
-            compose(r2, product(identity(obj(m1.output)), s)),
-        ),
-        (
-            "final",
-            compose(s, subset_as_copoint(q1, m1.final)),
-            subset_as_copoint(q2, m2.final),
-        ),
-    ]
-    for name, lhs, rhs in conditions:
-        ok, witness = _holds(lhs, rhs, cert.mode)
+    def rows(m):
+        a, b = _parts(m.input), _parts(m.output)
+        return [(a[x], q, b[y], q2) for x, q, y, q2 in m.trans]
+
+    def conditions():  # name, both sides, and the length of a pair's codomain tuple
+        yield "initial", {(q,) for q in m1.initial}, {y for (x,), y in s.pairs if x in m2.initial}, 1
+        yield "transition", *_intertwining(s, rows(m1), rows(m2)), 1 if is_unit(m1.output) else 2
+        yield "final", {x for x, (y,) in s.pairs if y in m1.final}, {(q,) for q in m2.final}, 0
+
+    for name, lhs, rhs, tail in conditions():
+        ok, witness = _holds(lhs, rhs, cert.mode, tail)
         if not ok:
             return SimReport("fail", name, witness)
     return SimReport("pass")
-
-
-def _letter_rel(p: "Presentation", states) -> Rel:
-    """The transition relation A×Q → Q of a presentation over ``states``."""
-    star = UNIT.elements[0]
-    return trans_rel(p.alphabet, UNIT, states, {(a, q, star, q2) for q, a, q2 in p.trans})
 
 
 def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:
@@ -132,14 +136,14 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
     """
     if p1.alphabet.elements != p2.alphabet.elements:
         raise TypeMismatch("presentations do not share an alphabet")
-    q1, q2 = material(p1.states), material(p2.states)
     s = cert.s
-    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
-        raise TypeMismatch("certificate relation is not typed states2 → states1")
+    _check_typed(s, p1.states, p2.states)
 
-    lhs = compose(product(identity(obj(p1.alphabet)), s), _letter_rel(p1, q1))
-    rhs = compose(_letter_rel(p2, q2), s)
-    ok, witness = _holds(lhs, rhs, cert.mode)
+    def rows(p):
+        a = _parts(p.alphabet)
+        return [(a[x], q, (), q2) for q, x, q2 in p.trans]
+
+    ok, witness = _holds(*_intertwining(s, rows(p1), rows(p2)), cert.mode, 1)
     if not ok:
         return SimReport("fail", "transition", witness)
 

@@ -8,9 +8,8 @@ bounded length are materialized as :class:`UniformRelationSample` values;
 exact (unbounded) comparisons go through the automata module.
 
 A machine stores its transitions as validated quadruples (input letter,
-state, output letter, next state).  The paper's transition relation
-A×Q → B×Q is a view of them that :func:`trans_rel` builds; only the
-simulation checker needs it.
+state, output letter, next state), and every construction here works on
+them; the simulation checker enumerates its conditions from them too.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .relcore import (
     TypeMismatch,
     check_rows,
     is_unit,
-    obj,
     pair_symbol,
     product_alphabet,
     unpair_symbol,
@@ -78,20 +76,6 @@ class Transducer(QuadMachine):
 def transducer(input: Alphabet, output: Alphabet, states: Alphabet,
                quads, initial, final) -> Transducer:
     return Transducer(input, output, states, quads, initial, final)
-
-
-def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel:
-    """The transition relation A×Q → B×Q as a view of validated quadruples:
-    (a, q, b, q2) relates (a, q) to (b, q2), and a unit alphabet gives no
-    tuple component, so a caller that needs the states passes
-    ``material(states)``."""
-
-    def view(*columns):
-        kept = [i for i, a in columns if not is_unit(a)]
-        return lambda t: tuple(t[i] for i in kept)
-
-    x, y = view((0, input), (1, states)), view((2, output), (3, states))
-    return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ the isomorphism of two rooted right-resolving presentations through
 ``iso_check``, ``is_factor_closed`` and ``is_pruned_lang`` whether a
 language is its own factor closure or pruning, and
 ``verify_equiv_certificate`` whether every simulation relation of a
-certificate chain checks.  The library's verdicts need none of them: they
-decide on bitmask subsets and one partition refinement, and name nothing.
+certificate chain checks, and ``trans_rel`` the paper's transition
+relation A×Q → B×Q of a machine's quadruples as a :class:`Rel`.  The
+library needs none of them: its verdicts decide on bitmask subsets and one
+partition refinement and name nothing, and the simulation checker
+enumerates its conditions from the quadruples.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from relmach.automata import Dfa, Nfa, determinize, factor_closure, iso_check, mask_of, minimize, \
     nfa_equiv, nfa_to_transducer, prune_language, subset_namer
 from relmach.diagram import EquivCertificate
-from relmach.relcore import Alphabet
+from relmach.relcore import Alphabet, Rel, is_unit, obj
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation
 
@@ -60,3 +63,17 @@ def verify_equiv_certificate(cert: EquivCertificate) -> bool:
         nfa_to_transducer(cert.right.minimal),
         cert.iso,
     ).ok
+
+
+def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel:
+    """The transition relation A×Q → B×Q as a view of validated quadruples:
+    (a, q, b, q2) relates (a, q) to (b, q2), and a unit alphabet gives no
+    tuple component, so a caller that needs the states passes
+    ``material(states)``."""
+
+    def view(*columns):
+        kept = [i for i, a in columns if not is_unit(a)]
+        return lambda t: tuple(t[i] for i in kept)
+
+    x, y = view((0, input), (1, states)), view((2, output), (3, states))
+    return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))

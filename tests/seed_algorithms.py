@@ -35,23 +35,33 @@ renumbered copies and compared the results (``renumbered``,
 those verdicts run on the oracles above: ``minimal_dfa`` and
 ``canonical_form`` are composed of them, and ``presentations_equiv``
 compares canonical forms by the walk of ``rooted_iso``.
+
+So is the simulation checker that composed validated relations: ``check_fin``
+and ``check_inf`` built each condition's two sides from ``trans_rel``,
+``identity``, ``product``, ``compose`` and the point and copoint of a
+subset (``_letter_rel`` for a presentation's letters), and ``_holds``
+compared the pairs of the two relations.
+
+So is the canonical pair order that called ``Alphabet.index`` per symbol
+through a generator (``sorted_pairs``, ``_tuple_key``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from helpers import subset_name
+from helpers import subset_name, trans_rel
 from relmach import io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, iso_check, nfa, same_words, successor_map, \
-    transducer_to_nfa
+    _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, same_words, \
+    successor_map, transducer_to_nfa
 from relmach.diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _feedback_boundary, \
     _fold_quads, _retype, bend, type_of
-from relmach.relcore import Alphabet, MachineError, Rel, TypeMismatch, identity, obj, pack_obj, \
-    pack_rel, pair_symbol, product_alphabet, swap as swap_rel
-from relmach.simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
-    certificate_for_minimization
+from relmach.relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, compose, identity, \
+    material, obj, pack_obj, pack_rel, pair_symbol, product, product_alphabet, subset_as_copoint, \
+    subset_as_point, swap as swap_rel
+from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
+    certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
     presentation_of_ztransducer, ztransducer
 from relmach.transducer import Transducer, compose_transducers, lift_transducer, product_transducers, \
@@ -695,3 +705,100 @@ def ztransducers_equiv(z1: ZTransducer, z2: ZTransducer) -> bool:
         raise TypeMismatch("machines do not share input/output alphabets")
     return presentations_equiv(presentation_of_ztransducer(z1),
                                presentation_of_ztransducer(z2))
+
+
+def _holds(lhs: Rel, rhs: Rel, mode: str) -> tuple[bool, tuple | None]:
+    """Evaluate lhs ⊲ rhs; on failure return a pair witnessing the violation."""
+    if mode in (TWO_SIDED, BACKWARD):
+        extra = lhs.pairs - rhs.pairs
+        if extra:
+            return False, min(extra)
+    if mode in (TWO_SIDED, FORWARD):
+        missing = rhs.pairs - lhs.pairs
+        if missing:
+            return False, min(missing)
+    return True, None
+
+
+def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport:
+    """Check the three finite-word conditions for ``cert.s : states2 → states1``."""
+    if m1.input.elements != m2.input.elements or m1.output.elements != m2.output.elements:
+        raise TypeMismatch("machines do not share input/output alphabets")
+    q1, q2 = material(m1.states), material(m2.states)
+    s = cert.s
+    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
+        raise TypeMismatch("certificate relation is not typed states2 → states1")
+
+    r1 = trans_rel(m1.input, m1.output, q1, m1.trans)
+    r2 = trans_rel(m2.input, m2.output, q2, m2.trans)
+    conditions = [
+        (
+            "initial",
+            subset_as_point(q1, m1.initial),
+            compose(subset_as_point(q2, m2.initial), s),
+        ),
+        (
+            "transition",
+            compose(product(identity(obj(m1.input)), s), r1),
+            compose(r2, product(identity(obj(m1.output)), s)),
+        ),
+        (
+            "final",
+            compose(s, subset_as_copoint(q1, m1.final)),
+            subset_as_copoint(q2, m2.final),
+        ),
+    ]
+    for name, lhs, rhs in conditions:
+        ok, witness = _holds(lhs, rhs, cert.mode)
+        if not ok:
+            return SimReport("fail", name, witness)
+    return SimReport("pass")
+
+
+def _letter_rel(p: "Presentation", states) -> Rel:
+    """The transition relation A×Q → Q of a presentation over ``states``."""
+    star = UNIT.elements[0]
+    return trans_rel(p.alphabet, UNIT, states, {(a, q, star, q2) for q, a, q2 in p.trans})
+
+
+def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:
+    """Check the bi-infinite conditions for ``cert.s : states2 → states1``.
+
+    The intertwining condition is the same as the finite one; the side
+    conditions ask the long-path states of each machine to be covered by
+    the domain (machine 2) and codomain (machine 1) of the relation.
+    """
+    if p1.alphabet.elements != p2.alphabet.elements:
+        raise TypeMismatch("presentations do not share an alphabet")
+    q1, q2 = material(p1.states), material(p2.states)
+    s = cert.s
+    if s.dom.signature() != obj(q2).signature() or s.cod.signature() != obj(q1).signature():
+        raise TypeMismatch("certificate relation is not typed states2 → states1")
+
+    lhs = compose(product(identity(obj(p1.alphabet)), s), _letter_rel(p1, q1))
+    rhs = compose(_letter_rel(p2, q2), s)
+    ok, witness = _holds(lhs, rhs, cert.mode)
+    if not ok:
+        return SimReport("fail", "transition", witness)
+
+    if cert.mode in (TWO_SIDED, FORWARD):
+        domain = {x[0] for x, _ in s.pairs}
+        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
+            return SimReport("fail", "domain-path", ((q,), ()))
+    if cert.mode in (TWO_SIDED, BACKWARD):
+        codomain = {y[0] for _, y in s.pairs}
+        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
+            return SimReport("fail", "codomain-path", ((q,), ()))
+    return SimReport("pass")
+
+
+def sorted_pairs(r: Rel) -> list:
+    """Pairs in canonical order (by per-wire symbol indices)."""
+    dkey = _tuple_key(r.dom)
+    ckey = _tuple_key(r.cod)
+    return sorted(r.pairs, key=lambda p: (dkey(p[0]), ckey(p[1])))
+
+
+def _tuple_key(o):
+    flat = o.flat
+    return lambda t: tuple(w.index(s) for s, w in zip(t, flat))

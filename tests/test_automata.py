@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SEED
 from genrand import random_nfa
-from helpers import is_factor_closed, is_pruned_lang, minimal_dfa
+from helpers import is_factor_closed, is_pruned_lang, minimal_dfa, trans_rel
 from relmach.automata import (
     Dfa,
     accepts,
@@ -24,7 +24,7 @@ from relmach.automata import (
 )
 from relmach.relcore import Alphabet, MachineError, TypeMismatch, compose, identity, obj, product, \
     rel_equals
-from relmach.transducer import behavior_upto, trans_rel
+from relmach.transducer import behavior_upto
 
 Aa = Alphabet("A", ("a",))
 Ab = Alphabet("A", ("a", "b"))

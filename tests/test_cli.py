@@ -312,6 +312,31 @@ def test_determinize_minimize_with_certificates(tmp_path, capsys):
     assert code == 0 and json.loads(out)["kind"] == "dfa"
 
 
+@pytest.mark.parametrize("command, x", [
+    ("determinize", nfa(Ab, UNIT, {("*", "a", "*")}, {"*"}, {"*"})),
+    ("determinize", automata.Dfa(Ab, UNIT, frozenset({("*", "a", "*"), ("*", "b", "*")}),
+                                 frozenset({"*"}), frozenset({"*"}))),
+    ("minimize", automata.Dfa(Ab, UNIT, frozenset({("*", "a", "*")}),
+                              frozenset({"*"}), frozenset({"*"}))),
+    ("determinize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
+    ("minimize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
+])
+def test_certificates_over_a_unit_state_alphabet_check(tmp_path, capsys, command, x):
+    """A machine whose states are the unit alphabet gets a certificate that
+    check-sim passes; the certified pair is (input, result) for determinize
+    and (result, input) for minimize."""
+    f = write(tmp_path, "x.json", x)
+    cert = str(tmp_path / "cert.json")
+    code, out, err = run(capsys, command, f, "--certify", cert)
+    assert (code, err) == (0, "")
+    result = tmp_path / "y.json"
+    result.write_text(out)
+    pair = (f, str(result)) if command == "determinize" else (str(result), f)
+    infinite = ["--infinite"] if json.loads(out)["kind"] == "presentation" else []
+    code, out, _ = run(capsys, "check-sim", *pair, cert, *infinite)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_check_sim_failure_exit(tmp_path, capsys):
     t = lift_transducer(SWAP_REL)
     f = write(tmp_path, "m.json", t)

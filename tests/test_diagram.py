@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import SEED
-from helpers import verify_equiv_certificate
+from helpers import trans_rel, verify_equiv_certificate
 from genrand import (
     alter_one_box,
     merge_boxes,
@@ -45,7 +45,7 @@ from relmach.relcore import (
     rel,
 )
 from relmach.sofic import presentation_of_ztransducer, presentations_equiv
-from relmach.transducer import behavior_upto, lift_transducer, trans_rel, transducer
+from relmach.transducer import behavior_upto, lift_transducer, transducer
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))

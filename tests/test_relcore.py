@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import seed_algorithms as seed
+
 from relmach.relcore import (
     UNIT,
     UNIT_OBJ,
@@ -223,3 +225,17 @@ def test_transpose_antihomomorphism(rs):
 @given(relation())
 def test_transpose_involution(r):
     assert rel_equals(transpose(transpose(r)), r)
+
+
+@st.composite
+def bundle_relation(draw):
+    """A relation between bundles of 0–3 wires, unit wires among them; one
+    alphabet lists its symbols out of string order."""
+    wires = st.sampled_from([UNIT, Alphabet("B", ("0", "1")), Alphabet("D", ("z", "b", "m"))])
+    dom, cod = (obj(*draw(st.lists(wires, max_size=3))) for _ in range(2))
+    return draw(relation(dom, cod))
+
+
+@given(bundle_relation())
+def test_sorted_pairs_keeps_the_per_symbol_index_order(r):
+    assert r.sorted_pairs() == seed.sorted_pairs(r)

@@ -1,0 +1,163 @@
+"""The simulation checker, tested differentially against the one that composed
+validated relations (``seed_algorithms.check_fin``/``check_inf``): on every
+input both return the same report (verdict, failed condition, witness) or
+raise the same error."""
+
+from hypothesis import given, settings, strategies as st
+
+import seed_algorithms as seed
+from relmach.automata import Dfa, determinize, minimize, nfa, nfa_to_transducer
+from relmach.relcore import UNIT, Alphabet, MachineError, Rel, identity, material, obj
+from relmach.simulation import MODES, TWO_SIDED, SimCertificate, SimReport, check_fin, check_inf
+from relmach.sofic import determinize_presentation, minimize_presentation, presentation, \
+    presentation_of_ztransducer, prune, ztransducer
+from relmach.transducer import transducer
+
+KINDS = ("transducer", "nfa", "presentation", "ztransducer")
+
+
+def outcome(check, m1, m2, cert):
+    try:
+        return check(m1, m2, cert)
+    except MachineError as e:
+        return type(e)
+
+
+def compare(kind, m1, m2, cert):
+    """The outcome of checking ``cert`` on machines of ``kind``; both
+    checkers must give it."""
+    if kind in ("presentation", "ztransducer"):
+        check, oracle = check_inf, seed.check_inf
+    else:
+        check, oracle = check_fin, seed.check_fin
+        if kind == "nfa":
+            m1, m2 = nfa_to_transducer(m1), nfa_to_transducer(m2)
+    got = outcome(check, m1, m2, cert)
+    assert got == outcome(oracle, m1, m2, cert)
+    return got
+
+
+@st.composite
+def letters(draw):
+    """The elements of a letter alphabet; ("*",) is the unit's."""
+    return draw(st.sampled_from([("a",), ("a", "b"), ("*",)]))
+
+
+@st.composite
+def alphabet_over(draw, elements, name):
+    """An alphabet over ``elements``: over ("*",) the unit or a namesake of
+    it that is not the unit, so each side of a pair is unit or not alone."""
+    if elements == ("*",) and draw(st.booleans()):
+        return UNIT
+    return Alphabet(name, elements)
+
+
+@st.composite
+def state_alphabets(draw):
+    """0–3 states, named "Q" or "unit", or the unit alphabet itself."""
+    if draw(st.integers(0, 4)) == 0:
+        return UNIT
+    return Alphabet(draw(st.sampled_from(["Q", "unit"])), ("p", "q", "r")[:draw(st.integers(0, 3))])
+
+
+def subset(draw, items, max_size=None):
+    items = sorted(items)
+    if not items:
+        return set()
+    return set(draw(st.lists(st.sampled_from(items), max_size=max_size)))
+
+
+@st.composite
+def machines(draw, kind, inp, out):
+    """A machine of ``kind`` over letters ``inp`` (and ``out`` for quads)."""
+    states = draw(state_alphabets())
+    q = states.elements
+    if kind in ("transducer", "ztransducer"):
+        a, b = draw(alphabet_over(inp, "A")), draw(alphabet_over(out, "B"))
+        quads = subset(draw, {(x, p, y, p2) for x in a.elements for p in q
+                              for y in b.elements for p2 in q}, 12)
+        if kind == "ztransducer":
+            return presentation_of_ztransducer(ztransducer(a, b, states, quads))
+        return transducer(a, b, states, quads, subset(draw, q), subset(draw, q))
+    a = draw(alphabet_over(inp, "A"))
+    trans = subset(draw, {(p, x, p2) for p in q for x in a.elements for p2 in q}, 12)
+    if kind == "nfa":
+        return nfa(a, states, trans, subset(draw, q), subset(draw, q))
+    return presentation(a, states, trans)
+
+
+def random_certificate(draw, m1, m2) -> Rel:
+    """A relation states2 → states1, at times with a unit wire on the
+    domain, or mistyped over the unit state alphabet itself."""
+    dom, cod = (obj(material(m.states)) for m in (m2, m1))
+    if draw(st.integers(0, 5)) == 0:
+        dom = obj(UNIT, material(m2.states))
+    if draw(st.integers(0, 9)) == 0:
+        dom, cod = obj(m2.states), obj(m1.states)
+    return Rel(dom, cod, subset(draw, {(x, y) for x in dom.tuples() for y in cod.tuples()}))
+
+
+def constructed(kind, m):
+    """Machine pairs with certificates that pass: ``m`` with itself and the
+    identity, and the pairs of determinize and minimize with theirs."""
+    pairs = [(m, m, identity(obj(material(m.states))))]
+    if kind == "nfa":
+        dfa, contains = determinize(m)
+        mdfa, follow = minimize(dfa)
+        pairs += [(m, dfa, contains), (mdfa, dfa, follow)]
+    if kind == "presentation" and not prune(m).is_empty():
+        p = prune(m)
+        det, cert = determinize_presentation(p)
+        minp, cert2 = minimize_presentation(det)
+        pairs += [(p, det, cert.s), (minp, det, cert2.s)]
+    return pairs
+
+
+def mutated(draw, s: Rel) -> Rel:
+    """``s``, or ``s`` with one pair removed or one pair added."""
+    pairs = set(s.pairs)
+    choice = draw(st.sampled_from(["keep", "remove", "add"]))
+    if choice == "remove" and pairs:
+        pairs.remove(draw(st.sampled_from(sorted(pairs))))
+    if choice == "add":
+        space = {(x, y) for x in s.dom.tuples() for y in s.cod.tuples()} - pairs
+        if space:
+            pairs.add(draw(st.sampled_from(sorted(space))))
+    return Rel(s.dom, s.cod, pairs)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_reports_match_the_composed_relation_checker(data):
+    draw = data.draw
+    kind = draw(st.sampled_from(KINDS))
+    inp, out = draw(letters()), draw(letters())
+    m1 = draw(machines(kind, inp, out))
+    if draw(st.integers(0, 9)) == 0:  # letters that may differ from machine 1's
+        inp, out = draw(letters()), draw(letters())
+    m2 = draw(machines(kind, inp, out))
+    mode = draw(st.sampled_from(MODES))
+    compare(kind, m1, m2, SimCertificate(random_certificate(draw, m1, m2), mode))
+    for c1, c2, s in constructed(kind, m1):
+        assert compare(kind, c1, c2, SimCertificate(s)) == SimReport("pass")
+        compare(kind, c1, c2, SimCertificate(mutated(draw, s), mode))
+
+
+def test_certificates_of_constructions_pass_both_checkers():
+    n = nfa(Alphabet("A", ("a", "b")), Alphabet("Q", ("0", "1", "2")),
+            {("0", "a", "0"), ("0", "b", "0"), ("0", "a", "1"), ("1", "a", "2"), ("1", "b", "2")},
+            {"0"}, {"2"})
+    for c1, c2, s in constructed("nfa", n):
+        assert compare("nfa", c1, c2, SimCertificate(s)) == SimReport("pass")
+    d = Dfa(UNIT, Alphabet("Q", ("x", "y")), frozenset({("x", "*", "y"), ("y", "*", "x")}),
+            frozenset({"x"}), frozenset({"x", "y"}))
+    for c1, c2, s in constructed("nfa", d):
+        assert compare("nfa", c1, c2, SimCertificate(s)) == SimReport("pass")
+
+
+def test_unit_letters_give_no_witness_component():
+    """Over the unit alphabet the letter is no component of a witness."""
+    p = presentation(UNIT, Alphabet("Q", ("p", "q")), {("p", "*", "q"), ("q", "*", "p")})
+    cert = SimCertificate(Rel(obj(p.states), obj(p.states), {(("p",), ("p",))}), TWO_SIDED)
+    report = compare("presentation", p, p, cert)
+    assert report == SimReport("fail", "transition", (("p",), ("q",)))
