@@ -3,7 +3,8 @@
 Every subcommand reads machine files (JSON with a top-level ``kind``),
 prints canonical JSON (or DOT) on stdout, and exits with 0 for
 equal/pass, 1 for not-equal/fail, and 2 for errors; diagnostics name the
-offending file and the first violated invariant.
+offending file and the first violated invariant.  A command branches on
+the file's kind tag and refuses other kinds: "expected kind dfa/presentation, got nfa".
 
 ``main(argv)`` returns the exit status for every argv, usage errors (2)
 and ``--help`` (0) included; only ``entry`` raises ``SystemExit``.  The
@@ -19,30 +20,29 @@ import functools
 import sys
 
 from . import dot, io
-from .automata import Dfa, Nfa, determinize, minimize, nfa_equiv, nfa_to_transducer, \
-    prune_language, transducer_to_nfa
-from .diagram import Box, Feedback, FeedbackZ, Id, Par, Seq, Swap, acceptor, bend, \
-    check_same_type, equiv_chain, interpret_upto, normal_form, z_normal_form
+from .automata import minimize, nfa_equiv, nfa_to_transducer, prune_language, \
+    transducer_to_nfa
+from .diagram import acceptor, bend, check_same_type, equiv_chain, interpret_upto, normal_form, \
+    z_normal_form
 from .relcore import MachineError, TypeMismatch
-from .simulation import SimCertificate, check_fin, check_inf
-from .sofic import Presentation, ZTransducer, backward_prune, canonical_form, \
-    determinize_presentation, factor_language, factors_upto, forward_prune, \
-    minimize_presentation, periodic_membership, presentation_of_ztransducer, prune
-from .transducer import Transducer, behavior_upto, behavior_via_shift_upto, to_automaton
+from .simulation import SimCertificate, certificate_for_determinization, \
+    certificate_for_minimization, check_fin, check_inf
+from .sofic import backward_prune, canonical_form, determinize_presentation, factor_language, \
+    factors_upto, forward_prune, minimize_presentation, periodic_membership, \
+    presentation_of_ztransducer, prune
+from .transducer import behavior_upto, behavior_via_shift_upto, to_automaton
 
 EXIT_OK = 0
 EXIT_DIFFER = 1
 EXIT_ERROR = 2
-
-DIAGRAM_NODES = (Box, Id, Swap, Seq, Par, Feedback, FeedbackZ)
 
 
 class CliError(Exception):
     pass
 
 
-def _load_tagged(path, *kinds) -> tuple[str, object]:
-    """Read a machine file once; return its kind tag and its value."""
+def _load_tagged(path, *tags) -> tuple[str, object]:
+    """Read a machine file once; return its kind tag, one of ``tags`` if given, and its value."""
     try:
         kind, x = io.load_tagged(path)
     except FileNotFoundError:
@@ -51,14 +51,13 @@ def _load_tagged(path, *kinds) -> tuple[str, object]:
         raise CliError(f"{path}: {e}")
     except Exception as e:
         raise CliError(f"{path}: unreadable machine file ({e})")
-    if kinds and not isinstance(x, kinds):
-        names = "/".join(k.__name__ for k in kinds)
-        raise CliError(f"{path}: expected kind {names}, got {kind}")
+    if tags and kind not in tags:
+        raise CliError(f"{path}: expected kind {'/'.join(tags)}, got {kind}")
     return kind, x
 
 
-def _load(path, *kinds):
-    return _load_tagged(path, *kinds)[1]
+def _load(path, *tags):
+    return _load_tagged(path, *tags)[1]
 
 
 def _emit(payload) -> None:
@@ -84,9 +83,9 @@ def _split_word(text: str) -> tuple[str, ...]:
 
 
 def cmd_behavior(args) -> int:
-    x = _load(args.file, Transducer, *DIAGRAM_NODES)
+    kind, x = _load_tagged(args.file, "transducer", "diagram", "zdiagram")
     n = args.max_len
-    if isinstance(x, DIAGRAM_NODES):
+    if kind != "transducer":
         sample = interpret_upto(x, n)
     elif args.via == "runs":
         sample = behavior_upto(x, n)
@@ -137,37 +136,41 @@ def cmd_equiv(args) -> int:
     return _verdict("equal" if equal else "not-equal")
 
 
+# determinize and minimize: from each kind read, given --certify or not, a
+# pair of the machine and its certificate.  A DFA's minimization certificate
+# needs every state accessible, so without --certify a DFA is minimized alone.
+# Entries here and in SIM_INPUTS call functions by name, so a patched one is seen.
+CONSTRUCTIONS = {
+    "determinize": {
+        "nfa": lambda n, certify: certificate_for_determinization(n),
+        "dfa": lambda n, certify: certificate_for_determinization(n),
+        "presentation": lambda p, certify: determinize_presentation(p),
+    },
+    "minimize": {
+        "dfa": lambda d, certify: certificate_for_minimization(d) if certify else minimize(d),
+        "presentation": lambda p, certify: minimize_presentation(p),
+    },
+}
+
+
 def cmd_determinize(args) -> int:
-    x = _load(args.file, Nfa, Presentation)
-    if isinstance(x, Presentation):
-        result, cert = determinize_presentation(x)
-    else:
-        result, contains = determinize(x)
-        cert = SimCertificate(contains)
+    """``determinize`` and ``minimize``: print the machine and, with
+    ``--certify``, write its certificate."""
+    constructions = CONSTRUCTIONS[args.command]
+    kind, x = _load_tagged(args.file, *constructions)
+    result, cert = constructions[kind](x, bool(args.certify))
     _emit(io.to_payload(result))
     if args.certify:
-        with open(args.certify, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps(cert))
+        io.save_file(args.certify, cert)
     return EXIT_OK
 
 
-def cmd_minimize(args) -> int:
-    x = _load(args.file, Dfa, Presentation)
-    if isinstance(x, Presentation):
-        result, cert = minimize_presentation(x)
-    else:
-        result, lmap = minimize(x)
-        cert = SimCertificate(lmap)
-    _emit(io.to_payload(result))
-    if args.certify:
-        with open(args.certify, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps(cert))
-    return EXIT_OK
+cmd_minimize = cmd_determinize
 
 
 def cmd_prune(args) -> int:
-    x = _load(args.file, Nfa, Presentation)
-    if isinstance(x, Presentation):
+    kind, x = _load_tagged(args.file, "nfa", "dfa", "presentation")
+    if kind == "presentation":
         op = {"fwd": forward_prune, "bwd": backward_prune, "full": prune}[args.mode]
         _emit(io.to_payload(op(x)))
         return EXIT_OK
@@ -178,46 +181,44 @@ def cmd_prune(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    x = _load(args.file, Presentation)
+    x = _load(args.file, "presentation")
     _emit(io.to_payload(canonical_form(x)))
     return EXIT_OK
 
 
+# The kinds each check-sim route reads (``--infinite`` or not), each with its
+# conversion to the machine the route's check takes.
+SIM_INPUTS = {
+    False: {"transducer": lambda t: t, "nfa": lambda n: nfa_to_transducer(n),
+            "dfa": lambda n: nfa_to_transducer(n)},
+    True: {"presentation": lambda p: p, "ztransducer": lambda z: presentation_of_ztransducer(z)},
+}
+
+
 def cmd_check_sim(args) -> int:
-    cert = _load(args.cert, SimCertificate)
+    cert = _load(args.cert, "certificate")
     if args.mode:
         cert = SimCertificate(cert.s, args.mode)
-    if args.infinite:
-        m1 = _load(args.m1, Presentation, ZTransducer)
-        m2 = _load(args.m2, Presentation, ZTransducer)
-        if isinstance(m1, ZTransducer):
-            m1 = presentation_of_ztransducer(m1)
-        if isinstance(m2, ZTransducer):
-            m2 = presentation_of_ztransducer(m2)
-        report = check_inf(m1, m2, cert)
-    else:
-        m1 = _load(args.m1, Transducer, Nfa)
-        m2 = _load(args.m2, Transducer, Nfa)
-        if isinstance(m1, Nfa):
-            m1 = nfa_to_transducer(m1)
-        if isinstance(m2, Nfa):
-            m2 = nfa_to_transducer(m2)
-        report = check_fin(m1, m2, cert)
+    convert = SIM_INPUTS[args.infinite]
+
+    def machine(path):
+        kind, x = _load_tagged(path, *convert)
+        return convert[kind](x)
+
+    m1, m2 = machine(args.m1), machine(args.m2)
+    report = (check_inf if args.infinite else check_fin)(m1, m2, cert)
     _emit(io.report_payload(report))
     return EXIT_OK if report.ok else EXIT_DIFFER
 
 
 def cmd_normalize(args) -> int:
-    kind, x = _load_tagged(args.file, *DIAGRAM_NODES)
-    if kind == "zdiagram":
-        _emit(io.to_payload(z_normal_form(x)))
-    else:
-        _emit(io.to_payload(normal_form(x)))
+    kind, x = _load_tagged(args.file, "diagram", "zdiagram")
+    _emit(io.to_payload(z_normal_form(x) if kind == "zdiagram" else normal_form(x)))
     return EXIT_OK
 
 
 def cmd_factors(args) -> int:
-    p = _load(args.file, Presentation)
+    p = _load(args.file, "presentation")
     words = factors_upto(p, args.max_len)
     idx = p.alphabet.index
     ordered = sorted(words, key=lambda w: (len(w), tuple(map(idx, w))))
@@ -226,7 +227,7 @@ def cmd_factors(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    p = _load(args.file, Presentation)
+    p = _load(args.file, "presentation")
     member = periodic_membership(p, _split_word(args.word))
     return _verdict("pass" if member else "fail")
 

@@ -35,7 +35,6 @@ from .relcore import (
     is_unit,
     obj,
     pack_obj,
-    pack_rel,
     pack_tuple,
     pair_symbol,
     product_alphabet,
@@ -203,11 +202,11 @@ def _collapse(d: Diagram, loop: type) -> tuple[Transducer, Obj, Obj]:
     one with empty label sets."""
     match d:
         case Box(rel=r):
-            return lift_transducer(pack_rel(r)), r.dom, r.cod
+            return lift_transducer(r), r.dom, r.cod
         case Id(o=o):
-            return lift_transducer(pack_rel(identity(o))), o, o
+            return lift_transducer(identity(o)), o, o
         case Swap(a=a, b=b):
-            return lift_transducer(pack_rel(swap_rel(a, b))), obj(a, b), obj(b, a)
+            return lift_transducer(swap_rel(a, b)), obj(a, b), obj(b, a)
         case Seq(first=f, second=s):
             tf, df, cf = _collapse(f, loop)
             ts, ds, cs = _collapse(s, loop)

@@ -1,9 +1,10 @@
-"""Graphviz DOT rendering for machines and diagram terms."""
+"""Graphviz DOT rendering for machines and diagram terms, by kind tag."""
 
 from __future__ import annotations
 
 from .automata import Nfa
 from .diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap
+from .io import kind_of
 from .relcore import MachineError
 from .sofic import Presentation, ZTransducer
 from .transducer import Transducer
@@ -103,15 +104,15 @@ def dot_diagram(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+RENDERERS = {
+    "nfa": dot_nfa, "dfa": dot_nfa, "transducer": dot_transducer,
+    "ztransducer": dot_ztransducer, "presentation": dot_presentation,
+    "diagram": dot_diagram, "zdiagram": dot_diagram,
+}
+
+
 def to_dot(x) -> str:
-    if isinstance(x, Nfa):
-        return dot_nfa(x)
-    if isinstance(x, Transducer):
-        return dot_transducer(x)
-    if isinstance(x, ZTransducer):
-        return dot_ztransducer(x)
-    if isinstance(x, Presentation):
-        return dot_presentation(x)
-    if isinstance(x, (Box, Id, Swap, Seq, Par, Feedback, FeedbackZ)):
-        return dot_diagram(x)
-    raise MachineError(f"no DOT rendering for {type(x).__name__}")
+    kind = kind_of(x)
+    if kind not in RENDERERS:
+        raise MachineError(f"no DOT rendering for {kind}")
+    return RENDERERS[kind](x)

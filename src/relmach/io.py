@@ -1,10 +1,12 @@
 """JSON interchange for every machine kind.
 
-Each file is a single JSON document with a top-level ``kind`` tag.  Output
-is canonical: object keys are sorted, words are arrays of symbol names,
-and every array of symbols, pairs, or transitions is sorted in the
-canonical order of its alphabets, so serialization is deterministic and
-round-trip stable.  Reading a document that is not JSON, or whose
+Each file is a single JSON document with a top-level ``kind`` tag.
+``KINDS`` maps each tag to its class, payload function and parser, and
+``kind_of`` gives a value's tag; the CLI and the DOT renderer dispatch on
+tags.  Output is canonical: object keys are sorted, words are arrays of
+symbol names, and every array of symbols, pairs, or transitions is sorted
+in the canonical order of its alphabets, so serialization is deterministic
+and round-trip stable.  Reading a document that is not JSON, or whose
 structure does not fit its kind, raises ``MachineError``; so does one
 nested too deeply to decode or parse, a depth limit that follows Python's
 recursion limit (``sys.getrecursionlimit``).
@@ -13,6 +15,7 @@ recursion limit (``sys.getrecursionlimit``).
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
 from .diagram import Box, Diagram, EquivCertificate, Feedback, FeedbackZ, Id, Par, Seq, Swap, \
@@ -21,12 +24,6 @@ from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
 from .transducer import QuadMachine, Transducer, UniformRelationSample, transducer
-
-KINDS = (
-    "alphabet", "relation", "transducer", "nfa", "dfa",
-    "presentation", "ztransducer", "diagram", "zdiagram", "certificate",
-)
-
 
 def _alphabet_payload(a: Alphabet) -> dict:
     return {"name": a.name, "elements": list(a.elements)}
@@ -89,7 +86,7 @@ def _nfa_payload(n: Nfa) -> dict:
     }
 
 
-def _parse_nfa(p: dict, cls=Nfa) -> Nfa:
+def _parse_nfa(p: dict, cls: type) -> Nfa:
     return cls(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
         (tuple(t) for t in p["trans"]), p["initial"], p["final"],
@@ -185,60 +182,76 @@ def report_payload(r: SimReport) -> dict:
     return out
 
 
+def _chain_payload(c: EquivCertificate) -> dict:
+    sides = {side: {"contains": to_payload(p.contains), "follow": to_payload(p.follow)}
+             for side, p in (("left", c.left), ("right", c.right))}
+    return {**sides, "iso": to_payload(c.iso)}
+
+
+def _term_document(d: Diagram) -> dict:
+    return {"term": _term_payload(d)}
+
+
+def _parse_term_without(node: type, message: str):
+    """The parser of a diagram kind whose terms have no ``node``."""
+    def parse(p: dict) -> Diagram:
+        term = _parse_term(p["term"])
+        if _contains_node(term, node):
+            raise MachineError(message)
+        return term
+    return parse
+
+
+class Kind(NamedTuple):
+    cls: type
+    payload: Callable  # a value's fields
+    parse: Callable | None  # a value from its document; None: written, never read
+
+
+KINDS = {
+    "alphabet": Kind(Alphabet, _alphabet_payload, _parse_alphabet),
+    "relation": Kind(Rel, _rel_payload, _parse_rel),
+    "transducer": Kind(Transducer, _transducer_payload,
+                       lambda p: transducer(*_parse_quads(p), p["initial"], p["final"])),
+    "nfa": Kind(Nfa, _nfa_payload, lambda p: _parse_nfa(p, Nfa)),
+    "dfa": Kind(Dfa, _nfa_payload, lambda p: _parse_nfa(p, Dfa)),
+    "presentation": Kind(Presentation, _presentation_payload, _parse_presentation),
+    "ztransducer": Kind(ZTransducer, _quads_payload, lambda p: ztransducer(*_parse_quads(p))),
+    "diagram": Kind(Diagram, _term_document,
+                    _parse_term_without(FeedbackZ, "diagram contains unlabelled feedback")),
+    "zdiagram": Kind(Diagram, _term_document,
+                     _parse_term_without(Feedback, "zdiagram contains labelled feedback")),
+    "certificate": Kind(SimCertificate, _certificate_payload, _parse_certificate),
+    "certificate-chain": Kind(EquivCertificate, _chain_payload, None),
+}
+
+# Each class's tag, looked up by exact type, so a Dfa is no nfa; the node
+# classes of a term map to ``diagram``, and ``kind_of`` looks for feedback.
+_TAG = {cls: tag for tag, kind in KINDS.items() if tag != "zdiagram"
+        for cls in get_args(kind.cls) or (kind.cls,)}
+
+
+def kind_of(x) -> str:
+    """The ``kind`` tag of a value; a term with unlabelled feedback is a ``zdiagram``."""
+    tag = _TAG.get(type(x))
+    if tag is None:
+        raise MachineError(f"{type(x).__name__} is no machine kind")
+    if tag == "diagram" and _contains_node(x, FeedbackZ):
+        return "zdiagram"
+    return tag
+
+
 def to_payload(x) -> dict:
-    if isinstance(x, Alphabet):
-        return {"kind": "alphabet", **_alphabet_payload(x)}
-    if isinstance(x, Rel):
-        return {"kind": "relation", **_rel_payload(x)}
-    if isinstance(x, Transducer):
-        return {"kind": "transducer", **_transducer_payload(x)}
-    if isinstance(x, Dfa):
-        return {"kind": "dfa", **_nfa_payload(x)}
-    if isinstance(x, Nfa):
-        return {"kind": "nfa", **_nfa_payload(x)}
-    if isinstance(x, Presentation):
-        return {"kind": "presentation", **_presentation_payload(x)}
-    if isinstance(x, ZTransducer):
-        return {"kind": "ztransducer", **_quads_payload(x)}
-    if isinstance(x, SimCertificate):
-        return {"kind": "certificate", **_certificate_payload(x)}
-    if isinstance(x, EquivCertificate):
-        sides = {side: {"contains": to_payload(p.contains), "follow": to_payload(p.follow)}
-                 for side, p in (("left", x.left), ("right", x.right))}
-        return {"kind": "certificate-chain", **sides, "iso": to_payload(x.iso)}
-    if isinstance(x, (Box, Id, Swap, Seq, Par, Feedback, FeedbackZ)):
-        kind = "zdiagram" if _contains_node(x, FeedbackZ) else "diagram"
-        return {"kind": kind, "term": _term_payload(x)}
-    raise MachineError(f"cannot serialize {type(x).__name__}")
+    tag = kind_of(x)
+    return {"kind": tag, **KINDS[tag].payload(x)}
 
 
 def _parse(p: dict):
-    kind = p.get("kind")
-    if kind == "alphabet":
-        return _parse_alphabet(p)
-    if kind == "relation":
-        return _parse_rel(p)
-    if kind == "transducer":
-        return transducer(*_parse_quads(p), p["initial"], p["final"])
-    if kind == "nfa":
-        return _parse_nfa(p, Nfa)
-    if kind == "dfa":
-        return _parse_nfa(p, Dfa)
-    if kind == "presentation":
-        return _parse_presentation(p)
-    if kind == "ztransducer":
-        return ztransducer(*_parse_quads(p))
-    if kind in ("diagram", "zdiagram"):
-        term = _parse_term(p["term"])
-        has_z = _contains_node(term, FeedbackZ)
-        if kind == "zdiagram" and _contains_node(term, Feedback):
-            raise MachineError("zdiagram contains labelled feedback")
-        if kind == "diagram" and has_z:
-            raise MachineError("diagram contains unlabelled feedback")
-        return term
-    if kind == "certificate":
-        return _parse_certificate(p)
-    raise MachineError(f"unknown kind {kind!r}")
+    tag = p.get("kind")
+    kind = KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None or kind.parse is None:
+        raise MachineError(f"unknown kind {tag!r}")
+    return kind.parse(p)
 
 
 def from_payload(p: dict):

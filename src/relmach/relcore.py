@@ -326,9 +326,9 @@ def subset_as_copoint(a: Alphabet, symbols: Iterable[str]) -> Rel:
                frozenset((((x,) if source.flat else ()), ()) for x in chosen))
 
 
-def material(a: Alphabet, name: str = "Q") -> Alphabet:
+def material(a: Alphabet) -> Alphabet:
     """A copy of ``a`` that is never the unit, for use as a state space."""
-    return Alphabet(name, a.elements) if is_unit(a) else a
+    return Alphabet("Q", a.elements) if is_unit(a) else a
 
 
 def tuple_symbol(t: tuple[str, ...]) -> str:

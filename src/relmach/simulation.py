@@ -85,7 +85,8 @@ def _check_typed(s: Rel, q1: Alphabet, q2: Alphabet) -> None:
 
 def _parts(alphabet: Alphabet) -> dict[str, tuple]:
     """The tuple component each letter gives: ``(a,)``, or ``()`` for the
-    letter of the unit alphabet."""
+    letter of the unit alphabet.  Both machines' rows are read by machine 1's
+    alphabets, so a unit alphabet and its one-element namesake read alike."""
     return {a: () if is_unit(alphabet) else (a,) for a in alphabet.elements}
 
 
@@ -108,11 +109,9 @@ def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport
         raise TypeMismatch("machines do not share input/output alphabets")
     s = cert.s
     _check_typed(s, m1.states, m2.states)
-    if is_unit(m1.output) != is_unit(m2.output):
-        raise TypeMismatch("machines differ in whether their output alphabet is the unit")
+    a, b = _parts(m1.input), _parts(m1.output)
 
     def rows(m):
-        a, b = _parts(m.input), _parts(m.output)
         return [(a[x], q, b[y], q2) for x, q, y, q2 in m.trans]
 
     def conditions():  # name, both sides, and the length of a pair's codomain tuple
@@ -138,9 +137,9 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
         raise TypeMismatch("presentations do not share an alphabet")
     s = cert.s
     _check_typed(s, p1.states, p2.states)
+    a = _parts(p1.alphabet)
 
     def rows(p):
-        a = _parts(p.alphabet)
         return [(a[x], q, (), q2) for q, x, q2 in p.trans]
 
     ok, witness = _holds(*_intertwining(s, rows(p1), rows(p2)), cert.mode, 1)

@@ -12,7 +12,10 @@ every state initial and final (``factor_language``), which
 
 The canonical form takes the same steps and names what it emits: pruning
 is ``long_path_states``, the subset construction ``subsets`` (rooted at
-the full state set, without the empty subset), merging ``quotient``.
+the full state set, without the empty subset), merging ``quotient``.  The
+public determinize and minimize steps check their preconditions on every
+call; the canonical form meets them by construction.  A periodic point is
+a cycle of the graph of reading one word: ``long_path_states`` again.
 
 Costs, for n states, m transitions and k letters: pruning peels states
 with no kept successor, then no kept predecessor, in O(n + m), leaving the
@@ -154,7 +157,7 @@ def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[int, str]]
     return Presentation(p.alphabet, states, trans, name[start]), name
 
 
-def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Presentation, SimCertificate]:
+def determinize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
     """Subset construction rooted at the full state set.
 
     Requires a pruned presentation of a non-empty subshift; the empty
@@ -164,31 +167,27 @@ def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Pr
     """
     if p.is_empty():
         raise MachineError("cannot determinize the empty presentation")
-    if validate and not is_language_pruned(p):
+    if not is_language_pruned(p):
         raise MachineError("determinization requires a pruned presentation")
     det, name = _subset_presentation(p)
     return det, SimCertificate(membership(det.states, p.states, name), TWO_SIDED)
 
 
-def minimize_presentation(p: Presentation, root: str | None = None,
-                          validate: bool = True) -> tuple[Presentation, SimCertificate]:
+def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
     """Merge states with equal follow languages; keep the root's class.
 
-    The input must be pruned, right-resolving, and rooted.  The result is
-    the canonical presentation of the subshift; the certificate is the
+    The input must be pruned, right-resolving, and rooted; its root is
+    ``find_root``'s, ``p.root`` when that is a root.  The result is the
+    canonical presentation of the subshift; the certificate is the
     follow-language relation, two-sided for the pair (minimized, input).
     """
-    if validate:
-        if not is_right_resolving(p):
-            raise MachineError("minimization requires a right-resolving presentation")
-        if not is_language_pruned(p):
-            raise MachineError("minimization requires a pruned presentation")
+    if not is_right_resolving(p):
+        raise MachineError("minimization requires a right-resolving presentation")
+    if not is_language_pruned(p):
+        raise MachineError("minimization requires a pruned presentation")
+    root = find_root(p)
     if root is None:
-        root = find_root(p)
-        if root is None:
-            raise MachineError("minimization requires a rooted presentation")
-    elif validate and not is_root(p, root):
-        raise MachineError(f"state {root!r} is not a root")
+        raise MachineError("minimization requires a rooted presentation")
     minp, name = _minimal_presentation(p, root)
     return minp, SimCertificate(class_relation(p.states, minp.states, name), TWO_SIDED)
 
@@ -229,29 +228,21 @@ def factors_upto(p: Presentation, k: int) -> set[Word]:
 
 def periodic_membership(p: Presentation, word) -> bool:
     """Whether the periodic bi-infinite repetition of ``word`` is in the
-    subshift: some power of the word labels a cycle of the pruned graph."""
+    subshift: whether some pruned state starts an infinite path in the
+    graph linking each state to those that reading the word once leads to."""
     word = tuple(word)
     if not word:
         raise MachineError("periodic membership needs a non-empty word")
     pruned = prune(p)
     for a in word:
         pruned.alphabet.index(a)
-    states = pruned.states.elements
     step = successor_map(pruned)
 
-    def word_image(srcs: set[str]) -> set[str]:
-        cur = srcs
+    def word_image(q: str) -> set[str]:
+        cur = {q}
         for a in word:
-            cur = {q2 for q in cur for q2 in step[q].get(a, ())}
-            if not cur:
-                return set()
+            cur = {q2 for r in cur for q2 in step[r].get(a, ())}
         return cur
 
-    # relation "reachable by reading word once", iterated up to card(states)
-    reach_one = {q: word_image({q}) for q in states}
-    current = {q: {q} for q in states}
-    for _ in range(max(1, len(states))):
-        current = {q: {r2 for r in current[q] for r2 in reach_one[r]} for q in states}
-        if any(q in current[q] for q in states):
-            return True
-    return False
+    states = pruned.states.elements
+    return bool(long_path_states(states, {q: word_image(q) for q in states}))

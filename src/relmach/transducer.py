@@ -25,6 +25,8 @@ from .relcore import (
     TypeMismatch,
     check_rows,
     is_unit,
+    pack_obj,
+    pack_tuple,
     pair_symbol,
     product_alphabet,
     unpair_symbol,
@@ -213,19 +215,11 @@ def product_transducers(t1: Transducer, t2: Transducer) -> Transducer:
 
 
 def lift_transducer(r: Rel) -> Transducer:
-    """One-state transducer whose behavior is the letterwise lift of ``r``."""
-    dflat = r.dom.flat
-    cflat = r.cod.flat
-    if len(dflat) > 1 or len(cflat) > 1:
-        raise TypeMismatch("lift_transducer expects single-wire domain and codomain")
-    input = dflat[0] if dflat else UNIT
-    output = cflat[0] if cflat else UNIT
+    """One-state transducer whose behavior is the letterwise lift of ``r``,
+    over its domain and codomain bundles each packed into one alphabet."""
     star = UNIT.elements[0]
-    quads = {
-        (x[0] if x else star, star, y[0] if y else star, star)
-        for x, y in r.pairs
-    }
-    return transducer(input, output, UNIT, quads, {star}, {star})
+    quads = {(pack_tuple(r.dom, x), star, pack_tuple(r.cod, y), star) for x, y in r.pairs}
+    return transducer(pack_obj(r.dom), pack_obj(r.cod), UNIT, quads, {star}, {star})
 
 
 def to_automaton(t: Transducer) -> Transducer:

@@ -44,6 +44,10 @@ compared the pairs of the two relations.
 
 So is the canonical pair order that called ``Alphabet.index`` per symbol
 through a generator (``sorted_pairs``, ``_tuple_key``).
+
+So is the periodic-point test that composed the "read the word once"
+relation with itself up to card(states) times (``periodic_membership``);
+its ``prune`` resolves to the oracle above.
 """
 
 from __future__ import annotations
@@ -802,3 +806,33 @@ def sorted_pairs(r: Rel) -> list:
 def _tuple_key(o):
     flat = o.flat
     return lambda t: tuple(w.index(s) for s, w in zip(t, flat))
+
+
+def periodic_membership(p: Presentation, word) -> bool:
+    """Whether the periodic bi-infinite repetition of ``word`` is in the
+    subshift: some power of the word labels a cycle of the pruned graph."""
+    word = tuple(word)
+    if not word:
+        raise MachineError("periodic membership needs a non-empty word")
+    pruned = prune(p)
+    for a in word:
+        pruned.alphabet.index(a)
+    states = pruned.states.elements
+    step = successor_map(pruned)
+
+    def word_image(srcs: set[str]) -> set[str]:
+        cur = srcs
+        for a in word:
+            cur = {q2 for q in cur for q2 in step[q].get(a, ())}
+            if not cur:
+                return set()
+        return cur
+
+    # relation "reachable by reading word once", iterated up to card(states)
+    reach_one = {q: word_image({q}) for q in states}
+    current = {q: {q} for q in states}
+    for _ in range(max(1, len(states))):
+        current = {q: {r2 for r in current[q] for r2 in reach_one[r]} for q in states}
+        if any(q in current[q] for q in states):
+            return True
+    return False

@@ -184,12 +184,12 @@ def test_criterion_7_golden_mean_canonical():
     # follow-language oracle fixes the expected state merge
     oracle = {q: _follow_words(det, q, 6) for q in det.states.elements}
     assert oracle["{0}"] == oracle["{0,1}"] != oracle["{1}"]
-    minp, _ = minimize_presentation(det, det.root)
+    minp, _ = minimize_presentation(det)
     assert len(minp.states) == 2
     root_class = minp.root
     assert minp.root is not None
     # the root is the class that contains the old root {0,1}
-    _, cert = minimize_presentation(det, det.root)
+    _, cert = minimize_presentation(det)
     assert cert.s.image(("{0,1}",)) == {(root_class,)}
     bigger = presentation(Ab, Alphabet("Q", ("0", "1", "2")), {
         ("0", "a", "0"), ("0", "b", "1"), ("1", "a", "0"),
@@ -226,9 +226,9 @@ def test_criterion_9_infinite_certificates():
         p = prune(p)
         if p.is_empty():
             continue
-        det, cert = determinize_presentation(p, validate=False)
+        det, cert = determinize_presentation(p)
         assert check_inf(p, det, cert).ok
-        minp, cert2 = minimize_presentation(det, det.root, validate=False)
+        minp, cert2 = minimize_presentation(det)
         assert check_inf(minp, det, cert2).ok
     # soundness: a passing two-sided check forces equal subshifts; the pair
     # corpus mixes canonically certified pairs with random relations
@@ -236,7 +236,7 @@ def test_criterion_9_infinite_certificates():
     for k in range(200):
         p1 = prune(random_presentation(rng, max_states=4))
         if k % 3 == 0 and not p1.is_empty():
-            p2, cert = determinize_presentation(p1, validate=False)
+            p2, cert = determinize_presentation(p1)
         else:
             p2 = prune(random_presentation(rng, max_states=4, alphabet=p1.alphabet))
             s = random_rel(rng, obj(p2.states), obj(p1.states),

@@ -12,7 +12,7 @@ from relmach.automata import Dfa, _backward_edges, _forward_edges, determinize, 
     long_path_states, minimize, nfa, prune_language, refine
 from relmach.relcore import Alphabet, MachineError
 from relmach.sofic import backward_prune, determinize_presentation, forward_prune, \
-    minimize_presentation, presentation, prune
+    minimize_presentation, periodic_membership, presentation, prune
 
 LETTERS = ("a", "b", "c")
 
@@ -85,8 +85,8 @@ def check_presentation(p):
     assert long_path_states(p.states.elements, _backward_edges(p)) == seed._long_path_enders(p)
     pruned = prune(p)
     if not pruned.is_empty():
-        det, _ = determinize_presentation(pruned, validate=False)
-        assert outcome(minimize_presentation, det, det.root, False) == \
+        det, _ = determinize_presentation(pruned)
+        assert outcome(minimize_presentation, det) == \
             outcome(seed.minimize_presentation, det, det.root, False)
 
 
@@ -105,6 +105,22 @@ def test_prunes_and_canonical_steps_match_oracle(graph):
 def test_minimize_presentation_matches_oracle_with_validation(graph):
     p = presentation(*graph)
     assert outcome(minimize_presentation, p) == outcome(seed.minimize_presentation, p)
+
+
+@given(graphs(), st.lists(st.sampled_from(LETTERS), max_size=3))
+def test_periodic_membership_matches_oracle(graph, word):
+    """The cycle test on the word graph (``long_path_states``) decides as
+    the oracle's iterated composition; a letter outside the alphabet and
+    the empty word are errors in both."""
+    p = presentation(*graph)
+
+    def verdict(fn):
+        try:
+            return fn(p, word)
+        except MachineError as e:
+            return type(e), str(e)
+
+    assert verdict(periodic_membership) == verdict(seed.periodic_membership)
 
 
 @given(partial_dfas())

@@ -272,6 +272,76 @@ def test_equiv_kind_pair_matrix(tmp_path, capsys):
             assert err == f"error: cannot compare kinds {tag[name1]} and {tag[name2]}\n"
 
 
+# Every command but equiv (see COMPARABLE), its arguments with "{}" for the
+# kind file (a file name such as "nfa" stands for that file of
+# ``kind_files``), and the tags it reads, in the order its refusal names them,
+# each with the exit code it gives on ``kind_files``.  A file of any other
+# kind exits 2 with "expected kind <tags>, got <tag>" and prints nothing.
+COMMAND_KINDS = [
+    (["behavior", "{}", "--max-len", "2"], {"transducer": 0, "diagram": 0, "zdiagram": 2}),
+    (["determinize", "{}"], {"nfa": 0, "dfa": 0, "presentation": 0}),
+    (["minimize", "{}"], {"dfa": 0, "presentation": 0}),
+    (["prune", "{}"], {"nfa": 0, "dfa": 0, "presentation": 0}),
+    (["canonical", "{}"], {"presentation": 0}),
+    # the certificate relates two states q0, so it fits only the machines over Q2
+    (["check-sim", "{}", "{}", "certificate"], {"transducer": 2, "nfa": 1, "dfa": 2}),
+    (["check-sim", "{}", "{}", "certificate", "--infinite"], {"presentation": 1, "ztransducer": 1}),
+    (["check-sim", "nfa", "nfa", "{}"], {"certificate": 1}),
+    (["check-sim", "presentation", "presentation", "{}", "--infinite"], {"certificate": 1}),
+    (["normalize", "{}"], {"diagram": 0, "zdiagram": 0}),
+    (["factors", "{}", "--max-len", "2"], {"presentation": 0}),
+    (["periodic", "{}", "a"], {"presentation": 0}),
+]
+
+
+def test_every_command_reads_exactly_its_kinds(tmp_path, capsys):
+    files = kind_files(tmp_path)
+    tag = {name: io.load_tagged(path)[0] for name, path in files.items()}
+    for template, accepted in COMMAND_KINDS:
+        for name, path in files.items():
+            argv = [path if a == "{}" else files.get(a, a) for a in template]
+            code, out, err = run(capsys, *argv)
+            if tag[name] in accepted:
+                assert code == accepted[tag[name]], argv
+                assert (out == "") == (code == 2), argv
+            else:
+                expected = f"error: {path}: expected kind {'/'.join(accepted)}, got {tag[name]}\n"
+                assert (code, out, err) == (2, "", expected), argv
+    for name, path in files.items():
+        code, out, err = run(capsys, "export-dot", path)
+        if tag[name] in ("alphabet", "relation", "certificate"):
+            assert (code, out, err) == (2, "", f"error: no DOT rendering for {tag[name]}\n")
+        else:
+            assert code == 0 and out.startswith("digraph {") and err == ""
+
+
+def test_minimize_certify_needs_every_state_accessible(tmp_path, capsys):
+    """The CLI certifies a minimization as the library does: a DFA with an
+    unreachable state is minimized, but gets no certificate."""
+    d = write(tmp_path, "d.json", automata.Dfa(
+        Ab, Alphabet("Q", ("p", "q", "r")),
+        frozenset({("p", "a", "p"), ("p", "b", "p"), ("r", "a", "p")}),
+        frozenset({"p"}), frozenset({"p"})))
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "minimize", d, "--certify", str(cert)) == \
+        (2, "", "error: minimization certificate requires every state accessible\n")
+    assert not cert.exists()
+    code, out, err = run(capsys, "minimize", d)
+    assert (code, err) == (0, "") and json.loads(out)["states"]["elements"] == ["p"]
+
+
+def test_check_sim_reads_a_unit_alphabet_and_its_namesake_alike(tmp_path, capsys):
+    """Two one-state NFAs with a ``*`` loop, over the unit alphabet and over
+    a one-element namesake of it, simulate each other by the identity."""
+    Q = Alphabet("Q", ("p",))
+    loops = [write(tmp_path, f"{a.name}.json", nfa(a, Q, {("p", "*", "p")}, {"p"}, {"p"}))
+             for a in (UNIT, Alphabet("U", ("*",)))]
+    ident = write(tmp_path, "id.json", SimCertificate(rel(obj(Q), obj(Q), {(("p",), ("p",))})))
+    for m1, m2 in (loops, loops[::-1]):
+        code, out, _ = run(capsys, "check-sim", m1, m2, ident)
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_chain_is_built_only_for_certify_on_equal_diagrams(tmp_path, capsys, monkeypatch):
     d = Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL))
     ident = Box(rel(obj(Aa), obj(Aa), {(("a",), ("a",))}))

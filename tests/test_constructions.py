@@ -64,7 +64,7 @@ def test_determinize_presentation_matches_oracle(graph):
     p = presentation(*graph)
     assert outcome(determinize_presentation, p) == outcome(seed.determinize_presentation, p)
     pruned = prune(p)
-    assert outcome(determinize_presentation, pruned, False) == \
+    assert outcome(determinize_presentation, pruned) == \
         outcome(seed.determinize_presentation, pruned, False)
 
 
@@ -124,8 +124,8 @@ def test_subset_names_are_only_needed_for_output():
 def test_empty_subset_is_dropped_by_set_not_name():
     # {""} is a real subset named "{}", like the empty subset it sits beside.
     p = presentation(A, Alphabet("Q", ("", "q")), {("", "x", ""), ("q", "x", "")})
-    assert outcome(determinize_presentation, p, False) == outcome(seed.determinize_presentation, p, False)
-    det, _ = determinize_presentation(p, False)
+    assert outcome(determinize_presentation, p) == outcome(seed.determinize_presentation, p, False)
+    det, _ = determinize_presentation(p)
     assert det.states.elements == ("{,q}", "{}")
     n = p.as_nfa()
     assert outcome(determinize, n) == outcome(seed.determinize, n)
@@ -253,5 +253,5 @@ def test_emitted_machines_match_oracle(nfas, presentations):
     for p in presentations:
         assert outcome(canonical_form, p) == outcome(seed.canonical_form, p)
         pruned = prune(p)
-        assert outcome(determinize_presentation, pruned, False) == \
+        assert outcome(determinize_presentation, pruned) == \
             outcome(seed.determinize_presentation, pruned, False)

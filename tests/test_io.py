@@ -77,6 +77,20 @@ def test_dot_outputs():
         to_dot(object())
 
 
+def test_kind_of_is_the_tag_a_value_is_written_under():
+    from test_cli import fixture_corpus
+    for x in fixture_corpus():
+        assert io.kind_of(x) == io.to_payload(x)["kind"]
+        assert isinstance(x, io.KINDS[io.kind_of(x)].cls)
+    d = Dfa(Ab, Q2, frozenset(), frozenset(), frozenset())
+    assert io.kind_of(d) == "dfa" and io.kind_of(io.loads(io.dumps(d))) == "dfa"
+    assert io.kind_of(Seq(Box(SWAP_REL), FeedbackZ(Q2, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
+    with pytest.raises(MachineError, match="no machine kind"):
+        io.kind_of(object())
+    with pytest.raises(MachineError, match="unknown kind 'certificate-chain'"):
+        io.from_payload({"kind": "certificate-chain"})
+
+
 def test_dfa_round_trip_keeps_class():
     d = Dfa(Ab, Q2, frozenset({("q0", "a", "q1")}), frozenset({"q0"}), frozenset({"q1"}))
     assert isinstance(io.loads(io.dumps(d)), Dfa)

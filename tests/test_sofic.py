@@ -123,7 +123,7 @@ def test_determinize_rejects_empty_and_unpruned():
 
 def test_minimize_golden_mean():
     det, _ = determinize_presentation(golden_mean())
-    minp, cert = minimize_presentation(det, det.root)
+    minp, cert = minimize_presentation(det)
     assert len(minp.states) == 2
     assert minp.root == minp.states.elements[0]  # class of the old root
     # the {0} and {0,1} subsets share a follow language
@@ -288,7 +288,7 @@ def test_inf_certificates_on_random_presentations():
         p = prune(random_presentation(rng))
         if p.is_empty():
             continue
-        det, cert = determinize_presentation(p, validate=False)
+        det, cert = determinize_presentation(p)
         assert check_inf(p, det, cert).ok
-        minp, cert2 = minimize_presentation(det, det.root, validate=False)
+        minp, cert2 = minimize_presentation(det)
         assert check_inf(minp, det, cert2).ok

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED
 from genrand import random_transducer
-from relmach.relcore import Alphabet, MachineError, TypeMismatch, compose, obj, rel, rel_equals
+from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, compose, obj, pack_rel, rel, \
+    rel_equals
 from relmach.transducer import (
     UniformRelationSample,
     behavior_upto,
@@ -156,6 +157,15 @@ def test_lift_transducer_edges():
     ident = lift_transducer(rel(obj(A), obj(A), {(("a",), ("a",)), (("b",), ("b",))}))
     assert behavior_upto(ident, 3).pairs == lift_sample(
         rel(obj(A), obj(A), {(("a",), ("a",)), (("b",), ("b",))}), 3).pairs
+
+
+def test_lift_transducer_packs_bundles_as_pack_rel_does():
+    """A relation between bundles lifts to the machine of its packed
+    relation: two wires to one, no wire to one, and the unit wire."""
+    for dom, cod in ((obj(A, Aa), obj(A)), (obj(), obj(A, A)), (obj(UNIT, A), obj(Aa, UNIT))):
+        space = [(x, y) for x in dom.tuples() for y in cod.tuples()]
+        for r in (rel(dom, cod, set()), rel(dom, cod, space), rel(dom, cod, space[::2])):
+            assert lift_transducer(r) == lift_transducer(pack_rel(r))
 
 
 def test_to_automaton_swap():
