@@ -266,19 +266,6 @@ def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
     return name, classes, trans
 
 
-def trim(n: Nfa) -> Nfa:
-    """Keep only states lying on some path from an initial to a final state."""
-    live = _reachable(n.states, _forward_edges(n), n.initial) & \
-        _reachable(n.states, _backward_edges(n), n.final)
-    kept = tuple(q for q in n.states.elements if q in live)
-    states = Alphabet(n.states.name, kept)
-    return nfa(
-        n.alphabet, states,
-        {(q, a, q2) for q, a, q2 in n.trans if q in live and q2 in live},
-        n.initial & live, n.final & live,
-    )
-
-
 def mask_of(states: Alphabet, subset) -> int:
     """The bitmask over the positions of ``states`` of a set of states."""
     return sum([1 << states.index(q) for q in subset])
@@ -466,14 +453,6 @@ def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
         raise TypeMismatch("cannot compare automata over different alphabets")
     return same_words(n1, mask_of(n1.states, n1.initial), mask_of(n1.states, n1.final),
                       n2, mask_of(n2.states, n2.initial), mask_of(n2.states, n2.final))
-
-
-def factor_closure(n: Nfa) -> Nfa:
-    """Automaton for all factors of accepted words: trim, then make every
-    remaining state both initial and final."""
-    t = trim(n)
-    everything = frozenset(t.states.elements)
-    return nfa(t.alphabet, t.states, t.trans, everything, everything)
 
 
 def prune_language(n: Nfa) -> Nfa:

@@ -64,16 +64,9 @@ def _emit(payload) -> None:
     sys.stdout.write(io.dumps(payload))
 
 
-def _verdict(status: str, detail=None) -> int:
-    payload = {"kind": "verdict", "status": status}
-    if detail is not None:
-        payload["detail"] = detail
-    _emit(payload)
-    if status in ("equal", "pass"):
-        return EXIT_OK
-    if status in ("not-equal", "fail"):
-        return EXIT_DIFFER
-    return EXIT_ERROR
+def _verdict(status: str) -> int:
+    _emit({"kind": "verdict", "status": status})
+    return EXIT_OK if status in ("equal", "pass") else EXIT_DIFFER
 
 
 def _split_word(text: str) -> tuple[str, ...]:

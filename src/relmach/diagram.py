@@ -1,16 +1,16 @@
-"""Term language of string diagrams with labelled feedback.
+"""Term language of string diagrams with feedback.
 
 Diagrams are ASTs built from relation boxes, identities, wire swaps,
-sequential and parallel composition, and a feedback operator that loops
-the last wire of a term back to its input.  In the finite-word language
-the feedback carries initial/final label sets; in the bi-infinite variant
-it carries none.
+sequential and parallel composition, and one feedback node that loops the
+last wire of a term back to its input (the paper's trace).  In the
+finite-word language the fed-back wire carries initial/final label sets;
+in the bi-infinite language it carries none (``Feedback.labelled``).
 
 Every well-typed term collapses to a quasi-normal form: a single machine
-(one relation box under one feedback), computed by structural recursion.
-Both languages share that recursion and the transducer module's
-``compose_transducers`` and ``product_transducers``; a bi-infinite term's
-machine is the finite-word one with its initial and final states dropped.
+(one relation box under one feedback), computed by one structural
+recursion over the transducer module's ``compose_transducers`` and
+``product_transducers``; a bi-infinite term's machine is the finite-word
+one with its initial and final states dropped.
 Terms of one type are equal iff their bent normal forms, NFAs
 (``acceptor``), accept the same words (``automata.nfa_equiv``).  Only when
 asked, ``equiv_chain`` builds the re-checkable certificate chain of that
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .automata import Dfa, Nfa, iso_check, nfa_equiv, transducer_to_nfa
+from .automata import Dfa, Nfa, iso_check, transducer_to_nfa
 from .relcore import (
     Alphabet,
     MachineError,
@@ -85,27 +85,26 @@ class Par:
 
 @dataclass(frozen=True)
 class Feedback:
+    """A loop over ``wire``: with label sets, a loop of the finite-word
+    language; with ``initial = final = None``, the unlabelled loop of the
+    bi-infinite language.  A ``None`` on one side only is refused."""
+
     wire: Alphabet
-    initial: frozenset[str]
-    final: frozenset[str]
+    initial: frozenset[str] | None
+    final: frozenset[str] | None
     body: "Diagram"
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", self.wire.check_subset(self.initial))
-        object.__setattr__(self, "final", self.wire.check_subset(self.final))
+        if self.labelled:
+            object.__setattr__(self, "initial", self.wire.check_subset(self.initial))
+            object.__setattr__(self, "final", self.wire.check_subset(self.final))
+
+    @property
+    def labelled(self) -> bool:
+        return self.initial is not None or self.final is not None
 
 
-@dataclass(frozen=True)
-class FeedbackZ:
-    wire: Alphabet
-    body: "Diagram"
-
-
-Diagram = Union[Box, Id, Swap, Seq, Par, Feedback, FeedbackZ]
-
-
-def _feedback_boundary(wire: Alphabet, body: Diagram) -> tuple[Obj, Obj]:
-    return _loop_boundary(wire, *type_of(body))
+Diagram = Union[Box, Id, Swap, Seq, Par, Feedback]
 
 
 def _loop_boundary(wire: Alphabet, db: Obj, cb: Obj) -> tuple[Obj, Obj]:
@@ -140,21 +139,19 @@ def type_of(d: Diagram) -> tuple[Obj, Obj]:
             dl, cl = type_of(l)
             dr, cr = type_of(r)
             return dl + dr, cl + cr
-        case Feedback(wire=w, body=b) | FeedbackZ(wire=w, body=b):
-            return _feedback_boundary(w, b)
+        case Feedback(wire=w, body=b):
+            return _loop_boundary(w, *type_of(b))
     raise MachineError(f"not a diagram: {d!r}")
 
 
-def _contains_node(d: Diagram, kind) -> bool:
+def _contains_node(d: Diagram) -> set[bool]:
+    """The kinds of feedback node a term contains: ``Feedback.labelled`` of each."""
     match d:
-        case Seq(first=f, second=s):
-            return _contains_node(f, kind) or _contains_node(s, kind)
-        case Par(left=l, right=r):
-            return _contains_node(l, kind) or _contains_node(r, kind)
-        case Feedback(body=b) | FeedbackZ(body=b):
-            return isinstance(d, kind) or _contains_node(b, kind)
-        case _:
-            return isinstance(d, kind)
+        case Seq(first=x, second=y) | Par(left=x, right=y):
+            return _contains_node(x) | _contains_node(y)
+        case Feedback(body=b):
+            return {d.labelled} | _contains_node(b)
+    return set()
 
 
 def _unpackers(o: Obj):
@@ -195,11 +192,11 @@ def _retype(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
     return transducer(input, output, t.states, quads, t.initial, t.final)
 
 
-def _collapse(d: Diagram, loop: type) -> tuple[Transducer, Obj, Obj]:
-    """The quasi-normal form of a term whose feedback nodes are all of kind
-    ``loop``, a transducer over the packed boundary alphabets, with the
-    term's domain and codomain.  An unlabelled loop folds like a labelled
-    one with empty label sets."""
+def _collapse(d: Diagram, labelled: bool) -> tuple[Transducer, Obj, Obj]:
+    """The quasi-normal form of a term whose feedback nodes are all labelled
+    or all unlabelled, as ``labelled`` says: a transducer over the packed
+    boundary alphabets, with the term's domain and codomain.  An unlabelled
+    loop folds like a labelled one with empty label sets."""
     match d:
         case Box(rel=r):
             return lift_transducer(r), r.dom, r.cod
@@ -208,46 +205,44 @@ def _collapse(d: Diagram, loop: type) -> tuple[Transducer, Obj, Obj]:
         case Swap(a=a, b=b):
             return lift_transducer(swap_rel(a, b)), obj(a, b), obj(b, a)
         case Seq(first=f, second=s):
-            tf, df, cf = _collapse(f, loop)
-            ts, ds, cs = _collapse(s, loop)
+            tf, df, cf = _collapse(f, labelled)
+            ts, ds, cs = _collapse(s, labelled)
             if cf.signature() != ds.signature():
                 raise TypeMismatch("sequential composition of incompatible terms")
             return compose_transducers(tf, ts), df, cs
         case Par(left=l, right=r):
-            tl, dl, cl = _collapse(l, loop)
-            tr, dr, cr = _collapse(r, loop)
+            tl, dl, cl = _collapse(l, labelled)
+            tr, dr, cr = _collapse(r, labelled)
             dom, cod = dl + dr, cl + cr
             return _retype(product_transducers(tl, tr), pack_obj(dom), pack_obj(cod)), dom, cod
-        case Feedback(wire=w, body=b) | FeedbackZ(wire=w, body=b) if isinstance(d, loop):
-            tb, db, cb = _collapse(b, loop)
+        case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled == labelled:
+            tb, db, cb = _collapse(b, labelled)
             dom, cod = _loop_boundary(w, db, cb)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
             input, output, quads = _fold_quads(tb.trans, db, cb, spair)
-            i, f = (d.initial, d.final) if loop is Feedback else ((), ())
             t = transducer(
                 input, output, states, quads,
-                {spair(p, q) for p in tb.initial for q in i},
-                {spair(p, q) for p in tb.final for q in f},
+                {spair(p, q) for p in tb.initial for q in i or ()},
+                {spair(p, q) for p in tb.final for q in f or ()},
             )
             return t, dom, cod
         case Feedback():
-            raise TypeMismatch("labelled feedback belongs to the finite-word language")
-        case FeedbackZ():
-            raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+            raise TypeMismatch("labelled feedback belongs to the finite-word language" if d.labelled
+                               else "unlabelled feedback belongs to the bi-infinite language")
     raise MachineError(f"not a diagram: {d!r}")
 
 
 def normal_form(d: Diagram) -> Transducer:
     """Collapse a finite-word term to its quasi-normal form: a transducer
     over the packed boundary alphabets."""
-    return _collapse(d, Feedback)[0]
+    return _collapse(d, True)[0]
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
     """Collapse a bi-infinite term to its quasi-normal form machine: the
     finite-word collapse with the initial and final states dropped."""
-    t = _collapse(d, FeedbackZ)[0]
+    t = _collapse(d, False)[0]
     return ZTransducer(t.input, t.output, t.states, t.trans)
 
 
@@ -284,7 +279,7 @@ def _denote(d: Diagram, k: int) -> WordRel:
                 for w1, v1 in lrel
                 for w2, v2 in rrel
             }
-        case Feedback(wire=w, initial=i, final=f, body=b):
+        case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled:
             shift = finite_shift_at(w, i, f, k)
             out: WordRel = set()
             for win, wout in _denote(b, k):
@@ -390,51 +385,3 @@ def equiv_chain(n1: Nfa, n2: Nfa) -> EquivCertificate:
         frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()),
     )
     return EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))
-
-
-def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
-    """Decide whether two terms denote the same uniform relation: whether
-    their acceptors accept the same words (``nfa_equiv``).  The certificate
-    chain is built, by ``equiv_chain``, only for an "equal" verdict."""
-    check_same_type(d1, d2)
-    n1, n2 = acceptor(d1), acceptor(d2)
-    if not nfa_equiv(n1, n2):
-        return False, None
-    return True, equiv_chain(n1, n2)
-
-
-# ---------------------------------------------------------------------------
-# Sliding a relation around a feedback loop.
-
-def slide(s: Rel, body: Diagram, initial, final, side: str = "left") -> tuple[Diagram, Diagram]:
-    """Both sides of the sliding equation for ``s`` and an open loop body.
-
-    ``body`` must have the sliding wire last on both boundaries: its domain
-    ends in the codomain wire of ``s`` and its codomain in the domain wire.
-    ``initial`` labels the domain-side wire of ``s`` and ``final`` the
-    codomain-side wire; the other two label sets are forced (image and
-    preimage under ``s``).  ``side`` selects which diagram comes first:
-    "left" starts with the loop where ``s`` precedes the body.
-    """
-    if side not in ("left", "right"):
-        raise MachineError(f"unknown side {side!r}")
-    if len(s.dom.flat) != 1 or len(s.cod.flat) != 1:
-        raise TypeMismatch("sliding expects a single-wire relation")
-    wire_d = s.dom.flat[0]
-    wire_c = s.cod.flat[0]
-    db, cb = type_of(body)
-    if not db.flat or db.flat[-1].elements != wire_c.elements:
-        raise TypeMismatch("body domain must end in the codomain wire of the relation")
-    if not cb.flat or cb.flat[-1].elements != wire_d.elements:
-        raise TypeMismatch("body codomain must end in the domain wire of the relation")
-    initial = wire_d.check_subset(initial)
-    final = wire_c.check_subset(final)
-    a_obj = Obj(db.flat[:-1])
-    b_obj = Obj(cb.flat[:-1])
-
-    image = frozenset(y[0] for x, y in s.pairs if x[0] in initial)
-    preimage = frozenset(x[0] for x, y in s.pairs if y[0] in final)
-
-    after = Feedback(wire_c, image, final, Seq(body, Par(Id(b_obj), Box(s))))
-    before = Feedback(wire_d, initial, preimage, Seq(Par(Id(a_obj), Box(s)), body))
-    return (before, after) if side == "left" else (after, before)

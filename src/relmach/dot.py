@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .automata import Nfa
-from .diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap
+from .diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from .io import kind_of
 from .relcore import MachineError
 from .sofic import Presentation, ZTransducer
@@ -16,14 +16,18 @@ def _q(s: str) -> str:
 
 def _state_graph(states, initial, final, edges, root=None) -> str:
     lines = ["digraph {", "  rankdir=LR;"]
+    # DOT reads an unquoted marker and a quoted state of one name as one node
+    start, taken = "__start", set(states)
+    while any(f"{start}{i}" in taken for i in range(len(initial))):
+        start = "_" + start
     for i, q in enumerate(initial):
-        lines.append(f"  __start{i} [shape=point];")
+        lines.append(f"  {start}{i} [shape=point];")
     for q in states:
         shape = "doublecircle" if q in final else "circle"
         extra = " style=bold color=red" if root is not None and q == root else ""
         lines.append(f"  {_q(q)} [shape={shape}{extra}];")
     for i, q in enumerate(initial):
-        lines.append(f"  __start{i} -> {_q(q)};")
+        lines.append(f"  {start}{i} -> {_q(q)};")
     grouped: dict[tuple[str, str], list[str]] = {}
     for src, label, dst in edges:
         grouped.setdefault((src, dst), []).append(label)
@@ -87,10 +91,8 @@ def dot_diagram(d: Diagram) -> str:
                 label = "par"
                 children = [l, r]
             case Feedback(wire=w, initial=i, final=f, body=b):
-                label = f"feedback {w.name} I={{{','.join(w.sort(i))}}} F={{{','.join(w.sort(f))}}}"
-                children = [b]
-            case FeedbackZ(wire=w, body=b):
-                label = f"feedback-z {w.name}"
+                label = f"feedback {w.name} I={{{','.join(w.sort(i))}}} F={{{','.join(w.sort(f))}}}" \
+                    if term.labelled else f"feedback-z {w.name}"
                 children = [b]
             case _:
                 raise MachineError(f"not a diagram: {term!r}")

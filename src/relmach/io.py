@@ -18,8 +18,7 @@ import json
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
-from .diagram import Box, Diagram, EquivCertificate, Feedback, FeedbackZ, Id, Par, Seq, Swap, \
-    _contains_node
+from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap, _contains_node
 from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
@@ -124,15 +123,9 @@ def _term_payload(d: Diagram) -> dict:
         case Par(left=l, right=r):
             return {"node": "par", "left": _term_payload(l), "right": _term_payload(r)}
         case Feedback(wire=w, initial=i, final=f, body=b):
-            return {
-                "node": "feedback",
-                "wire": _alphabet_payload(w),
-                "initial": w.sort(i),
-                "final": w.sort(f),
-                "body": _term_payload(b),
-            }
-        case FeedbackZ(wire=w, body=b):
-            return {"node": "feedback-z", "wire": _alphabet_payload(w), "body": _term_payload(b)}
+            labels = {"initial": w.sort(i), "final": w.sort(f)} if d.labelled else {}
+            return {"node": "feedback" if d.labelled else "feedback-z",
+                    "wire": _alphabet_payload(w), **labels, "body": _term_payload(b)}
     raise MachineError(f"not a diagram: {d!r}")
 
 
@@ -148,11 +141,13 @@ def _parse_term(p: dict) -> Diagram:
         return Seq(_parse_term(p["first"]), _parse_term(p["second"]))
     if node == "par":
         return Par(_parse_term(p["left"]), _parse_term(p["right"]))
-    if node == "feedback":
+    if node in ("feedback", "feedback-z"):
+        # a labelled node's label lists are read as sets, so null is refused
         wire = _parse_alphabet(p["wire"])
-        return Feedback(wire, p["initial"], p["final"], _parse_term(p["body"]))
-    if node == "feedback-z":
-        return FeedbackZ(_parse_alphabet(p["wire"]), _parse_term(p["body"]))
+        labels = (p["initial"], p["final"]) if node == "feedback" else None
+        body = _parse_term(p["body"])
+        i, f = map(wire.check_subset, labels) if labels else (None, None)
+        return Feedback(wire, i, f, body)
     raise MachineError(f"unknown diagram node {node!r}")
 
 
@@ -192,11 +187,12 @@ def _term_document(d: Diagram) -> dict:
     return {"term": _term_payload(d)}
 
 
-def _parse_term_without(node: type, message: str):
-    """The parser of a diagram kind whose terms have no ``node``."""
+def _parse_term_without(labelled: bool, message: str):
+    """The parser of a diagram kind whose terms have no feedback node with
+    ``Feedback.labelled == labelled``."""
     def parse(p: dict) -> Diagram:
         term = _parse_term(p["term"])
-        if _contains_node(term, node):
+        if labelled in _contains_node(term):
             raise MachineError(message)
         return term
     return parse
@@ -218,26 +214,31 @@ KINDS = {
     "presentation": Kind(Presentation, _presentation_payload, _parse_presentation),
     "ztransducer": Kind(ZTransducer, _quads_payload, lambda p: ztransducer(*_parse_quads(p))),
     "diagram": Kind(Diagram, _term_document,
-                    _parse_term_without(FeedbackZ, "diagram contains unlabelled feedback")),
+                    _parse_term_without(False, "diagram contains unlabelled feedback")),
     "zdiagram": Kind(Diagram, _term_document,
-                     _parse_term_without(Feedback, "zdiagram contains labelled feedback")),
+                     _parse_term_without(True, "zdiagram contains labelled feedback")),
     "certificate": Kind(SimCertificate, _certificate_payload, _parse_certificate),
     "certificate-chain": Kind(EquivCertificate, _chain_payload, None),
 }
 
 # Each class's tag, looked up by exact type, so a Dfa is no nfa; the node
-# classes of a term map to ``diagram``, and ``kind_of`` looks for feedback.
+# classes of a term map to ``diagram``, and ``kind_of`` looks at its feedback.
 _TAG = {cls: tag for tag, kind in KINDS.items() if tag != "zdiagram"
         for cls in get_args(kind.cls) or (kind.cls,)}
 
 
 def kind_of(x) -> str:
-    """The ``kind`` tag of a value; a term with unlabelled feedback is a ``zdiagram``."""
+    """The ``kind`` tag of a value; a term with unlabelled feedback is a
+    ``zdiagram``, and one with both kinds of feedback is no machine kind."""
     tag = _TAG.get(type(x))
     if tag is None:
         raise MachineError(f"{type(x).__name__} is no machine kind")
-    if tag == "diagram" and _contains_node(x, FeedbackZ):
-        return "zdiagram"
+    if tag == "diagram":
+        feedback = _contains_node(x)
+        if len(feedback) > 1:
+            raise MachineError("term mixes labelled and unlabelled feedback")
+        if False in feedback:
+            return "zdiagram"
     return tag
 
 
@@ -287,8 +288,9 @@ def loads(text: str):
 
 
 def save_file(path, x) -> None:
+    text = dumps(x)  # a value with no document leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(x))
+        fh.write(text)
 
 
 def load_tagged(path) -> tuple[str, object]:
@@ -298,6 +300,3 @@ def load_tagged(path) -> tuple[str, object]:
     x = from_payload(payload)
     return payload["kind"], x
 
-
-def load_file(path):
-    return load_tagged(path)[1]

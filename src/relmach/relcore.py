@@ -3,9 +3,13 @@
 Everything in this module is an immutable value: alphabets are ordered
 finite sets of symbol names, objects are lists of alphabets (wire
 bundles), and relations are explicit sets of (domain tuple, codomain
-tuple) pairs.  All operations are pure, and equality of relations is
-exact set equality, so the algebraic laws (associativity, bifunctoriality,
-snake equations, ...) can be checked by enumeration.
+tuple) pairs.  The library builds only the relations its machines are
+made of: identities, swaps and the cap that bends a term (``cap_obj``).
+The algebra of the paper's uniform relations (composition, product, cups
+and caps, and the function and subset predicates) is the tests' reference
+semantics and lives in ``tests/helpers.py``; equality of relations is
+exact set equality, so its laws (associativity, bifunctoriality, snake
+equations, ...) are checked there by enumeration.
 
 Bracketing of bundles is always flat, and wires carrying the unit
 alphabet are dropped when computing tuple spaces, so the empty bundle and
@@ -145,12 +149,6 @@ class Obj:
         """Enumerate the tuple space in row-major canonical order."""
         return itertools.product(*[w.elements for w in self.flat])
 
-    def size(self) -> int:
-        n = 1
-        for w in self.flat:
-            n *= len(w)
-        return n
-
     def contains_tuples(self, ts: Collection[tuple[str, ...]]) -> bool:
         """Whether every tuple of ``ts`` is in the tuple space, checked per column."""
         if set(map(len, ts)) - {len(self.flat)}:
@@ -211,40 +209,6 @@ def rel(dom: Obj, cod: Obj, pairs: Iterable[Pair]) -> Rel:
     return Rel(dom, cod, pairs)
 
 
-def _require_same_type(a: Obj, b: Obj, what: str) -> None:
-    if a.signature() != b.signature():
-        raise TypeMismatch(f"{what}: {_describe(a)} vs {_describe(b)}")
-
-
-def _describe(o: Obj) -> str:
-    return "[" + ", ".join(w.name for w in o.wires) + "]" if o.wires else "[]"
-
-
-def compose(r: Rel, s: Rel) -> Rel:
-    """Relational composition, diagrammatic order: first ``r`` then ``s``."""
-    _require_same_type(r.cod, s.dom, "cannot compose: codomain/domain mismatch")
-    by_mid: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for y, z in s.pairs:
-        by_mid.setdefault(y, set()).add(z)
-    out = set()
-    for x, y in r.pairs:
-        for z in by_mid.get(y, ()):
-            out.add((x, z))
-    return Rel(r.dom, s.cod, frozenset(out))
-
-
-def product(r: Rel, s: Rel) -> Rel:
-    """Parallel product: wires concatenate and pairs combine componentwise."""
-    out = frozenset(
-        ((x1 + x2), (y1 + y2)) for x1, y1 in r.pairs for x2, y2 in s.pairs
-    )
-    return Rel(r.dom + s.dom, r.cod + s.cod, out)
-
-
-def transpose(r: Rel) -> Rel:
-    return Rel(r.cod, r.dom, frozenset((y, x) for x, y in r.pairs))
-
-
 def identity(o: Obj) -> Rel:
     return Rel(o, o, frozenset((t, t) for t in o.tuples()))
 
@@ -254,76 +218,9 @@ def swap(a: Alphabet, b: Alphabet) -> Rel:
     return Rel(d, obj(b, a), frozenset((t, t[::-1]) for t in d.tuples()))
 
 
-def cup(a: Alphabet) -> Rel:
-    """The relation 1 → A×A pairing the empty tuple with every diagonal."""
-    return Rel(UNIT_OBJ, obj(a, a), frozenset(((), (x, x)) for x in a.elements))
-
-
-def cap(a: Alphabet) -> Rel:
-    return transpose(cup(a))
-
-
-def cup_obj(o: Obj) -> Rel:
-    """Cup over a whole bundle: 1 → o ++ o."""
-    return Rel(UNIT_OBJ, o + o, frozenset(((), t + t) for t in o.tuples()))
-
-
 def cap_obj(o: Obj) -> Rel:
-    return transpose(cup_obj(o))
-
-
-def full_to_unit(o: Obj) -> Rel:
-    """The maximal relation o → 1, written as a filled dot in diagrams."""
-    return Rel(o, UNIT_OBJ, frozenset((t, ()) for t in o.tuples()))
-
-
-def is_partial_function(r: Rel) -> bool:
-    seen: set[tuple[str, ...]] = set()
-    for x, _ in r.pairs:
-        if x in seen:
-            return False
-        seen.add(x)
-    return True
-
-
-def is_total(r: Rel) -> bool:
-    return {x for x, _ in r.pairs} == set(r.dom.tuples())
-
-
-def is_function(r: Rel) -> bool:
-    return is_partial_function(r) and is_total(r)
-
-
-def is_surjective(r: Rel) -> bool:
-    return {y for _, y in r.pairs} == set(r.cod.tuples())
-
-
-def subset_of(r: Rel, s: Rel) -> bool:
-    _require_same_type(r.dom, s.dom, "subset_of: domain mismatch")
-    _require_same_type(r.cod, s.cod, "subset_of: codomain mismatch")
-    return r.pairs <= s.pairs
-
-
-def rel_equals(r: Rel, s: Rel) -> bool:
-    _require_same_type(r.dom, s.dom, "rel_equals: domain mismatch")
-    _require_same_type(r.cod, s.cod, "rel_equals: codomain mismatch")
-    return r.pairs == s.pairs
-
-
-def subset_as_point(a: Alphabet, symbols: Iterable[str]) -> Rel:
-    """Encode a subset of ``a`` as a relation 1 → a."""
-    chosen = a.check_subset(symbols)
-    target = obj(a)
-    return Rel(UNIT_OBJ, target,
-               frozenset(((), (x,) if target.flat else ()) for x in chosen))
-
-
-def subset_as_copoint(a: Alphabet, symbols: Iterable[str]) -> Rel:
-    """Encode a subset of ``a`` as a relation a → 1."""
-    chosen = a.check_subset(symbols)
-    source = obj(a)
-    return Rel(source, UNIT_OBJ,
-               frozenset((((x,) if source.flat else ()), ()) for x in chosen))
+    """Cap over a whole bundle: o ++ o → 1, relating each doubled tuple to ()."""
+    return Rel(o + o, UNIT_OBJ, frozenset((t + t, ()) for t in o.tuples()))
 
 
 def material(a: Alphabet) -> Alphabet:
@@ -364,21 +261,6 @@ def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
     return tuple_symbol(t)
 
 
-def pack_rel(r: Rel) -> Rel:
-    """View a relation between bundles as one between single packed wires."""
-    d, c = pack_obj(r.dom), pack_obj(r.cod)
-    dd = UNIT_OBJ if is_unit(d) else obj(d)
-    cc = UNIT_OBJ if is_unit(c) else obj(c)
-    pairs = frozenset(
-        (
-            () if is_unit(d) else (pack_tuple(r.dom, x),),
-            () if is_unit(c) else (pack_tuple(r.cod, y),),
-        )
-        for x, y in r.pairs
-    )
-    return Rel(dd, cc, pairs)
-
-
 def product_alphabet(a: Alphabet, b: Alphabet, name: str | None = None) -> Alphabet:
     """Product of two alphabets; the unit is a strict neutral element."""
     if is_unit(a):
@@ -396,17 +278,3 @@ def pair_symbol(a: Alphabet, b: Alphabet):
         return lambda x, y: x
     return lambda x, y: tuple_symbol((x, y))
 
-
-def unpair_symbol(a: Alphabet, b: Alphabet):
-    """Index-based inverse of :func:`pair_symbol`."""
-    if is_unit(a):
-        return lambda s: (UNIT.elements[0], s)
-    if is_unit(b):
-        return lambda s: (s, UNIT.elements[0])
-    prod = product_alphabet(a, b)
-
-    def split(s: str) -> tuple[str, str]:
-        i = prod.index(s)
-        return a.elements[i // len(b)], b.elements[i % len(b)]
-
-    return split

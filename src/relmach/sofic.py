@@ -216,12 +216,6 @@ def factor_language(p: Presentation) -> Nfa:
     return prune(p).as_nfa()
 
 
-def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
-    """Whether two presentations present the same sofic subshift, decided
-    on their factor languages (see the module docstring)."""
-    return nfa_equiv(factor_language(p1), factor_language(p2))
-
-
 def factors_upto(p: Presentation, k: int) -> set[Word]:
     return language_upto(factor_language(p), k)
 

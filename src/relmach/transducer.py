@@ -24,12 +24,10 @@ from .relcore import (
     Rel,
     TypeMismatch,
     check_rows,
-    is_unit,
     pack_obj,
     pack_tuple,
     pair_symbol,
     product_alphabet,
-    unpair_symbol,
 )
 
 Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
@@ -231,17 +229,3 @@ def to_automaton(t: Transducer) -> Transducer:
         product_alphabet(t.input, t.output), UNIT, t.states, quads, t.initial, t.final
     )
 
-
-def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
-    """Inverse of :func:`to_automaton`, splitting product letters by index."""
-    if not is_unit(t.output):
-        raise TypeMismatch("from_automaton expects a unit-output acceptor")
-    want = product_alphabet(input, output)
-    if t.input.elements != want.elements:
-        raise TypeMismatch("acceptor alphabet is not the product of the given alphabets")
-    unpair = unpair_symbol(input, output)
-    quads = set()
-    for ab, q, _, q2 in t.trans:
-        a, b = unpair(ab)
-        quads.add((a, q, b, q2))
-    return transducer(input, output, t.states, quads, t.initial, t.final)

@@ -185,7 +185,7 @@ def alter_one_box(rng: random.Random, d: Diagram) -> Diagram | None:
 
 def merge_boxes(d: Diagram) -> Diagram | None:
     """Rewrite the first Seq-of-boxes into a single composed box."""
-    from relmach.relcore import compose
+    from helpers import compose
 
     match d:
         case Seq(first=Box(rel=r1), second=Box(rel=r2)):

@@ -1,27 +1,152 @@
-"""Functions on whole machines that only the tests call.
+"""Functions that only the tests call.
 
-``minimal_dfa`` is the minimal DFA of an NFA's language, ``subset_name``
-the name the subset construction gives a set of states, ``rooted_iso``
-the isomorphism of two rooted right-resolving presentations through
-``iso_check``, ``is_factor_closed`` and ``is_pruned_lang`` whether a
-language is its own factor closure or pruning, and
-``verify_equiv_certificate`` whether every simulation relation of a
-certificate chain checks, and ``trans_rel`` the paper's transition
-relation A×Q → B×Q of a machine's quadruples as a :class:`Rel`.  The
-library needs none of them: its verdicts decide on bitmask subsets and one
-partition refinement and name nothing, and the simulation checker
-enumerates its conditions from the quadruples.
+The relation algebra of the paper's uniform relations (composition,
+product, cups and caps, the function and subset predicates, and the
+transition relation A×Q → B×Q of a machine, ``trans_rel``) is the tests'
+reference semantics, computed on the library's :class:`Rel` values.  The
+rest are machine constructions and verdicts, and the sliding equation of
+a feedback loop, that the command line does not reach: its verdicts
+decide on bitmask subsets and one partition refinement and name nothing,
+and the simulation checker enumerates its conditions from the quadruples.
 """
 
 from __future__ import annotations
 
-from relmach.automata import Dfa, Nfa, determinize, factor_closure, iso_check, mask_of, minimize, \
-    nfa_equiv, nfa_to_transducer, prune_language, subset_namer
-from relmach.diagram import EquivCertificate
-from relmach.relcore import Alphabet, Rel, is_unit, obj
+from relmach import io
+from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
+    iso_check, mask_of, minimize, nfa, nfa_equiv, nfa_to_transducer, prune_language, subset_namer
+from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptor, \
+    check_same_type, equiv_chain, type_of
+from relmach.relcore import UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, is_unit, \
+    obj, pack_obj, pack_tuple, pair_symbol, product_alphabet
 from relmach.simulation import check_fin
-from relmach.sofic import Presentation
+from relmach.sofic import Presentation, factor_language
+from relmach.transducer import Transducer, transducer
 
+
+# ---------------------------------------------------------------------------
+# The relation algebra.
+
+def _require_same_type(a: Obj, b: Obj, what: str) -> None:
+    if a.signature() != b.signature():
+        raise TypeMismatch(f"{what}: {_describe(a)} vs {_describe(b)}")
+
+
+def _describe(o: Obj) -> str:
+    return "[" + ", ".join(w.name for w in o.wires) + "]"
+
+
+def compose(r: Rel, s: Rel) -> Rel:
+    """Relational composition, diagrammatic order: first ``r`` then ``s``."""
+    _require_same_type(r.cod, s.dom, "cannot compose: codomain/domain mismatch")
+    by_mid: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+    for y, z in s.pairs:
+        by_mid.setdefault(y, set()).add(z)
+    return Rel(r.dom, s.cod, frozenset((x, z) for x, y in r.pairs for z in by_mid.get(y, ())))
+
+
+def product(r: Rel, s: Rel) -> Rel:
+    """Parallel product: wires concatenate and pairs combine componentwise."""
+    out = frozenset((x1 + x2, y1 + y2) for x1, y1 in r.pairs for x2, y2 in s.pairs)
+    return Rel(r.dom + s.dom, r.cod + s.cod, out)
+
+
+def transpose(r: Rel) -> Rel:
+    return Rel(r.cod, r.dom, frozenset((y, x) for x, y in r.pairs))
+
+
+def cup(a: Alphabet) -> Rel:
+    """The relation 1 → A×A pairing the empty tuple with every diagonal."""
+    return Rel(UNIT_OBJ, obj(a, a), frozenset(((), (x, x)) for x in a.elements))
+
+
+def cap(a: Alphabet) -> Rel:
+    return transpose(cup(a))
+
+
+def full_to_unit(o: Obj) -> Rel:
+    """The maximal relation o → 1, written as a filled dot in diagrams."""
+    return Rel(o, UNIT_OBJ, frozenset((t, ()) for t in o.tuples()))
+
+
+def is_partial_function(r: Rel) -> bool:
+    return len({x for x, _ in r.pairs}) == len(r.pairs)
+
+
+def is_total(r: Rel) -> bool:
+    return {x for x, _ in r.pairs} == set(r.dom.tuples())
+
+
+def is_function(r: Rel) -> bool:
+    return is_partial_function(r) and is_total(r)
+
+
+def is_surjective(r: Rel) -> bool:
+    return {y for _, y in r.pairs} == set(r.cod.tuples())
+
+
+def subset_of(r: Rel, s: Rel) -> bool:
+    _require_same_type(r.dom, s.dom, "subset_of: domain mismatch")
+    _require_same_type(r.cod, s.cod, "subset_of: codomain mismatch")
+    return r.pairs <= s.pairs
+
+
+def rel_equals(r: Rel, s: Rel) -> bool:
+    _require_same_type(r.dom, s.dom, "rel_equals: domain mismatch")
+    _require_same_type(r.cod, s.cod, "rel_equals: codomain mismatch")
+    return r.pairs == s.pairs
+
+
+def subset_as_point(a: Alphabet, symbols) -> Rel:
+    """Encode a subset of ``a`` as a relation 1 → a."""
+    target = obj(a)
+    return Rel(UNIT_OBJ, target,
+               frozenset(((), (x,) if target.flat else ()) for x in a.check_subset(symbols)))
+
+
+def subset_as_copoint(a: Alphabet, symbols) -> Rel:
+    """Encode a subset of ``a`` as a relation a → 1."""
+    return transpose(subset_as_point(a, symbols))
+
+
+def pack_rel(r: Rel) -> Rel:
+    """View a relation between bundles as one between single packed wires."""
+    def side(o: Obj):
+        a = pack_obj(o)
+        return (UNIT_OBJ, lambda t: ()) if is_unit(a) else (obj(a), lambda t: (pack_tuple(o, t),))
+
+    (dom, x), (cod, y) = side(r.dom), side(r.cod)
+    return Rel(dom, cod, frozenset((x(s), y(t)) for s, t in r.pairs))
+
+
+def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel:
+    """The transition relation A×Q → B×Q as a view of validated quadruples:
+    (a, q, b, q2) relates (a, q) to (b, q2), and a unit alphabet gives no
+    tuple component, so a caller that needs the states passes
+    ``material(states)``."""
+
+    def view(*columns):
+        kept = [i for i, a in columns if not is_unit(a)]
+        return lambda t: tuple(t[i] for i in kept)
+
+    x, y = view((0, input), (1, states)), view((2, output), (3, states))
+    return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))
+
+
+def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
+    """Inverse of ``transducer.to_automaton``, splitting product letters."""
+    if not is_unit(t.output):
+        raise TypeMismatch("from_automaton expects a unit-output acceptor")
+    if t.input.elements != product_alphabet(input, output).elements:
+        raise TypeMismatch("acceptor alphabet is not the product of the given alphabets")
+    pair = pair_symbol(input, output)
+    split = {pair(a, b): (a, b) for a in input.elements for b in output.elements}
+    quads = {(split[ab][0], q, split[ab][1], q2) for ab, q, _, q2 in t.trans}
+    return transducer(input, output, t.states, quads, t.initial, t.final)
+
+
+# ---------------------------------------------------------------------------
+# Whole machines.
 
 def minimal_dfa(n: Nfa) -> Dfa:
     return minimize(determinize(n)[0])[0]
@@ -39,12 +164,53 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
     return iso_check(d1, d2)
 
 
+def trim(n: Nfa) -> Nfa:
+    """Keep only states lying on some path from an initial to a final state."""
+    live = _reachable(n.states, _forward_edges(n), n.initial) & \
+        _reachable(n.states, _backward_edges(n), n.final)
+    return nfa(
+        n.alphabet, Alphabet(n.states.name, tuple(q for q in n.states.elements if q in live)),
+        {(q, a, q2) for q, a, q2 in n.trans if q in live and q2 in live},
+        n.initial & live, n.final & live,
+    )
+
+
+def factor_closure(n: Nfa) -> Nfa:
+    """Automaton for all factors of accepted words: trim, then make every
+    remaining state both initial and final."""
+    t = trim(n)
+    return nfa(t.alphabet, t.states, t.trans, t.states.elements, t.states.elements)
+
+
 def is_factor_closed(n: Nfa) -> bool:
     return nfa_equiv(n, factor_closure(n))
 
 
 def is_pruned_lang(n: Nfa) -> bool:
     return nfa_equiv(n, prune_language(n))
+
+
+def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
+    """Whether two presentations present the same sofic subshift: whether
+    their factor languages are equal."""
+    return nfa_equiv(factor_language(p1), factor_language(p2))
+
+
+def load_file(path):
+    return io.load_tagged(path)[1]
+
+
+# ---------------------------------------------------------------------------
+# Terms.
+
+def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
+    """Whether two terms denote the same uniform relation, with the
+    certificate chain of an "equal" verdict."""
+    check_same_type(d1, d2)
+    n1, n2 = acceptor(d1), acceptor(d2)
+    if not nfa_equiv(n1, n2):
+        return False, None
+    return True, equiv_chain(n1, n2)
 
 
 def verify_equiv_certificate(cert: EquivCertificate) -> bool:
@@ -65,15 +231,35 @@ def verify_equiv_certificate(cert: EquivCertificate) -> bool:
     ).ok
 
 
-def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel:
-    """The transition relation A×Q → B×Q as a view of validated quadruples:
-    (a, q, b, q2) relates (a, q) to (b, q2), and a unit alphabet gives no
-    tuple component, so a caller that needs the states passes
-    ``material(states)``."""
+def slide(s: Rel, body: Diagram, initial, final, side: str = "left") -> tuple[Diagram, Diagram]:
+    """Both sides of the sliding equation for ``s`` and an open loop body.
 
-    def view(*columns):
-        kept = [i for i, a in columns if not is_unit(a)]
-        return lambda t: tuple(t[i] for i in kept)
+    ``body`` must have the sliding wire last on both boundaries: its domain
+    ends in the codomain wire of ``s`` and its codomain in the domain wire.
+    ``initial`` labels the domain-side wire of ``s`` and ``final`` the
+    codomain-side wire; the other two label sets are forced (image and
+    preimage under ``s``).  ``side`` selects which diagram comes first:
+    "left" starts with the loop where ``s`` precedes the body.
+    """
+    if side not in ("left", "right"):
+        raise MachineError(f"unknown side {side!r}")
+    if len(s.dom.flat) != 1 or len(s.cod.flat) != 1:
+        raise TypeMismatch("sliding expects a single-wire relation")
+    wire_d = s.dom.flat[0]
+    wire_c = s.cod.flat[0]
+    db, cb = type_of(body)
+    if not db.flat or db.flat[-1].elements != wire_c.elements:
+        raise TypeMismatch("body domain must end in the codomain wire of the relation")
+    if not cb.flat or cb.flat[-1].elements != wire_d.elements:
+        raise TypeMismatch("body codomain must end in the domain wire of the relation")
+    initial = wire_d.check_subset(initial)
+    final = wire_c.check_subset(final)
+    a_obj = Obj(db.flat[:-1])
+    b_obj = Obj(cb.flat[:-1])
 
-    x, y = view((0, input), (1, states)), view((2, output), (3, states))
-    return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))
+    image = frozenset(y[0] for x, y in s.pairs if x[0] in initial)
+    preimage = frozenset(x[0] for x, y in s.pairs if y[0] in final)
+
+    after = Feedback(wire_c, image, final, Seq(body, Par(Id(b_obj), Box(s))))
+    before = Feedback(wire_d, initial, preimage, Seq(Par(Id(a_obj), Box(s)), body))
+    return (before, after) if side == "left" else (after, before)

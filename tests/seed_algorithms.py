@@ -54,16 +54,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from helpers import subset_name, trans_rel
+from helpers import compose, pack_rel, product, subset_as_copoint, subset_as_point, subset_name, \
+    trans_rel
 from relmach import io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
     _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, same_words, \
     successor_map, transducer_to_nfa
-from relmach.diagram import Box, Diagram, Feedback, FeedbackZ, Id, Par, Seq, Swap, _feedback_boundary, \
-    _fold_quads, _retype, bend, type_of
-from relmach.relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, compose, identity, \
-    material, obj, pack_obj, pack_rel, pair_symbol, product, product_alphabet, subset_as_copoint, \
-    subset_as_point, swap as swap_rel
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, _fold_quads, _retype, bend, \
+    type_of
+from relmach.relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, identity, material, obj, \
+    pack_obj, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
@@ -565,8 +565,8 @@ def normal_form(d: Diagram) -> Transducer:
             dom, cod = type_of(d)
             t = product_transducers(normal_form(l), normal_form(r))
             return _retype(t, pack_obj(dom), pack_obj(cod))
-        case Feedback(wire=w, initial=i, final=f, body=b):
-            _feedback_boundary(w, b)
+        case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled:
+            type_of(d)
             tb = normal_form(b)
             db, cb = type_of(b)
             states = product_alphabet(tb.states, w)
@@ -577,7 +577,7 @@ def normal_form(d: Diagram) -> Transducer:
                 {spair(p, q) for p in tb.initial for q in i},
                 {spair(p, q) for p in tb.final for q in f},
             )
-        case FeedbackZ():
+        case Feedback():
             raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
     raise MachineError(f"not a diagram: {d!r}")
 
@@ -602,8 +602,8 @@ def z_normal_form(d: Diagram) -> ZTransducer:
             omap = dict(zip(z.output.elements, pack_obj(cod).elements))
             quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.trans}
             return ztransducer(pack_obj(dom), pack_obj(cod), z.states, quads)
-        case FeedbackZ(wire=w, body=b):
-            _feedback_boundary(w, b)
+        case Feedback(wire=w, body=b) if not d.labelled:
+            type_of(d)
             zb = z_normal_form(b)
             db, cb = type_of(b)
             states = product_alphabet(zb.states, w)

@@ -21,12 +21,12 @@ from genrand import (
     random_rel,
     random_transducer,
 )
-from helpers import rooted_iso
+from helpers import diagrams_equiv, load_file, presentations_equiv, rooted_iso, slide
 from relmach import io
 from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv, \
     nfa_to_transducer
 from relmach.cli import main as cli_main
-from relmach.diagram import Box, diagrams_equiv, interpret_upto, slide
+from relmach.diagram import Box, interpret_upto
 from relmach.relcore import Alphabet, obj, rel
 from relmach.simulation import (
     TWO_SIDED,
@@ -44,7 +44,6 @@ from relmach.sofic import (
     forward_prune,
     minimize_presentation,
     presentation,
-    presentations_equiv,
     prune,
 )
 from relmach.transducer import behavior_upto, behavior_via_shift_upto, lift_transducer
@@ -257,8 +256,8 @@ def test_criterion_10_cli_round_trip_and_exit_codes(tmp_path, capsys):
     for i, x in enumerate(corpus):
         path = tmp_path / f"fx_{i}.json"
         io.save_file(path, x)
-        assert io.load_file(path) == x
-        assert io.dumps(io.load_file(path)) == path.read_text()
+        assert load_file(path) == x
+        assert io.dumps(load_file(path)) == path.read_text()
     swap = tmp_path / "swap.json"
     io.save_file(swap, lift_transducer(
         rel(obj(Ab), obj(Ab), {(("a",), ("b",)), (("b",), ("a",))})))

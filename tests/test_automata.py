@@ -5,13 +5,13 @@ import pytest
 
 from conftest import SEED
 from genrand import random_nfa
-from helpers import is_factor_closed, is_pruned_lang, minimal_dfa, trans_rel
+from helpers import compose, factor_closure, is_factor_closed, is_pruned_lang, minimal_dfa, product, \
+    rel_equals, trans_rel, trim
 from relmach.automata import (
     Dfa,
     accepts,
     determinize,
     empty_dfa,
-    factor_closure,
     iso_check,
     language_upto,
     minimize,
@@ -20,10 +20,8 @@ from relmach.automata import (
     nfa_to_transducer,
     prune_language,
     transducer_to_nfa,
-    trim,
 )
-from relmach.relcore import Alphabet, MachineError, TypeMismatch, compose, identity, obj, product, \
-    rel_equals
+from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.transducer import behavior_upto
 
 Aa = Alphabet("A", ("a",))

@@ -9,11 +9,12 @@ import pytest
 
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
+from helpers import load_file
 import relmach
 from relmach import automata, cli, diagram, io, simulation
 from relmach.automata import determinize, minimize, nfa
 from relmach.cli import build_parser, main
-from relmach.diagram import Box, Feedback, FeedbackZ, Seq
+from relmach.diagram import Box, Feedback, Seq
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, obj, rel
 from relmach.simulation import SimCertificate
 from relmach.sofic import presentation, ztransducer
@@ -64,7 +65,7 @@ def fixture_corpus():
         Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL)),
         Seq(Box(SWAP_REL), Box(SWAP_REL)),
         random_diagram(rng, obj(Ab), obj(Ab), nodes=5, feedbacks=1),
-        FeedbackZ(Q2, Box(PARITY_REL)),
+        Feedback(Q2, None, None, Box(PARITY_REL)),
         SimCertificate(contains),
         SimCertificate(lmap, "backward"),
     ]
@@ -77,7 +78,7 @@ def test_corpus_round_trip(tmp_path):
     for i, x in enumerate(items):
         path = tmp_path / f"fixture_{i}.json"
         io.save_file(path, x)
-        back = io.load_file(path)
+        back = load_file(path)
         assert back == x, f"round trip failed for item {i}: {type(x).__name__}"
         # canonical output is stable under a second round trip
         assert io.dumps(back) == path.read_text()
@@ -238,7 +239,7 @@ def kind_files(tmp_path):
         "ztransducer": ztransducer(Aa, Aa, Q2, {("a", "q0", "a", "q1"), ("a", "q1", "a", "q0")}),
         "diagram": Box(ident),
         "feedback-diagram": Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL)),
-        "zdiagram": FeedbackZ(Q2, Box(PARITY_REL)),
+        "zdiagram": Feedback(Q2, None, None, Box(PARITY_REL)),
         "certificate": SimCertificate(rel(obj(Q2), obj(Q2), {(("q0",), ("q0",))})),
     }
     return {name: write(tmp_path, f"{name}.json", x) for name, x in values.items()}
@@ -457,7 +458,7 @@ def test_normalize_commands(tmp_path, capsys):
               Feedback(Q2, frozenset({"q0"}), frozenset({"q0"}), Box(PARITY_REL)))
     code, out, _ = run(capsys, "normalize", d)
     assert code == 0 and json.loads(out)["kind"] == "transducer"
-    zd = write(tmp_path, "zd.json", FeedbackZ(Q2, Box(PARITY_REL)))
+    zd = write(tmp_path, "zd.json", Feedback(Q2, None, None, Box(PARITY_REL)))
     code, out, _ = run(capsys, "normalize", zd)
     assert code == 0 and json.loads(out)["kind"] == "ztransducer"
 
@@ -545,7 +546,7 @@ def test_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
 
 
 def test_equiv_and_normalize_read_each_file_once(tmp_path, capsys, monkeypatch):
-    z = write(tmp_path, "z.json", FeedbackZ(Q2, Box(PARITY_REL)))
+    z = write(tmp_path, "z.json", Feedback(Q2, None, None, Box(PARITY_REL)))
     d = write(tmp_path, "d.json", Box(SWAP_REL))
     opened = []
     real_open = open

@@ -12,13 +12,13 @@ from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
 from genrand import random_alphabet, random_diagram
-from helpers import minimal_dfa, rooted_iso, subset_name
+from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name
 from relmach import automata, sofic
 from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
-from relmach.diagram import Feedback, FeedbackZ, Par, Seq, bend, normal_form, z_normal_form
+from relmach.diagram import Feedback, Par, Seq, bend, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, obj
 from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
-    presentation, presentations_equiv, prune
+    presentation, prune
 from test_algorithms import LETTERS, graphs, outcome
 
 
@@ -36,7 +36,7 @@ def unlabel(d, chosen):
             case Feedback(wire=w, initial=i, final=f, body=b):
                 change = chosen(next(number))
                 body = go(b)
-                return FeedbackZ(w, body) if change else Feedback(w, i, f, body)
+                return Feedback(w, None, None, body) if change else Feedback(w, i, f, body)
         return t
 
     return go(d)

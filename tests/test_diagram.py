@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import SEED
-from helpers import trans_rel, verify_equiv_certificate
+from helpers import compose, diagrams_equiv, presentations_equiv, slide, trans_rel, \
+    verify_equiv_certificate
 from genrand import (
     alter_one_box,
     merge_boxes,
@@ -17,7 +18,6 @@ from relmach import diagram
 from relmach.diagram import (
     Box,
     Feedback,
-    FeedbackZ,
     Id,
     Par,
     Seq,
@@ -25,11 +25,9 @@ from relmach.diagram import (
     acceptor,
     bend,
     denotation_upto,
-    diagrams_equiv,
     equiv_chain,
     interpret_upto,
     normal_form,
-    slide,
     type_of,
     z_normal_form,
 )
@@ -39,12 +37,11 @@ from relmach.relcore import (
     Obj,
     TypeMismatch,
     UNIT_OBJ,
-    compose,
     identity,
     obj,
     rel,
 )
-from relmach.sofic import presentation_of_ztransducer, presentations_equiv
+from relmach.sofic import presentation_of_ztransducer
 from relmach.transducer import behavior_upto, lift_transducer, transducer
 
 A = Alphabet("A", ("a", "b"))
@@ -287,7 +284,7 @@ def test_equiv_agrees_with_bounded_interpretation():
 
 
 def test_z_normal_form_of_wrapped_machine():
-    zd = FeedbackZ(Q2, Box(PARITY_REL))
+    zd = Feedback(Q2, None, None, Box(PARITY_REL))
     z = z_normal_form(zd)
     assert z.states == Q2
     assert trans_rel(z.input, z.output, z.states, z.trans).pairs == PARITY_REL.pairs
@@ -314,15 +311,15 @@ def test_z_diagrams_equiv_golden_mean():
         (("a", "x"), ("z",)), (("a", "z"), ("x",)), (("a", "z"), ("z",)),
         (("b", "z"), ("y",)),
     })
-    d1 = FeedbackZ(Q, Box(gm1))
-    d2 = FeedbackZ(P, Box(gm2))
+    d1 = Feedback(Q, None, None, Box(gm1))
+    d2 = Feedback(P, None, None, Box(gm2))
     assert z_diagrams_equiv(d1, d2)
 
 
 def test_z_diagrams_equiv_empty_cases():
     Q = Alphabet("Q", ("0", "1"))
     acyclic = rel(obj(A, Q), obj(Q), {(("a", "0"), ("1",))})
-    d1 = FeedbackZ(Q, Box(acyclic))
+    d1 = Feedback(Q, None, None, Box(acyclic))
     d2 = Box(rel(obj(A), UNIT_OBJ, set()))
     assert z_diagrams_equiv(d1, d2)
     full = Box(rel(obj(A), UNIT_OBJ, {(("a",), ()), (("b",), ())}))
@@ -338,7 +335,7 @@ def test_z_normal_form_behavior_matches_presentation():
         def relabel(t):
             match t:
                 case Feedback(wire=w, body=b):
-                    return FeedbackZ(w, relabel(b))
+                    return Feedback(w, None, None, relabel(b))
                 case Seq(first=f, second=s):
                     return Seq(relabel(f), relabel(s))
                 case Par(left=l, right=r):

@@ -15,11 +15,11 @@ from hypothesis import given, strategies as st
 import seed_algorithms as seed
 from genrand import alter_one_box, preserving_mutation, random_alphabet, random_diagram, \
     random_presentation, random_transducer
+from helpers import diagrams_equiv, presentations_equiv
 from relmach import io
 from relmach.cli import main
-from relmach.diagram import diagrams_equiv
 from relmach.relcore import MachineError, obj
-from relmach.sofic import presentations_equiv, ztransducer
+from relmach.sofic import ztransducer
 from test_constructions import unlabel
 
 SEEDS = st.integers(0, 2**32 - 1)

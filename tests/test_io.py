@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from helpers import load_file
 from relmach import io
-from relmach.automata import Dfa
-from relmach.diagram import Box, Feedback, FeedbackZ, Seq
+from relmach.automata import Dfa, Nfa
+from relmach.cli import main
+from relmach.diagram import Box, Feedback, Seq
 from relmach.dot import to_dot
 from relmach.relcore import Alphabet, MachineError, obj, rel
 from relmach.sofic import presentation
@@ -37,7 +39,7 @@ def test_kind_consistency_for_diagram_terms():
     d = Feedback(Q2, frozenset(), frozenset(), Box(rel(obj(Ab, Q2), obj(Ab, Q2), set())))
     payload = io.to_payload(d)
     assert payload["kind"] == "diagram"
-    zd = FeedbackZ(Q2, Box(rel(obj(Ab, Q2), obj(Ab, Q2), set())))
+    zd = Feedback(Q2, None, None, Box(rel(obj(Ab, Q2), obj(Ab, Q2), set())))
     assert io.to_payload(zd)["kind"] == "zdiagram"
     broken = dict(io.to_payload(zd), kind="diagram")
     with pytest.raises(MachineError):
@@ -77,6 +79,65 @@ def test_dot_outputs():
         to_dot(object())
 
 
+def test_state_graph_start_markers_are_no_state_names():
+    n = Nfa(Ab, Alphabet("Q", ("__start0", "p")), {("p", "a", "__start0")}, {"p"}, {"__start0"})
+    assert to_dot(n) == (
+        'digraph {\n  rankdir=LR;\n  ___start0 [shape=point];\n  "__start0" [shape=doublecircle];\n'
+        '  "p" [shape=circle];\n  ___start0 -> "p";\n  "p" -> "__start0" [label="a"];\n}\n')
+    n = Nfa(Ab, Alphabet("Q", ("__start0", "___start0", "p")), set(), {"p"}, set())
+    assert '  ____start0 -> "p";' in to_dot(n)
+
+
+def test_mixed_feedback_is_refused_before_it_is_written(tmp_path):
+    r = rel(obj(Q2), obj(Q2), {(("q0",), ("q1",))})
+    mixed = Seq(Feedback(Q2, {"q0"}, {"q0"}, Box(r)), Feedback(Q2, None, None, Box(r)))
+    path = tmp_path / "mixed.json"
+    for attempt in (io.kind_of, io.dumps, lambda x: io.save_file(path, x)):
+        with pytest.raises(MachineError, match="term mixes labelled and unlabelled feedback"):
+            attempt(mixed)
+    assert not path.exists()
+    # a feedback node's label lists are read as sets: null is no unlabelled loop
+    doc = io.to_payload(Feedback(Q2, {"q0"}, {"q0"}, Box(r)))
+    doc["term"].update(initial=None, final=None)
+    with pytest.raises(MachineError, match="symbol set is not a set"):
+        io.from_payload(doc)
+
+
+LOOP_BODY = Box(rel(obj(Ab, Q2), obj(Ab, Q2), {(("a", "q0"), ("b", "q1")), (("b", "q1"), ("a", "q0"))}))
+WIRES = '{"elements": ["a", "b"], "name": "A"}, {"elements": ["q0", "q1"], "name": "Q"}'
+BODY_DOC = ('{"node": "box", "rel": {"cod": [%s], "dom": [%s], '
+            '"pairs": [[["a", "q0"], ["b", "q1"]], [["b", "q1"], ["a", "q0"]]]}}' % (WIRES, WIRES))
+MACHINE_DOC = ('"input": {"elements": ["a", "b"], "name": "A"}, "output": {"elements": ["a", "b"], '
+               '"name": "A"}, "states": {"elements": ["q0", "q1"], "name": "Q"}, '
+               '"trans": [["a", "q0", "b", "q1"], ["b", "q1", "a", "q0"]]')
+DOT_DOC = 'digraph {\n  node [shape=box];\n  n0 [label="%s"];\n  n1 [label="box 2 pairs"];\n  n0 -> n1;\n}\n'
+
+
+# A labelled and an unlabelled loop: the document each is written as, its
+# DOT rendering and what ``normalize`` prints, JSON given compactly.
+@pytest.mark.parametrize("term, doc, dot, normal", [
+    (Feedback(Q2, {"q0"}, {"q1"}, LOOP_BODY),
+     '{"kind": "diagram", "term": {"body": %s, "final": ["q1"], "initial": ["q0"], "node": "feedback", '
+     '"wire": {"elements": ["q0", "q1"], "name": "Q"}}}' % BODY_DOC,
+     DOT_DOC % "feedback Q I={q0} F={q1}",
+     '{"final": ["q1"], "initial": ["q0"], "kind": "transducer", %s}' % MACHINE_DOC),
+    (Feedback(Q2, None, None, LOOP_BODY),
+     '{"kind": "zdiagram", "term": {"body": %s, "node": "feedback-z", '
+     '"wire": {"elements": ["q0", "q1"], "name": "Q"}}}' % BODY_DOC,
+     DOT_DOC % "feedback-z Q",
+     '{"kind": "ztransducer", %s}' % MACHINE_DOC),
+])
+def test_feedback_terms_keep_their_bytes(term, doc, dot, normal, tmp_path, capsys):
+    def written(compact):
+        return json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+
+    path = tmp_path / "term.json"
+    io.save_file(path, term)
+    assert path.read_text() == written(doc) and to_dot(term) == dot
+    assert main(["normalize", str(path)]) == 0
+    assert capsys.readouterr().out == written(normal)
+
+
 def test_kind_of_is_the_tag_a_value_is_written_under():
     from test_cli import fixture_corpus
     for x in fixture_corpus():
@@ -84,7 +145,7 @@ def test_kind_of_is_the_tag_a_value_is_written_under():
         assert isinstance(x, io.KINDS[io.kind_of(x)].cls)
     d = Dfa(Ab, Q2, frozenset(), frozenset(), frozenset())
     assert io.kind_of(d) == "dfa" and io.kind_of(io.loads(io.dumps(d))) == "dfa"
-    assert io.kind_of(Seq(Box(SWAP_REL), FeedbackZ(Q2, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
+    assert io.kind_of(Seq(Box(SWAP_REL), Feedback(Q2, None, None, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
     with pytest.raises(MachineError, match="no machine kind"):
         io.kind_of(object())
     with pytest.raises(MachineError, match="unknown kind 'certificate-chain'"):
@@ -123,7 +184,7 @@ def test_malformed_documents_raise_machine_error(doc, words, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(MachineError, match=words):
-        io.load_file(path)
+        load_file(path)
 
 
 def test_invalid_json_raises_machine_error(tmp_path):
@@ -132,7 +193,7 @@ def test_invalid_json_raises_machine_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2")
     with pytest.raises(MachineError, match="not a JSON document"):
-        io.load_file(path)
+        load_file(path)
 
 
 ID_TERM = {"node": "id", "obj": [ALPHA]}
@@ -152,7 +213,7 @@ def test_over_deep_documents_raise_machine_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(text)
     with pytest.raises(MachineError, match="nested too deeply"):
-        io.load_file(path)
+        load_file(path)
     term = ID_TERM
     for _ in range(1500):  # past the decoder: the term parser recurses too
         term = {"node": "seq", "first": ID_TERM, "second": term}
@@ -162,6 +223,6 @@ def test_over_deep_documents_raise_machine_error(tmp_path):
 
 def test_load_tagged_returns_the_document_kind(tmp_path):
     path = tmp_path / "z.json"
-    io.save_file(path, FeedbackZ(Q2, Box(rel(obj(Q2), obj(Q2), {(("q0",), ("q1",))}))))
+    io.save_file(path, Feedback(Q2, None, None, Box(rel(obj(Q2), obj(Q2), {(("q0",), ("q1",))}))))
     kind, x = io.load_tagged(path)
-    assert kind == "zdiagram" and x == io.load_file(path)
+    assert kind == "zdiagram" and x == load_file(path)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SEED
 from genrand import random_presentation
-from helpers import rooted_iso
+from helpers import presentations_equiv, rooted_iso
 from seed_algorithms import compose_z, product_z
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
@@ -23,7 +23,6 @@ from relmach.sofic import (
     periodic_membership,
     presentation,
     presentation_of_ztransducer,
-    presentations_equiv,
     prune,
     ztransducer,
 )

@@ -6,15 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED
 from genrand import random_transducer
-from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, compose, obj, pack_rel, rel, \
-    rel_equals
+from helpers import compose, from_automaton, pack_rel, rel_equals
+from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, obj, rel
 from relmach.transducer import (
     UniformRelationSample,
     behavior_upto,
     behavior_via_shift_upto,
     compose_transducers,
     finite_shift_at,
-    from_automaton,
     lift_transducer,
     product_transducers,
     to_automaton,
