@@ -8,9 +8,15 @@ in the bi-infinite language it carries none (``Feedback.labelled``).
 
 Every well-typed term collapses to a quasi-normal form: a single machine
 (one relation box under one feedback), computed by one structural
-recursion over the transducer module's ``compose_transducers`` and
-``product_transducers``; a bi-infinite term's machine is the finite-word
-one with its initial and final states dropped.
+recursion on rows over the flat wire tuples, as the paper reads a word
+over A×C as a tuple of words.  A box contributes its relation's pairs with
+the unit state, ``Seq`` joins rows on the middle tuple, ``Par``
+concatenates tuples, and ``Feedback`` moves the last tuple component into
+the state.  Only the term's own boundary is packed into one alphabet each
+way, once, to build one validated machine; a bi-infinite term's machine is
+the finite-word one with its initial and final states dropped.  The
+transducer-level composition, product and lift over packed alphabets are
+the tests' reference, in ``tests/helpers.py``.
 Terms of one type are equal iff their bent normal forms, NFAs
 (``acceptor``), accept the same words (``automata.nfa_equiv``).  Only when
 asked, ``equiv_chain`` builds the re-checkable certificate chain of that
@@ -21,10 +27,11 @@ minimal machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .automata import Dfa, Nfa, iso_check, transducer_to_nfa
 from .relcore import (
+    UNIT,
     Alphabet,
     MachineError,
     Obj,
@@ -43,16 +50,7 @@ from .relcore import (
 from .simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
     certificate_for_minimization
 from .sofic import ZTransducer
-from .transducer import (
-    Transducer,
-    UniformRelationSample,
-    behavior_upto,
-    compose_transducers,
-    finite_shift_at,
-    lift_transducer,
-    product_transducers,
-    transducer,
-)
+from .transducer import Transducer, UniformRelationSample, behavior_upto, finite_shift_at
 
 
 @dataclass(frozen=True)
@@ -154,96 +152,98 @@ def _contains_node(d: Diagram) -> set[bool]:
     return set()
 
 
-def _unpackers(o: Obj):
-    """Map a packed symbol of ``o`` to its flat tuple, by index."""
-    packed = pack_obj(o)
-    if is_unit(packed):
-        return lambda s: ()
-    table = dict(zip(packed.elements, o.tuples())) if len(o.flat) > 1 else None
-    if table is None:
-        return lambda s: (s,)
-    return lambda s: table[s]
+class _Form(NamedTuple):
+    """A quasi-normal form over the flat wires: rows (x, q, y, q2) relate a
+    tuple x of ``dom`` and a tuple y of ``cod``, read in state q of
+    ``states`` and moving to q2."""
+
+    states: Alphabet
+    rows: set
+    initial: set
+    final: set
+    dom: Obj
+    cod: Obj
 
 
-def _fold_quads(t_quads, body_dom: Obj, body_cod: Obj, spair):
-    """Rewrite body quads, moving the last wire into the state component."""
-    prefix_dom = Obj(body_dom.flat[:-1])
-    prefix_cod = Obj(body_cod.flat[:-1])
-    unpack_in = _unpackers(body_dom)
-    unpack_out = _unpackers(body_cod)
-    quads = set()
-    for x, p, y, p2 in t_quads:
-        xt = unpack_in(x)
-        yt = unpack_out(y)
-        quads.add((
-            pack_tuple(prefix_dom, xt[:-1]),
-            spair(p, xt[-1]),
-            pack_tuple(prefix_cod, yt[:-1]),
-            spair(p2, yt[-1]),
-        ))
-    return pack_obj(prefix_dom), pack_obj(prefix_cod), quads
+def _lift(r: Rel) -> _Form:
+    star = UNIT.elements[0]
+    return _Form(UNIT, {(x, star, y, star) for x, y in r.pairs}, {star}, {star}, r.dom, r.cod)
 
 
-def _retype(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
-    """Rename boundary symbols positionally (same cardinality and order)."""
-    imap = dict(zip(t.input.elements, input.elements))
-    omap = dict(zip(t.output.elements, output.elements))
-    quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in t.trans}
-    return transducer(input, output, t.states, quads, t.initial, t.final)
+def _pair_states(a: _Form, b: _Form):
+    """The product state alphabet of two forms, its pairing function, and
+    the paired initial and final states."""
+    pair = pair_symbol(a.states, b.states)
+    return (product_alphabet(a.states, b.states), pair,
+            {pair(q, p) for q in a.initial for p in b.initial},
+            {pair(q, p) for q in a.final for p in b.final})
 
 
-def _collapse(d: Diagram, labelled: bool) -> tuple[Transducer, Obj, Obj]:
+def _collapse(d: Diagram, labelled: bool) -> _Form:
     """The quasi-normal form of a term whose feedback nodes are all labelled
-    or all unlabelled, as ``labelled`` says: a transducer over the packed
-    boundary alphabets, with the term's domain and codomain.  An unlabelled
-    loop folds like a labelled one with empty label sets."""
+    or all unlabelled, as ``labelled`` says.  An unlabelled loop folds like
+    a labelled one with empty label sets."""
     match d:
         case Box(rel=r):
-            return lift_transducer(r), r.dom, r.cod
+            return _lift(r)
         case Id(o=o):
-            return lift_transducer(identity(o)), o, o
+            return _lift(identity(o))
         case Swap(a=a, b=b):
-            return lift_transducer(swap_rel(a, b)), obj(a, b), obj(b, a)
+            return _lift(swap_rel(a, b))
         case Seq(first=f, second=s):
-            tf, df, cf = _collapse(f, labelled)
-            ts, ds, cs = _collapse(s, labelled)
-            if cf.signature() != ds.signature():
+            tf, ts = _collapse(f, labelled), _collapse(s, labelled)
+            if tf.cod.signature() != ts.dom.signature():
                 raise TypeMismatch("sequential composition of incompatible terms")
-            return compose_transducers(tf, ts), df, cs
+            states, pair, initial, final = _pair_states(tf, ts)
+            by_mid: dict[tuple, list] = {}
+            for m, p, z, p2 in ts.rows:
+                by_mid.setdefault(m, []).append((p, z, p2))
+            rows = {(x, pair(q, p), z, pair(q2, p2))
+                    for x, q, m, q2 in tf.rows for p, z, p2 in by_mid.get(m, ())}
+            return _Form(states, rows, initial, final, tf.dom, ts.cod)
         case Par(left=l, right=r):
-            tl, dl, cl = _collapse(l, labelled)
-            tr, dr, cr = _collapse(r, labelled)
-            dom, cod = dl + dr, cl + cr
-            return _retype(product_transducers(tl, tr), pack_obj(dom), pack_obj(cod)), dom, cod
+            tl, tr = _collapse(l, labelled), _collapse(r, labelled)
+            states, pair, initial, final = _pair_states(tl, tr)
+            rows = {(x1 + x2, pair(q, p), y1 + y2, pair(q2, p2))
+                    for x1, q, y1, q2 in tl.rows for x2, p, y2, p2 in tr.rows}
+            return _Form(states, rows, initial, final, tl.dom + tr.dom, tl.cod + tr.cod)
         case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled == labelled:
-            tb, db, cb = _collapse(b, labelled)
-            dom, cod = _loop_boundary(w, db, cb)
+            tb = _collapse(b, labelled)
+            dom, cod = _loop_boundary(w, tb.dom, tb.cod)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
-            input, output, quads = _fold_quads(tb.trans, db, cb, spair)
-            t = transducer(
-                input, output, states, quads,
-                {spair(p, q) for p in tb.initial for q in i or ()},
-                {spair(p, q) for p in tb.final for q in f or ()},
-            )
-            return t, dom, cod
+            rows = {(x[:-1], spair(p, x[-1]), y[:-1], spair(p2, y[-1])) for x, p, y, p2 in tb.rows}
+            return _Form(states, rows,
+                         {spair(p, q) for p in tb.initial for q in i or ()},
+                         {spair(p, q) for p in tb.final for q in f or ()}, dom, cod)
         case Feedback():
             raise TypeMismatch("labelled feedback belongs to the finite-word language" if d.labelled
                                else "unlabelled feedback belongs to the bi-infinite language")
     raise MachineError(f"not a diagram: {d!r}")
 
 
+def _packed(form: _Form) -> tuple[Alphabet, Alphabet, set]:
+    """The boundary alphabets of a form, each bundle packed into one wire,
+    and its rows over them."""
+    dom, cod = form.dom, form.cod
+    quads = {(pack_tuple(dom, x), q, pack_tuple(cod, y), q2) for x, q, y, q2 in form.rows}
+    return pack_obj(dom), pack_obj(cod), quads
+
+
 def normal_form(d: Diagram) -> Transducer:
     """Collapse a finite-word term to its quasi-normal form: a transducer
     over the packed boundary alphabets."""
-    return _collapse(d, True)[0]
+    form = _collapse(d, True)
+    input, output, quads = _packed(form)
+    return Transducer(input, output, form.states, quads, form.initial, form.final)
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
     """Collapse a bi-infinite term to its quasi-normal form machine: the
     finite-word collapse with the initial and final states dropped."""
-    t = _collapse(d, False)[0]
-    return ZTransducer(t.input, t.output, t.states, t.trans)
+    form = _collapse(d, False)
+    input, output, quads = _packed(form)
+    return ZTransducer(input, output, form.states, quads)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,10 @@ def _denote(d: Diagram, k: int) -> WordRel:
                         tuple(pos[:-1] for pos in wout),
                     ))
             return out
+        case Feedback():
+            raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
         case _:
-            raise MachineError(f"cannot evaluate {d!r} over finite words")
+            raise MachineError(f"not a diagram: {d!r}")
     # base case: letterwise lift of an explicit relation
     level: WordRel = {((), ())}
     for _ in range(k):

@@ -201,13 +201,6 @@ class Rel:
         positions = [w._pos for w in self.dom.flat + self.cod.flat]
         return sorted(self.pairs, key=lambda p: tuple(map(getitem, positions, p[0] + p[1])))
 
-    def image(self, x: tuple[str, ...]) -> set[tuple[str, ...]]:
-        return {b for a, b in self.pairs if a == x}
-
-
-def rel(dom: Obj, cod: Obj, pairs: Iterable[Pair]) -> Rel:
-    return Rel(dom, cod, pairs)
-
 
 def identity(o: Obj) -> Rel:
     return Rel(o, o, frozenset((t, t) for t in o.tuples()))
@@ -235,7 +228,7 @@ def tuple_symbol(t: tuple[str, ...]) -> str:
     return "(" + ",".join(t) + ")"
 
 
-def pack_obj(o: Obj, name: str | None = None) -> Alphabet:
+def pack_obj(o: Obj) -> Alphabet:
     """Collapse a bundle into a single alphabet over its tuple space.
 
     The empty bundle packs to the unit alphabet and a single wire packs to
@@ -246,9 +239,7 @@ def pack_obj(o: Obj, name: str | None = None) -> Alphabet:
         return UNIT
     if len(flat) == 1:
         return flat[0]
-    if name is None:
-        name = "x".join(w.name for w in flat)
-    return Alphabet(name, tuple(tuple_symbol(t) for t in o.tuples()))
+    return Alphabet("x".join(w.name for w in flat), tuple(tuple_symbol(t) for t in o.tuples()))
 
 
 def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
@@ -261,13 +252,13 @@ def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
     return tuple_symbol(t)
 
 
-def product_alphabet(a: Alphabet, b: Alphabet, name: str | None = None) -> Alphabet:
+def product_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
     """Product of two alphabets; the unit is a strict neutral element."""
     if is_unit(a):
         return b
     if is_unit(b):
         return a
-    return pack_obj(obj(a, b), name)
+    return pack_obj(obj(a, b))
 
 
 def pair_symbol(a: Alphabet, b: Alphabet):

@@ -10,6 +10,9 @@ exact (unbounded) comparisons go through the automata module.
 A machine stores its transitions as validated quadruples (input letter,
 state, output letter, next state), and every construction here works on
 them; the simulation checker enumerates its conditions from them too.
+Diagram normal forms compose rows over flat wire tuples and pack once
+(``diagram._collapse``); the composition, product and lift of transducers
+over packed alphabets are the tests' reference, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -17,18 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relcore import (
-    UNIT,
-    Alphabet,
-    MachineError,
-    Rel,
-    TypeMismatch,
-    check_rows,
-    pack_obj,
-    pack_tuple,
-    pair_symbol,
-    product_alphabet,
-)
+from .relcore import UNIT, Alphabet, MachineError, check_rows, pair_symbol, product_alphabet
 
 Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
 Word = tuple[str, ...]
@@ -169,55 +161,6 @@ def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
             for combo in itertools.product(*sections):
                 pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
     return UniformRelationSample(t.input, t.output, n, frozenset(pairs))
-
-
-def compose_transducers(t1: Transducer, t2: Transducer) -> Transducer:
-    """Sequential composition; states multiply and behaviors compose."""
-    if t1.output.elements != t2.input.elements:
-        raise TypeMismatch(
-            f"cannot compose transducers: output {t1.output.name!r} vs input {t2.input.name!r}"
-        )
-    states = product_alphabet(t1.states, t2.states)
-    pair = pair_symbol(t1.states, t2.states)
-    by_mid: dict[str, list[tuple[str, str, str]]] = {}
-    for b, p, d, p2 in t2.trans:
-        by_mid.setdefault(b, []).append((p, d, p2))
-    quads = set()
-    for a, q, b, q2 in t1.trans:
-        for p, d, p2 in by_mid.get(b, ()):
-            quads.add((a, pair(q, p), d, pair(q2, p2)))
-    return transducer(
-        t1.input, t2.output, states, quads,
-        {pair(q, p) for q in t1.initial for p in t2.initial},
-        {pair(q, p) for q in t1.final for p in t2.final},
-    )
-
-
-def product_transducers(t1: Transducer, t2: Transducer) -> Transducer:
-    """Parallel product over the product alphabets, positionwise."""
-    states = product_alphabet(t1.states, t2.states)
-    spair = pair_symbol(t1.states, t2.states)
-    ipair = pair_symbol(t1.input, t2.input)
-    opair = pair_symbol(t1.output, t2.output)
-    quads = set()
-    for a, q, b, q2 in t1.trans:
-        for c, p, d, p2 in t2.trans:
-            quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
-    return transducer(
-        product_alphabet(t1.input, t2.input),
-        product_alphabet(t1.output, t2.output),
-        states, quads,
-        {spair(q, p) for q in t1.initial for p in t2.initial},
-        {spair(q, p) for q in t1.final for p in t2.final},
-    )
-
-
-def lift_transducer(r: Rel) -> Transducer:
-    """One-state transducer whose behavior is the letterwise lift of ``r``,
-    over its domain and codomain bundles each packed into one alphabet."""
-    star = UNIT.elements[0]
-    quads = {(pack_tuple(r.dom, x), star, pack_tuple(r.cod, y), star) for x, y in r.pairs}
-    return transducer(pack_obj(r.dom), pack_obj(r.cod), UNIT, quads, {star}, {star})
 
 
 def to_automaton(t: Transducer) -> Transducer:

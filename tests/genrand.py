@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 import string
 
+from helpers import image, rel
 from relmach.automata import Nfa, nfa
-from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, type_of
-from relmach.relcore import Alphabet, Obj, Rel, UNIT_OBJ, obj, pack_obj, product_alphabet, rel
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, type_of
+from relmach.relcore import UNIT, Alphabet, Obj, Rel, UNIT_OBJ, obj, pack_obj, product_alphabet
 from relmach.sofic import Presentation, presentation
 from relmach.transducer import Transducer, transducer
 
@@ -135,6 +136,51 @@ def random_diagram(rng: random.Random, dom: Obj, cod: Obj, nodes: int = 6,
     return _leaf(rng, dom, cod)
 
 
+def random_bundle(rng: random.Random, pool: list[Alphabet]) -> Obj:
+    """One or two wires drawn from ``pool``, sometimes with a unit wire among them."""
+    wires = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.3:
+        wires.insert(rng.randint(0, len(wires)), UNIT)
+    return Obj(tuple(wires))
+
+
+def random_wired_diagram(rng: random.Random, dom: Obj, cod: Obj, nodes: int = 6,
+                         feedbacks: int = 2) -> Diagram:
+    """A well-typed term with at most ``nodes`` constructors, drawn the ways
+    ``random_diagram`` never draws one: ``Swap`` leaves, ``Par`` of two open
+    halves, bundles with unit wires inside them, and loops around these."""
+    if nodes <= 1:
+        if len(dom.wires) == 2 and cod.wires == dom.wires[::-1]:
+            return Swap(*dom.wires)
+        return _leaf(rng, dom, cod)
+    choice = rng.choice(["seq", "swap", "par", "par"] + ["feedback"] * (feedbacks > 0))
+    if choice == "swap" and len(dom.wires) >= 2:
+        a, b, *rest = dom.wires
+        rest = Obj(tuple(rest))
+        return Seq(Par(Swap(a, b), Id(rest)),
+                   random_wired_diagram(rng, obj(b, a) + rest, cod, nodes - 2, feedbacks))
+    if choice == "par" and len(dom.wires) >= 2 and len(cod.wires) >= 2:
+        i = rng.randint(1, len(dom.wires) - 1)
+        j = rng.randint(1, len(cod.wires) - 1)
+        half = max(1, (nodes - 1) // 2)
+        return Par(
+            random_wired_diagram(rng, Obj(dom.wires[:i]), Obj(cod.wires[:j]), half, feedbacks),
+            random_wired_diagram(rng, Obj(dom.wires[i:]), Obj(cod.wires[j:]),
+                                 max(1, nodes - 1 - half), 0),
+        )
+    if choice == "feedback":
+        wire = Alphabet("W", tuple(f"s{i}" for i in range(rng.randint(1, 2))))
+        body = random_wired_diagram(rng, dom + obj(wire), cod + obj(wire), nodes - 1, feedbacks - 1)
+        return Feedback(wire, random_subset(rng, wire, 0.7), random_subset(rng, wire, 0.7), body)
+    pool = list(dom.flat) + list(cod.flat)
+    mid = random_bundle(rng, pool) if pool else UNIT_OBJ
+    split = rng.randint(1, nodes - 2) if nodes > 2 else 1
+    return Seq(
+        random_wired_diagram(rng, dom, mid, split, feedbacks),
+        random_wired_diagram(rng, mid, cod, nodes - 1 - split, 0),
+    )
+
+
 def boxes_of(d: Diagram) -> list[Box]:
     match d:
         case Box():
@@ -217,7 +263,7 @@ def merge_feedbacks(d: Diagram) -> Diagram | None:
             db, cb = type_of(inner)
             prefix_dom = Obj(db.flat[:-2])
             prefix_cod = Obj(cb.flat[:-2])
-            packed = product_alphabet(w1, w2, name=f"{w1.name}+{w2.name}")
+            packed = Alphabet(f"{w1.name}+{w2.name}", product_alphabet(w1, w2).elements)
             two = obj(w1, w2)
             unpack = rel(obj(packed), two,
                          {((pack_obj(two).elements[k],), t)
@@ -225,8 +271,8 @@ def merge_feedbacks(d: Diagram) -> Diagram | None:
             pack = rel(two, obj(packed),
                        {(t, (pack_obj(two).elements[k],))
                         for k, t in enumerate(two.tuples())})
-            packed_i = frozenset(pack.image((a, b)).pop()[0] for a in i1 for b in i2)
-            packed_f = frozenset(pack.image((a, b)).pop()[0] for a in f1 for b in f2)
+            packed_i = frozenset(image(pack, (a, b)).pop()[0] for a in i1 for b in i2)
+            packed_f = frozenset(image(pack, (a, b)).pop()[0] for a in f1 for b in f2)
             body2 = Seq(Seq(Par(Id(prefix_dom), Box(unpack)), inner),
                         Par(Id(prefix_cod), Box(pack)))
             return Feedback(packed, packed_i, packed_f, body2)

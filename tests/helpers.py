@@ -3,8 +3,12 @@
 The relation algebra of the paper's uniform relations (composition,
 product, cups and caps, the function and subset predicates, and the
 transition relation A×Q → B×Q of a machine, ``trans_rel``) is the tests'
-reference semantics, computed on the library's :class:`Rel` values.  The
-rest are machine constructions and verdicts, and the sliding equation of
+reference semantics, computed on the library's :class:`Rel` values.  So
+are the sequential composition, parallel product and letterwise lift of
+transducers over packed alphabets (``compose_transducers``,
+``product_transducers``, ``lift_transducer``): the diagram collapse
+composes rows over flat wire tuples and packs once.  The rest are machine
+constructions and verdicts, and the sliding equation of
 a feedback loop, that the command line does not reach: its verdicts
 decide on bitmask subsets and one partition refinement and name nothing,
 and the simulation checker enumerates its conditions from the quadruples.
@@ -12,13 +16,15 @@ and the simulation checker enumerates its conditions from the quadruples.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from relmach import io
 from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     iso_check, mask_of, minimize, nfa, nfa_equiv, nfa_to_transducer, prune_language, subset_namer
 from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptor, \
     check_same_type, equiv_chain, type_of
-from relmach.relcore import UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, is_unit, \
-    obj, pack_obj, pack_tuple, pair_symbol, product_alphabet
+from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
+    is_unit, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation, factor_language
 from relmach.transducer import Transducer, transducer
@@ -26,6 +32,14 @@ from relmach.transducer import Transducer, transducer
 
 # ---------------------------------------------------------------------------
 # The relation algebra.
+
+def rel(dom: Obj, cod: Obj, pairs: Iterable[Pair]) -> Rel:
+    return Rel(dom, cod, pairs)
+
+
+def image(r: Rel, x: tuple[str, ...]) -> set[tuple[str, ...]]:
+    return {b for a, b in r.pairs if a == x}
+
 
 def _require_same_type(a: Obj, b: Obj, what: str) -> None:
     if a.signature() != b.signature():
@@ -143,6 +157,59 @@ def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transduc
     split = {pair(a, b): (a, b) for a in input.elements for b in output.elements}
     quads = {(split[ab][0], q, split[ab][1], q2) for ab, q, _, q2 in t.trans}
     return transducer(input, output, t.states, quads, t.initial, t.final)
+
+
+# ---------------------------------------------------------------------------
+# Machine constructions on packed alphabets.  ``diagram._collapse`` composes
+# rows over flat wire tuples instead; these are its reference.
+
+def compose_transducers(t1: Transducer, t2: Transducer) -> Transducer:
+    """Sequential composition; states multiply and behaviors compose."""
+    if t1.output.elements != t2.input.elements:
+        raise TypeMismatch(
+            f"cannot compose transducers: output {t1.output.name!r} vs input {t2.input.name!r}"
+        )
+    states = product_alphabet(t1.states, t2.states)
+    pair = pair_symbol(t1.states, t2.states)
+    by_mid: dict[str, list[tuple[str, str, str]]] = {}
+    for b, p, d, p2 in t2.trans:
+        by_mid.setdefault(b, []).append((p, d, p2))
+    quads = set()
+    for a, q, b, q2 in t1.trans:
+        for p, d, p2 in by_mid.get(b, ()):
+            quads.add((a, pair(q, p), d, pair(q2, p2)))
+    return transducer(
+        t1.input, t2.output, states, quads,
+        {pair(q, p) for q in t1.initial for p in t2.initial},
+        {pair(q, p) for q in t1.final for p in t2.final},
+    )
+
+
+def product_transducers(t1: Transducer, t2: Transducer) -> Transducer:
+    """Parallel product over the product alphabets, positionwise."""
+    states = product_alphabet(t1.states, t2.states)
+    spair = pair_symbol(t1.states, t2.states)
+    ipair = pair_symbol(t1.input, t2.input)
+    opair = pair_symbol(t1.output, t2.output)
+    quads = set()
+    for a, q, b, q2 in t1.trans:
+        for c, p, d, p2 in t2.trans:
+            quads.add((ipair(a, c), spair(q, p), opair(b, d), spair(q2, p2)))
+    return transducer(
+        product_alphabet(t1.input, t2.input),
+        product_alphabet(t1.output, t2.output),
+        states, quads,
+        {spair(q, p) for q in t1.initial for p in t2.initial},
+        {spair(q, p) for q in t1.final for p in t2.final},
+    )
+
+
+def lift_transducer(r: Rel) -> Transducer:
+    """One-state transducer whose behavior is the letterwise lift of ``r``,
+    over its domain and codomain bundles each packed into one alphabet."""
+    star = UNIT.elements[0]
+    quads = {(pack_tuple(r.dom, x), star, pack_tuple(r.cod, y), star) for x, y in r.pairs}
+    return transducer(pack_obj(r.dom), pack_obj(r.cod), UNIT, quads, {star}, {star})
 
 
 # ---------------------------------------------------------------------------

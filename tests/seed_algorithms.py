@@ -14,7 +14,10 @@ So are the algorithms of which the finite-word and the bi-infinite side
 each had a copy: both subset constructions (``determinize``,
 ``determinize_presentation``), the synchronized walk of ``rooted_iso``,
 ``compose_z``, ``product_z``, and both structural collapses
-(``normal_form``, ``z_normal_form``).
+(``normal_form``, ``z_normal_form``), which built a validated machine over
+packed alphabets at every node and unpacked, re-packed and renamed its
+letters at every ``Par`` and ``Feedback`` (``_unpackers``, ``_fold_quads``,
+``_retype``).
 
 So are the verdicts that decided equality one kind at a time, before every
 kind became a finite-word acceptor for ``nfa_equiv``: ``diagrams_equiv``,
@@ -54,22 +57,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from helpers import compose, pack_rel, product, subset_as_copoint, subset_as_point, subset_name, \
-    trans_rel
+from helpers import compose, compose_transducers, lift_transducer, pack_rel, product, \
+    product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel
 from relmach import io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
     _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, same_words, \
     successor_map, transducer_to_nfa
-from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, _fold_quads, _retype, bend, \
-    type_of
-from relmach.relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, identity, material, obj, \
-    pack_obj, pair_symbol, product_alphabet, swap as swap_rel
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, bend, type_of
+from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, TypeMismatch, identity, is_unit, \
+    material, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
     presentation_of_ztransducer, ztransducer
-from relmach.transducer import Transducer, compose_transducers, lift_transducer, product_transducers, \
-    transducer
+from relmach.transducer import Transducer, transducer
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -546,6 +547,44 @@ def product_z(z1: ZTransducer, z2: ZTransducer) -> ZTransducer:
         product_alphabet(z1.output, z2.output),
         states, quads,
     )
+
+
+def _unpackers(o: Obj):
+    """Map a packed symbol of ``o`` to its flat tuple, by index."""
+    packed = pack_obj(o)
+    if is_unit(packed):
+        return lambda s: ()
+    table = dict(zip(packed.elements, o.tuples())) if len(o.flat) > 1 else None
+    if table is None:
+        return lambda s: (s,)
+    return lambda s: table[s]
+
+
+def _fold_quads(t_quads, body_dom: Obj, body_cod: Obj, spair):
+    """Rewrite body quads, moving the last wire into the state component."""
+    prefix_dom = Obj(body_dom.flat[:-1])
+    prefix_cod = Obj(body_cod.flat[:-1])
+    unpack_in = _unpackers(body_dom)
+    unpack_out = _unpackers(body_cod)
+    quads = set()
+    for x, p, y, p2 in t_quads:
+        xt = unpack_in(x)
+        yt = unpack_out(y)
+        quads.add((
+            pack_tuple(prefix_dom, xt[:-1]),
+            spair(p, xt[-1]),
+            pack_tuple(prefix_cod, yt[:-1]),
+            spair(p2, yt[-1]),
+        ))
+    return pack_obj(prefix_dom), pack_obj(prefix_cod), quads
+
+
+def _retype(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
+    """Rename boundary symbols positionally (same cardinality and order)."""
+    imap = dict(zip(t.input.elements, input.elements))
+    omap = dict(zip(t.output.elements, output.elements))
+    quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in t.trans}
+    return transducer(input, output, t.states, quads, t.initial, t.final)
 
 
 def normal_form(d: Diagram) -> Transducer:

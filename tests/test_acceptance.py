@@ -21,13 +21,14 @@ from genrand import (
     random_rel,
     random_transducer,
 )
-from helpers import diagrams_equiv, load_file, presentations_equiv, rooted_iso, slide
+from helpers import diagrams_equiv, image, lift_transducer, load_file, presentations_equiv, rel, \
+    rooted_iso, slide
 from relmach import io
 from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv, \
     nfa_to_transducer
 from relmach.cli import main as cli_main
 from relmach.diagram import Box, interpret_upto
-from relmach.relcore import Alphabet, obj, rel
+from relmach.relcore import Alphabet, obj
 from relmach.simulation import (
     TWO_SIDED,
     SimCertificate,
@@ -46,7 +47,7 @@ from relmach.sofic import (
     presentation,
     prune,
 )
-from relmach.transducer import behavior_upto, behavior_via_shift_upto, lift_transducer
+from relmach.transducer import behavior_upto, behavior_via_shift_upto
 
 Ab = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -189,7 +190,7 @@ def test_criterion_7_golden_mean_canonical():
     assert minp.root is not None
     # the root is the class that contains the old root {0,1}
     _, cert = minimize_presentation(det)
-    assert cert.s.image(("{0,1}",)) == {(root_class,)}
+    assert image(cert.s, ("{0,1}",)) == {(root_class,)}
     bigger = presentation(Ab, Alphabet("Q", ("0", "1", "2")), {
         ("0", "a", "0"), ("0", "b", "1"), ("1", "a", "0"),
         ("0", "a", "2"), ("2", "a", "0"), ("2", "a", "2"), ("2", "b", "1"),

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import SEED
 from genrand import random_nfa
-from helpers import compose, factor_closure, is_factor_closed, is_pruned_lang, minimal_dfa, product, \
-    rel_equals, trans_rel, trim
+from helpers import compose, factor_closure, image, is_factor_closed, is_pruned_lang, minimal_dfa, \
+    product, rel_equals, trans_rel, trim
 from relmach.automata import (
     Dfa,
     accepts,
@@ -91,7 +91,7 @@ def test_minimize_chain_to_two_states():
     assert len(m.states) == 2
     assert {x for x, _ in lmap.pairs} == {("s",), ("t",), ("u",)}
     # t and u share a follow language
-    assert lmap.image(("t",)) == lmap.image(("u",))
+    assert image(lmap, ("t",)) == image(lmap, ("u",))
 
 
 def test_minimize_idempotent_on_minimal():

@@ -9,16 +9,16 @@ import pytest
 
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
-from helpers import load_file
+from helpers import lift_transducer, load_file, rel
 import relmach
 from relmach import automata, cli, diagram, io, simulation
 from relmach.automata import determinize, minimize, nfa
 from relmach.cli import build_parser, main
 from relmach.diagram import Box, Feedback, Seq
-from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, obj, rel
+from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, obj
 from relmach.simulation import SimCertificate
 from relmach.sofic import presentation, ztransducer
-from relmach.transducer import lift_transducer, transducer
+from relmach.transducer import transducer
 
 Ab = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))

@@ -8,14 +8,15 @@ and every rejected input must raise the same error."""
 import itertools
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import seed_algorithms as seed
-from genrand import random_alphabet, random_diagram
+from genrand import random_alphabet, random_bundle, random_diagram, random_wired_diagram
 from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name
 from relmach import automata, sofic
-from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
-from relmach.diagram import Feedback, Par, Seq, bend, normal_form, z_normal_form
+from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets, \
+    transducer_to_nfa
+from relmach.diagram import Feedback, Par, Seq, acceptor, bend, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, obj
 from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
     presentation, prune
@@ -57,6 +58,22 @@ def test_normal_forms_match_oracle(seed_, nodes, feedbacks):
     for t in terms + [bend(t) for t in terms]:
         assert outcome(z_normal_form, t) == outcome(seed.z_normal_form, t)
         assert outcome(normal_form, t) == outcome(seed.normal_form, t)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.integers(0, 2))
+def test_wired_normal_forms_match_oracle(seed_, nodes, feedbacks):
+    """Terms with ``Swap`` leaves, ``Par`` of two open halves and unit wires
+    inside bundles, with loops around them, which ``random_diagram`` never
+    draws: their normal forms and acceptors, or the errors they raise."""
+    rng = random.Random(seed_)
+    pool = [random_alphabet(rng, "A"), random_alphabet(rng, "B")]
+    dom, cod = random_bundle(rng, pool), random_bundle(rng, pool)
+    d = random_wired_diagram(rng, dom, cod, nodes, feedbacks)
+    for t in (d, unlabel(d, lambda i: True), unlabel(d, lambda i: i == 0)):
+        assert outcome(normal_form, t) == outcome(seed.normal_form, t)
+        assert outcome(z_normal_form, t) == outcome(seed.z_normal_form, t)
+        assert outcome(acceptor, t) == outcome(lambda u: transducer_to_nfa(seed.normal_form(bend(u))), t)
 
 
 @given(graphs())

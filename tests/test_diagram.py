@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import SEED
-from helpers import compose, diagrams_equiv, presentations_equiv, slide, trans_rel, \
-    verify_equiv_certificate
+from helpers import compose, diagrams_equiv, lift_transducer, presentations_equiv, rel, slide, \
+    trans_rel, verify_equiv_certificate
 from genrand import (
     alter_one_box,
     merge_boxes,
@@ -14,7 +14,7 @@ from genrand import (
     random_rel,
     rename_feedback,
 )
-from relmach import diagram
+from relmach import diagram, transducer as transducer_module
 from relmach.diagram import (
     Box,
     Feedback,
@@ -39,10 +39,9 @@ from relmach.relcore import (
     UNIT_OBJ,
     identity,
     obj,
-    rel,
 )
 from relmach.sofic import presentation_of_ztransducer
-from relmach.transducer import behavior_upto, lift_transducer, transducer
+from relmach.transducer import behavior_upto, transducer
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -116,6 +115,48 @@ def test_terms_are_typed_in_linear_time(monkeypatch):
         calls = 0
         assert diagrams_equiv(term, term)[0]
         assert calls <= 4 * (nodes + 3)  # both terms, each bent once
+
+
+def test_normal_form_validates_its_rows_once(monkeypatch):
+    calls = 0
+    check_rows = transducer_module.check_rows
+
+    def counting(rows, columns):
+        nonlocal calls
+        calls += 1
+        return check_rows(rows, columns)
+
+    monkeypatch.setattr(transducer_module, "check_rows", counting)
+    term = parity_feedback()
+    for _ in range(4):
+        swaps = Seq(Swap(Aa, Q2), Swap(Q2, Aa))
+        term = Feedback(Q2, frozenset({"q1"}), frozenset({"q0", "q1"}),
+                        Seq(Seq(Par(term, Id(obj(Q2))), swaps), Box(PARITY_REL)))
+    for make in (normal_form, acceptor):
+        calls = 0
+        make(term)
+        assert calls == 1
+    calls = 0
+    z_normal_form(Feedback(Q2, None, None, Box(PARITY_REL)))
+    assert calls == 1
+
+
+def test_inner_bundles_are_never_packed():
+    # X×Y would pack (p,q)·r and p·(q,r) to one name, "(p,q,r)"; only the
+    # boundary of the term is packed, so the inner bundle needs no names
+    X = Alphabet("X", ("p,q", "p"))
+    Y = Alphabet("Y", ("r", "q,r"))
+    split = Box(rel(obj(A), obj(X, Y), {(("a",), ("p,q", "r")), (("b",), ("p", "q,r"))}))
+    join = Box(rel(obj(X, Y), obj(A), {(("p,q", "r"), ("a",))}))
+    got = interpret_upto(Seq(split, join), 2)  # raises if the two routes disagree
+    assert got.pairs == {((), ()), (("a",), ("a",)), (("a", "a"), ("a", "a"))}
+
+
+def test_denotation_refuses_unlabelled_feedback():
+    loop = Feedback(Q2, None, None, Box(PARITY_REL))
+    with pytest.raises(TypeMismatch) as e:
+        denotation_upto(loop, 1)
+    assert str(e.value) == "unlabelled feedback belongs to the bi-infinite language"
 
 
 def test_interpret_box_swap():

@@ -2,15 +2,14 @@ import json
 
 import pytest
 
-from helpers import load_file
+from helpers import lift_transducer, load_file, rel
 from relmach import io
 from relmach.automata import Dfa, Nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback, Seq
 from relmach.dot import to_dot
-from relmach.relcore import Alphabet, MachineError, obj, rel
+from relmach.relcore import Alphabet, MachineError, obj
 from relmach.sofic import presentation
-from relmach.transducer import lift_transducer
 
 Ab = Alphabet("A", ("a", "b"))
 Q2 = Alphabet("Q", ("q0", "q1"))

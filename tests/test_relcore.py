@@ -5,9 +5,9 @@ import seed_algorithms as seed
 
 from helpers import cap, compose, cup, full_to_unit, is_function, is_partial_function, \
     is_surjective, is_total, pack_rel, product, rel_equals, subset_as_copoint, subset_as_point, \
-    subset_of, transpose
+    rel, subset_of, transpose
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, TypeMismatch, identity, obj, \
-    pack_obj, rel, swap
+    pack_obj, swap
 
 B2 = Alphabet("2", ("0", "1"))
 NOT = rel(obj(B2), obj(B2), {(("0",), ("1",)), (("1",), ("0",))})

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import SEED
 from genrand import random_alphabet, random_rel, random_transducer
+from helpers import rel
 from relmach.automata import Dfa, nfa, nfa_to_transducer
-from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj, rel
+from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.simulation import (
     BACKWARD,
     FORWARD,

@@ -4,7 +4,8 @@ import random
 
 from conftest import SEED
 from genrand import random_presentation
-from relmach.relcore import Alphabet, identity, obj, rel
+from helpers import rel
+from relmach.relcore import Alphabet, identity, obj
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, check_inf
 from relmach.sofic import factor_language, presentation, prune
 from relmach.automata import nfa_equiv

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SEED
 from genrand import random_presentation
-from helpers import presentations_equiv, rooted_iso
+from helpers import image, presentations_equiv, rooted_iso
 from seed_algorithms import compose_z, product_z
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
@@ -126,7 +126,7 @@ def test_minimize_golden_mean():
     assert len(minp.states) == 2
     assert minp.root == minp.states.elements[0]  # class of the old root
     # the {0} and {0,1} subsets share a follow language
-    assert cert.s.image(("{0}",)) == cert.s.image(("{0,1}",))
+    assert image(cert.s, ("{0}",)) == image(cert.s, ("{0,1}",))
     assert check_inf(minp, det, cert).ok
 
 

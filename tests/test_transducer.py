@@ -6,16 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED
 from genrand import random_transducer
-from helpers import compose, from_automaton, pack_rel, rel_equals
-from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, obj, rel
+from helpers import compose, compose_transducers, from_automaton, lift_transducer, pack_rel, \
+    product_transducers, rel, rel_equals
+from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, obj
 from relmach.transducer import (
     UniformRelationSample,
     behavior_upto,
     behavior_via_shift_upto,
-    compose_transducers,
     finite_shift_at,
-    lift_transducer,
-    product_transducers,
     to_automaton,
     transducer,
 )

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seed_validator as seed
-from helpers import trans_rel
+from helpers import rel, trans_rel
 from relmach import io
 from relmach.automata import Dfa, Nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback
-from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError, is_unit, obj, rel
+from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError, is_unit, obj
 from relmach.sofic import Presentation, ZTransducer, ztransducer
 from relmach.transducer import Transducer, transducer
 
