@@ -6,10 +6,12 @@ Each file is a single JSON document with a top-level ``kind`` tag.
 tags.  Output is canonical: object keys are sorted, words are arrays of
 symbol names, and every array of symbols, pairs, or transitions is sorted
 in the canonical order of its alphabets, so serialization is deterministic
-and round-trip stable.  Reading a document that is not JSON, or whose
-structure does not fit its kind, raises ``MachineError``; so does one
-nested too deeply to decode or parse, a depth limit that follows Python's
-recursion limit (``sys.getrecursionlimit``).
+and round-trip stable.  ``dumps`` writes the layout itself, byte for byte
+``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
+of its tests.  Reading a document that is not JSON, or whose structure does
+not fit its kind, raises ``MachineError``; so does one nested too deeply to
+decode or parse, and a value too deep to write, at a depth that follows
+Python's recursion limit (``sys.getrecursionlimit``).
 """
 
 from __future__ import annotations
@@ -278,9 +280,57 @@ def _decode(text: str):
         raise MachineError("JSON document nested too deeply") from None
 
 
+_string = json.encoder.encode_basestring_ascii  # json.dumps's C escaper
+_STR, _SEQ = {str}, {list, tuple}
+
+
+def _write(v, out: list, indent: str) -> None:
+    """Append the text of ``v`` to ``out`` at ``indent``, a newline and spaces;
+    one call per level of nesting, so it fails near the stdlib encoder's depth."""
+    if isinstance(v, str):
+        out.append(_string(v))
+    elif not isinstance(v, (dict, list, tuple)):  # json.dumps refuses all but numbers, bools, None
+        out.append(json.dumps(v))
+    elif not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif isinstance(v, dict):
+        inner = indent + "  "
+        out.append("{")
+        for i, (k, x) in enumerate(sorted(v.items())):
+            out += ("," + inner if i else inner, _string(k), ": ")
+            _write(x, out, inner)
+        out += (indent, "}")
+    else:
+        inner = indent + "  "
+        sep = "," + inner
+        types = set(map(type, v))
+        if types <= _STR:  # a row of symbols: one join
+            out += ("[", inner, sep.join(map(_string, v)), indent, "]")
+            return
+        if types <= _SEQ and all(v):  # rows of symbols: one join per row
+            row = inner + "  "
+            try:
+                rows = (inner + "]" + sep + "[" + row).join([("," + row).join(map(_string, x)) for x in v])
+                out += ("[", inner, "[", row, rows, inner, "]", indent, "]")
+                return
+            except TypeError:  # a row holds something else
+                pass
+        out.append("[")
+        for i, x in enumerate(v):
+            out.append(sep if i else inner)
+            _write(x, out, inner)
+        out += (indent, "]")
+
+
 def dumps(x) -> str:
-    payload = x if isinstance(x, dict) else to_payload(x)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    try:
+        _write(x if isinstance(x, dict) else to_payload(x), out, "\n")
+    except RecursionError:
+        kind = x.get("kind") if isinstance(x, dict) else _TAG.get(type(x))
+        raise MachineError(f"{kind} value: nested too deeply to write") from None
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str):

@@ -51,10 +51,14 @@ through a generator (``sorted_pairs``, ``_tuple_key``).
 So is the periodic-point test that composed the "read the word once"
 relation with itself up to card(states) times (``periodic_membership``);
 its ``prune`` resolves to the oracle above.
+
+So is the canonical text that ``io.dumps`` wrote by handing the whole
+payload to the stdlib encoder (``canonical_dumps``).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from helpers import compose, compose_transducers, lift_transducer, pack_rel, product, \
@@ -875,3 +879,8 @@ def periodic_membership(p: Presentation, word) -> bool:
         if any(q in current[q] for q in states):
             return True
     return False
+
+
+def canonical_dumps(payload: dict) -> str:
+    """Sorted keys, two spaces of indent per level, and a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

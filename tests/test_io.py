@@ -1,15 +1,22 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from genrand import random_alphabet, random_diagram, random_nfa, random_presentation, random_rel, \
+    random_transducer
 from helpers import lift_transducer, load_file, rel
 from relmach import io
-from relmach.automata import Dfa, Nfa
+from relmach.automata import Dfa, Nfa, nfa_to_transducer
 from relmach.cli import main
-from relmach.diagram import Box, Feedback, Seq
+from relmach.diagram import Box, Feedback, Seq, equiv_chain
 from relmach.dot import to_dot
 from relmach.relcore import Alphabet, MachineError, obj
-from relmach.sofic import presentation
+from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin
+from relmach.sofic import presentation, ztransducer
+from relmach.transducer import behavior_upto
+from seed_algorithms import canonical_dumps
 
 Ab = Alphabet("A", ("a", "b"))
 Q2 = Alphabet("Q", ("q0", "q1"))
@@ -65,6 +72,63 @@ def test_dumps_is_canonical_json():
     assert text == io.dumps(io.loads(text))
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+# Strings with quotes, backslashes, control, non-ASCII and astral characters
+# (written as surrogate pairs), and the other leaves a payload may hold.
+SYMBOLS = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7f é\u2028\U0001d11e') | st.characters(),
+                  max_size=6)
+LEAVES = SYMBOLS | st.integers() | st.integers(-2**80, 2**80) | st.booleans() | st.none()
+# Rows of symbols, which the encoder joins whole, and their near misses.
+ROWS = (st.lists(st.lists(SYMBOLS, min_size=1, max_size=3) | st.tuples(SYMBOLS, SYMBOLS), max_size=4)
+        | st.lists(st.lists(SYMBOLS, max_size=2) | st.tuples(SYMBOLS, LEAVES), max_size=3)
+        | st.lists(SYMBOLS | st.lists(SYMBOLS, max_size=2), max_size=4))
+TREES = st.recursive(
+    LEAVES | ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(SYMBOLS, kids, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(SYMBOLS, TREES, max_size=4))
+def test_dumps_writes_the_stdlib_bytes(payload):
+    assert io.dumps(payload) == canonical_dumps(payload)
+
+
+@given(st.integers(0, 2**32).map(random.Random))
+def test_machine_documents_keep_their_bytes(rng):
+    t, n, p = random_transducer(rng), random_nfa(rng), random_presentation(rng)
+    dfa, cert = certificate_for_determinization(n)
+    a, w = random_alphabet(rng, "A", 3), random_alphabet(rng, "W", 2)
+    body = random_diagram(rng, obj(a, w), obj(a, w), nodes=4, feedbacks=0)
+    machines = [a, random_rel(rng, obj(a), obj(a, a)), t, n, dfa, p,
+                ztransducer(t.input, t.output, t.states, t.trans),
+                random_diagram(rng, obj(a), obj(a), nodes=6), Feedback(w, None, None, body),
+                cert, equiv_chain(n, dfa)]
+    assert {io.kind_of(x) for x in machines} == set(io.KINDS)
+    m1, m2 = nfa_to_transducer(n), nfa_to_transducer(dfa)
+    empty = SimCertificate(rel(cert.s.dom, cert.s.cod, set()))
+    reports = [check_fin(m1, m2, cert), check_fin(m1, m2, empty)]
+    for payload in [*map(io.to_payload, machines), io.sample_payload(behavior_upto(t, 2)),
+                    *map(io.report_payload, reports)]:
+        assert io.dumps(payload) == canonical_dumps(payload)
+
+
+def seq_chain(depth: int) -> Seq:
+    """A right-nested chain of ``depth`` ``Seq`` nodes over one box."""
+    term = Box(SWAP_REL)
+    for _ in range(depth):
+        term = Seq(Box(SWAP_REL), term)
+    return term
+
+
+def test_deep_terms_and_unencodable_values():
+    term = seq_chain(900)
+    assert io.dumps(term) == canonical_dumps(io.to_payload(term))
+    for dumps in (io.dumps, canonical_dumps):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps({"kind": "nfa", "trans": [["p", {"a", "b"}, "q"]]})
 
 
 def test_dot_outputs():
@@ -127,14 +191,11 @@ DOT_DOC = 'digraph {\n  node [shape=box];\n  n0 [label="%s"];\n  n1 [label="box 
      '{"kind": "ztransducer", %s}' % MACHINE_DOC),
 ])
 def test_feedback_terms_keep_their_bytes(term, doc, dot, normal, tmp_path, capsys):
-    def written(compact):
-        return json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
-
     path = tmp_path / "term.json"
     io.save_file(path, term)
-    assert path.read_text() == written(doc) and to_dot(term) == dot
+    assert path.read_text() == canonical_dumps(json.loads(doc)) and to_dot(term) == dot
     assert main(["normalize", str(path)]) == 0
-    assert capsys.readouterr().out == written(normal)
+    assert capsys.readouterr().out == canonical_dumps(json.loads(normal))
 
 
 def test_kind_of_is_the_tag_a_value_is_written_under():
@@ -218,6 +279,19 @@ def test_over_deep_documents_raise_machine_error(tmp_path):
         term = {"node": "seq", "first": ID_TERM, "second": term}
     with pytest.raises(MachineError, match="diagram document: nested too deeply"):
         io.from_payload({"kind": "diagram", "term": term})
+
+
+def test_over_deep_values_raise_machine_error_and_write_no_file(tmp_path):
+    path = tmp_path / "deep.json"
+    for write in (io.dumps, lambda x: io.save_file(path, x)):
+        with pytest.raises(MachineError, match="diagram value: nested too deeply to write"):
+            write(seq_chain(1500))
+    assert not path.exists()
+    payload = ID_TERM
+    for _ in range(1500):  # a payload too deep for the encoder itself
+        payload = {"node": "seq", "first": ID_TERM, "second": payload}
+    with pytest.raises(MachineError, match="diagram value: nested too deeply to write"):
+        io.dumps({"kind": "diagram", "term": payload})
 
 
 def test_load_tagged_returns_the_document_kind(tmp_path):
