@@ -11,10 +11,10 @@ The first two run on state positions.  A subset is an ``int`` bitmask, and
 its image under a letter is the OR of its members' successor masks: k ORs
 per member for k letters.  ``refine`` runs on ``list`` transition tables
 in O(n·k·log n) for n states.  States and subsets are named only where a
-machine is emitted.  A verdict is one refinement of the disjoint union of
-two subset graphs (``same_words``): beyond the subset construction, which
-is exponential in the worst case, it costs O(N·k·log N) for N subsets, and
-it builds, names and validates no machine.
+machine is emitted.  A verdict (``same_words``) walks both subset DFAs on
+the fly with Hopcroft and Karp's union-find: at most one row per subset and
+O((N1+N2)·k) pair steps at O(α) each for N1+N2 subsets.  It stops at the
+first pair differing in finality and builds, names and validates no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -23,6 +23,7 @@ checkable by the simulation module.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -280,15 +281,22 @@ def bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_FLAGS)
 
 
+def successor_table(m) -> list[list[int]]:
+    """Per letter, per state position, the bitmask of the state's
+    successors in ``m`` (an ``Nfa`` or a presentation)."""
+    index, letter = m.states.index, m.alphabet.index
+    table = [[0] * len(m.states) for _ in m.alphabet.elements]
+    for q, a, q2 in m.trans:
+        table[letter(a)][index(q)] |= 1 << index(q2)
+    return table
+
+
 def subsets(m, start: int) -> dict[int, list[int]]:
     """Subset construction: every subset of states accessible from the
     bitmask ``start`` in ``m`` (an ``Nfa`` or a presentation), the empty
     subset 0 included when reached, with its image under each letter, in
     alphabet order."""
-    index, letter = m.states.index, m.alphabet.index
-    table = [[0] * len(m.states) for _ in m.alphabet.elements]  # per letter, per state
-    for q, a, q2 in m.trans:
-        table[letter(a)][index(q)] |= 1 << index(q2)
+    table = successor_table(m)
     graph: dict[int, list[int]] = {start: []}
     todo = [start]
     while todo:
@@ -431,20 +439,37 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
 def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
     """Whether the subset DFA of ``m1`` from ``start1`` accepts the same
     words as that of ``m2`` (same alphabet) from ``start2``, a subset being
-    final when it meets ``final1`` (``final2``).  Both DFAs are complete,
-    so this holds iff one refinement of their disjoint union, keyed by
-    finality, puts both starts in one block."""
-    rows: list[list[int]] = []
-    key: list[bool] = []
-    starts = []
-    for m, start, final in ((m1, start1, final1), (m2, start2, final2)):
-        graph = subsets(m, start)
-        number = dict(zip(graph, range(len(key), len(key) + len(graph))))
-        rows += [[number[image] for image in row] for row in graph.values()]
-        key += [not mask & final for mask in graph]
-        starts.append(number[start])
-    block = refine([list(col) for col in zip(*rows)], key)
-    return block[starts[0]] == block[starts[1]]
+    final when it meets ``final1`` (``final2``).  Hopcroft and Karp (1971):
+    a breadth-first walk over pairs of subsets, with a union-find over
+    ``mask << 1 | side``.  A pair differing in finality answers ``False``
+    (checked first: no class mixes finalities), a pair in one class is
+    skipped, and any other is merged and queues the pairs of its images."""
+    tables = successor_table(m1), successor_table(m2)
+    rows: tuple[dict[int, list[int]], ...] = ({},) * 2 if tables[0] == tables[1] else ({}, {})
+    parent: dict[int, int] = {}  # a root has no entry
+
+    def find(x: int) -> int:
+        while x in parent:  # path halving
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def row(side: int, mask: int) -> list[int]:
+        if mask not in rows[side]:
+            flags = bits(mask)
+            rows[side][mask] = [reduce(or_, compress(col, flags), 0) for col in tables[side]]
+        return rows[side][mask]
+
+    todo = deque([(start1, start2)])
+    while todo:
+        a, b = todo.popleft()
+        if (not a & final1) != (not b & final2):
+            return False
+        ra, rb = find(a << 1), find(b << 1 | 1)
+        if ra != rb:
+            parent[ra] = rb
+            todo.extend(zip(row(0, a), row(1, b)))
+    return True
 
 
 def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:

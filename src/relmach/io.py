@@ -9,9 +9,11 @@ in the canonical order of its alphabets, so serialization is deterministic
 and round-trip stable.  ``dumps`` writes the layout itself, byte for byte
 ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
 of its tests.  Reading a document that is not JSON, or whose structure does
-not fit its kind, raises ``MachineError``; so does one nested too deeply to
-decode or parse, and a value too deep to write, at a depth that follows
-Python's recursion limit (``sys.getrecursionlimit``).
+not fit its kind, raises ``MachineError``; so does a string or an object
+where an array belongs (checked by type, with no loop per row, except in
+the words of a relation's pairs), one nested too deeply to decode or
+parse, and a value too deep to write, at a depth that follows Python's
+recursion limit (``sys.getrecursionlimit``).
 """
 
 from __future__ import annotations
@@ -26,20 +28,40 @@ from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
 from .transducer import QuadMachine, Transducer, UniformRelationSample, transducer
 
+
+def _array(p: dict, field: str) -> list:
+    """``p[field]``, which must be a JSON array: a string or an object would
+    read as its characters or keys.  ``from_payload`` reports the
+    ``TypeError`` as a malformed document."""
+    v = p[field]
+    if type(v) is not list:
+        raise TypeError(f"field {field!r}: expected an array")
+    return v
+
+
+def _rows(p: dict, field: str) -> list:
+    """``p[field]``, an array of arrays (transitions, relation pairs),
+    checked by type in one pass."""
+    rows = _array(p, field)
+    if not set(map(type, rows)) <= {list}:
+        raise TypeError(f"field {field!r}: expected an array of arrays")
+    return rows
+
+
 def _alphabet_payload(a: Alphabet) -> dict:
     return {"name": a.name, "elements": list(a.elements)}
 
 
 def _parse_alphabet(p: dict) -> Alphabet:
-    return Alphabet(p["name"], tuple(p["elements"]))
+    return Alphabet(p["name"], tuple(_array(p, "elements")))
 
 
 def _obj_payload(o: Obj) -> list:
     return [_alphabet_payload(w) for w in o.wires]
 
 
-def _parse_obj(p: list) -> Obj:
-    return Obj(tuple(_parse_alphabet(w) for w in p))
+def _parse_obj(p: dict, field: str) -> Obj:
+    return Obj(tuple(map(_parse_alphabet, _array(p, field))))
 
 
 def _rel_payload(r: Rel) -> dict:
@@ -51,10 +73,8 @@ def _rel_payload(r: Rel) -> dict:
 
 
 def _parse_rel(p: dict) -> Rel:
-    return Rel(
-        _parse_obj(p["dom"]), _parse_obj(p["cod"]),
-        ((tuple(x), tuple(y)) for x, y in p["pairs"]),
-    )
+    return Rel(_parse_obj(p, "dom"), _parse_obj(p, "cod"),
+               ((tuple(x), tuple(y)) for x, y in _rows(p, "pairs")))
 
 
 def _quads_payload(m: QuadMachine) -> dict:
@@ -69,7 +89,7 @@ def _quads_payload(m: QuadMachine) -> dict:
 
 def _parse_quads(p: dict) -> tuple:
     return (_parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
-            _parse_alphabet(p["states"]), (tuple(q) for q in p["trans"]))
+            _parse_alphabet(p["states"]), map(tuple, _rows(p, "trans")))
 
 
 def _transducer_payload(t: Transducer) -> dict:
@@ -90,7 +110,7 @@ def _nfa_payload(n: Nfa) -> dict:
 def _parse_nfa(p: dict, cls: type) -> Nfa:
     return cls(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        (tuple(t) for t in p["trans"]), p["initial"], p["final"],
+        map(tuple, _rows(p, "trans")), _array(p, "initial"), _array(p, "final"),
     )
 
 
@@ -108,7 +128,7 @@ def _presentation_payload(p: Presentation) -> dict:
 def _parse_presentation(p: dict) -> Presentation:
     return presentation(
         _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        (tuple(t) for t in p["trans"]), p.get("root"),
+        map(tuple, _rows(p, "trans")), p.get("root"),
     )
 
 
@@ -136,7 +156,7 @@ def _parse_term(p: dict) -> Diagram:
     if node == "box":
         return Box(_parse_rel(p["rel"]))
     if node == "id":
-        return Id(_parse_obj(p["obj"]))
+        return Id(_parse_obj(p, "obj"))
     if node == "swap":
         return Swap(_parse_alphabet(p["a"]), _parse_alphabet(p["b"]))
     if node == "seq":
@@ -146,7 +166,7 @@ def _parse_term(p: dict) -> Diagram:
     if node in ("feedback", "feedback-z"):
         # a labelled node's label lists are read as sets, so null is refused
         wire = _parse_alphabet(p["wire"])
-        labels = (p["initial"], p["final"]) if node == "feedback" else None
+        labels = (_array(p, "initial"), _array(p, "final")) if node == "feedback" else None
         body = _parse_term(p["body"])
         i, f = map(wire.check_subset, labels) if labels else (None, None)
         return Feedback(wire, i, f, body)
@@ -210,7 +230,8 @@ KINDS = {
     "alphabet": Kind(Alphabet, _alphabet_payload, _parse_alphabet),
     "relation": Kind(Rel, _rel_payload, _parse_rel),
     "transducer": Kind(Transducer, _transducer_payload,
-                       lambda p: transducer(*_parse_quads(p), p["initial"], p["final"])),
+                       lambda p: transducer(*_parse_quads(p), _array(p, "initial"),
+                                            _array(p, "final"))),
     "nfa": Kind(Nfa, _nfa_payload, lambda p: _parse_nfa(p, Nfa)),
     "dfa": Kind(Dfa, _nfa_payload, lambda p: _parse_nfa(p, Dfa)),
     "presentation": Kind(Presentation, _presentation_payload, _parse_presentation),

@@ -56,8 +56,10 @@ class Alphabet:
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise MachineError(f"alphabet name {self.name!r} is not a string")
         elements = tuple(self.elements)
-        if not all(isinstance(s, str) for s in elements):
+        if not set(map(type, elements)) <= {str}:
             raise MachineError(f"alphabet {self.name!r} has a non-string element")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", dict(zip(elements, range(len(elements)))))

@@ -14,14 +14,17 @@ The canonical form takes the same steps and names what it emits: pruning
 is ``long_path_states``, the subset construction ``subsets`` (rooted at
 the full state set, without the empty subset), merging ``quotient``.  The
 public determinize and minimize steps check their preconditions on every
-call; the canonical form meets them by construction.  A periodic point is
-a cycle of the graph of reading one word: ``long_path_states`` again.
+call; the canonical form meets them by construction, and ``prune``'s
+output passes the pruning check without a subset construction.  A
+periodic point is a cycle of the graph of reading one word:
+``long_path_states`` again.
 
 Costs, for n states, m transitions and k letters: pruning peels states
 with no kept successor, then no kept predecessor, in O(n + m), leaving the
 essential graph (Lind & Marcus, §2.2); the subset construction is
 exponential in the worst case, a bitmask per subset and k ORs per member;
-merging N subsets uses Hopcroft's refinement, O(N·k·log N).
+merging N subsets uses Hopcroft's refinement, O(N·k·log N); a verdict
+walks both subset DFAs with a union-find that stops at the first conflict.
 """
 
 from __future__ import annotations
@@ -118,9 +121,12 @@ def prune(p: Presentation) -> Presentation:
 
 
 def is_language_pruned(p: Presentation) -> bool:
-    """Whether every accepted word extends on both sides within the language."""
+    """Whether every accepted word extends on both sides within the language.
+    Pruning the language keeps states and transitions, so when it keeps
+    every start and end too the two machines are one."""
     n = p.as_nfa()
-    return nfa_equiv(n, prune_language(n))
+    pumped = prune_language(n)
+    return pumped.initial == n.initial and pumped.final == n.final or nfa_equiv(n, pumped)
 
 
 def is_right_resolving(p: Presentation) -> bool:

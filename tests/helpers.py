@@ -10,7 +10,7 @@ transducers over packed alphabets (``compose_transducers``,
 composes rows over flat wire tuples and packs once.  The rest are machine
 constructions and verdicts, and the sliding equation of
 a feedback loop, that the command line does not reach: its verdicts
-decide on bitmask subsets and one partition refinement and name nothing,
+decide on bitmask subsets by one union-find walk and name nothing,
 and the simulation checker enumerates its conditions from the quadruples.
 """
 

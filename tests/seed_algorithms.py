@@ -30,6 +30,14 @@ document the command line wrote.  Their bodies are unchanged, so names they
 share with the oracles above (``normal_form``, ``z_normal_form``,
 ``prune``, ``presentations_equiv``) resolve to those oracles.
 
+So is the verdict on bitmask subsets that the union-find walk of
+``automata.same_words`` replaced: both subset graphs built in full, then
+one Hopcroft refinement of their disjoint union
+(``same_words_by_refinement``), through which
+``presentations_equiv_by_refinement`` decides.  It calls the library's
+``subsets`` and ``refine`` through the module, since the names alone
+resolve to the name-based oracles below.
+
 So is the shared core that ran on state names before it ran on positions:
 the subset construction over frozensets of names (``subsets``), Hopcroft's
 refinement keyed by names (``refine``), and the verdicts that minimized
@@ -63,10 +71,10 @@ from dataclasses import dataclass
 
 from helpers import compose, compose_transducers, lift_transducer, pack_rel, product, \
     product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel
-from relmach import io
+from relmach import automata, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, same_words, \
-    successor_map, transducer_to_nfa
+    _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map, \
+    transducer_to_nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, bend, type_of
 from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, TypeMismatch, identity, is_unit, \
     material, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet, swap as swap_rel
@@ -744,7 +752,26 @@ def presentations_equiv_by_refinement(p1: Presentation, p2: Presentation) -> boo
         raise TypeMismatch("presentations over different alphabets")
     q1, q2 = prune(p1), prune(p2)
     full1, full2 = (1 << len(q1.states)) - 1, (1 << len(q2.states)) - 1
-    return same_words(q1, full1, full1, q2, full2, full2)
+    return same_words_by_refinement(q1, full1, full1, q2, full2, full2)
+
+
+def same_words_by_refinement(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
+    """Whether the subset DFA of ``m1`` from ``start1`` accepts the same
+    words as that of ``m2`` (same alphabet) from ``start2``, a subset being
+    final when it meets ``final1`` (``final2``).  Both DFAs are complete,
+    so this holds iff one refinement of their disjoint union, keyed by
+    finality, puts both starts in one block."""
+    rows: list[list[int]] = []
+    key: list[bool] = []
+    starts = []
+    for m, start, final in ((m1, start1, final1), (m2, start2, final2)):
+        graph = automata.subsets(m, start)
+        number = dict(zip(graph, range(len(key), len(key) + len(graph))))
+        rows += [[number[image] for image in row] for row in graph.values()]
+        key += [not mask & final for mask in graph]
+        starts.append(number[start])
+    block = automata.refine([list(col) for col in zip(*rows)], key)
+    return block[starts[0]] == block[starts[1]]
 
 
 def ztransducers_equiv(z1: ZTransducer, z2: ZTransducer) -> bool:

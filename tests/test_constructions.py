@@ -1,9 +1,11 @@
 """The bi-infinite side runs the finite-word constructions: normal forms of
 both term languages through one collapse, both subset constructions through
-one loop on bitmask subsets, and both verdicts through one refinement.
-Each is tested differentially against the former code (``seed_algorithms``):
-every result must serialize to the same bytes, every verdict must agree,
-and every rejected input must raise the same error."""
+one loop on bitmask subsets, and both verdicts through one union-find walk
+over two subset DFAs (``automata.same_words``).  Each is tested
+differentially against the former code (``seed_algorithms``): every result
+must serialize to the same bytes, every verdict must agree, the walk's with
+the refinement of both whole subset graphs that it replaced, and every
+rejected input must raise the same error."""
 
 import itertools
 import random
@@ -174,14 +176,37 @@ def test_verdicts_build_no_membership_relation(monkeypatch):
     monkeypatch.setattr(Rel, "__post_init__", refuse)
     p = colliding_presentation()
     canonical_form(presentation(A, Alphabet("Q", ("0", "1")), {("0", "x", "1"), ("1", "y", "0")}))
-    # A verdict builds no DFA, names no subset and compares no machines.
+    # A verdict builds no DFA, names no subset, compares no machines and
+    # refines no partition.
     monkeypatch.setattr(Dfa, "__post_init__", refuse)
     monkeypatch.setattr(automata, "iso_check", refuse)
     monkeypatch.setattr(sofic, "iso_check", refuse, raising=False)
     monkeypatch.setattr(automata, "subset_namer", refuse)
+    monkeypatch.setattr(automata, "refine", refuse)
     assert presentations_equiv(p, p)
     assert nfa_equiv(colliding_nfa(), colliding_nfa())
     assert is_language_pruned(p) and find_root(p) is None
+    tail = presentation(A, Alphabet("Q", ("p", "q")), {("p", "x", "p"), ("p", "x", "q")})
+    assert is_language_pruned(tail) and find_root(tail) == "p"
+
+
+def from_end(k: int):
+    """The NFA of the words over {x, y} whose k-th letter from the end is x;
+    its subset DFA has 2**k states."""
+    states = Alphabet("Q", tuple(f"q{i}" for i in range(k + 1)))
+    trans = {("q0", "x", "q0"), ("q0", "y", "q0"), ("q0", "x", "q1")}
+    trans |= {(f"q{i}", c, f"q{i + 1}") for i in range(1, k) for c in "xy"}
+    return nfa(A, states, trans, {"q0"}, {f"q{k}"})
+
+
+def test_verdict_stops_at_the_first_conflict(monkeypatch):
+    n = from_end(12)
+    with_empty_word = nfa(A, n.states, n.trans, n.initial, n.final | {"q0"})
+    decoded = []
+    bits = automata.bits
+    monkeypatch.setattr(automata, "bits", lambda mask: decoded.append(mask) or bits(mask))
+    assert not nfa_equiv(n, with_empty_word)
+    assert len(decoded) <= 2
 
 
 # State names whose subsets were once named alike, and plain ones.
@@ -239,6 +264,25 @@ def presentation_triples(draw):
                                  draw(st.sampled_from(states.elements + (None,)))))
     p, other = made
     return p, presentation(alphabet, p.states, mutant(draw, p.states, alphabet.elements, p.trans)), other
+
+
+@given(nfa_pairs(), st.data())
+def test_same_words_matches_refinement(triple, data):
+    """On raw (machine, start mask, final mask) triples, the empty start
+    among them, and in the shape ``is_root`` asks: one machine on both
+    sides, one state's mask against the full one."""
+    n, changed, other = triple
+
+    def masks(m):
+        return st.integers(0, (1 << len(m.states)) - 1)
+
+    for x, y in [(n, n), (n, changed), (changed, n), (n, other)]:
+        args = (x, data.draw(masks(x)), data.draw(masks(x)), y, data.draw(masks(y)), data.draw(masks(y)))
+        assert automata.same_words(*args) == seed.same_words_by_refinement(*args)
+    full = (1 << len(n.states)) - 1
+    for i in range(len(n.states)):
+        args = (n, 1 << i, full, n, full, full)
+        assert automata.same_words(*args) == seed.same_words_by_refinement(*args)
 
 
 @given(nfa_pairs())

@@ -162,7 +162,7 @@ def test_mixed_feedback_is_refused_before_it_is_written(tmp_path):
     # a feedback node's label lists are read as sets: null is no unlabelled loop
     doc = io.to_payload(Feedback(Q2, {"q0"}, {"q0"}, Box(r)))
     doc["term"].update(initial=None, final=None)
-    with pytest.raises(MachineError, match="symbol set is not a set"):
+    with pytest.raises(MachineError, match="field 'initial': expected an array"):
         io.from_payload(doc)
 
 
@@ -221,6 +221,7 @@ NFA_DOC = {"kind": "nfa", "alphabet": {"name": "A", "elements": ["a"]},
            "states": {"name": "Q", "elements": ["p"]},
            "trans": [["p", "a", "p"]], "initial": ["p"], "final": ["p"]}
 ALPHA = {"name": "A", "elements": ["a"]}
+ID_TERM = {"node": "id", "obj": [ALPHA]}
 
 # Structurally malformed documents, each with the words its error must name.
 MALFORMED_DOCS = [
@@ -233,6 +234,23 @@ MALFORMED_DOCS = [
     ({"kind": "presentation", "alphabet": ALPHA, "states": 3, "trans": []}, "malformed"),
     ({"kind": "alphabet", "name": "A", "elements": 7}, "malformed"),
     ({"kind": "diagram", "term": ["box"]}, "malformed"),
+    # a string or an object where an array belongs, which would read as its
+    # characters or keys, and a name that is no string
+    ({"kind": "alphabet", "name": "A", "elements": "ab"}, "field 'elements': expected an array"),
+    ({**NFA_DOC, "initial": "p"}, "field 'initial': expected an array"),
+    ({**NFA_DOC, "final": {"p": 1}}, "field 'final': expected an array"),
+    ({**NFA_DOC, "trans": ["pap"]}, "field 'trans': expected an array"),
+    ({**NFA_DOC, "alphabet": {"name": 5, "elements": ["a"]}}, "alphabet name 5 is not a string"),
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": ["aa"]},
+     "field 'pairs': expected an array"),
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": {"a": "a"}},
+     "field 'pairs': expected an array"),
+    ({"kind": "relation", "dom": ALPHA, "cod": [ALPHA], "pairs": []}, "field 'dom': expected an array"),
+    ({"kind": "presentation", "alphabet": ALPHA, "states": {"name": "Q", "elements": ["p"]},
+      "trans": ["pap"]}, "field 'trans': expected an array"),
+    ({"kind": "diagram", "term": {"node": "feedback", "wire": {"name": "Q", "elements": ["p"]},
+                                  "initial": [], "final": "p", "body": ID_TERM}},
+     "field 'final': expected an array"),
 ]
 
 
@@ -254,9 +272,6 @@ def test_invalid_json_raises_machine_error(tmp_path):
     path.write_text("[1, 2")
     with pytest.raises(MachineError, match="not a JSON document"):
         load_file(path)
-
-
-ID_TERM = {"node": "id", "obj": [ALPHA]}
 
 
 def deep_seq_document(depth: int) -> str:

@@ -7,6 +7,7 @@ from conftest import SEED
 from genrand import random_presentation
 from helpers import image, presentations_equiv, rooted_iso
 from seed_algorithms import compose_z, product_z
+from relmach import sofic
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
 from relmach.simulation import check_inf
@@ -110,14 +111,32 @@ def test_determinize_two_disjoint_loops():
     assert ("{p,q}", "b", "{q}") in det.trans
 
 
-def test_determinize_rejects_empty_and_unpruned():
+def test_determinize_rejects_empty_and_unpruned(monkeypatch):
     empty = presentation(Aa, Alphabet("Q", ()), set())
     with pytest.raises(MachineError):
         determinize_presentation(empty)
     Q = Alphabet("Q", ("p", "q"))
     unpruned = presentation(Aa, Q, {("p", "a", "q")})
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="determinization requires a pruned presentation"):
         determinize_presentation(unpruned)
+    # q ends every word but starts none, so only the languages tell that
+    # pruning would lose no word
+    checked = []
+    monkeypatch.setattr(sofic, "nfa_equiv", lambda *ns: checked.append(ns) or nfa_equiv(*ns))
+    det, _ = determinize_presentation(presentation(Aa, Q, {("p", "a", "p"), ("p", "a", "q")}))
+    assert det.trans == {("{p,q}", "a", "{p,q}")} and len(checked) == 1
+
+
+def test_pruned_presentations_need_no_language_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pruned presentation was checked by its language")
+
+    monkeypatch.setattr(sofic, "nfa_equiv", refuse)
+    rng = random.Random(SEED + 47)
+    for _ in range(30):
+        p = prune(random_presentation(rng))
+        if not p.is_empty():
+            determinize_presentation(p)
 
 
 def test_minimize_golden_mean():
