@@ -6,7 +6,12 @@ last wire of a term back to its input (the paper's trace).  In the
 finite-word language the fed-back wire carries initial/final label sets;
 in the bi-infinite language it carries none (``Feedback.labelled``).
 
-Every well-typed term collapses to a quasi-normal form: a single machine
+A term is typed when it is built: each node sets its ``dom``, ``cod`` and
+``feedback`` (the ``Feedback.labelled`` values of its loops) once, from its
+typed children, so an ill-typed term raises ``TypeMismatch`` when built.
+Each entry point checks ``feedback`` once against its language.
+
+Every term collapses to a quasi-normal form: a single machine
 (one relation box under one feedback), computed by one structural
 recursion on rows over the flat wire tuples, as the paper reads a word
 over A×C as a tuple of words.  A box contributes its relation's pairs with
@@ -26,7 +31,7 @@ minimal machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .automata import Dfa, Nfa, iso_check, transducer_to_nfa
@@ -54,38 +59,75 @@ from .transducer import Transducer, UniformRelationSample, behavior_upto, finite
 
 
 @dataclass(frozen=True)
-class Box:
+class _Node:
+    """A term node's domain, codomain and ``feedback``, the set of
+    ``Feedback.labelled`` values of the loops in the term: each node sets
+    them once, from its already typed children, and they take no part in
+    equality, hashing or repr."""
+
+    dom: Obj = field(init=False, repr=False, compare=False)
+    cod: Obj = field(init=False, repr=False, compare=False)
+    feedback: frozenset[bool] = field(init=False, repr=False, compare=False)
+
+    def _typed(self, dom: Obj, cod: Obj, feedback: frozenset[bool] = frozenset()) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "feedback", feedback)
+
+
+@dataclass(frozen=True)
+class Box(_Node):
     rel: Rel
 
+    def __post_init__(self):
+        self._typed(self.rel.dom, self.rel.cod)
+
 
 @dataclass(frozen=True)
-class Id:
+class Id(_Node):
     o: Obj
 
+    def __post_init__(self):
+        self._typed(self.o, self.o)
+
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_Node):
     a: Alphabet
     b: Alphabet
 
+    def __post_init__(self):
+        self._typed(obj(self.a, self.b), obj(self.b, self.a))
+
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Node):
     first: "Diagram"
     second: "Diagram"
 
+    def __post_init__(self):
+        f, s = self.first, self.second
+        if f.cod.signature() != s.dom.signature():
+            raise TypeMismatch("sequential composition of incompatible terms")
+        self._typed(f.dom, s.cod, f.feedback | s.feedback)
+
 
 @dataclass(frozen=True)
-class Par:
+class Par(_Node):
     left: "Diagram"
     right: "Diagram"
 
+    def __post_init__(self):
+        l, r = self.left, self.right
+        self._typed(l.dom + r.dom, l.cod + r.cod, l.feedback | r.feedback)
+
 
 @dataclass(frozen=True)
-class Feedback:
-    """A loop over ``wire``: with label sets, a loop of the finite-word
-    language; with ``initial = final = None``, the unlabelled loop of the
-    bi-infinite language.  A ``None`` on one side only is refused."""
+class Feedback(_Node):
+    """A loop over ``wire``, the last wire of the body on both sides: with
+    label sets, a loop of the finite-word language; with ``initial = final
+    = None``, the unlabelled loop of the bi-infinite language.  A ``None``
+    on one side only is refused."""
 
     wire: Alphabet
     initial: frozenset[str] | None
@@ -93,9 +135,16 @@ class Feedback:
     body: "Diagram"
 
     def __post_init__(self):
+        w, b = self.wire, self.body
         if self.labelled:
-            object.__setattr__(self, "initial", self.wire.check_subset(self.initial))
-            object.__setattr__(self, "final", self.wire.check_subset(self.final))
+            object.__setattr__(self, "initial", w.check_subset(self.initial))
+            object.__setattr__(self, "final", w.check_subset(self.final))
+        if is_unit(w):
+            raise TypeMismatch("feedback over the unit wire is not supported")
+        for side, o in (("domain", b.dom), ("codomain", b.cod)):
+            if not o.flat or o.flat[-1].elements != w.elements:
+                raise TypeMismatch(f"feedback wire {w.name!r} must be the last {side} wire of the body")
+        self._typed(Obj(b.dom.flat[:-1]), Obj(b.cod.flat[:-1]), b.feedback | {self.labelled})
 
     @property
     def labelled(self) -> bool:
@@ -105,69 +154,20 @@ class Feedback:
 Diagram = Union[Box, Id, Swap, Seq, Par, Feedback]
 
 
-def _loop_boundary(wire: Alphabet, db: Obj, cb: Obj) -> tuple[Obj, Obj]:
-    """The boundary of a feedback over ``wire`` around a body db → cb."""
-    if is_unit(wire):
-        raise TypeMismatch("feedback over the unit wire is not supported")
-    for side, o in (("domain", db), ("codomain", cb)):
-        flat = o.flat
-        if not flat or flat[-1].elements != wire.elements:
-            raise TypeMismatch(
-                f"feedback wire {wire.name!r} must be the last {side} wire of the body"
-            )
-    return Obj(db.flat[:-1]), Obj(cb.flat[:-1])
-
-
-def type_of(d: Diagram) -> tuple[Obj, Obj]:
-    """Domain and codomain of a term, or a :class:`TypeMismatch`."""
-    match d:
-        case Box(rel=r):
-            return r.dom, r.cod
-        case Id(o=o):
-            return o, o
-        case Swap(a=a, b=b):
-            return obj(a, b), obj(b, a)
-        case Seq(first=f, second=s):
-            df, cf = type_of(f)
-            ds, cs = type_of(s)
-            if cf.signature() != ds.signature():
-                raise TypeMismatch("sequential composition of incompatible terms")
-            return df, cs
-        case Par(left=l, right=r):
-            dl, cl = type_of(l)
-            dr, cr = type_of(r)
-            return dl + dr, cl + cr
-        case Feedback(wire=w, body=b):
-            return _loop_boundary(w, *type_of(b))
-    raise MachineError(f"not a diagram: {d!r}")
-
-
-def _contains_node(d: Diagram) -> set[bool]:
-    """The kinds of feedback node a term contains: ``Feedback.labelled`` of each."""
-    match d:
-        case Seq(first=x, second=y) | Par(left=x, right=y):
-            return _contains_node(x) | _contains_node(y)
-        case Feedback(body=b):
-            return {d.labelled} | _contains_node(b)
-    return set()
-
-
 class _Form(NamedTuple):
-    """A quasi-normal form over the flat wires: rows (x, q, y, q2) relate a
-    tuple x of ``dom`` and a tuple y of ``cod``, read in state q of
-    ``states`` and moving to q2."""
+    """A term's quasi-normal form over its flat wires: rows (x, q, y, q2)
+    relate a tuple x of the term's ``dom`` and a tuple y of its ``cod``,
+    read in state q of ``states`` and moving to q2."""
 
     states: Alphabet
     rows: set
     initial: set
     final: set
-    dom: Obj
-    cod: Obj
 
 
 def _lift(r: Rel) -> _Form:
     star = UNIT.elements[0]
-    return _Form(UNIT, {(x, star, y, star) for x, y in r.pairs}, {star}, {star}, r.dom, r.cod)
+    return _Form(UNIT, {(x, star, y, star) for x, y in r.pairs}, {star}, {star})
 
 
 def _pair_states(a: _Form, b: _Form):
@@ -179,10 +179,9 @@ def _pair_states(a: _Form, b: _Form):
             {pair(q, p) for q in a.final for p in b.final})
 
 
-def _collapse(d: Diagram, labelled: bool) -> _Form:
-    """The quasi-normal form of a term whose feedback nodes are all labelled
-    or all unlabelled, as ``labelled`` says.  An unlabelled loop folds like
-    a labelled one with empty label sets."""
+def _collapse(d: Diagram) -> _Form:
+    """The quasi-normal form of a term, over its flat wires.  An unlabelled
+    loop folds like a labelled one with empty label sets."""
     match d:
         case Box(rel=r):
             return _lift(r)
@@ -191,41 +190,35 @@ def _collapse(d: Diagram, labelled: bool) -> _Form:
         case Swap(a=a, b=b):
             return _lift(swap_rel(a, b))
         case Seq(first=f, second=s):
-            tf, ts = _collapse(f, labelled), _collapse(s, labelled)
-            if tf.cod.signature() != ts.dom.signature():
-                raise TypeMismatch("sequential composition of incompatible terms")
+            tf, ts = _collapse(f), _collapse(s)
             states, pair, initial, final = _pair_states(tf, ts)
             by_mid: dict[tuple, list] = {}
             for m, p, z, p2 in ts.rows:
                 by_mid.setdefault(m, []).append((p, z, p2))
             rows = {(x, pair(q, p), z, pair(q2, p2))
                     for x, q, m, q2 in tf.rows for p, z, p2 in by_mid.get(m, ())}
-            return _Form(states, rows, initial, final, tf.dom, ts.cod)
+            return _Form(states, rows, initial, final)
         case Par(left=l, right=r):
-            tl, tr = _collapse(l, labelled), _collapse(r, labelled)
+            tl, tr = _collapse(l), _collapse(r)
             states, pair, initial, final = _pair_states(tl, tr)
             rows = {(x1 + x2, pair(q, p), y1 + y2, pair(q2, p2))
                     for x1, q, y1, q2 in tl.rows for x2, p, y2, p2 in tr.rows}
-            return _Form(states, rows, initial, final, tl.dom + tr.dom, tl.cod + tr.cod)
-        case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled == labelled:
-            tb = _collapse(b, labelled)
-            dom, cod = _loop_boundary(w, tb.dom, tb.cod)
+            return _Form(states, rows, initial, final)
+        case Feedback(wire=w, initial=i, final=f, body=b):
+            tb = _collapse(b)
             states = product_alphabet(tb.states, w)
             spair = pair_symbol(tb.states, w)
             rows = {(x[:-1], spair(p, x[-1]), y[:-1], spair(p2, y[-1])) for x, p, y, p2 in tb.rows}
             return _Form(states, rows,
                          {spair(p, q) for p in tb.initial for q in i or ()},
-                         {spair(p, q) for p in tb.final for q in f or ()}, dom, cod)
-        case Feedback():
-            raise TypeMismatch("labelled feedback belongs to the finite-word language" if d.labelled
-                               else "unlabelled feedback belongs to the bi-infinite language")
+                         {spair(p, q) for p in tb.final for q in f or ()})
     raise MachineError(f"not a diagram: {d!r}")
 
 
-def _packed(form: _Form) -> tuple[Alphabet, Alphabet, set]:
-    """The boundary alphabets of a form, each bundle packed into one wire,
-    and its rows over them."""
-    dom, cod = form.dom, form.cod
+def _packed(d: Diagram, form: _Form) -> tuple[Alphabet, Alphabet, set]:
+    """The boundary alphabets of a term, each bundle packed into one wire,
+    and the rows of its form over them."""
+    dom, cod = d.dom, d.cod
     quads = {(pack_tuple(dom, x), q, pack_tuple(cod, y), q2) for x, q, y, q2 in form.rows}
     return pack_obj(dom), pack_obj(cod), quads
 
@@ -233,16 +226,20 @@ def _packed(form: _Form) -> tuple[Alphabet, Alphabet, set]:
 def normal_form(d: Diagram) -> Transducer:
     """Collapse a finite-word term to its quasi-normal form: a transducer
     over the packed boundary alphabets."""
-    form = _collapse(d, True)
-    input, output, quads = _packed(form)
+    if False in d.feedback:
+        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    form = _collapse(d)
+    input, output, quads = _packed(d, form)
     return Transducer(input, output, form.states, quads, form.initial, form.final)
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
     """Collapse a bi-infinite term to its quasi-normal form machine: the
     finite-word collapse with the initial and final states dropped."""
-    form = _collapse(d, False)
-    input, output, quads = _packed(form)
+    if True in d.feedback:
+        raise TypeMismatch("labelled feedback belongs to the finite-word language")
+    form = _collapse(d)
+    input, output, quads = _packed(d, form)
     return ZTransducer(input, output, form.states, quads)
 
 
@@ -279,7 +276,7 @@ def _denote(d: Diagram, k: int) -> WordRel:
                 for w1, v1 in lrel
                 for w2, v2 in rrel
             }
-        case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled:
+        case Feedback(wire=w, initial=i, final=f, body=b):
             shift = finite_shift_at(w, i, f, k)
             out: WordRel = set()
             for win, wout in _denote(b, k):
@@ -292,8 +289,6 @@ def _denote(d: Diagram, k: int) -> WordRel:
                         tuple(pos[:-1] for pos in wout),
                     ))
             return out
-        case Feedback():
-            raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
         case _:
             raise MachineError(f"not a diagram: {d!r}")
     # base case: letterwise lift of an explicit relation
@@ -305,7 +300,9 @@ def _denote(d: Diagram, k: int) -> WordRel:
 
 def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:
     """Evaluate the term constructor by constructor at each length ≤ n."""
-    dom, cod = type_of(d)
+    if False in d.feedback:
+        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    dom, cod = d.dom, d.cod
     pairs = set()
     for k in range(n + 1):
         for w, v in _denote(d, k):
@@ -350,15 +347,13 @@ class EquivCertificate:
 def bend(d: Diagram) -> Diagram:
     """Turn a term A → B into an acceptor-shaped term B ++ A → 1 by bending
     the output back with a cap."""
-    _, cod = type_of(d)
-    cod = Obj(cod.flat)
+    cod = Obj(d.cod.flat)
     return Seq(Par(Id(cod), d), Box(cap_obj(cod)))
 
 
 def check_same_type(d1: Diagram, d2: Diagram) -> None:
     """Raise ``TypeMismatch`` unless both terms have one domain and one codomain."""
-    (dom1, cod1), (dom2, cod2) = type_of(d1), type_of(d2)
-    if dom1.signature() != dom2.signature() or cod1.signature() != cod2.signature():
+    if d1.dom.signature() != d2.dom.signature() or d1.cod.signature() != d2.cod.signature():
         raise TypeMismatch("cannot compare terms of different types")
 
 

@@ -10,10 +10,12 @@ and round-trip stable.  ``dumps`` writes the layout itself, byte for byte
 ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
 of its tests.  Reading a document that is not JSON, or whose structure does
 not fit its kind, raises ``MachineError``; so does a string or an object
-where an array belongs (checked by type, with no loop per row, except in
-the words of a relation's pairs), one nested too deeply to decode or
-parse, and a value too deep to write, at a depth that follows Python's
-recursion limit (``sys.getrecursionlimit``).
+where an array belongs (checked by type, with no loop per row except the
+one that converts a relation's pairs and checks their words), one nested
+too deeply to decode or parse, and a value too deep to write, at a depth
+that follows Python's recursion limit (``sys.getrecursionlimit``).  A
+term is typed as it is parsed, so an ill-typed term file is refused when
+read, and no ill-typed term can be built to be written.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
-from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap, _contains_node
+from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap
 from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer, presentation, ztransducer
@@ -73,8 +75,12 @@ def _rel_payload(r: Rel) -> dict:
 
 
 def _parse_rel(p: dict) -> Rel:
-    return Rel(_parse_obj(p, "dom"), _parse_obj(p, "cod"),
-               ((tuple(x), tuple(y)) for x, y in _rows(p, "pairs")))
+    pairs = set()
+    for x, y in _rows(p, "pairs"):
+        if type(x) is not list or type(y) is not list:
+            raise TypeError("field 'pairs': expected pairs of arrays")
+        pairs.add((tuple(x), tuple(y)))
+    return Rel(_parse_obj(p, "dom"), _parse_obj(p, "cod"), pairs)
 
 
 def _quads_payload(m: QuadMachine) -> dict:
@@ -164,12 +170,9 @@ def _parse_term(p: dict) -> Diagram:
     if node == "par":
         return Par(_parse_term(p["left"]), _parse_term(p["right"]))
     if node in ("feedback", "feedback-z"):
-        # a labelled node's label lists are read as sets, so null is refused
-        wire = _parse_alphabet(p["wire"])
-        labels = (_array(p, "initial"), _array(p, "final")) if node == "feedback" else None
-        body = _parse_term(p["body"])
-        i, f = map(wire.check_subset, labels) if labels else (None, None)
-        return Feedback(wire, i, f, body)
+        # a labelled node's label lists must be arrays, so null is refused
+        labels = (_array(p, "initial"), _array(p, "final")) if node == "feedback" else (None, None)
+        return Feedback(_parse_alphabet(p["wire"]), *labels, _parse_term(p["body"]))
     raise MachineError(f"unknown diagram node {node!r}")
 
 
@@ -214,7 +217,7 @@ def _parse_term_without(labelled: bool, message: str):
     ``Feedback.labelled == labelled``."""
     def parse(p: dict) -> Diagram:
         term = _parse_term(p["term"])
-        if labelled in _contains_node(term):
+        if labelled in term.feedback:
             raise MachineError(message)
         return term
     return parse
@@ -257,10 +260,9 @@ def kind_of(x) -> str:
     if tag is None:
         raise MachineError(f"{type(x).__name__} is no machine kind")
     if tag == "diagram":
-        feedback = _contains_node(x)
-        if len(feedback) > 1:
+        if len(x.feedback) > 1:
             raise MachineError("term mixes labelled and unlabelled feedback")
-        if False in feedback:
+        if False in x.feedback:
             return "zdiagram"
     return tag
 

@@ -17,13 +17,15 @@ a unit wire are interchangeable.
 
 Validation contract: every constructor validates all of its input, each
 pair of a relation included, and the constructors of the layers above do
-the same for transitions, roots and label sets.  A symbol lookup costs
-O(1) through the symbol→position dict each alphabet keeps.  A relation
-checks its distinct domain and codomain tuples column by column, and so
-does :func:`check_rows` for the transitions every machine stores: triples
-(state, letter, next state) or quadruples (input letter, state, output
-letter, next state).  A machine's transition relation is not stored; the
-simulation checker enumerates its conditions from the rows.
+the same for transitions, roots, label sets and the type of a diagram
+node, which it sets once, from its children's, when it is built.  A
+symbol lookup costs O(1) through the symbol→position dict each alphabet
+keeps.  A relation checks its distinct domain and codomain tuples column
+by column, and so does :func:`check_rows` for the transitions every
+machine stores: triples (state, letter, next state) or quadruples (input
+letter, state, output letter, next state).  A machine's transition
+relation is not stored; the simulation checker enumerates its conditions
+from the rows.
 """
 
 from __future__ import annotations

@@ -22,12 +22,17 @@ from relmach import io
 from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     iso_check, mask_of, minimize, nfa, nfa_equiv, nfa_to_transducer, prune_language, subset_namer
 from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptor, \
-    check_same_type, equiv_chain, type_of
+    check_same_type, equiv_chain
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
     is_unit, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation, factor_language
 from relmach.transducer import Transducer, transducer
+
+
+def type_of(d: Diagram) -> tuple[Obj, Obj]:
+    """Domain and codomain of a term, set when it was built."""
+    return d.dom, d.cod
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,12 @@ import json
 from dataclasses import dataclass
 
 from helpers import compose, compose_transducers, lift_transducer, pack_rel, product, \
-    product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel
+    product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel, type_of
 from relmach import automata, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
     _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map, \
     transducer_to_nfa
-from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, bend, type_of
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, bend
 from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, TypeMismatch, identity, is_unit, \
     material, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
@@ -610,14 +610,12 @@ def normal_form(d: Diagram) -> Transducer:
         case Swap(a=a, b=b):
             return lift_transducer(pack_rel(swap_rel(a, b)))
         case Seq(first=f, second=s):
-            type_of(d)
             return compose_transducers(normal_form(f), normal_form(s))
         case Par(left=l, right=r):
             dom, cod = type_of(d)
             t = product_transducers(normal_form(l), normal_form(r))
             return _retype(t, pack_obj(dom), pack_obj(cod))
         case Feedback(wire=w, initial=i, final=f, body=b) if d.labelled:
-            type_of(d)
             tb = normal_form(b)
             db, cb = type_of(b)
             states = product_alphabet(tb.states, w)
@@ -644,7 +642,6 @@ def z_normal_form(d: Diagram) -> ZTransducer:
         case Swap(a=a, b=b):
             return z_normal_form(Box(swap_rel(a, b)))
         case Seq(first=f, second=s):
-            type_of(d)
             return compose_z(z_normal_form(f), z_normal_form(s))
         case Par(left=l, right=r):
             dom, cod = type_of(d)
@@ -654,7 +651,6 @@ def z_normal_form(d: Diagram) -> ZTransducer:
             quads = {(imap[a], q, omap[b], q2) for a, q, b, q2 in z.trans}
             return ztransducer(pack_obj(dom), pack_obj(cod), z.states, quads)
         case Feedback(wire=w, body=b) if not d.labelled:
-            type_of(d)
             zb = z_normal_form(b)
             db, cb = type_of(b)
             states = product_alphabet(zb.states, w)

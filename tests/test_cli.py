@@ -487,6 +487,18 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0 and "box" in out
 
 
+def test_ill_typed_term_files_are_refused_when_read(tmp_path, capsys):
+    a = '{"name": "A", "elements": ["a", "b"]}'
+    q = '{"name": "Q", "elements": ["q0", "q1"]}'
+    box = '{"node": "box", "rel": {"dom": [%s], "cod": [%s], "pairs": []}}'
+    path = tmp_path / "ill.json"
+    path.write_text('{"kind": "diagram", "term": {"node": "seq", "first": %s, "second": %s}}'
+                    % (box % (a, a), box % (q, q)))
+    for argv in (["normalize", path], ["equiv", path, path], ["export-dot", path]):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out, err) == (2, "", f"error: {path}: sequential composition of incompatible terms\n")
+
+
 def test_error_diagnostics(tmp_path, capsys):
     code, _, err = run(capsys, "behavior", str(tmp_path / "missing.json"),
                        "--max-len", "2")

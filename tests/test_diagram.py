@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SEED
 from helpers import compose, diagrams_equiv, lift_transducer, presentations_equiv, rel, slide, \
-    trans_rel, verify_equiv_certificate
+    trans_rel, type_of, verify_equiv_certificate
 from genrand import (
     alter_one_box,
     merge_boxes,
@@ -14,7 +14,7 @@ from genrand import (
     random_rel,
     rename_feedback,
 )
-from relmach import diagram, transducer as transducer_module
+from relmach import io, transducer as transducer_module
 from relmach.diagram import (
     Box,
     Feedback,
@@ -24,11 +24,11 @@ from relmach.diagram import (
     Swap,
     acceptor,
     bend,
+    check_same_type,
     denotation_upto,
     equiv_chain,
     interpret_upto,
     normal_form,
-    type_of,
     z_normal_form,
 )
 from relmach.relcore import (
@@ -36,6 +36,7 @@ from relmach.relcore import (
     MachineError,
     Obj,
     TypeMismatch,
+    UNIT,
     UNIT_OBJ,
     identity,
     obj,
@@ -63,10 +64,15 @@ def test_type_of_basics():
     assert type_of(Seq(Box(SWAP_REL), Box(SWAP_REL))) == (obj(A), obj(A))
     s = Swap(A, Aa)
     assert type_of(s) == (obj(A, Aa), obj(Aa, A))
-    with pytest.raises(TypeMismatch):
-        type_of(Seq(Box(SWAP_REL), Box(PARITY_REL)))
-    with pytest.raises(TypeMismatch):
-        type_of(Feedback(Q2, frozenset(), frozenset(), Box(SWAP_REL)))
+    # an ill-typed term cannot be built
+    with pytest.raises(TypeMismatch, match="sequential composition of incompatible terms"):
+        Seq(Box(SWAP_REL), Box(PARITY_REL))
+    with pytest.raises(TypeMismatch, match="sequential composition of incompatible terms"):
+        Seq(Box(SWAP_REL), Box(rel(obj(Q2), obj(Q2), set())))
+    with pytest.raises(TypeMismatch, match="feedback wire 'Q' must be the last domain wire"):
+        Feedback(Q2, frozenset(), frozenset(), Box(SWAP_REL))
+    with pytest.raises(TypeMismatch, match="unit wire"):
+        Feedback(UNIT, frozenset(), frozenset(), Box(rel(obj(A, UNIT), obj(A, UNIT), set())))
     # feedback over the whole boundary is legal and closes the term
     assert type_of(Feedback(A, frozenset(), frozenset(), Box(SWAP_REL))) == \
         (Obj(()), Obj(()))
@@ -95,26 +101,44 @@ def test_normal_form_merges_sequenced_boxes():
     assert trans_rel(nf.input, nf.output, nf.states, nf.trans).pairs == compose(r, s).pairs
 
 
-def test_terms_are_typed_in_linear_time(monkeypatch):
-    calls = 0
+def seq_par_chain(depth: int):
+    """A term A → A of ``depth`` nodes over one box, alternately a ``Seq``
+    after a box and a ``Par`` beside the identity of the empty bundle."""
+    term = Box(SWAP_REL)
+    for i in range(depth):
+        term = Seq(Box(SWAP_REL), term) if i % 2 else Par(term, Id(UNIT_OBJ))
+    return term
 
-    def counting(d):
-        nonlocal calls
-        calls += 1
-        return type_of(d)
 
-    monkeypatch.setattr(diagram, "type_of", counting)
+def test_terms_are_typed_once_when_built(monkeypatch):
+    # the readers of a term's type build no bundle per node: bend builds four
+    built = 0
+    post_init = Obj.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
     for depth in (100, 400):
-        term = Box(SWAP_REL)
-        for _ in range(depth - 1):
-            term = Seq(Box(SWAP_REL), term)
-        nodes = 2 * depth - 1
-        calls = 0
-        normal_form(term)
-        assert calls <= nodes
-        calls = 0
-        assert diagrams_equiv(term, term)[0]
-        assert calls <= 4 * (nodes + 3)  # both terms, each bent once
+        term = seq_par_chain(depth)
+        with monkeypatch.context() as m:
+            m.setattr(Obj, "__post_init__", counting)
+            built = 0
+            normal_form(term)
+            acceptor(term)
+            check_same_type(term, term)
+            assert io.kind_of(term) == "diagram"
+            assert built <= 20
+
+
+def test_deep_terms_are_typed_without_recursion():
+    term = Box(SWAP_REL)
+    for _ in range(5000):
+        term = Seq(Box(SWAP_REL), term)
+    assert term.dom == obj(A) and term.cod == obj(A) and term.feedback == frozenset()
+    assert io.kind_of(term) == "diagram"
+    check_same_type(term, term)
 
 
 def test_normal_form_validates_its_rows_once(monkeypatch):

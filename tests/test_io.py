@@ -10,7 +10,7 @@ from helpers import lift_transducer, load_file, rel
 from relmach import io
 from relmach.automata import Dfa, Nfa, nfa_to_transducer
 from relmach.cli import main
-from relmach.diagram import Box, Feedback, Seq, equiv_chain
+from relmach.diagram import Box, Feedback, Par, Seq, equiv_chain
 from relmach.dot import to_dot
 from relmach.relcore import Alphabet, MachineError, obj
 from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin
@@ -205,7 +205,7 @@ def test_kind_of_is_the_tag_a_value_is_written_under():
         assert isinstance(x, io.KINDS[io.kind_of(x)].cls)
     d = Dfa(Ab, Q2, frozenset(), frozenset(), frozenset())
     assert io.kind_of(d) == "dfa" and io.kind_of(io.loads(io.dumps(d))) == "dfa"
-    assert io.kind_of(Seq(Box(SWAP_REL), Feedback(Q2, None, None, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
+    assert io.kind_of(Par(Box(SWAP_REL), Feedback(Q2, None, None, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
     with pytest.raises(MachineError, match="no machine kind"):
         io.kind_of(object())
     with pytest.raises(MachineError, match="unknown kind 'certificate-chain'"):
@@ -251,6 +251,16 @@ MALFORMED_DOCS = [
     ({"kind": "diagram", "term": {"node": "feedback", "wire": {"name": "Q", "elements": ["p"]},
                                   "initial": [], "final": "p", "body": ID_TERM}},
      "field 'final': expected an array"),
+    # the words of a relation's pairs: a string would read as its letters
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": [["a", "a"]]},
+     "field 'pairs': expected pairs of arrays"),
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": [[["a"], {"a": 0}]]},
+     "field 'pairs': expected pairs of arrays"),
+    ({"kind": "relation", "dom": [ALPHA], "cod": [ALPHA], "pairs": [[["a"], ["a"], ["a"]]]},
+     "relation document: malformed"),
+    ({"kind": "diagram", "term": {"node": "box", "rel": {"dom": [ALPHA], "cod": [ALPHA],
+                                                         "pairs": [["a", "a"]]}}},
+     "field 'pairs': expected pairs of arrays"),
 ]
 
 
@@ -263,6 +273,17 @@ def test_malformed_documents_raise_machine_error(doc, words, tmp_path):
     path.write_text(text)
     with pytest.raises(MachineError, match=words):
         load_file(path)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32).map(random.Random))
+def test_relation_words_keep_their_bytes(rng):
+    a, b = random_alphabet(rng, "A", 3), random_alphabet(rng, "B", 2)
+    for r in (random_rel(rng, obj(a), obj(a, b)), random_rel(rng, obj(a, b), obj()),
+              rel(obj(a), obj(), set())):
+        for x in (r, Box(r)):
+            text = io.dumps(x)
+            assert io.loads(text) == x and io.dumps(io.loads(text)) == text
 
 
 def test_invalid_json_raises_machine_error(tmp_path):

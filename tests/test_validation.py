@@ -13,7 +13,7 @@ from helpers import rel, trans_rel
 from relmach import io
 from relmach.automata import Dfa, Nfa
 from relmach.cli import main
-from relmach.diagram import Box, Feedback
+from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError, is_unit, obj
 from relmach.sofic import Presentation, ZTransducer, ztransducer
 from relmach.transducer import Transducer, transducer
@@ -284,3 +284,16 @@ def test_cached_fields_stay_out_of_equality_hash_and_repr():
     assert Obj((UNIT,)) != Obj(()) and Obj((UNIT,)).flat == Obj(()).flat == ()
     assert [f.name for f in fields(Alphabet) if f.compare] == ["name", "elements"]
     assert [f.name for f in fields(Obj) if f.compare] == ["wires"]
+    # a term node's type and feedback kinds are cached fields too
+    box = Box(rel(obj(A), obj(A), {(("a",), ("b",))}))
+    loop = Feedback(B, None, None, Id(obj(A, B)))
+    assert box.dom is box.rel.dom and loop.dom == loop.cod == obj(A) and loop.feedback == {False}
+    assert Seq(box, box) == Seq(box, box) and hash(Seq(box, box)) == hash((box, box))
+    assert Par(box, loop) != Par(loop, box)
+    assert repr(Swap(A, B)) == f"Swap(a={A!r}, b={B!r})"
+    assert repr(loop) == f"Feedback(wire={B!r}, initial=None, final=None, body=Id(o={obj(A, B)!r}))"
+    for cls, names in [(Box, ["rel"]), (Id, ["o"]), (Swap, ["a", "b"]), (Seq, ["first", "second"]),
+                       (Par, ["left", "right"]), (Feedback, ["wire", "initial", "final", "body"])]:
+        assert [f.name for f in fields(cls) if f.compare] == list(cls.__match_args__) == names
+        assert [f.name for f in fields(cls) if not f.compare and not f.repr and not f.init] == \
+            ["dom", "cod", "feedback"]
