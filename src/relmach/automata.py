@@ -27,9 +27,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 
-from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, check_rows, material, obj
+from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, check_rows, comma_prefixed, \
+    escape, material, obj, trusted
 from .transducer import Transducer, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)
@@ -62,8 +63,10 @@ class Dfa(Nfa):
         super().__post_init__()
         if len(self.initial) > 1:
             raise MachineError("a DFA has at most one initial state")
+        if len(set(map(itemgetter(0, 1), self.trans))) == len(self.trans):
+            return
         seen = set()
-        for q, a, _ in self.trans:
+        for q, a, _ in self.trans:  # locate the first repeated (state, letter)
             if (q, a) in seen:
                 raise MachineError(f"nondeterministic transition on ({q!r}, {a!r})")
             seen.add((q, a))
@@ -317,10 +320,7 @@ def subset_namer(order: Alphabet):
     and a comma, as "a,b" begins with "a", each member's backslashes and
     commas are escaped with a backslash.  When a state is named "", the
     empty set is named "∅", apart from "{}", the set of that state."""
-    names = order.elements
-    if "," in "".join(names) and any(
-            q[:i] in order for q in names for i, c in enumerate(q) if c == ","):
-        names = tuple(q.replace("\\", "\\\\").replace(",", "\\,") for q in names)
+    names = tuple(map(escape, order.elements)) if comma_prefixed(order) else order.elements
     empty = "∅" if "" in order else "{}"
 
     def name(mask: int) -> str:
@@ -345,9 +345,9 @@ def membership(subset_states: Alphabet, states: Alphabet, name: dict[int, str]) 
     """The relation from each named subset to its members.  Both sides are
     typed over :func:`material` alphabets, as the simulation checker reads
     a certificate, so a unit state alphabet keeps its wire."""
-    return Rel(obj(material(subset_states)), obj(material(states)),
-               frozenset(((s,), (q,)) for mask, s in name.items()
-                         for q in compress(states.elements, bits(mask))))
+    return trusted(Rel, obj(material(subset_states)), obj(material(states)),
+                   frozenset(((s,), (q,)) for mask, s in name.items()
+                             for q in compress(states.elements, bits(mask))))
 
 
 def determinize(n: Nfa) -> tuple[Dfa, Rel]:
@@ -359,15 +359,15 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     """
     start, final = mask_of(n.states, n.initial), mask_of(n.states, n.final)
     states, name, trans = subset_machine(n, subsets(n, start))
-    dfa = Dfa(n.alphabet, states, trans, frozenset({name[start]}),
-              frozenset(s for mask, s in name.items() if mask & final))
+    dfa = trusted(Dfa, n.alphabet, states, trans, frozenset({name[start]}),
+                  frozenset(s for mask, s in name.items() if mask & final))
     return dfa, membership(states, n.states, name)
 
 
 def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
     """The relation from each state to its class, typed as :func:`membership`."""
-    return Rel(obj(material(states)), obj(material(classes)),
-               frozenset(((q,), (c,)) for q, c in name.items()))
+    return trusted(Rel, obj(material(states)), obj(material(classes)),
+                   frozenset(((q,), (c,)) for q, c in name.items()))
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -388,8 +388,8 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
     name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
                                        lambda q: q in d.final)
-    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name[next(iter(d.initial))]}),
-               frozenset(d.final & set(min_states.elements)))
+    mdfa = trusted(Dfa, d.alphabet, min_states, frozenset(trans),
+                   frozenset({name[next(iter(d.initial))]}), d.final & frozenset(min_states.elements))
     return mdfa, class_relation(d.states, min_states, name)
 
 
@@ -493,4 +493,4 @@ def prune_language(n: Nfa) -> Nfa:
     bwd = _backward_edges(n)
     pumped_in = long_path_states(_reachable(n.states, fwd, n.initial), bwd)
     pumped_out = long_path_states(_reachable(n.states, bwd, n.final), fwd)
-    return nfa(n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))
+    return trusted(Nfa, n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))

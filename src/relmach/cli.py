@@ -22,8 +22,7 @@ import sys
 from . import dot, io
 from .automata import minimize, nfa_equiv, nfa_to_transducer, prune_language, \
     transducer_to_nfa
-from .diagram import acceptor, bend, check_same_type, equiv_chain, interpret_upto, normal_form, \
-    z_normal_form
+from .diagram import acceptors, equiv_chain, interpret_upto, normal_form, z_normal_form
 from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, certificate_for_determinization, \
     certificate_for_minimization, check_fin, check_inf
@@ -93,15 +92,20 @@ def cmd_behavior(args) -> int:
     return EXIT_OK
 
 
-# The finite-word acceptor of each kind that ``equiv`` compares: a subshift
-# is decided by its factor language.
+# The finite-word acceptors of each kind that ``equiv`` compares, from the
+# two machines: a subshift is decided by its factor language.  Two terms
+# get their acceptors together, over the letters that occur in either.
+def _each(convert):
+    return lambda x, y: (convert(x), convert(y))
+
+
 ACCEPTORS = {
-    "nfa": lambda n: n,
-    "transducer": lambda t: transducer_to_nfa(to_automaton(t)),
-    "diagram": acceptor,
-    "presentation": factor_language,
-    "ztransducer": lambda z: factor_language(presentation_of_ztransducer(z)),
-    "zdiagram": lambda d: factor_language(presentation_of_ztransducer(z_normal_form(bend(d)))),
+    "nfa": _each(lambda n: n),
+    "transducer": _each(lambda t: transducer_to_nfa(to_automaton(t))),
+    "diagram": lambda d1, d2: acceptors(d1, d2),
+    "presentation": _each(lambda p: factor_language(p)),
+    "ztransducer": _each(lambda z: factor_language(presentation_of_ztransducer(z))),
+    "zdiagram": lambda d1, d2: acceptors(d1, d2, bi_infinite=True),
 }
 
 
@@ -116,13 +120,12 @@ def cmd_equiv(args) -> int:
     if len(kinds) > 1 or not kinds <= ACCEPTORS.keys():
         raise CliError(f"cannot compare kinds {kind1} and {kind2}")
     (kind,) = kinds
-    # nfa_equiv checks that automata and subshifts share an alphabet
-    if kind in ("diagram", "zdiagram"):
-        check_same_type(x, y)
-    elif kind in ("transducer", "ztransducer") and \
+    # nfa_equiv checks that automata and subshifts share an alphabet, and
+    # acceptors that terms share a type
+    if kind in ("transducer", "ztransducer") and \
             (x.input.elements, x.output.elements) != (y.input.elements, y.output.elements):
         raise TypeMismatch("machines do not share input/output alphabets")
-    n1, n2 = ACCEPTORS[kind](x), ACCEPTORS[kind](y)
+    n1, n2 = ACCEPTORS[kind](x, y)
     equal = nfa_equiv(n1, n2)
     if equal and args.certify and kind == "diagram":
         io.save_file(args.certify, equiv_chain(n1, n2))

@@ -18,23 +18,31 @@ over A×C as a tuple of words.  A box contributes its relation's pairs with
 the unit state, ``Seq`` joins rows on the middle tuple, ``Par``
 concatenates tuples, and ``Feedback`` moves the last tuple component into
 the state.  Only the term's own boundary is packed into one alphabet each
-way, once, to build one validated machine; a bi-infinite term's machine is
-the finite-word one with its initial and final states dropped.  The
+way, once, to build one machine; a bi-infinite term's machine is the
+finite-word one with its initial and final states dropped.  The
 transducer-level composition, product and lift over packed alphabets are
 the tests' reference, in ``tests/helpers.py``.
-Terms of one type are equal iff their bent normal forms, NFAs
-(``acceptor``), accept the same words (``automata.nfa_equiv``).  Only when
-asked, ``equiv_chain`` builds the re-checkable certificate chain of that
-verdict: each NFA determinized and minimized, and the isomorphism of the
-minimal machines.
+
+Terms A → B of one type are equal iff their acceptors accept the same
+words (``automata.nfa_equiv``).  As the paper reads a uniform relation as
+a language over B ++ A, ``acceptors`` reads the collapse's rows as
+transitions, over only the letters that occur: no term is bent and no
+tuple space is enumerated.  Only when asked, ``equiv_chain`` builds the
+re-checkable certificate chain of that verdict: each NFA determinized and
+minimized, and the isomorphism of the minimal machines.  Machines built
+here are valid by construction (``relcore.trusted``).  ``_denote``, the
+evaluation ``interpret_upto`` checks the normal form against, is
+independent of the collapse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add, getitem, itemgetter
 from typing import NamedTuple, Union
 
-from .automata import Dfa, Nfa, iso_check, transducer_to_nfa
+from .automata import Dfa, Nfa, iso_check
 from .relcore import (
     UNIT,
     Alphabet,
@@ -42,19 +50,20 @@ from .relcore import (
     Obj,
     Rel,
     TypeMismatch,
-    cap_obj,
     identity,
     is_unit,
+    material,
     obj,
     pack_obj,
-    pack_tuple,
     pair_symbol,
     product_alphabet,
     swap as swap_rel,
+    trusted,
+    tuple_namer,
 )
 from .simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
     certificate_for_minimization
-from .sofic import ZTransducer
+from .sofic import Presentation, ZTransducer, factor_language
 from .transducer import Transducer, UniformRelationSample, behavior_upto, finite_shift_at
 
 
@@ -215,38 +224,47 @@ def _collapse(d: Diagram) -> _Form:
     raise MachineError(f"not a diagram: {d!r}")
 
 
-def _packed(d: Diagram, form: _Form) -> tuple[Alphabet, Alphabet, set]:
+def _check_loops(d: Diagram, labelled: bool) -> None:
+    """Refuse a term with a loop of the other language: a finite-word term
+    (``labelled``) has only labelled loops, a bi-infinite one only unlabelled."""
+    if (not labelled) in d.feedback:
+        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language" if labelled
+                           else "labelled feedback belongs to the finite-word language")
+
+
+def _packed(d: Diagram, form: _Form) -> tuple[Alphabet, Alphabet, frozenset]:
     """The boundary alphabets of a term, each bundle packed into one wire,
     and the rows of its form over them."""
     dom, cod = d.dom, d.cod
-    quads = {(pack_tuple(dom, x), q, pack_tuple(cod, y), q2) for x, q, y, q2 in form.rows}
+    x, y = tuple_namer(dom), tuple_namer(cod)
+    quads = frozenset((x(t), q, y(u), q2) for t, q, u, q2 in form.rows)
     return pack_obj(dom), pack_obj(cod), quads
 
 
 def normal_form(d: Diagram) -> Transducer:
     """Collapse a finite-word term to its quasi-normal form: a transducer
     over the packed boundary alphabets."""
-    if False in d.feedback:
-        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    _check_loops(d, True)
     form = _collapse(d)
     input, output, quads = _packed(d, form)
-    return Transducer(input, output, form.states, quads, form.initial, form.final)
+    return trusted(Transducer, input, output, form.states, quads,
+                   frozenset(form.initial), frozenset(form.final))
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
     """Collapse a bi-infinite term to its quasi-normal form machine: the
     finite-word collapse with the initial and final states dropped."""
-    if True in d.feedback:
-        raise TypeMismatch("labelled feedback belongs to the finite-word language")
+    _check_loops(d, False)
     form = _collapse(d)
     input, output, quads = _packed(d, form)
-    return ZTransducer(input, output, form.states, quads)
+    return trusted(ZTransducer, input, output, form.states, quads)
 
 
 # ---------------------------------------------------------------------------
 # Direct denotational evaluation, independent of the normal form.
 
 WordRel = set[tuple[tuple, tuple]]
+_LAST, _FRONT = itemgetter(-1), itemgetter(slice(None, -1))
 
 
 def _denote(d: Diagram, k: int) -> WordRel:
@@ -268,27 +286,13 @@ def _denote(d: Diagram, k: int) -> WordRel:
         case Par(left=l, right=r):
             lrel = _denote(l, k)
             rrel = _denote(r, k)
-            return {
-                (
-                    tuple(x1 + x2 for x1, x2 in zip(w1, w2)),
-                    tuple(y1 + y2 for y1, y2 in zip(v1, v2)),
-                )
-                for w1, v1 in lrel
-                for w2, v2 in rrel
-            }
+            return {(tuple(map(add, w1, w2)), tuple(map(add, v1, v2)))
+                    for w1, v1 in lrel for w2, v2 in rrel}
         case Feedback(wire=w, initial=i, final=f, body=b):
             shift = finite_shift_at(w, i, f, k)
-            out: WordRel = set()
-            for win, wout in _denote(b, k):
-                u = tuple(pos[-1] for pos in win)
-                t = tuple(pos[-1] for pos in wout)
-                # (u, t) must lie in the transpose of the shift
-                if (t, u) in shift:
-                    out.add((
-                        tuple(pos[:-1] for pos in win),
-                        tuple(pos[:-1] for pos in wout),
-                    ))
-            return out
+            # the fed-back words (u, t) must lie in the transpose of the shift
+            return {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout))) for win, wout in _denote(b, k)
+                    if (tuple(map(_LAST, wout)), tuple(map(_LAST, win))) in shift}
         case _:
             raise MachineError(f"not a diagram: {d!r}")
     # base case: letterwise lift of an explicit relation
@@ -300,17 +304,12 @@ def _denote(d: Diagram, k: int) -> WordRel:
 
 def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:
     """Evaluate the term constructor by constructor at each length ≤ n."""
-    if False in d.feedback:
-        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    _check_loops(d, True)
     dom, cod = d.dom, d.cod
-    pairs = set()
-    for k in range(n + 1):
-        for w, v in _denote(d, k):
-            pairs.add((
-                tuple(pack_tuple(dom, pos) for pos in w),
-                tuple(pack_tuple(cod, pos) for pos in v),
-            ))
-    return UniformRelationSample(pack_obj(dom), pack_obj(cod), n, frozenset(pairs))
+    x, y = tuple_namer(dom), tuple_namer(cod)
+    pairs = frozenset((tuple(map(x, w)), tuple(map(y, v)))
+                      for k in range(n + 1) for w, v in _denote(d, k))
+    return trusted(UniformRelationSample, pack_obj(dom), pack_obj(cod), n, pairs)
 
 
 def interpret_upto(d: Diagram, n: int) -> UniformRelationSample:
@@ -344,23 +343,45 @@ class EquivCertificate:
     iso: SimCertificate
 
 
-def bend(d: Diagram) -> Diagram:
-    """Turn a term A → B into an acceptor-shaped term B ++ A → 1 by bending
-    the output back with a cap."""
-    cod = Obj(d.cod.flat)
-    return Seq(Par(Id(cod), d), Box(cap_obj(cod)))
-
-
 def check_same_type(d1: Diagram, d2: Diagram) -> None:
     """Raise ``TypeMismatch`` unless both terms have one domain and one codomain."""
     if d1.dom.signature() != d2.dom.signature() or d1.cod.signature() != d2.cod.signature():
         raise TypeMismatch("cannot compare terms of different types")
 
 
-def acceptor(d: Diagram) -> Nfa:
-    """The bent normal form of a term A → B, an NFA over the packed B ++ A:
-    two terms of one type are equal iff their acceptors accept the same words."""
-    return transducer_to_nfa(normal_form(bend(d)))
+def acceptors(d1: Diagram, d2: Diagram, bi_infinite: bool = False) -> tuple[Nfa, Nfa]:
+    """The acceptors of two terms A → B of one type, NFAs over one alphabet
+    that accept the same words iff the terms are equal.
+
+    Each row (x, q, y, q2) of a term's collapse is the transition
+    (q, y ++ x, q2).  The alphabet is B ++ A packed into one wire over the
+    tuples that occur in either term, in tuple order, and one fresh letter
+    for all others, if any: as each of them would, it sends every subset to
+    the empty one.  With ``bi_infinite`` the terms are read over bi-infinite
+    words, and each acceptor is the factor language of its presentation.
+    """
+    check_same_type(d1, d2)
+    for d in (d1, d2):
+        _check_loops(d, not bi_infinite)
+    forms = [_collapse(d1), _collapse(d2)]
+    positions = [w._pos for w in d1.cod.flat + d1.dom.flat]
+    letters = sorted({y + x for form in forms for x, _, y, _ in form.rows},
+                     key=lambda t: tuple(map(getitem, positions, t)))
+    rest = len(letters) < math.prod(map(len, positions))
+
+    def acceptor(d: Diagram, form: _Form) -> Nfa:
+        alphabet = pack_obj(Obj(d.cod.flat + d.dom.flat), letters)
+        name = dict(zip(letters, alphabet.elements))
+        if rest:  # one letter for all others, longer than any letter
+            other = "?" * (1 + max(map(len, alphabet.elements), default=0))
+            alphabet = Alphabet(alphabet.name, alphabet.elements + (other,))
+        states = material(form.states)
+        trans = frozenset((q, name[y + x], q2) for x, q, y, q2 in form.rows)
+        if bi_infinite:
+            return factor_language(trusted(Presentation, alphabet, states, trans, None))
+        return trusted(Nfa, alphabet, states, trans, frozenset(form.initial), frozenset(form.final))
+
+    return acceptor(d1, forms[0]), acceptor(d2, forms[1])
 
 
 def _pipeline(n: Nfa) -> PipelineCertificate:

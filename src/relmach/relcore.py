@@ -4,35 +4,37 @@ Everything in this module is an immutable value: alphabets are ordered
 finite sets of symbol names, objects are lists of alphabets (wire
 bundles), and relations are explicit sets of (domain tuple, codomain
 tuple) pairs.  The library builds only the relations its machines are
-made of: identities, swaps and the cap that bends a term (``cap_obj``).
-The algebra of the paper's uniform relations (composition, product, cups
-and caps, and the function and subset predicates) is the tests' reference
-semantics and lives in ``tests/helpers.py``; equality of relations is
-exact set equality, so its laws (associativity, bifunctoriality, snake
-equations, ...) are checked there by enumeration.
+made of: identities and swaps.  The algebra of the paper's uniform
+relations (composition, product, cups and caps, and the function and
+subset predicates) is the tests' reference semantics and lives in
+``tests/helpers.py``; equality of relations is exact set equality, so its
+laws (associativity, bifunctoriality, snake equations, ...) are checked
+there by enumeration.
 
 Bracketing of bundles is always flat, and wires carrying the unit
 alphabet are dropped when computing tuple spaces, so the empty bundle and
 a unit wire are interchangeable.
 
-Validation contract: every constructor validates all of its input, each
-pair of a relation included, and the constructors of the layers above do
-the same for transitions, roots, label sets and the type of a diagram
-node, which it sets once, from its children's, when it is built.  A
-symbol lookup costs O(1) through the symbol→position dict each alphabet
-keeps.  A relation checks its distinct domain and codomain tuples column
-by column, and so does :func:`check_rows` for the transitions every
-machine stores: triples (state, letter, next state) or quadruples (input
-letter, state, output letter, next state).  A machine's transition
-relation is not stored; the simulation checker enumerates its conditions
-from the rows.
+Validation contract: input is validated at the boundary.  The parser
+and every public constructor validate all of their input, each pair of a
+relation included, and so do the constructors of the layers above for
+transitions, roots, label sets and a diagram node's type, set once, from
+its children's, when it is built.  A symbol lookup costs O(1) through
+each alphabet's symbol→position dict.  A relation checks its distinct
+domain and codomain tuples column by column, and so does
+:func:`check_rows` for the rows every machine stores: triples (state,
+letter, next state) or quadruples (input letter, state, output letter,
+next state).  A value built from validated ones and valid by construction
+(a normal form, an acceptor, a determinized, minimized or pruned machine,
+a sample, a certificate relation) is built by :func:`trusted`, which
+checks nothing again.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Collection, Iterable, Iterator
 
 
@@ -102,6 +104,15 @@ def frozen(items, what: str) -> frozenset:
         return frozenset(items)
     except TypeError as e:
         raise MachineError(f"{what} is not a set of hashable values ({e})") from None
+
+
+def trusted(cls, *values):
+    """The dataclass ``cls``'s value with the given fields, in order, set
+    without ``__post_init__``: only for values valid by construction, with
+    their collections already frozensets."""
+    x = object.__new__(cls)
+    x.__dict__.update(zip(cls.__match_args__, values, strict=True))
+    return x
 
 
 def check_rows(rows, columns: dict[int, Alphabet]) -> frozenset:
@@ -215,45 +226,52 @@ def swap(a: Alphabet, b: Alphabet) -> Rel:
     return Rel(d, obj(b, a), frozenset((t, t[::-1]) for t in d.tuples()))
 
 
-def cap_obj(o: Obj) -> Rel:
-    """Cap over a whole bundle: o ++ o → 1, relating each doubled tuple to ()."""
-    return Rel(o + o, UNIT_OBJ, frozenset((t + t, ()) for t in o.tuples()))
-
-
 def material(a: Alphabet) -> Alphabet:
     """A copy of ``a`` that is never the unit, for use as a state space."""
     return Alphabet("Q", a.elements) if is_unit(a) else a
 
 
-def tuple_symbol(t: tuple[str, ...]) -> str:
-    """Canonical name of a tuple when a bundle is packed into one wire."""
-    if len(t) == 1:
-        return t[0]
-    return "(" + ",".join(t) + ")"
+def comma_prefixed(a: Alphabet) -> bool:
+    """Whether an element of ``a`` begins with another one and a comma, as
+    "a,b" begins with "a", so that names joining elements by commas escape."""
+    names = a.elements
+    return "," in "".join(names) and any(
+        q[:i] in a for q in names for i, c in enumerate(q) if c == ",")
 
 
-def pack_obj(o: Obj) -> Alphabet:
-    """Collapse a bundle into a single alphabet over its tuple space.
+def escape(symbol: str) -> str:
+    """``symbol`` with its backslashes and commas escaped by a backslash."""
+    return symbol.replace("\\", "\\\\").replace(",", "\\,")
+
+
+def tuple_namer(o: Obj):
+    """The function naming each tuple of ``o`` (unit wires dropped) in its
+    packed wire: the unit's symbol, the one symbol, or the symbols in
+    parentheses, comma-separated and, when a wire is :func:`comma_prefixed`,
+    escaped, so distinct tuples get distinct names.  Decided once per bundle."""
+    flat = o.flat
+    if not flat:
+        return lambda t: UNIT.elements[0]
+    if len(flat) == 1:
+        return itemgetter(0)
+    if any(map(comma_prefixed, flat)):
+        return lambda t: "(" + ",".join(map(escape, t)) + ")"
+    return lambda t: "(" + ",".join(t) + ")"
+
+
+def pack_obj(o: Obj, tuples=None) -> Alphabet:
+    """Collapse a bundle into a single alphabet over its tuple space, in
+    row-major order, or over ``tuples`` of it in the order given.
 
     The empty bundle packs to the unit alphabet and a single wire packs to
-    itself, so packing is idempotent; elements are in row-major order.
+    itself, so packing is idempotent.
     """
     flat = o.flat
-    if not flat:
-        return UNIT
-    if len(flat) == 1:
-        return flat[0]
-    return Alphabet("x".join(w.name for w in flat), tuple(tuple_symbol(t) for t in o.tuples()))
-
-
-def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
-    """The packed symbol of a tuple of ``o`` (unit wires already dropped)."""
-    flat = o.flat
-    if not flat:
-        return UNIT.elements[0]
-    if len(flat) == 1:
-        return t[0]
-    return tuple_symbol(t)
+    if tuples is None:
+        if len(flat) < 2:
+            return flat[0] if flat else UNIT
+        tuples = o.tuples()
+    return Alphabet("x".join(w.name for w in flat) or UNIT.name, tuple(map(tuple_namer(o), tuples)))
 
 
 def product_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
@@ -271,5 +289,6 @@ def pair_symbol(a: Alphabet, b: Alphabet):
         return lambda x, y: y
     if is_unit(b):
         return lambda x, y: x
-    return lambda x, y: tuple_symbol((x, y))
-
+    if comma_prefixed(a) or comma_prefixed(b):
+        return lambda x, y: "(" + escape(x) + "," + escape(y) + ")"
+    return lambda x, y: "(" + x + "," + y + ")"

@@ -20,7 +20,7 @@ periodic point is a cycle of the graph of reading one word:
 ``long_path_states`` again.
 
 Costs, for n states, m transitions and k letters: pruning peels states
-with no kept successor, then no kept predecessor, in O(n + m), leaving the
+with no kept predecessor, then no kept successor, in O(n + m), leaving the
 essential graph (Lind & Marcus, §2.2); the subset construction is
 exponential in the worst case, a bitmask per subset and k ORs per member;
 merging N subsets uses Hopcroft's refinement, O(N·k·log N); a verdict
@@ -30,11 +30,12 @@ walks both subset DFAs with a union-find that stops at the first conflict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .automata import Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
-    class_relation, language_upto, long_path_states, membership, nfa, nfa_equiv, prune_language, \
+    class_relation, language_upto, long_path_states, membership, nfa_equiv, prune_language, \
     quotient, same_words, subset_machine, subsets, successor_map
-from .relcore import Alphabet, MachineError, material, pair_symbol, product_alphabet
+from .relcore import Alphabet, MachineError, material, pair_symbol, product_alphabet, trusted
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import QuadMachine
 
@@ -64,7 +65,7 @@ class Presentation:
 
     def as_nfa(self) -> Nfa:
         everything = frozenset(self.states.elements)
-        return nfa(self.alphabet, self.states, self.trans, everything, everything)
+        return trusted(Nfa, self.alphabet, self.states, self.trans, everything, everything)
 
     sorted_trans = Nfa.sorted_trans
 
@@ -98,11 +99,8 @@ def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
 def _restrict(p: Presentation, kept: set[str]) -> Presentation:
     states = Alphabet(p.states.name, tuple(q for q in p.states.elements if q in kept))
     root = p.root if p.root in kept else None
-    return Presentation(
-        p.alphabet, states,
-        frozenset((q, a, q2) for q, a, q2 in p.trans if q in kept and q2 in kept),
-        root,
-    )
+    return trusted(Presentation, p.alphabet, states,
+                   frozenset((q, a, q2) for q, a, q2 in p.trans if q in kept and q2 in kept), root)
 
 
 def forward_prune(p: Presentation) -> Presentation:
@@ -116,8 +114,10 @@ def backward_prune(p: Presentation) -> Presentation:
 
 
 def prune(p: Presentation) -> Presentation:
-    """Keep states lying on a bi-infinite path."""
-    return forward_prune(backward_prune(p))
+    """Keep states lying on a bi-infinite path: those ending a long path
+    that start one among themselves, in one restriction."""
+    ending = long_path_states(p.states.elements, _backward_edges(p))
+    return _restrict(p, long_path_states(ending, _forward_edges(p)))
 
 
 def is_language_pruned(p: Presentation) -> bool:
@@ -130,12 +130,7 @@ def is_language_pruned(p: Presentation) -> bool:
 
 
 def is_right_resolving(p: Presentation) -> bool:
-    seen = set()
-    for q, a, _ in p.trans:
-        if (q, a) in seen:
-            return False
-        seen.add((q, a))
-    return True
+    return len(set(map(itemgetter(0, 1), p.trans))) == len(p.trans)
 
 
 def is_root(p: Presentation, r: str) -> bool:
@@ -160,7 +155,7 @@ def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[int, str]]
     graph = subsets(p, start)
     graph.pop(0, None)
     states, name, trans = subset_machine(p, graph)
-    return Presentation(p.alphabet, states, trans, name[start]), name
+    return trusted(Presentation, p.alphabet, states, trans, name[start]), name
 
 
 def determinize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
@@ -203,7 +198,7 @@ def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, dic
     # All real states accept; refinement only separates by definedness.
     name, min_states, trans = quotient(p.states, list(p.states.elements), p.alphabet.elements,
                                        delta, lambda q: q is None)
-    return Presentation(p.alphabet, min_states, frozenset(trans), name[root]), name
+    return trusted(Presentation, p.alphabet, min_states, frozenset(trans), name[root]), name
 
 
 def canonical_form(p: Presentation) -> Presentation:

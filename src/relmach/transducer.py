@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relcore import UNIT, Alphabet, MachineError, check_rows, pair_symbol, product_alphabet
+from .relcore import UNIT, Alphabet, MachineError, check_rows, pair_symbol, product_alphabet, trusted
 
 Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
 Word = tuple[str, ...]
@@ -114,7 +114,7 @@ def behavior_upto(t: Transducer, n: int) -> UniformRelationSample:
                 if q2 in t.final:
                     pairs.add((item[1], item[2]))
         frontier = nxt
-    return UniformRelationSample(t.input, t.output, n, frozenset(pairs))
+    return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
 
 
 def finite_shift_at(a: Alphabet, i, f, k: int) -> frozenset[tuple[Word, Word]]:
@@ -160,7 +160,7 @@ def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
                 continue
             for combo in itertools.product(*sections):
                 pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
-    return UniformRelationSample(t.input, t.output, n, frozenset(pairs))
+    return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
 
 
 def to_automaton(t: Transducer) -> Transducer:

@@ -21,10 +21,10 @@ from typing import Iterable
 from relmach import io
 from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     iso_check, mask_of, minimize, nfa, nfa_equiv, nfa_to_transducer, prune_language, subset_namer
-from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptor, \
-    check_same_type, equiv_chain
+from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptors, \
+    equiv_chain
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
-    is_unit, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet
+    is_unit, obj, pack_obj, pair_symbol, product_alphabet, tuple_namer
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation, factor_language
 from relmach.transducer import Transducer, transducer
@@ -128,11 +128,17 @@ def subset_as_copoint(a: Alphabet, symbols) -> Rel:
     return transpose(subset_as_point(a, symbols))
 
 
+def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
+    """The packed symbol of a tuple of ``o`` (unit wires already dropped)."""
+    return tuple_namer(o)(t)
+
+
 def pack_rel(r: Rel) -> Rel:
     """View a relation between bundles as one between single packed wires."""
     def side(o: Obj):
         a = pack_obj(o)
-        return (UNIT_OBJ, lambda t: ()) if is_unit(a) else (obj(a), lambda t: (pack_tuple(o, t),))
+        name = tuple_namer(o)
+        return (UNIT_OBJ, lambda t: ()) if is_unit(a) else (obj(a), lambda t: (name(t),))
 
     (dom, x), (cod, y) = side(r.dom), side(r.cod)
     return Rel(dom, cod, frozenset((x(s), y(t)) for s, t in r.pairs))
@@ -278,8 +284,7 @@ def load_file(path):
 def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
     """Whether two terms denote the same uniform relation, with the
     certificate chain of an "equal" verdict."""
-    check_same_type(d1, d2)
-    n1, n2 = acceptor(d1), acceptor(d2)
+    n1, n2 = acceptors(d1, d2)
     if not nfa_equiv(n1, n2):
         return False, None
     return True, equiv_chain(n1, n2)

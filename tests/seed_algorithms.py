@@ -62,6 +62,13 @@ its ``prune`` resolves to the oracle above.
 
 So is the canonical text that ``io.dumps`` wrote by handing the whole
 payload to the stdlib encoder (``canonical_dumps``).
+
+So is the acceptor that the verdict on terms read before
+``diagram.acceptors``: the term bent into B ++ A → 1 by a cap
+(``bend``, ``cap_obj``) and collapsed by the library, an NFA over the
+whole packed tuple space (``acceptor``).  So is the evaluator that joined
+and split each position in a Python loop and packed each tuple by itself
+(``denote``, ``denotation_upto``).
 """
 
 from __future__ import annotations
@@ -69,20 +76,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from helpers import compose, compose_transducers, lift_transducer, pack_rel, product, \
+from helpers import compose, compose_transducers, lift_transducer, pack_rel, pack_tuple, product, \
     product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel, type_of
-from relmach import automata, io
+from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
     _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map, \
     transducer_to_nfa
-from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, bend
-from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, TypeMismatch, identity, is_unit, \
-    material, obj, pack_obj, pack_tuple, pair_symbol, product_alphabet, swap as swap_rel
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
+from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
+    identity, is_unit, material, obj, pack_obj, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
     presentation_of_ztransducer, ztransducer
-from relmach.transducer import Transducer, transducer
+from relmach.transducer import Transducer, UniformRelationSample, finite_shift_at, transducer
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -660,6 +667,91 @@ def z_normal_form(d: Diagram) -> ZTransducer:
         case Feedback():
             raise TypeMismatch("labelled feedback belongs to the finite-word language")
     raise MachineError(f"not a diagram: {d!r}")
+
+
+# ---------------------------------------------------------------------------
+# The bent acceptor and the evaluator of terms.
+
+def cap_obj(o: Obj) -> Rel:
+    """Cap over a whole bundle: o ++ o → 1, relating each doubled tuple to ()."""
+    return Rel(o + o, UNIT_OBJ, frozenset((t + t, ()) for t in o.tuples()))
+
+
+def bend(d: Diagram) -> Diagram:
+    """Turn a term A → B into an acceptor-shaped term B ++ A → 1 by bending
+    the output back with a cap."""
+    cod = Obj(d.cod.flat)
+    return Seq(Par(Id(cod), d), Box(cap_obj(cod)))
+
+
+def acceptor(d: Diagram) -> Nfa:
+    """The bent normal form of a term A → B, an NFA over the packed B ++ A:
+    two terms of one type are equal iff their acceptors accept the same words."""
+    return transducer_to_nfa(diagram.normal_form(bend(d)))
+
+
+def denote(d: Diagram, k: int) -> set:
+    """The relation at word length k; words are tuples of flat tuples."""
+    match d:
+        case Box(rel=r):
+            pairs = r.pairs
+        case Id(o=o):
+            pairs = identity(o).pairs
+        case Swap(a=a, b=b):
+            pairs = swap_rel(a, b).pairs
+        case Seq(first=f, second=s):
+            left = denote(f, k)
+            right = denote(s, k)
+            by_mid: dict[tuple, set[tuple]] = {}
+            for v, u in right:
+                by_mid.setdefault(v, set()).add(u)
+            return {(w, u) for w, v in left for u in by_mid.get(v, ())}
+        case Par(left=l, right=r):
+            lrel = denote(l, k)
+            rrel = denote(r, k)
+            return {
+                (
+                    tuple(x1 + x2 for x1, x2 in zip(w1, w2)),
+                    tuple(y1 + y2 for y1, y2 in zip(v1, v2)),
+                )
+                for w1, v1 in lrel
+                for w2, v2 in rrel
+            }
+        case Feedback(wire=w, initial=i, final=f, body=b):
+            shift = finite_shift_at(w, i, f, k)
+            out = set()
+            for win, wout in denote(b, k):
+                u = tuple(pos[-1] for pos in win)
+                t = tuple(pos[-1] for pos in wout)
+                # (u, t) must lie in the transpose of the shift
+                if (t, u) in shift:
+                    out.add((
+                        tuple(pos[:-1] for pos in win),
+                        tuple(pos[:-1] for pos in wout),
+                    ))
+            return out
+        case _:
+            raise MachineError(f"not a diagram: {d!r}")
+    # base case: letterwise lift of an explicit relation
+    level = {((), ())}
+    for _ in range(k):
+        level = {(w + (x,), v + (y,)) for w, v in level for x, y in pairs}
+    return level
+
+
+def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:
+    """Evaluate the term constructor by constructor at each length ≤ n."""
+    if False in d.feedback:
+        raise TypeMismatch("unlabelled feedback belongs to the bi-infinite language")
+    dom, cod = d.dom, d.cod
+    pairs = set()
+    for k in range(n + 1):
+        for w, v in denote(d, k):
+            pairs.add((
+                tuple(pack_tuple(dom, pos) for pos in w),
+                tuple(pack_tuple(cod, pos) for pos in v),
+            ))
+    return UniformRelationSample(pack_obj(dom), pack_obj(cod), n, frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------

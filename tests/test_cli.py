@@ -14,7 +14,7 @@ import relmach
 from relmach import automata, cli, diagram, io, simulation
 from relmach.automata import determinize, minimize, nfa
 from relmach.cli import build_parser, main
-from relmach.diagram import Box, Feedback, Seq
+from relmach.diagram import Box, Feedback, Id, Par, Seq
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, obj
 from relmach.simulation import SimCertificate
 from relmach.sofic import presentation, ztransducer
@@ -195,6 +195,32 @@ def test_equiv_diagrams_with_certificate(tmp_path, capsys):
     chain = json.loads(cert_path.read_text())
     assert chain["kind"] == "certificate-chain"
     assert chain["left"]["contains"]["kind"] == "certificate"
+
+
+def test_equiv_on_letters_whose_packed_names_collide(tmp_path, capsys):
+    """(a, "b,c") and ("a,b", c) would both be named "(a,b,c)"."""
+    A = Alphabet("A", ("a", "a,b"))
+    B = Alphabet("B", ("b,c", "c"))
+    Q = Alphabet("Q", ("s",))
+    both = write(tmp_path, "t.json", transducer(
+        A, B, Q, {("a", "s", "b,c", "s"), ("a,b", "s", "c", "s")}, {"s"}, {"s"}))
+    one = write(tmp_path, "u.json", transducer(A, B, Q, {("a", "s", "b,c", "s")}, {"s"}, {"s"}))
+    assert run(capsys, "equiv", both, both)[0] == 0
+    assert run(capsys, "equiv", both, one)[0] == 1
+    box = Box(rel(obj(A), obj(B), {(("a",), ("b,c",)), (("a,b",), ("c",))}))
+    d = write(tmp_path, "d.json", box)
+    assert run(capsys, "equiv", d, d)[0] == 0
+    code, out, _ = run(capsys, "normalize", d)
+    assert code == 0 and json.loads(out)["kind"] == "transducer"
+
+
+def test_equiv_decides_a_wide_par_of_identities(tmp_path, capsys):
+    term = Box(rel(obj(Ab), obj(Ab), {(("a",), ("a",)), (("b",), ("b",))}))
+    for _ in range(11):
+        term = Par(term, Id(obj(Ab)))
+    w = write(tmp_path, "w.json", term)
+    code, out, _ = run(capsys, "equiv", w, w)
+    assert code == 0 and json.loads(out)["status"] == "equal"
 
 
 def test_equiv_kind_mismatch_is_error(tmp_path, capsys):

@@ -13,13 +13,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import seed_algorithms as seed
-from genrand import random_alphabet, random_bundle, random_diagram, random_wired_diagram
+from genrand import alter_one_box, preserving_mutation, random_alphabet, random_bundle, \
+    random_diagram, random_wired_diagram
 from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name
 from relmach import automata, sofic
 from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets, \
     transducer_to_nfa
-from relmach.diagram import Feedback, Par, Seq, acceptor, bend, normal_form, z_normal_form
-from relmach.relcore import Alphabet, Rel, obj
+from relmach.diagram import Feedback, Par, Seq, acceptors, denotation_upto, equiv_chain, \
+    normal_form, z_normal_form
+from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
 from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
     presentation, prune
 from test_algorithms import LETTERS, graphs, outcome
@@ -57,7 +59,7 @@ def test_normal_forms_match_oracle(seed_, nodes, feedbacks):
         unlabel(d, lambda i: i > 0),  # bi-infinite but for the first loop
         unlabel(d, lambda i: i == 0),  # finite-word but for the first loop
     ]
-    for t in terms + [bend(t) for t in terms]:
+    for t in terms + [seed.bend(t) for t in terms]:
         assert outcome(z_normal_form, t) == outcome(seed.z_normal_form, t)
         assert outcome(normal_form, t) == outcome(seed.normal_form, t)
 
@@ -75,7 +77,73 @@ def test_wired_normal_forms_match_oracle(seed_, nodes, feedbacks):
     for t in (d, unlabel(d, lambda i: True), unlabel(d, lambda i: i == 0)):
         assert outcome(normal_form, t) == outcome(seed.normal_form, t)
         assert outcome(z_normal_form, t) == outcome(seed.z_normal_form, t)
-        assert outcome(acceptor, t) == outcome(lambda u: transducer_to_nfa(seed.normal_form(bend(u))), t)
+        assert outcome(seed.acceptor, t) == \
+            outcome(lambda u: transducer_to_nfa(seed.normal_form(seed.bend(u))), t)
+
+
+def random_term_pair(rng: random.Random, nodes: int, feedbacks: int):
+    """A term and another of its type: a language-preserving rewrite of it,
+    it with one box pair flipped, or an unrelated term.  Its alphabets list
+    their letters in any order."""
+    def alphabet(name):
+        a = random_alphabet(rng, name)
+        return Alphabet(name, tuple(rng.sample(a.elements, len(a))))
+
+    if rng.random() < 0.5:
+        pool = [alphabet("A"), alphabet("B")]
+        dom, cod = random_bundle(rng, pool), random_bundle(rng, pool)
+        draw = random_wired_diagram
+    else:
+        dom, cod = obj(alphabet("I")), obj(alphabet("O"))
+        draw = random_diagram
+    d = draw(rng, dom, cod, nodes, feedbacks)
+    other = rng.choice([lambda: preserving_mutation(rng, d), lambda: alter_one_box(rng, d) or d,
+                        lambda: draw(rng, dom, cod, nodes, feedbacks)])()
+    return d, other
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2))
+def test_acceptors_match_bend_oracle(seed_, nodes, feedbacks):
+    rng = random.Random(seed_)
+    for _ in range(3):
+        acceptors_match_bend_oracle(*random_term_pair(rng, nodes, feedbacks))
+
+
+def acceptors_match_bend_oracle(d1, d2):
+    """The acceptors read off the rows decide as the bent normal forms do;
+    over every letter they are those NFAs, and their chains are the same."""
+    new, old = acceptors(d1, d2), (seed.acceptor(d1), seed.acceptor(d2))
+    equal = nfa_equiv(*new)
+    assert equal == nfa_equiv(*old)
+    letters = new[0].alphabet.elements
+    if letters == old[0].alphabet.elements:
+        assert new == old
+    else:  # the letters that occur, in order, and one more for the rest
+        kept = [a for a in old[0].alphabet.elements if a in new[0].alphabet]
+        assert kept == list(letters[:-1]) and letters[-1] not in old[0].alphabet
+        assert [n.trans for n in new] == [o.trans for o in old]
+    if equal:
+        assert outcome(equiv_chain, *new) == outcome(equiv_chain, *old)
+    z1, z2 = unlabel(d1, lambda i: True), unlabel(d2, lambda i: True)
+    assert nfa_equiv(*acceptors(z1, z2, bi_infinite=True)) == seed.z_diagrams_equiv(z1, z2)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2), st.integers(0, 3))
+def test_denotation_matches_oracle(seed_, nodes, feedbacks, n):
+    rng = random.Random(seed_)
+
+    def sample(evaluate, t):
+        try:
+            return evaluate(t, n)
+        except TypeMismatch as e:  # a finite-word term has no unlabelled loop
+            return str(e)
+
+    for _ in range(4):
+        d, _ = random_term_pair(rng, nodes, feedbacks)
+        for t in (d, unlabel(d, lambda i: i == 0)):
+            assert sample(denotation_upto, t) == sample(seed.denotation_upto, t)
 
 
 @given(graphs())

@@ -14,7 +14,8 @@ from genrand import (
     random_rel,
     rename_feedback,
 )
-from relmach import io, transducer as transducer_module
+from relmach import automata as automata_module, io, transducer as transducer_module
+from relmach.automata import nfa_equiv
 from relmach.diagram import (
     Box,
     Feedback,
@@ -22,8 +23,7 @@ from relmach.diagram import (
     Par,
     Seq,
     Swap,
-    acceptor,
-    bend,
+    acceptors,
     check_same_type,
     denotation_upto,
     equiv_chain,
@@ -43,6 +43,7 @@ from relmach.relcore import (
 )
 from relmach.sofic import presentation_of_ztransducer
 from relmach.transducer import behavior_upto, transducer
+from seed_algorithms import bend
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -111,7 +112,7 @@ def seq_par_chain(depth: int):
 
 
 def test_terms_are_typed_once_when_built(monkeypatch):
-    # the readers of a term's type build no bundle per node: bend builds four
+    # the readers of a term's type build no bundle per node
     built = 0
     post_init = Obj.__post_init__
 
@@ -126,7 +127,7 @@ def test_terms_are_typed_once_when_built(monkeypatch):
             m.setattr(Obj, "__post_init__", counting)
             built = 0
             normal_form(term)
-            acceptor(term)
+            acceptors(term, term)
             check_same_type(term, term)
             assert io.kind_of(term) == "diagram"
             assert built <= 20
@@ -141,7 +142,8 @@ def test_deep_terms_are_typed_without_recursion():
     check_same_type(term, term)
 
 
-def test_normal_form_validates_its_rows_once(monkeypatch):
+def test_normal_forms_and_acceptors_validate_no_rows(monkeypatch):
+    # their machines are valid by construction, so no row is checked again
     calls = 0
     check_rows = transducer_module.check_rows
 
@@ -150,18 +152,20 @@ def test_normal_form_validates_its_rows_once(monkeypatch):
         calls += 1
         return check_rows(rows, columns)
 
-    monkeypatch.setattr(transducer_module, "check_rows", counting)
+    for module in (transducer_module, automata_module):
+        monkeypatch.setattr(module, "check_rows", counting)
     term = parity_feedback()
     for _ in range(4):
         swaps = Seq(Swap(Aa, Q2), Swap(Q2, Aa))
         term = Feedback(Q2, frozenset({"q1"}), frozenset({"q0", "q1"}),
                         Seq(Seq(Par(term, Id(obj(Q2))), swaps), Box(PARITY_REL)))
-    for make in (normal_form, acceptor):
-        calls = 0
-        make(term)
-        assert calls == 1
-    calls = 0
-    z_normal_form(Feedback(Q2, None, None, Box(PARITY_REL)))
+    loop = Feedback(Q2, None, None, Box(PARITY_REL))
+    for make in (lambda: normal_form(term), lambda: acceptors(term, parity_feedback()),
+                 lambda: z_normal_form(loop), lambda: acceptors(loop, loop, bi_infinite=True)):
+        make()
+    assert calls == 0
+    # a public constructor still checks its rows
+    transducer(Aa, Aa, Q2, {("a", "q0", "a", "q1")}, {"q0"}, {"q1"})
     assert calls == 1
 
 
@@ -248,7 +252,7 @@ def test_diagrams_equiv_distinguishes_boxes():
 def test_equiv_chain_needs_one_language():
     s = rel(obj(A), obj(A), {(("a",), ("b",))})
     with pytest.raises(MachineError, match="accept different words"):
-        equiv_chain(acceptor(Box(SWAP_REL)), acceptor(Box(s)))
+        equiv_chain(*acceptors(Box(SWAP_REL), Box(s)))
 
 
 def test_diagrams_equiv_type_mismatch():
@@ -360,8 +364,7 @@ def test_z_normal_form_of_wrapped_machine():
 
 
 def z_diagrams_equiv(d1, d2):
-    p1, p2 = (presentation_of_ztransducer(z_normal_form(bend(d))) for d in (d1, d2))
-    return presentations_equiv(p1, p2)
+    return nfa_equiv(*acceptors(d1, d2, bi_infinite=True))
 
 
 def test_z_diagrams_equiv_golden_mean():

@@ -37,7 +37,7 @@ def test_dfa_payload_validates_determinism():
         "initial": ["0"],
         "final": [],
     }
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match=r"^nondeterministic transition on \('0', 'a'\)$"):
         io.from_payload(payload)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +8,8 @@ import seed_algorithms as seed
 from helpers import cap, compose, cup, full_to_unit, is_function, is_partial_function, \
     is_surjective, is_total, pack_rel, product, rel_equals, subset_as_copoint, subset_as_point, \
     rel, subset_of, transpose
-from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, TypeMismatch, identity, obj, \
-    pack_obj, swap
+from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, TypeMismatch, \
+    comma_prefixed, identity, obj, pack_obj, pair_symbol, product_alphabet, swap
 
 B2 = Alphabet("2", ("0", "1"))
 NOT = rel(obj(B2), obj(B2), {(("0",), ("1",)), (("1",), ("0",))})
@@ -129,6 +131,31 @@ def test_pack_obj_and_rel():
     r = rel(obj(A, B2), UNIT_OBJ, {(("a", "1"), ())})
     packed_r = pack_rel(r)
     assert pairs(packed_r) == {(("(a,1)",), ())}
+
+
+def test_packed_names_with_commas_are_distinct():
+    # "(a,b,c)" named both (a, "b,c") and ("a,b", c), a duplicate element
+    A = Alphabet("A", ("a", "a,b"))
+    B = Alphabet("B", ("b,c", "c"))
+    packed = pack_obj(obj(A, B))
+    assert packed.elements == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
+    assert product_alphabet(A, B) == packed
+    pair = pair_symbol(A, B)
+    assert tuple(pair(x, y) for x in A.elements for y in B.elements) == packed.elements
+
+
+@given(st.lists(st.lists(st.text("ab,\\", max_size=4), min_size=1, max_size=3, unique=True),
+                min_size=2, max_size=3))
+def test_packed_names_are_injective(elements):
+    wires = tuple(Alphabet(f"W{i}", tuple(e)) for i, e in enumerate(elements))
+    o = Obj(wires)
+    packed = pack_obj(o)  # an Alphabet refuses a repeated element
+    assert len(packed) == math.prod(map(len, elements))
+    if not any(map(comma_prefixed, wires)):  # the names are those joined by commas
+        assert packed.elements == tuple("(" + ",".join(t) + ")" for t in o.tuples())
+    pair = pair_symbol(*wires[:2])
+    assert tuple(pair(x, y) for x in elements[0] for y in elements[1]) == \
+        product_alphabet(*wires[:2]).elements
 
 
 # -- algebraic laws, on small random relations ------------------------------
