@@ -1,20 +1,28 @@
-"""NFA/DFA algorithms: subset construction, partition-refinement
+"""Automata and their algorithms: subset construction, partition-refinement
 minimization, isomorphism of minimal machines, exact language equivalence,
 and the factor-closure / pruning operators on regular languages.
+
+An automaton is a ``transducer.Machine`` with the unit output: ``Nfa``, and
+``Dfa``, which alone adds an invariant.  The algorithms read the machine's
+quadruple rows directly.  The subset construction and the verdict index
+letters by the pair (a, b) over input × output, which for the unit output is
+the alphabet's order, so a transducer is decided as the automaton over its
+letter pairs with no conversion.
 
 Three graph algorithms here are shared with the sofic and simulation
 modules: ``subsets``, the subset construction; ``refine``, Hopcroft's
 partition refinement; and ``long_path_states``, the linear-time
 restriction to the states on infinite paths.
 
-The first two run on state positions.  A subset is an ``int`` bitmask, and
-its image under a letter is the OR of its members' successor masks: k ORs
-per member for k letters.  ``refine`` runs on ``list`` transition tables
-in O(n·k·log n) for n states.  States and subsets are named only where a
-machine is emitted.  A verdict (``same_words``) walks both subset DFAs on
-the fly with Hopcroft and Karp's union-find: at most one row per subset and
-O((N1+N2)·k) pair steps at O(α) each for N1+N2 subsets.  It stops at the
-first pair differing in finality and builds, names and validates no machine.
+The first two run on state positions.  A subset is an ``int`` bitmask,
+decoded once into member flags (``bits``), and its image under a letter is
+the OR of its members' successor masks: k ORs per member for k letters.
+``refine`` runs on ``list`` transition tables in O(n·k·log n) for n
+states.  States and subsets are named only where a machine is emitted.  A
+verdict (``same_words``) walks both subset DFAs on the fly with Hopcroft
+and Karp's union-find: at most one row per subset and O((N1+N2)·k) pair
+steps at O(α) each for N1+N2 subsets.  It stops at the first pair
+differing in finality and builds, names and validates no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -24,92 +32,57 @@ checkable by the simulation module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, product
 from operator import itemgetter, or_
 
-from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, check_rows, comma_prefixed, \
-    escape, material, obj, trusted
-from .transducer import Transducer, transducer
-
-Triple = tuple[str, str, str]  # (state, letter, next state)
-Word = tuple[str, ...]
+from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, comma_prefixed, escape, \
+    material, obj, trusted
+from .transducer import STAR, Machine, Quad, Word, behavior_upto, unit_rows
 
 
-@dataclass(frozen=True)
-class Nfa:
-    alphabet: Alphabet
-    states: Alphabet
-    trans: frozenset[Triple]
-    initial: frozenset[str]
-    final: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial", self.states.check_subset(self.initial))
-        object.__setattr__(self, "final", self.states.check_subset(self.final))
-        object.__setattr__(self, "trans", check_triples(self.alphabet, self.states, self.trans))
-
-    def sorted_trans(self) -> list[Triple]:
-        return sorted(
-            self.trans,
-            key=lambda t: (self.states.index(t[0]), self.alphabet.index(t[1]), self.states.index(t[2])),
-        )
+class Nfa(Machine):
+    """An automaton: a machine with the unit output read on finite words."""
 
 
-@dataclass(frozen=True)
 class Dfa(Nfa):
+    """An automaton with at most one initial state and at most one
+    transition per state and letter."""
+
     def __post_init__(self):
         super().__post_init__()
         if len(self.initial) > 1:
             raise MachineError("a DFA has at most one initial state")
-        if len(set(map(itemgetter(0, 1), self.trans))) == len(self.trans):
+        if is_deterministic(self):
             return
         seen = set()
-        for q, a, _ in self.trans:  # locate the first repeated (state, letter)
+        for a, q, _, _ in self.trans:  # locate the first repeated (state, letter)
             if (q, a) in seen:
                 raise MachineError(f"nondeterministic transition on ({q!r}, {a!r})")
             seen.add((q, a))
 
 
-def check_triples(alphabet: Alphabet, states: Alphabet, trans) -> frozenset[Triple]:
-    """Validate transitions (state, letter, next state), reporting a bad
-    state before a bad letter."""
-    return check_rows(trans, {0: states, 2: states, 1: alphabet})
+def is_deterministic(m: Machine) -> bool:
+    """Whether ``m`` has at most one transition per state and letter."""
+    return len(set(map(itemgetter(0, 1), m.trans))) == len(m.trans)
 
 
 def nfa(alphabet, states, trans, initial, final) -> Nfa:
-    return Nfa(alphabet, states, trans, initial, final)
+    """The automaton with transitions (state, letter, next state)."""
+    return Nfa(alphabet, UNIT, states, unit_rows(trans), initial, final)
 
 
 EMPTY_DFA_STATES = Alphabet("empty", ())
 
 
 def empty_dfa(alphabet: Alphabet) -> Dfa:
-    return Dfa(alphabet, EMPTY_DFA_STATES, frozenset(), frozenset(), frozenset())
+    return trusted(Dfa, alphabet, UNIT, EMPTY_DFA_STATES, frozenset(), frozenset(), frozenset(), None)
 
 
-def nfa_to_transducer(n: Nfa) -> Transducer:
-    star = UNIT.elements[0]
-    return transducer(
-        n.alphabet, UNIT, n.states,
-        {(a, q, star, q2) for q, a, q2 in n.trans},
-        n.initial, n.final,
-    )
-
-
-def transducer_to_nfa(t: Transducer) -> Nfa:
-    if len(t.output) != 1:
-        raise TypeMismatch("only unit-output transducers can be read as automata")
-    return nfa(t.input, material(t.states),
-               {(q, a, q2) for a, q, _, q2 in t.trans}, t.initial, t.final)
-
-
-def successor_map(m) -> dict[str, dict[str, set[str]]]:
-    """Each state's successors under each letter, of an ``Nfa`` or a
-    presentation (anything with ``states`` and ``trans``)."""
+def successor_map(m: Machine) -> dict[str, dict[str, set[str]]]:
+    """Each state's successors under each input letter."""
     step: dict[str, dict[str, set[str]]] = {q: {} for q in m.states.elements}
-    for q, a, q2 in m.trans:
+    for a, q, _, q2 in m.trans:
         step[q].setdefault(a, set()).add(q2)
     return step
 
@@ -128,23 +101,8 @@ def accepts(n: Nfa, word) -> bool:
 
 
 def language_upto(n: Nfa, k: int) -> set[Word]:
-    step = successor_map(n)
-    out: set[Word] = set()
-    frontier: dict[Word, frozenset[str]] = {(): frozenset(n.initial)}
-    for length in range(k + 1):
-        for w, reached in frontier.items():
-            if reached & n.final:
-                out.add(w)
-        if length == k:
-            break
-        nxt: dict[Word, frozenset[str]] = {}
-        for w, reached in frontier.items():
-            for a in n.alphabet.elements:
-                image = frozenset(q2 for q in reached for q2 in step[q].get(a, ()))
-                if image:
-                    nxt[w + (a,)] = image
-        frontier = nxt
-    return out
+    """The words of length at most ``k`` that ``n`` accepts: its behavior's inputs."""
+    return {w for w, _ in behavior_upto(n, k).pairs}
 
 
 def _reachable(states, edges: dict[str, set[str]], seeds) -> set[str]:
@@ -159,16 +117,16 @@ def _reachable(states, edges: dict[str, set[str]], seeds) -> set[str]:
     return seen
 
 
-def _forward_edges(n: Nfa) -> dict[str, set[str]]:
+def _forward_edges(m: Machine) -> dict[str, set[str]]:
     out: dict[str, set[str]] = {}
-    for q, _, q2 in n.trans:
+    for _, q, _, q2 in m.trans:
         out.setdefault(q, set()).add(q2)
     return out
 
 
-def _backward_edges(n: Nfa) -> dict[str, set[str]]:
+def _backward_edges(m: Machine) -> dict[str, set[str]]:
     out: dict[str, set[str]] = {}
-    for q, _, q2 in n.trans:
+    for _, q, _, q2 in m.trans:
         out.setdefault(q2, set()).add(q)
     return out
 
@@ -252,7 +210,8 @@ def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
     from the partition by ``key``; states in the sink's class are dropped.
 
     Returns each kept state's class, named by its smallest member, the
-    class alphabet in state order, and the class transitions.
+    class alphabet in state order, and the class transitions, rows of an
+    automaton.
     """
     sink = len(live)
     pos = dict(zip(live, range(sink)))
@@ -266,13 +225,13 @@ def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
         first.setdefault(b, q)
     name = {q: first[b] for q, b in zip(live, block) if b != block[sink]}
     classes = Alphabet(states.name, tuple(q for q in live if name.get(q) == q))
-    trans = {(name[q], a, name[q2]) for (q, a), q2 in delta.items() if q in name and q2 in name}
+    trans = {(a, name[q], STAR, name[q2]) for (q, a), q2 in delta.items() if q in name and q2 in name}
     return name, classes, trans
 
 
 def mask_of(states: Alphabet, subset) -> int:
     """The bitmask over the positions of ``states`` of a set of states."""
-    return sum([1 << states.index(q) for q in subset])
+    return sum([1 << states._pos[q] for q in subset])
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -284,70 +243,74 @@ def bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_FLAGS)
 
 
-def successor_table(m) -> list[list[int]]:
-    """Per letter, per state position, the bitmask of the state's
-    successors in ``m`` (an ``Nfa`` or a presentation)."""
-    index, letter = m.states.index, m.alphabet.index
-    table = [[0] * len(m.states) for _ in m.alphabet.elements]
-    for q, a, q2 in m.trans:
-        table[letter(a)][index(q)] |= 1 << index(q2)
+def successor_table(m: Machine) -> list[list[int]]:
+    """Per letter pair (a, b) of input × output, in that order, per state
+    position, the bitmask of the state's successors in ``m``.  For the unit
+    output the letter pairs are the input letters in alphabet order."""
+    pos, a_pos, b_pos, width = m.states._pos, m.input._pos, m.output._pos, len(m.output)
+    table = [[0] * len(m.states) for _ in range(len(m.input) * width)]
+    for a, q, b, q2 in m.trans:
+        table[a_pos[a] * width + b_pos[b]][pos[q]] |= 1 << pos[q2]
     return table
 
 
-def subsets(m, start: int) -> dict[int, list[int]]:
+def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
     """Subset construction: every subset of states accessible from the
-    bitmask ``start`` in ``m`` (an ``Nfa`` or a presentation), the empty
-    subset 0 included when reached, with its image under each letter, in
-    alphabet order."""
+    bitmask ``start`` in ``m``, the empty subset 0 included when reached,
+    with its member flags (``bits``, decoded once) and its image under each
+    letter pair, in the order of ``successor_table``."""
     table = successor_table(m)
-    graph: dict[int, list[int]] = {start: []}
+    graph: dict = {start: None}
     todo = [start]
     while todo:
         cur = todo.pop()
         flags = bits(cur)
-        row = graph[cur] = [reduce(or_, compress(col, flags), 0) for col in table]
+        row = [reduce(or_, compress(col, flags), 0) for col in table]
+        graph[cur] = flags, row
         for image in row:
             if image not in graph:
-                graph[image] = []
+                graph[image] = None
                 todo.append(image)
     return graph
 
 
 def subset_namer(order: Alphabet):
-    """The function that names each bitmask over the positions of ``order``
-    by its members in state order, comma-separated in braces.  Distinct
-    sets get distinct names.  When a state name begins with another one
-    and a comma, as "a,b" begins with "a", each member's backslashes and
-    commas are escaped with a backslash.  When a state is named "", the
-    empty set is named "∅", apart from "{}", the set of that state."""
+    """The function that names each subset of ``order``, given its member
+    flags, by its members in state order, comma-separated in braces.
+    Distinct sets get distinct names.  When a state name begins with
+    another one and a comma, as "a,b" begins with "a", each member's
+    backslashes and commas are escaped with a backslash.  When a state is
+    named "", the empty set is named "∅", apart from "{}", the set of that
+    state."""
     names = tuple(map(escape, order.elements)) if comma_prefixed(order) else order.elements
     empty = "∅" if "" in order else "{}"
 
-    def name(mask: int) -> str:
-        return "{" + ",".join(compress(names, bits(mask))) + "}" if mask else empty
+    def name(flags: bytes) -> str:
+        return "{" + ",".join(compress(names, flags)) + "}" if 1 in flags else empty
 
     return name
 
 
-def subset_machine(m, graph: dict[int, list[int]]) -> tuple[Alphabet, dict[int, str], frozenset[Triple]]:
+def subset_machine(m: Machine, graph: dict) -> tuple[Alphabet, dict[int, str], frozenset[Quad]]:
     """Name the subsets of ``graph`` over the states of ``m``: the subset
     alphabet in name order, each subset's name, and the transitions between
     the subsets of ``graph`` (those to a subset not in it are left out)."""
     spell = subset_namer(m.states)
-    name = {mask: spell(mask) for mask in graph}
-    letters = m.alphabet.elements
-    trans = frozenset((name[mask], a, name[image]) for mask, row in graph.items()
-                      for a, image in zip(letters, row) if image in name)
+    name = {mask: spell(flags) for mask, (flags, _) in graph.items()}
+    letters = list(product(m.input.elements, m.output.elements))
+    trans = frozenset((a, name[mask], b, name[image]) for mask, (_, row) in graph.items()
+                      for (a, b), image in zip(letters, row) if image in name)
     return Alphabet(f"P({m.states.name})", tuple(sorted(name.values()))), name, trans
 
 
-def membership(subset_states: Alphabet, states: Alphabet, name: dict[int, str]) -> Rel:
-    """The relation from each named subset to its members.  Both sides are
-    typed over :func:`material` alphabets, as the simulation checker reads
-    a certificate, so a unit state alphabet keeps its wire."""
+def membership(subset_states: Alphabet, states: Alphabet, graph: dict, name: dict[int, str]) -> Rel:
+    """The relation from each named subset of ``graph`` to its members.
+    Both sides are typed over :func:`material` alphabets, as the simulation
+    checker reads a certificate, so a unit state alphabet keeps its wire."""
+    members = [(q,) for q in states.elements]
     return trusted(Rel, obj(material(subset_states)), obj(material(states)),
-                   frozenset(((s,), (q,)) for mask, s in name.items()
-                             for q in compress(states.elements, bits(mask))))
+                   frozenset((s, q) for mask, (flags, _) in graph.items()
+                             for s in [(name[mask],)] for q in compress(members, flags)))
 
 
 def determinize(n: Nfa) -> tuple[Dfa, Rel]:
@@ -358,10 +321,11 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     relation from subset states back to original states.
     """
     start, final = mask_of(n.states, n.initial), mask_of(n.states, n.final)
-    states, name, trans = subset_machine(n, subsets(n, start))
-    dfa = trusted(Dfa, n.alphabet, states, trans, frozenset({name[start]}),
-                  frozenset(s for mask, s in name.items() if mask & final))
-    return dfa, membership(states, n.states, name)
+    graph = subsets(n, start)
+    states, name, trans = subset_machine(n, graph)
+    dfa = trusted(Dfa, n.input, n.output, states, trans, frozenset({name[start]}),
+                  frozenset(s for mask, s in name.items() if mask & final), None)
+    return dfa, membership(states, n.states, graph, name)
 
 
 def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
@@ -385,11 +349,12 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     if not live or not (set(live) & d.final):
         empty = empty_dfa(d.alphabet)
         return empty, class_relation(d.states, empty.states, {})
-    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach}
+    delta = {(q, a): q2 for a, q, _, q2 in d.trans if q in reach}
     name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
                                        lambda q: q in d.final)
-    mdfa = trusted(Dfa, d.alphabet, min_states, frozenset(trans),
-                   frozenset({name[next(iter(d.initial))]}), d.final & frozenset(min_states.elements))
+    mdfa = trusted(Dfa, d.input, d.output, min_states, frozenset(trans),
+                   frozenset({name[next(iter(d.initial))]}), d.final & frozenset(min_states.elements),
+                   None)
     return mdfa, class_relation(d.states, min_states, name)
 
 
@@ -405,7 +370,7 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
         return {}
     if len(d1.initial) != 1 or len(d2.initial) != 1:
         return None
-    delta1, delta2 = ({(q, a): q2 for q, a, q2 in d.trans} for d in (d1, d2))
+    delta1, delta2 = ({(q, a): q2 for a, q, _, q2 in d.trans} for d in (d1, d2))
     i1, i2 = next(iter(d1.initial)), next(iter(d2.initial))
     mapping: dict[str, str] = {i1: i2}
     inverse: dict[str, str] = {i2: i1}
@@ -438,7 +403,7 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
 
 def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
     """Whether the subset DFA of ``m1`` from ``start1`` accepts the same
-    words as that of ``m2`` (same alphabet) from ``start2``, a subset being
+    words as that of ``m2`` (same alphabets) from ``start2``, a subset being
     final when it meets ``final1`` (``final2``).  Hopcroft and Karp (1971):
     a breadth-first walk over pairs of subsets, with a union-find over
     ``mask << 1 | side``.  A pair differing in finality answers ``False``
@@ -472,9 +437,11 @@ def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bo
     return True
 
 
-def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
-    """Exact language equality of two NFAs (see ``same_words``)."""
-    if n1.alphabet.elements != n2.alphabet.elements:
+def nfa_equiv(n1: Machine, n2: Machine) -> bool:
+    """Exact language equality of two machines read on finite words, as
+    automata over their letter pairs (see ``same_words``): for transducers,
+    equality of behaviors."""
+    if (n1.input.elements, n1.output.elements) != (n2.input.elements, n2.output.elements):
         raise TypeMismatch("cannot compare automata over different alphabets")
     return same_words(n1, mask_of(n1.states, n1.initial), mask_of(n1.states, n1.final),
                       n2, mask_of(n2.states, n2.initial), mask_of(n2.states, n2.final))
@@ -493,4 +460,5 @@ def prune_language(n: Nfa) -> Nfa:
     bwd = _backward_edges(n)
     pumped_in = long_path_states(_reachable(n.states, fwd, n.initial), bwd)
     pumped_out = long_path_states(_reachable(n.states, bwd, n.final), fwd)
-    return trusted(Nfa, n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))
+    return trusted(Nfa, n.input, n.output, n.states, n.trans, frozenset(pumped_in),
+                   frozenset(pumped_out), None)

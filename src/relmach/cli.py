@@ -20,16 +20,14 @@ import functools
 import sys
 
 from . import dot, io
-from .automata import minimize, nfa_equiv, nfa_to_transducer, prune_language, \
-    transducer_to_nfa
+from .automata import minimize, nfa_equiv, prune_language
 from .diagram import acceptors, equiv_chain, interpret_upto, normal_form, z_normal_form
 from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, certificate_for_determinization, \
     certificate_for_minimization, check_fin, check_inf
 from .sofic import backward_prune, canonical_form, determinize_presentation, factor_language, \
-    factors_upto, forward_prune, minimize_presentation, periodic_membership, \
-    presentation_of_ztransducer, prune
-from .transducer import behavior_upto, behavior_via_shift_upto, to_automaton
+    factors_upto, forward_prune, minimize_presentation, periodic_membership, prune
+from .transducer import behavior_upto, behavior_via_shift_upto
 
 EXIT_OK = 0
 EXIT_DIFFER = 1
@@ -92,21 +90,12 @@ def cmd_behavior(args) -> int:
     return EXIT_OK
 
 
-# The finite-word acceptors of each kind that ``equiv`` compares, from the
-# two machines: a subshift is decided by its factor language.  Two terms
-# get their acceptors together, over the letters that occur in either.
-def _each(convert):
-    return lambda x, y: (convert(x), convert(y))
-
-
-ACCEPTORS = {
-    "nfa": _each(lambda n: n),
-    "transducer": _each(lambda t: transducer_to_nfa(to_automaton(t))),
-    "diagram": lambda d1, d2: acceptors(d1, d2),
-    "presentation": _each(lambda p: factor_language(p)),
-    "ztransducer": _each(lambda z: factor_language(presentation_of_ztransducer(z))),
-    "zdiagram": lambda d1, d2: acceptors(d1, d2, bi_infinite=True),
-}
+# The kinds ``equiv`` compares: machines read on finite words are compared
+# as they are, a subshift by its factor language, and two terms by their
+# acceptors, built together over the letters that occur in either.
+FINITE, BI_INFINITE = ("transducer", "nfa"), ("presentation", "ztransducer")
+TERMS = ("diagram", "zdiagram")
+ACCEPTORS = {*FINITE, *BI_INFINITE, *TERMS}
 
 
 def cmd_equiv(args) -> int:
@@ -117,7 +106,7 @@ def cmd_equiv(args) -> int:
     kinds = {"nfa" if k == "dfa" else k for k in (kind1, kind2)}
     if kinds == {"diagram", "zdiagram"}:
         kinds = {"zdiagram"}
-    if len(kinds) > 1 or not kinds <= ACCEPTORS.keys():
+    if len(kinds) > 1 or not kinds <= ACCEPTORS:
         raise CliError(f"cannot compare kinds {kind1} and {kind2}")
     (kind,) = kinds
     # nfa_equiv checks that automata and subshifts share an alphabet, and
@@ -125,21 +114,23 @@ def cmd_equiv(args) -> int:
     if kind in ("transducer", "ztransducer") and \
             (x.input.elements, x.output.elements) != (y.input.elements, y.output.elements):
         raise TypeMismatch("machines do not share input/output alphabets")
-    n1, n2 = ACCEPTORS[kind](x, y)
-    equal = nfa_equiv(n1, n2)
+    if kind in TERMS:
+        x, y = acceptors(x, y, bi_infinite=kind == "zdiagram")
+    elif kind in BI_INFINITE:
+        x, y = factor_language(x), factor_language(y)
+    equal = nfa_equiv(x, y)
     if equal and args.certify and kind == "diagram":
-        io.save_file(args.certify, equiv_chain(n1, n2))
+        io.save_file(args.certify, equiv_chain(x, y))
     return _verdict("equal" if equal else "not-equal")
 
 
 # determinize and minimize: from each kind read, given --certify or not, a
 # pair of the machine and its certificate.  A DFA's minimization certificate
 # needs every state accessible, so without --certify a DFA is minimized alone.
-# Entries here and in SIM_INPUTS call functions by name, so a patched one is seen.
+# Entries here call functions by name, so a patched one is seen.
 CONSTRUCTIONS = {
     "determinize": {
-        "nfa": lambda n, certify: certificate_for_determinization(n),
-        "dfa": lambda n, certify: certificate_for_determinization(n),
+        **dict.fromkeys(("nfa", "dfa"), lambda n, certify: certificate_for_determinization(n)),
         "presentation": lambda p, certify: determinize_presentation(p),
     },
     "minimize": {
@@ -182,26 +173,16 @@ def cmd_canonical(args) -> int:
     return EXIT_OK
 
 
-# The kinds each check-sim route reads (``--infinite`` or not), each with its
-# conversion to the machine the route's check takes.
-SIM_INPUTS = {
-    False: {"transducer": lambda t: t, "nfa": lambda n: nfa_to_transducer(n),
-            "dfa": lambda n: nfa_to_transducer(n)},
-    True: {"presentation": lambda p: p, "ztransducer": lambda z: presentation_of_ztransducer(z)},
-}
+# The kinds each check-sim route reads: ``--infinite`` or not.
+SIM_INPUTS = {False: (*FINITE, "dfa"), True: BI_INFINITE}
 
 
 def cmd_check_sim(args) -> int:
     cert = _load(args.cert, "certificate")
     if args.mode:
         cert = SimCertificate(cert.s, args.mode)
-    convert = SIM_INPUTS[args.infinite]
-
-    def machine(path):
-        kind, x = _load_tagged(path, *convert)
-        return convert[kind](x)
-
-    m1, m2 = machine(args.m1), machine(args.m2)
+    kinds = SIM_INPUTS[args.infinite]
+    m1, m2 = _load(args.m1, *kinds), _load(args.m2, *kinds)
     report = (check_inf if args.infinite else check_fin)(m1, m2, cert)
     _emit(io.report_payload(report))
     return EXIT_OK if report.ok else EXIT_DIFFER

@@ -64,7 +64,7 @@ from .relcore import (
 from .simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
     certificate_for_minimization
 from .sofic import Presentation, ZTransducer, factor_language
-from .transducer import Transducer, UniformRelationSample, behavior_upto, finite_shift_at
+from .transducer import STAR, Transducer, UniformRelationSample, behavior_upto, finite_shift_at
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,7 @@ class _Form(NamedTuple):
 
 
 def _lift(r: Rel) -> _Form:
-    star = UNIT.elements[0]
-    return _Form(UNIT, {(x, star, y, star) for x, y in r.pairs}, {star}, {star})
+    return _Form(UNIT, {(x, STAR, y, STAR) for x, y in r.pairs}, {STAR}, {STAR})
 
 
 def _pair_states(a: _Form, b: _Form):
@@ -248,7 +247,7 @@ def normal_form(d: Diagram) -> Transducer:
     form = _collapse(d)
     input, output, quads = _packed(d, form)
     return trusted(Transducer, input, output, form.states, quads,
-                   frozenset(form.initial), frozenset(form.final))
+                   frozenset(form.initial), frozenset(form.final), None)
 
 
 def z_normal_form(d: Diagram) -> ZTransducer:
@@ -257,7 +256,7 @@ def z_normal_form(d: Diagram) -> ZTransducer:
     _check_loops(d, False)
     form = _collapse(d)
     input, output, quads = _packed(d, form)
-    return trusted(ZTransducer, input, output, form.states, quads)
+    return trusted(ZTransducer, input, output, form.states, quads, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def acceptors(d1: Diagram, d2: Diagram, bi_infinite: bool = False) -> tuple[Nfa,
     that accept the same words iff the terms are equal.
 
     Each row (x, q, y, q2) of a term's collapse is the transition
-    (q, y ++ x, q2).  The alphabet is B ++ A packed into one wire over the
+    (y ++ x, q, "*", q2).  The alphabet is B ++ A packed into one wire over the
     tuples that occur in either term, in tuple order, and one fresh letter
     for all others, if any: as each of them would, it sends every subset to
     the empty one.  With ``bi_infinite`` the terms are read over bi-infinite
@@ -376,10 +375,12 @@ def acceptors(d1: Diagram, d2: Diagram, bi_infinite: bool = False) -> tuple[Nfa,
             other = "?" * (1 + max(map(len, alphabet.elements), default=0))
             alphabet = Alphabet(alphabet.name, alphabet.elements + (other,))
         states = material(form.states)
-        trans = frozenset((q, name[y + x], q2) for x, q, y, q2 in form.rows)
+        trans = frozenset((name[y + x], q, STAR, q2) for x, q, y, q2 in form.rows)
         if bi_infinite:
-            return factor_language(trusted(Presentation, alphabet, states, trans, None))
-        return trusted(Nfa, alphabet, states, trans, frozenset(form.initial), frozenset(form.final))
+            return factor_language(trusted(Presentation, alphabet, UNIT, states, trans,
+                                           None, None, None))
+        return trusted(Nfa, alphabet, UNIT, states, trans, frozenset(form.initial),
+                       frozenset(form.final), None)
 
     return acceptor(d1, forms[0]), acceptor(d2, forms[1])
 

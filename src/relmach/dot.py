@@ -6,15 +6,24 @@ from .automata import Nfa
 from .diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from .io import kind_of
 from .relcore import MachineError
-from .sofic import Presentation, ZTransducer
-from .transducer import Transducer
+from .sofic import Presentation
+from .transducer import Machine
 
 
 def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _state_graph(states, initial, final, edges, root=None) -> str:
+def dot_machine(m: Machine) -> str:
+    """The state graph of a machine.  An automaton's edges are labelled by
+    letters, a transducer's by "a / b".  A machine read on bi-infinite words
+    has no start marker, and a presentation's states are all final, its root
+    singled out."""
+    states, automaton = m.states.elements, isinstance(m, (Nfa, Presentation))
+    if m.initial is None:
+        initial, final = [], set(states) if automaton else set()
+    else:
+        initial, final = m.states.sort(m.initial), m.final
     lines = ["digraph {", "  rankdir=LR;"]
     # DOT reads an unquoted marker and a quoted state of one name as one node
     start, taken = "__start", set(states)
@@ -24,47 +33,17 @@ def _state_graph(states, initial, final, edges, root=None) -> str:
         lines.append(f"  {start}{i} [shape=point];")
     for q in states:
         shape = "doublecircle" if q in final else "circle"
-        extra = " style=bold color=red" if root is not None and q == root else ""
+        extra = " style=bold color=red" if m.root is not None and q == m.root else ""
         lines.append(f"  {_q(q)} [shape={shape}{extra}];")
     for i, q in enumerate(initial):
         lines.append(f"  {start}{i} -> {_q(q)};")
     grouped: dict[tuple[str, str], list[str]] = {}
-    for src, label, dst in edges:
-        grouped.setdefault((src, dst), []).append(label)
+    for a, q, b, q2 in m.trans:
+        grouped.setdefault((q, q2), []).append(a if automaton else f"{a} / {b}")
     for (src, dst), labels in sorted(grouped.items()):
         lines.append(f"  {_q(src)} -> {_q(dst)} [label={_q(', '.join(sorted(labels)))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def dot_nfa(n: Nfa) -> str:
-    return _state_graph(
-        n.states.elements, n.states.sort(n.initial), n.final,
-        [(q, a, q2) for q, a, q2 in n.sorted_trans()],
-    )
-
-
-def dot_transducer(t: Transducer) -> str:
-    return _state_graph(
-        t.states.elements, t.states.sort(t.initial), t.final,
-        [(q, f"{a} / {b}", q2) for a, q, b, q2 in t.sorted_quads()],
-    )
-
-
-def dot_ztransducer(z: ZTransducer) -> str:
-    return _state_graph(
-        z.states.elements, [], frozenset(),
-        [(q, f"{a} / {b}", q2) for a, q, b, q2 in z.sorted_quads()],
-    )
-
-
-def dot_presentation(p: Presentation) -> str:
-    # every state is initial and final; only the root is singled out
-    return _state_graph(
-        p.states.elements, [], frozenset(p.states.elements),
-        [(q, a, q2) for q, a, q2 in p.sorted_trans()],
-        root=p.root,
-    )
 
 
 def dot_diagram(d: Diagram) -> str:
@@ -106,15 +85,10 @@ def dot_diagram(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-RENDERERS = {
-    "nfa": dot_nfa, "dfa": dot_nfa, "transducer": dot_transducer,
-    "ztransducer": dot_ztransducer, "presentation": dot_presentation,
-    "diagram": dot_diagram, "zdiagram": dot_diagram,
-}
-
-
 def to_dot(x) -> str:
     kind = kind_of(x)
-    if kind not in RENDERERS:
+    if isinstance(x, Machine):
+        return dot_machine(x)
+    if kind not in ("diagram", "zdiagram"):
         raise MachineError(f"no DOT rendering for {kind}")
-    return RENDERERS[kind](x)
+    return dot_diagram(x)

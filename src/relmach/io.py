@@ -3,10 +3,16 @@
 Each file is a single JSON document with a top-level ``kind`` tag.
 ``KINDS`` maps each tag to its class, payload function and parser, and
 ``kind_of`` gives a value's tag; the CLI and the DOT renderer dispatch on
-tags.  Output is canonical: object keys are sorted, words are arrays of
-symbol names, and every array of symbols, pairs, or transitions is sorted
-in the canonical order of its alphabets, so serialization is deterministic
-and round-trip stable.  ``dumps`` writes the layout itself, byte for byte
+tags.  One payload function and one parser serve every machine kind: an
+automaton (nfa, dfa, presentation) has an ``alphabet`` and rows [q, a, q2],
+a (z)transducer ``input``, ``output`` and rows [a, q, b, q2]; finite-word
+kinds have ``initial`` and ``final``, a presentation may have a ``root``.
+The parser builds each alphabet and wire bundle once per document.
+
+Output is canonical: object keys are sorted, words are arrays of symbol
+names, and every array of symbols, pairs, or transitions is sorted in the
+canonical order of its alphabets, so serialization is deterministic and
+round-trip stable.  ``dumps`` writes the layout itself, byte for byte
 ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
 of its tests.  Reading a document that is not JSON, or whose structure does
 not fit its kind, raises ``MachineError``; so does a string or an object
@@ -21,14 +27,15 @@ read, and no ill-typed term can be built to be written.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
 from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap
-from .relcore import Alphabet, MachineError, Obj, Rel, ShapeError
+from .relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
-from .sofic import Presentation, ZTransducer, presentation, ztransducer
-from .transducer import QuadMachine, Transducer, UniformRelationSample, transducer
+from .sofic import Presentation, ZTransducer
+from .transducer import Machine, Transducer, UniformRelationSample, unit_rows
 
 
 def _array(p: dict, field: str) -> list:
@@ -54,16 +61,30 @@ def _alphabet_payload(a: Alphabet) -> dict:
     return {"name": a.name, "elements": list(a.elements)}
 
 
-def _parse_alphabet(p: dict) -> Alphabet:
-    return Alphabet(p["name"], tuple(_array(p, "elements")))
+def _parse_alphabet(p: dict, seen: dict) -> Alphabet:
+    """The alphabet ``p`` describes.  ``seen`` maps the (name, elements) of
+    each alphabet of the document read so far, and the wires of each
+    bundle, to the value built for it."""
+    key = p["name"], tuple(_array(p, "elements"))
+    try:
+        a = seen.get(key)
+    except TypeError:  # an unhashable name or element, which Alphabet refuses
+        return Alphabet(*key)
+    if a is None:
+        a = seen[key] = Alphabet(*key)
+    return a
 
 
 def _obj_payload(o: Obj) -> list:
     return [_alphabet_payload(w) for w in o.wires]
 
 
-def _parse_obj(p: dict, field: str) -> Obj:
-    return Obj(tuple(map(_parse_alphabet, _array(p, field))))
+def _parse_obj(p: dict, field: str, seen: dict) -> Obj:
+    wires = tuple([_parse_alphabet(w, seen) for w in _array(p, field)])
+    o = seen.get(wires)
+    if o is None:
+        o = seen[wires] = Obj(wires)
+    return o
 
 
 def _rel_payload(r: Rel) -> dict:
@@ -74,68 +95,47 @@ def _rel_payload(r: Rel) -> dict:
     }
 
 
-def _parse_rel(p: dict) -> Rel:
+def _parse_rel(p: dict, seen: dict) -> Rel:
     pairs = set()
     for x, y in _rows(p, "pairs"):
         if type(x) is not list or type(y) is not list:
             raise TypeError("field 'pairs': expected pairs of arrays")
         pairs.add((tuple(x), tuple(y)))
-    return Rel(_parse_obj(p, "dom"), _parse_obj(p, "cod"), pairs)
+    return Rel(_parse_obj(p, "dom", seen), _parse_obj(p, "cod", seen), pairs)
 
 
-def _quads_payload(m: QuadMachine) -> dict:
-    """A transducer's or a ztransducer's alphabets and transitions."""
-    return {
-        "input": _alphabet_payload(m.input),
-        "output": _alphabet_payload(m.output),
-        "states": _alphabet_payload(m.states),
-        "trans": [list(q) for q in m.sorted_quads()],
-    }
+_AUTOMATA = (Nfa, Presentation)  # one alphabet, rows written [q, a, q2]
 
 
-def _parse_quads(p: dict) -> tuple:
-    return (_parse_alphabet(p["input"]), _parse_alphabet(p["output"]),
-            _parse_alphabet(p["states"]), map(tuple, _rows(p, "trans")))
-
-
-def _transducer_payload(t: Transducer) -> dict:
-    return {**_quads_payload(t), "initial": t.states.sort(t.initial),
-            "final": t.states.sort(t.final)}
-
-
-def _nfa_payload(n: Nfa) -> dict:
-    return {
-        "alphabet": _alphabet_payload(n.alphabet),
-        "states": _alphabet_payload(n.states),
-        "trans": [list(t) for t in n.sorted_trans()],
-        "initial": n.states.sort(n.initial),
-        "final": n.states.sort(n.final),
-    }
-
-
-def _parse_nfa(p: dict, cls: type) -> Nfa:
-    return cls(
-        _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        map(tuple, _rows(p, "trans")), _array(p, "initial"), _array(p, "final"),
-    )
-
-
-def _presentation_payload(p: Presentation) -> dict:
-    out = {
-        "alphabet": _alphabet_payload(p.alphabet),
-        "states": _alphabet_payload(p.states),
-        "trans": [list(t) for t in p.sorted_trans()],
-    }
-    if p.root is not None:
-        out["root"] = p.root
+def _machine_payload(m: Machine) -> dict:
+    rows = m.sorted_rows()
+    if isinstance(m, _AUTOMATA):
+        out = {"alphabet": _alphabet_payload(m.input),
+               "trans": [[q, a, q2] for a, q, _, q2 in rows]}
+    else:
+        out = {"input": _alphabet_payload(m.input), "output": _alphabet_payload(m.output),
+               "trans": [list(t) for t in rows]}
+    out["states"] = _alphabet_payload(m.states)
+    if m.initial is not None:
+        out["initial"], out["final"] = m.states.sort(m.initial), m.states.sort(m.final)
+    if m.root is not None:
+        out["root"] = m.root
     return out
 
 
-def _parse_presentation(p: dict) -> Presentation:
-    return presentation(
-        _parse_alphabet(p["alphabet"]), _parse_alphabet(p["states"]),
-        map(tuple, _rows(p, "trans")), p.get("root"),
-    )
+def _parse_machine(cls: type, p: dict, seen: dict) -> Machine:
+    """A document of the machine kind ``cls``."""
+    automaton = issubclass(cls, _AUTOMATA)
+    if automaton:
+        alphabets = _parse_alphabet(p["alphabet"], seen), UNIT
+    else:
+        alphabets = _parse_alphabet(p["input"], seen), _parse_alphabet(p["output"], seen)
+    states = _parse_alphabet(p["states"], seen)
+    rows = map(tuple, _rows(p, "trans"))
+    finite = not issubclass(cls, (Presentation, ZTransducer))
+    labels = (_array(p, "initial"), _array(p, "final")) if finite else (None, None)
+    return cls(*alphabets, states, unit_rows(rows) if automaton else rows, *labels,
+               p.get("root") if cls is Presentation else None)
 
 
 def _term_payload(d: Diagram) -> dict:
@@ -157,22 +157,22 @@ def _term_payload(d: Diagram) -> dict:
     raise MachineError(f"not a diagram: {d!r}")
 
 
-def _parse_term(p: dict) -> Diagram:
+def _parse_term(p: dict, seen: dict) -> Diagram:
     node = p["node"]
     if node == "box":
-        return Box(_parse_rel(p["rel"]))
+        return Box(_parse_rel(p["rel"], seen))
     if node == "id":
-        return Id(_parse_obj(p, "obj"))
+        return Id(_parse_obj(p, "obj", seen))
     if node == "swap":
-        return Swap(_parse_alphabet(p["a"]), _parse_alphabet(p["b"]))
+        return Swap(_parse_alphabet(p["a"], seen), _parse_alphabet(p["b"], seen))
     if node == "seq":
-        return Seq(_parse_term(p["first"]), _parse_term(p["second"]))
+        return Seq(_parse_term(p["first"], seen), _parse_term(p["second"], seen))
     if node == "par":
-        return Par(_parse_term(p["left"]), _parse_term(p["right"]))
+        return Par(_parse_term(p["left"], seen), _parse_term(p["right"], seen))
     if node in ("feedback", "feedback-z"):
         # a labelled node's label lists must be arrays, so null is refused
         labels = (_array(p, "initial"), _array(p, "final")) if node == "feedback" else (None, None)
-        return Feedback(_parse_alphabet(p["wire"]), *labels, _parse_term(p["body"]))
+        return Feedback(_parse_alphabet(p["wire"], seen), *labels, _parse_term(p["body"], seen))
     raise MachineError(f"unknown diagram node {node!r}")
 
 
@@ -180,8 +180,8 @@ def _certificate_payload(c: SimCertificate) -> dict:
     return {"mode": c.mode, "s": _rel_payload(c.s)}
 
 
-def _parse_certificate(p: dict) -> SimCertificate:
-    return SimCertificate(_parse_rel(p["s"]), p["mode"])
+def _parse_certificate(p: dict, seen: dict) -> SimCertificate:
+    return SimCertificate(_parse_rel(p["s"], seen), p["mode"])
 
 
 def sample_payload(s: UniformRelationSample) -> dict:
@@ -215,8 +215,8 @@ def _term_document(d: Diagram) -> dict:
 def _parse_term_without(labelled: bool, message: str):
     """The parser of a diagram kind whose terms have no feedback node with
     ``Feedback.labelled == labelled``."""
-    def parse(p: dict) -> Diagram:
-        term = _parse_term(p["term"])
+    def parse(p: dict, seen: dict) -> Diagram:
+        term = _parse_term(p["term"], seen)
         if labelled in term.feedback:
             raise MachineError(message)
         return term
@@ -226,19 +226,15 @@ def _parse_term_without(labelled: bool, message: str):
 class Kind(NamedTuple):
     cls: type
     payload: Callable  # a value's fields
-    parse: Callable | None  # a value from its document; None: written, never read
+    parse: Callable | None  # a value from its document and a dict of the values built; None: never read
 
 
 KINDS = {
     "alphabet": Kind(Alphabet, _alphabet_payload, _parse_alphabet),
     "relation": Kind(Rel, _rel_payload, _parse_rel),
-    "transducer": Kind(Transducer, _transducer_payload,
-                       lambda p: transducer(*_parse_quads(p), _array(p, "initial"),
-                                            _array(p, "final"))),
-    "nfa": Kind(Nfa, _nfa_payload, lambda p: _parse_nfa(p, Nfa)),
-    "dfa": Kind(Dfa, _nfa_payload, lambda p: _parse_nfa(p, Dfa)),
-    "presentation": Kind(Presentation, _presentation_payload, _parse_presentation),
-    "ztransducer": Kind(ZTransducer, _quads_payload, lambda p: ztransducer(*_parse_quads(p))),
+    **{tag: Kind(cls, _machine_payload, partial(_parse_machine, cls)) for tag, cls in [
+        ("transducer", Transducer), ("nfa", Nfa), ("dfa", Dfa), ("presentation", Presentation),
+        ("ztransducer", ZTransducer)]},
     "diagram": Kind(Diagram, _term_document,
                     _parse_term_without(False, "diagram contains unlabelled feedback")),
     "zdiagram": Kind(Diagram, _term_document,
@@ -277,7 +273,7 @@ def _parse(p: dict):
     kind = KINDS.get(tag) if isinstance(tag, str) else None
     if kind is None or kind.parse is None:
         raise MachineError(f"unknown kind {tag!r}")
-    return kind.parse(p)
+    return kind.parse(p, {})
 
 
 def from_payload(p: dict):

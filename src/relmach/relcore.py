@@ -17,17 +17,17 @@ a unit wire are interchangeable.
 
 Validation contract: input is validated at the boundary.  The parser
 and every public constructor validate all of their input, each pair of a
-relation included, and so do the constructors of the layers above for
-transitions, roots, label sets and a diagram node's type, set once, from
-its children's, when it is built.  A symbol lookup costs O(1) through
-each alphabet's symbol→position dict.  A relation checks its distinct
-domain and codomain tuples column by column, and so does
-:func:`check_rows` for the rows every machine stores: triples (state,
-letter, next state) or quadruples (input letter, state, output letter,
-next state).  A value built from validated ones and valid by construction
-(a normal form, an acceptor, a determinized, minimized or pruned machine,
-a sample, a certificate relation) is built by :func:`trusted`, which
-checks nothing again.
+relation included, and so do the constructors of the layers above: the
+one machine constructor (``transducer.Machine``) checks its label sets,
+its rows and its root, and a diagram node sets its type once, from its
+children's, when it is built.  A symbol lookup costs O(1) through each
+alphabet's symbol→position dict.  A relation checks its distinct domain
+and codomain tuples column by column, and so does :func:`check_rows` for
+the rows every machine stores: quadruples (input letter, state, output
+letter, next state), checked state columns first.  A value built from
+validated ones and valid by construction (a normal form, an acceptor, a
+determinized, minimized or pruned machine, a sample, a certificate
+relation) is built by :func:`trusted`, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def check_rows(rows, columns: dict[int, Alphabet]) -> frozenset:
     ``columns[i]`` at each position ``i``, and return it as a frozenset.
 
     The rows are checked column by column, like the pairs of a :class:`Rel`.
-    Only when that fails are they scanned one by one, each checked at the
+    Only when that fails are they scanned one by one, in the order of
+    ``rows`` if it is a list and else of the set, each checked at the
     positions in the order of ``columns``, to name the first offender.
     """
     out = frozen(rows, "transitions")
@@ -131,7 +132,7 @@ def check_rows(rows, columns: dict[int, Alphabet]) -> frozenset:
             return out
     except TypeError:  # a row without a length; the scan below reports it
         pass
-    for row in out:
+    for row in rows if isinstance(rows, list) else out:
         if not isinstance(row, tuple) or len(row) != arity:
             raise ShapeError(f"transition {row!r} is not a tuple of {arity} symbols")
         for i, a in columns.items():

@@ -16,22 +16,21 @@ forward one (the reverse inclusion).  For machines run over bi-infinite
 words the initial/final conditions are replaced by path-based ones: every
 state of machine 2 that starts a maximally long path must be in the domain
 of ``s`` (forward / two-sided), and every state of machine 1 that ends one
-must be in its codomain (backward / two-sided).
+must be in its codomain (backward / two-sided).  Both checks read the
+rows of any machine through one projection of its letter pairs; on
+bi-infinite words a letter pair is one packed letter.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     long_path_states, minimize
-from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit
-from .transducer import Transducer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sofic import Presentation
+from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, pair_symbol, \
+    product_alphabet
+from .transducer import Machine
 
 TWO_SIDED = "two-sided"
 BACKWARD = "backward"
@@ -85,38 +84,49 @@ def _check_typed(s: Rel, q1: Alphabet, q2: Alphabet) -> None:
 
 def _parts(alphabet: Alphabet) -> dict[str, tuple]:
     """The tuple component each letter gives: ``(a,)``, or ``()`` for the
-    letter of the unit alphabet.  Both machines' rows are read by machine 1's
-    alphabets, so a unit alphabet and its one-element namesake read alike."""
+    letter of the unit alphabet."""
     return {a: () if is_unit(alphabet) else (a,) for a in alphabet.elements}
+
+
+def _rows(m: Machine, parts: dict, out_parts: dict | None = None) -> list:
+    """``m``'s rows (a, q, b, q') as ((x, y), q, q'): x and y the tuple
+    components ``parts`` and ``out_parts`` give a and b, or without
+    ``out_parts``, the one ``parts`` gives (a, b) packed, and ()."""
+    if out_parts is None:
+        pair = pair_symbol(m.input, m.output)
+        letter = {(a, b): (parts[pair(a, b)], ()) for a in m.input.elements for b in m.output.elements}
+    else:
+        letter = {(a, b): (parts[a], out_parts[b]) for a in parts for b in out_parts}
+    return [(letter[a, b], q, q2) for a, q, b, q2 in m.trans]
 
 
 def _intertwining(s: Rel, rows1: list, rows2: list) -> tuple[set, set]:
     """Both sides of R1 ∘ (id × s) ⊲ (id × s) ∘ R2: the pairs
-    ((a, state of machine 2), (b, state of machine 1)), stored flat.  Each
-    machine's rows are (a, q, b, q') with letters as tuple components."""
+    ((x, state of machine 2), (y, state of machine 1)), stored flat, from
+    each machine's ``_rows``."""
     image, preimage = defaultdict(list), defaultdict(list)
     for (x,), (y,) in s.pairs:
         image[x].append(y)
         preimage[y].append(x)
-    lhs = {a + (p,) + b + (q1,) for a, q, b, q1 in rows1 for p in preimage.get(q, ())}
-    rhs = {a + (q2,) + b + (p,) for a, q2, b, q in rows2 for p in image.get(q, ())}
+    lhs = {a + (p,) + b + (q1,) for (a, b), q, q1 in rows1 for p in preimage.get(q, ())}
+    rhs = {a + (q2,) + b + (p,) for (a, b), q2, q in rows2 for p in image.get(q, ())}
     return lhs, rhs
 
 
-def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport:
+def check_fin(m1: Machine, m2: Machine, cert: SimCertificate) -> SimReport:
     """Check the three finite-word conditions for ``cert.s : states2 → states1``."""
     if m1.input.elements != m2.input.elements or m1.output.elements != m2.output.elements:
         raise TypeMismatch("machines do not share input/output alphabets")
     s = cert.s
     _check_typed(s, m1.states, m2.states)
+    # machine 1's alphabets read both machines' letters, so a unit alphabet
+    # and its one-element namesake read alike
     a, b = _parts(m1.input), _parts(m1.output)
-
-    def rows(m):
-        return [(a[x], q, b[y], q2) for x, q, y, q2 in m.trans]
 
     def conditions():  # name, both sides, and the length of a pair's codomain tuple
         yield "initial", {(q,) for q in m1.initial}, {y for (x,), y in s.pairs if x in m2.initial}, 1
-        yield "transition", *_intertwining(s, rows(m1), rows(m2)), 1 if is_unit(m1.output) else 2
+        yield "transition", *_intertwining(s, _rows(m1, a, b), _rows(m2, a, b)), \
+            1 if is_unit(m1.output) else 2
         yield "final", {x for x, (y,) in s.pairs if y in m1.final}, {(q,) for q in m2.final}, 0
 
     for name, lhs, rhs, tail in conditions():
@@ -126,23 +136,22 @@ def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport
     return SimReport("pass")
 
 
-def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:
+def check_inf(p1: Machine, p2: Machine, cert: SimCertificate) -> SimReport:
     """Check the bi-infinite conditions for ``cert.s : states2 → states1``.
 
-    The intertwining condition is the same as the finite one; the side
-    conditions ask the long-path states of each machine to be covered by
-    the domain (machine 2) and codomain (machine 1) of the relation.
+    The machines are read as presentations over their letter pairs, each
+    pair packed into one letter of the product alphabet.  The intertwining
+    condition is the same as the finite one; the side conditions ask the
+    long-path states of each machine to be covered by the domain (machine
+    2) and codomain (machine 1) of the relation.
     """
-    if p1.alphabet.elements != p2.alphabet.elements:
+    alphabet = product_alphabet(p1.input, p1.output)
+    if alphabet.elements != product_alphabet(p2.input, p2.output).elements:
         raise TypeMismatch("presentations do not share an alphabet")
     s = cert.s
     _check_typed(s, p1.states, p2.states)
-    a = _parts(p1.alphabet)
-
-    def rows(p):
-        return [(a[x], q, (), q2) for q, x, q2 in p.trans]
-
-    ok, witness = _holds(*_intertwining(s, rows(p1), rows(p2)), cert.mode, 1)
+    packed = _parts(alphabet)
+    ok, witness = _holds(*_intertwining(s, _rows(p1, packed), _rows(p2, packed)), cert.mode, 1)
     if not ok:
         return SimReport("fail", "transition", witness)
 

@@ -1,14 +1,16 @@
 """Presentations of sofic subshifts and machines over bi-infinite words.
 
-A presentation is an automaton in which every state is both initial and
-final; the subshift it presents is the set of bi-infinite words labelling
-bi-infinite runs.  Equality of subshifts is decided entirely through
-finite data: two subshifts are equal iff their factor languages are (Lind
-& Marcus, Symbolic Dynamics and Coding, Prop. 1.3.4), the language of a
-pruned presentation's subset DFA from the full state set, a subset being
-final when it is not empty: the pruned presentation read as an NFA with
+A presentation is an automaton read on bi-infinite words, a ztransducer a
+transducer so read: ``transducer.Machine`` values with no initial or final
+states.  The subshift of either is the set of bi-infinite words (over
+letter pairs) labelling bi-infinite runs.  Equality of subshifts is
+decided entirely through finite data: two subshifts are equal iff their
+factor languages are (Lind & Marcus, Symbolic Dynamics and Coding, Prop.
+1.3.4), the language of a pruned machine's subset DFA from the full state
+set, a subset being final when it is not empty: the pruned machine with
 every state initial and final (``factor_language``), which
-``automata.nfa_equiv`` compares; the empty subshift is no special case.
+``automata.nfa_equiv`` compares over letter pairs; the empty subshift is
+no special case.
 
 The canonical form takes the same steps and names what it emits: pruning
 is ``long_path_states``, the subset construction ``subsets`` (rooted at
@@ -29,78 +31,49 @@ walks both subset DFAs with a union-find that stops at the first conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
-
-from .automata import Nfa, Triple, _backward_edges, _forward_edges, _reachable, check_triples, \
-    class_relation, language_upto, long_path_states, membership, nfa_equiv, prune_language, \
+from .automata import Nfa, _backward_edges, _forward_edges, _reachable, class_relation, \
+    is_deterministic, language_upto, long_path_states, membership, nfa_equiv, prune_language, \
     quotient, same_words, subset_machine, subsets, successor_map
-from .relcore import Alphabet, MachineError, material, pair_symbol, product_alphabet, trusted
+from .relcore import UNIT, Alphabet, MachineError, is_unit, trusted
 from .simulation import TWO_SIDED, SimCertificate
-from .transducer import QuadMachine
-
-Word = tuple[str, ...]
+from .transducer import Machine, Transducer, Word, unit_rows
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Transition-labelled graph, read with all states initial and final.
-
-    ``root`` is optional bookkeeping: canonical presentations record the
-    state from which every accepted word has a run.
-    """
-
-    alphabet: Alphabet
-    states: Alphabet
-    trans: frozenset[Triple]
-    root: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "trans", check_triples(self.alphabet, self.states, self.trans))
-        if self.root is not None:
-            self.states.index(self.root)
-
-    def is_empty(self) -> bool:
-        return not self.states.elements
-
-    def as_nfa(self) -> Nfa:
-        everything = frozenset(self.states.elements)
-        return trusted(Nfa, self.alphabet, self.states, self.trans, everything, everything)
-
-    sorted_trans = Nfa.sorted_trans
+class Presentation(Machine):
+    """An automaton read on bi-infinite words.  ``root`` is optional
+    bookkeeping: canonical presentations record the state from which every
+    accepted word has a run."""
 
 
 def presentation(alphabet, states, trans, root=None) -> Presentation:
-    return Presentation(alphabet, states, trans, root)
+    """The presentation with transitions (state, letter, next state)."""
+    return Presentation(alphabet, UNIT, states, unit_rows(trans), None, None, root)
 
 
-@dataclass(frozen=True)
-class ZTransducer(QuadMachine):
-    """A transducer run over bi-infinite words; no initial or final states."""
+class ZTransducer(Machine):
+    """A transducer read on bi-infinite words."""
 
 
 def ztransducer(input, output, states, quads) -> ZTransducer:
     return ZTransducer(input, output, states, quads)
 
 
-def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
-    """The presentation over the product alphabet that carries z's behavior."""
-    pair = pair_symbol(z.input, z.output)
-    return presentation(
-        product_alphabet(z.input, z.output), material(z.states),
-        {(q, pair(a, b), q2) for a, q, b, q2 in z.trans},
-    )
+def _finite(m: Machine) -> Machine:
+    """``m`` read on finite words, with every state initial and final."""
+    everything = frozenset(m.states.elements)
+    return trusted(Nfa if is_unit(m.output) else Transducer, m.input, m.output, m.states, m.trans,
+                   everything, everything, None)
 
 
 # ---------------------------------------------------------------------------
 # Pruning: restrict to states on infinite paths.  "Infinite" is decided as
 # "of length at least card(states)", which forces a loop.
 
-def _restrict(p: Presentation, kept: set[str]) -> Presentation:
+def _restrict(p: Machine, kept: set[str]) -> Machine:
     states = Alphabet(p.states.name, tuple(q for q in p.states.elements if q in kept))
     root = p.root if p.root in kept else None
-    return trusted(Presentation, p.alphabet, states,
-                   frozenset((q, a, q2) for q, a, q2 in p.trans if q in kept and q2 in kept), root)
+    return trusted(type(p), p.input, p.output, states,
+                   frozenset(t for t in p.trans if t[1] in kept and t[3] in kept), None, None, root)
 
 
 def forward_prune(p: Presentation) -> Presentation:
@@ -113,7 +86,7 @@ def backward_prune(p: Presentation) -> Presentation:
     return _restrict(p, long_path_states(p.states.elements, _backward_edges(p)))
 
 
-def prune(p: Presentation) -> Presentation:
+def prune(p: Machine) -> Machine:
     """Keep states lying on a bi-infinite path: those ending a long path
     that start one among themselves, in one restriction."""
     ending = long_path_states(p.states.elements, _backward_edges(p))
@@ -124,13 +97,12 @@ def is_language_pruned(p: Presentation) -> bool:
     """Whether every accepted word extends on both sides within the language.
     Pruning the language keeps states and transitions, so when it keeps
     every start and end too the two machines are one."""
-    n = p.as_nfa()
+    n = _finite(p)
     pumped = prune_language(n)
     return pumped.initial == n.initial and pumped.final == n.final or nfa_equiv(n, pumped)
 
 
-def is_right_resolving(p: Presentation) -> bool:
-    return len(set(map(itemgetter(0, 1), p.trans))) == len(p.trans)
+is_right_resolving = is_deterministic
 
 
 def is_root(p: Presentation, r: str) -> bool:
@@ -150,12 +122,12 @@ def find_root(p: Presentation) -> str | None:
     return None
 
 
-def _subset_presentation(p: Presentation) -> tuple[Presentation, dict[int, str]]:
+def _subset_presentation(p: Presentation) -> tuple[Presentation, dict, dict[int, str]]:
     start = (1 << len(p.states)) - 1
     graph = subsets(p, start)
     graph.pop(0, None)
     states, name, trans = subset_machine(p, graph)
-    return trusted(Presentation, p.alphabet, states, trans, name[start]), name
+    return trusted(Presentation, p.input, p.output, states, trans, None, None, name[start]), graph, name
 
 
 def determinize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
@@ -170,8 +142,8 @@ def determinize_presentation(p: Presentation) -> tuple[Presentation, SimCertific
         raise MachineError("cannot determinize the empty presentation")
     if not is_language_pruned(p):
         raise MachineError("determinization requires a pruned presentation")
-    det, name = _subset_presentation(p)
-    return det, SimCertificate(membership(det.states, p.states, name), TWO_SIDED)
+    det, graph, name = _subset_presentation(p)
+    return det, SimCertificate(membership(det.states, p.states, graph, name), TWO_SIDED)
 
 
 def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
@@ -194,11 +166,12 @@ def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate
 
 
 def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, dict[str, str]]:
-    delta = {(q, a): q2 for q, a, q2 in p.trans}
+    delta = {(q, a): q2 for a, q, _, q2 in p.trans}
     # All real states accept; refinement only separates by definedness.
     name, min_states, trans = quotient(p.states, list(p.states.elements), p.alphabet.elements,
                                        delta, lambda q: q is None)
-    return trusted(Presentation, p.alphabet, min_states, frozenset(trans), name[root]), name
+    return trusted(Presentation, p.input, p.output, min_states, frozenset(trans), None, None,
+                   name[root]), name
 
 
 def canonical_form(p: Presentation) -> Presentation:
@@ -206,15 +179,17 @@ def canonical_form(p: Presentation) -> Presentation:
     the empty presentation when the subshift is empty."""
     pruned = prune(p)
     if pruned.is_empty():
-        return Presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
-    det, _ = _subset_presentation(pruned)
+        return trusted(Presentation, p.input, p.output, Alphabet(p.states.name, ()), frozenset(),
+                       None, None, None)
+    det = _subset_presentation(pruned)[0]
     return _minimal_presentation(det, det.root)[0]
 
 
-def factor_language(p: Presentation) -> Nfa:
-    """Automaton for the finite words readable inside bi-infinite runs:
-    the pruned state graph with every state initial and final."""
-    return prune(p).as_nfa()
+def factor_language(m: Machine) -> Machine:
+    """The machine of the finite words readable inside bi-infinite runs of
+    a presentation or a ztransducer: the pruned machine with every state
+    initial and final."""
+    return _finite(prune(m))
 
 
 def factors_upto(p: Presentation, k: int) -> set[Word]:

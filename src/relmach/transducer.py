@@ -1,18 +1,23 @@
-"""Finite-word transducers: runs, behaviors, and the standard constructions.
+"""Machines: one value for every kind, and the runs and behaviors of transducers.
 
-A transducer reads an input letter and, depending on its current state,
-nondeterministically emits an output letter and moves to a next state.
-Its behavior is the length-preserving relation between input and output
-words realized by runs from an initial to a final state.  Behaviors of
-bounded length are materialized as :class:`UniformRelationSample` values;
-exact (unbounded) comparisons go through the automata module.
+As the paper reads a uniform relation A* → B* as a language over A × B,
+every machine is one :class:`Machine`: ``input``, ``output`` and
+``states`` alphabets, and transitions stored as validated quadruples
+(input letter, state, output letter, next state).  Read on finite words it
+has initial and final states; read on bi-infinite words, none (``None``).
+An automaton is the case of the unit output, its transition (q, a, q2) the
+row (a, q, "*", q2).  The kinds are thin subclasses that add no field:
+``Transducer`` here, ``automata.Nfa`` and ``automata.Dfa`` (deterministic),
+and ``sofic.Presentation`` (an automaton read on bi-infinite words, with an
+optional ``root``) and ``sofic.ZTransducer``.
 
-A machine stores its transitions as validated quadruples (input letter,
-state, output letter, next state), and every construction here works on
-them; the simulation checker enumerates its conditions from them too.
-Diagram normal forms compose rows over flat wire tuples and pack once
-(``diagram._collapse``); the composition, product and lift of transducers
-over packed alphabets are the tests' reference, in ``tests/helpers.py``.
+A transducer's behavior is the length-preserving relation between input
+and output words realized by runs from an initial to a final state.
+Behaviors of bounded length are :class:`UniformRelationSample` values;
+exact comparisons go through the automata module.  Diagram normal forms
+compose rows over flat wire tuples and pack once (``diagram._collapse``);
+the composition, product and lift of transducers over packed alphabets
+are the tests' reference, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -20,54 +25,72 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relcore import UNIT, Alphabet, MachineError, check_rows, pair_symbol, product_alphabet, trusted
+from .relcore import UNIT, Alphabet, MachineError, ShapeError, check_rows, frozen, trusted
 
 Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
 Word = tuple[str, ...]
+STAR = UNIT.elements[0]  # the unit alphabet's only symbol
 
 
 @dataclass(frozen=True)
-class QuadMachine:
-    """Alphabets and transitions, the data a :class:`Transducer` and a
-    bi-infinite ``sofic.ZTransducer`` share.  ``trans`` holds quadruples
-    (a, q, b, q2) with ``a`` in ``input``, ``b`` in ``output`` and ``q``,
-    ``q2`` in ``states``; a unit alphabet's only symbol is ``"*"``."""
+class Machine:
+    """Transitions (a, q, b, q2) with ``a`` in ``input``, ``b`` in
+    ``output`` and ``q``, ``q2`` in ``states``; the initial and final
+    states, both ``None`` on bi-infinite words; and ``root``, a
+    presentation's state from which every accepted word has a run."""
 
     input: Alphabet
     output: Alphabet
     states: Alphabet
     trans: frozenset[Quad]
+    initial: frozenset[str] | None = None
+    final: frozenset[str] | None = None
+    root: str | None = None
 
     def __post_init__(self):
-        columns = {0: self.input, 1: self.states, 2: self.output, 3: self.states}
+        states = self.states
+        if self.initial is not None or self.final is not None:
+            object.__setattr__(self, "initial", states.check_subset(self.initial))
+            object.__setattr__(self, "final", states.check_subset(self.final))
+        columns = {1: states, 3: states, 0: self.input, 2: self.output}
         object.__setattr__(self, "trans", check_rows(self.trans, columns))
+        if self.root is not None:
+            states.index(self.root)
 
-    def sorted_quads(self) -> list[Quad]:
-        return sorted(
-            self.trans,
-            key=lambda t: (
-                self.states.index(t[1]),
-                self.input.index(t[0]),
-                self.output.index(t[2]),
-                self.states.index(t[3]),
-            ),
-        )
+    @property
+    def alphabet(self) -> Alphabet:
+        """An automaton's alphabet: its input."""
+        return self.input
+
+    def is_empty(self) -> bool:
+        return not self.states.elements
+
+    def sorted_rows(self) -> list[Quad]:
+        """Transitions by state, input letter, output letter, next state."""
+        s, i, o = self.states._pos, self.input._pos, self.output._pos
+        return sorted(self.trans, key=lambda t: (s[t[1]], i[t[0]], o[t[2]], s[t[3]]))
 
 
-@dataclass(frozen=True)
-class Transducer(QuadMachine):
-    initial: frozenset[str]
-    final: frozenset[str]
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "initial", self.states.check_subset(self.initial))
-        object.__setattr__(self, "final", self.states.check_subset(self.final))
+class Transducer(Machine):
+    """A machine read on finite words."""
 
 
 def transducer(input: Alphabet, output: Alphabet, states: Alphabet,
                quads, initial, final) -> Transducer:
     return Transducer(input, output, states, quads, initial, final)
+
+
+def unit_rows(triples) -> list[Quad]:
+    """Transitions (state, letter, next state) as the rows of a machine with
+    the unit output, in their order, so validation names the same offender."""
+    rows = list(triples)
+    if not set(map(type, rows)) <= {tuple}:  # refuse an unhashable row as a set would
+        rows = list(frozen(rows, "transitions"))
+    try:
+        return [(a, q, STAR, q2) for q, a, q2 in rows]
+    except (TypeError, ValueError):  # a row that is no triple
+        bad = next(r for r in rows if not isinstance(r, tuple) or len(r) != 3)
+        raise ShapeError(f"transition {bad!r} is not a tuple of 3 symbols") from None
 
 
 @dataclass(frozen=True)
@@ -161,14 +184,4 @@ def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
             for combo in itertools.product(*sections):
                 pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
     return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
-
-
-def to_automaton(t: Transducer) -> Transducer:
-    """View a transducer over A, B as an acceptor over the product A×B."""
-    ipair = pair_symbol(t.input, t.output)
-    star = UNIT.elements[0]
-    quads = {(ipair(a, b), q, star, q2) for a, q, b, q2 in t.trans}
-    return transducer(
-        product_alphabet(t.input, t.output), UNIT, t.states, quads, t.initial, t.final
-    )
 

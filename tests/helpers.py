@@ -19,15 +19,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from relmach import io
-from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
-    iso_check, mask_of, minimize, nfa, nfa_equiv, nfa_to_transducer, prune_language, subset_namer
+from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, bits, \
+    determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, prune_language, subset_namer
 from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptors, \
     equiv_chain
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
     is_unit, obj, pack_obj, pair_symbol, product_alphabet, tuple_namer
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation, factor_language
-from relmach.transducer import Transducer, transducer
+from relmach.transducer import Machine, Transducer, transducer, unit_rows
 
 
 def type_of(d: Diagram) -> tuple[Obj, Obj]:
@@ -158,8 +158,21 @@ def trans_rel(input: Alphabet, output: Alphabet, states: Alphabet, quads) -> Rel
     return Rel(obj(input, states), obj(output, states), ((x(t), y(t)) for t in quads))
 
 
+# ---------------------------------------------------------------------------
+# Automata as transitions (state, letter, next state).
+
+def triples(m: Machine) -> set[tuple[str, str, str]]:
+    """The transitions (q, a, q2) of an automaton, whose rows are (a, q, "*", q2)."""
+    return {(q, a, q2) for a, q, _, q2 in m.trans}
+
+
+def dfa(alphabet, states, trans, initial, final) -> Dfa:
+    """The DFA with transitions (state, letter, next state)."""
+    return Dfa(alphabet, UNIT, states, unit_rows(trans), initial, final)
+
+
 def from_automaton(t: Transducer, input: Alphabet, output: Alphabet) -> Transducer:
-    """Inverse of ``transducer.to_automaton``, splitting product letters."""
+    """Inverse of ``seed_algorithms.to_automaton``, splitting product letters."""
     if not is_unit(t.output):
         raise TypeMismatch("from_automaton expects a unit-output acceptor")
     if t.input.elements != product_alphabet(input, output).elements:
@@ -231,13 +244,13 @@ def minimal_dfa(n: Nfa) -> Dfa:
 
 
 def subset_name(members, order: Alphabet) -> str:
-    return subset_namer(order)(mask_of(order, members))
+    return subset_namer(order)(bits(mask_of(order, members)))
 
 
 def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
     """Bijection between rooted right-resolving presentations: ``iso_check``
     on each read as a DFA rooted at its root (if any), every state final."""
-    d1, d2 = (Dfa(p.alphabet, p.states, p.trans, frozenset({p.root} - {None}),
+    d1, d2 = (dfa(p.alphabet, p.states, triples(p), frozenset({p.root} - {None}),
                   frozenset(p.states.elements)) for p in (p1, p2))
     return iso_check(d1, d2)
 
@@ -248,7 +261,7 @@ def trim(n: Nfa) -> Nfa:
         _reachable(n.states, _backward_edges(n), n.final)
     return nfa(
         n.alphabet, Alphabet(n.states.name, tuple(q for q in n.states.elements if q in live)),
-        {(q, a, q2) for q, a, q2 in n.trans if q in live and q2 in live},
+        {(q, a, q2) for q, a, q2 in triples(n) if q in live and q2 in live},
         n.initial & live, n.final & live,
     )
 
@@ -257,7 +270,7 @@ def factor_closure(n: Nfa) -> Nfa:
     """Automaton for all factors of accepted words: trim, then make every
     remaining state both initial and final."""
     t = trim(n)
-    return nfa(t.alphabet, t.states, t.trans, t.states.elements, t.states.elements)
+    return nfa(t.alphabet, t.states, triples(t), t.states.elements, t.states.elements)
 
 
 def is_factor_closed(n: Nfa) -> bool:
@@ -293,19 +306,11 @@ def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | N
 def verify_equiv_certificate(cert: EquivCertificate) -> bool:
     """Re-check every simulation relation in a certificate chain."""
     for side in (cert.left, cert.right):
-        ok_det = check_fin(
-            nfa_to_transducer(side.nfa), nfa_to_transducer(side.dfa), side.contains
-        ).ok
-        ok_min = check_fin(
-            nfa_to_transducer(side.minimal), nfa_to_transducer(side.dfa), side.follow
-        ).ok
+        ok_det = check_fin(side.nfa, side.dfa, side.contains).ok
+        ok_min = check_fin(side.minimal, side.dfa, side.follow).ok
         if not (ok_det and ok_min):
             return False
-    return check_fin(
-        nfa_to_transducer(cert.left.minimal),
-        nfa_to_transducer(cert.right.minimal),
-        cert.iso,
-    ).ok
+    return check_fin(cert.left.minimal, cert.right.minimal, cert.iso).ok
 
 
 def slide(s: Rel, body: Diagram, initial, final, side: str = "left") -> tuple[Diagram, Diagram]:

@@ -6,7 +6,9 @@ Moore's round-by-round partition refinement (``minimize``,
 (``forward_prune``, ``backward_prune``, ``_long_path_starters``,
 ``_long_path_enders``) and the per-state cycle search behind
 ``prune_language`` are copied unchanged from the first version of the
-library; only their imports are new.  ``is_language_pruned`` uses this
+library; only their imports are new, and they read an automaton's
+transitions (q, a, q2) through ``helpers.triples`` and build automata
+through the public constructors.  ``is_language_pruned`` uses this
 module's ``prune_language``, so the validation in ``minimize_presentation``
 and ``determinize_presentation`` is the original one too.
 
@@ -63,6 +65,15 @@ its ``prune`` resolves to the oracle above.
 So is the canonical text that ``io.dumps`` wrote by handing the whole
 payload to the stdlib encoder (``canonical_dumps``).
 
+So are the conversions between the kinds, from before every machine was
+one value with quadruple rows: an automaton read as a unit-output
+transducer (``nfa_to_transducer``) and back (``transducer_to_nfa``), a
+transducer read as an acceptor over its packed letter pairs
+(``to_automaton``), a ztransducer read as the presentation over them
+(``presentation_of_ztransducer``), and a presentation read as an NFA with
+every state initial and final (``as_nfa``).  Each builds its result through
+the public constructors, from the transitions (q, a, q2) of ``triples``.
+
 So is the acceptor that the verdict on terms read before
 ``diagram.acceptors``: the term bent into B ++ A → 1 by a cap
 (``bend``, ``cap_obj``) and collapsed by the library, an NFA over the
@@ -76,20 +87,62 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from helpers import compose, compose_transducers, lift_transducer, pack_rel, pack_tuple, product, \
-    product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel, type_of
+from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, pack_tuple, \
+    product, product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel, \
+    triples, type_of
 from relmach import automata, diagram, io
-from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, Triple, _backward_edges, \
-    _forward_edges, _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map, \
-    transducer_to_nfa
+from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _backward_edges, _forward_edges, \
+    _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
     identity, is_unit, material, obj, pack_obj, pair_symbol, product_alphabet, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
-    presentation_of_ztransducer, ztransducer
+    presentation, ztransducer
 from relmach.transducer import Transducer, UniformRelationSample, finite_shift_at, transducer
+
+Triple = tuple[str, str, str]  # (state, letter, next state)
+
+
+def nfa_to_transducer(n: Nfa) -> Transducer:
+    star = UNIT.elements[0]
+    return transducer(
+        n.alphabet, UNIT, n.states,
+        {(a, q, star, q2) for q, a, q2 in triples(n)},
+        n.initial, n.final,
+    )
+
+
+def transducer_to_nfa(t: Transducer) -> Nfa:
+    if len(t.output) != 1:
+        raise TypeMismatch("only unit-output transducers can be read as automata")
+    return nfa(t.input, material(t.states),
+               {(q, a, q2) for a, q, _, q2 in t.trans}, t.initial, t.final)
+
+
+def to_automaton(t: Transducer) -> Transducer:
+    """View a transducer over A, B as an acceptor over the product A×B."""
+    ipair = pair_symbol(t.input, t.output)
+    star = UNIT.elements[0]
+    quads = {(ipair(a, b), q, star, q2) for a, q, b, q2 in t.trans}
+    return transducer(
+        product_alphabet(t.input, t.output), UNIT, t.states, quads, t.initial, t.final
+    )
+
+
+def presentation_of_ztransducer(z: ZTransducer) -> Presentation:
+    """The presentation over the product alphabet that carries z's behavior."""
+    pair = pair_symbol(z.input, z.output)
+    return presentation(
+        product_alphabet(z.input, z.output), material(z.states),
+        {(q, pair(a, b), q2) for a, q, b, q2 in z.trans},
+    )
+
+
+def as_nfa(p: Presentation) -> Nfa:
+    everything = frozenset(p.states.elements)
+    return nfa(p.alphabet, p.states, triples(p), everything, everything)
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
@@ -108,7 +161,7 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     if not live or not (set(live) & d.final):
         return empty_dfa(d.alphabet), lmap_empty
 
-    delta = {(q, a): q2 for q, a, q2 in d.trans if q in reach and q2 in reach}
+    delta = {(q, a): q2 for q, a, q2 in triples(d) if q in reach and q2 in reach}
     sink = None  # completion target, never a real state
 
     def dstep(q, a):
@@ -152,7 +205,7 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
                 trans.add((name_of[b], a, name_of[block[q2]]))
     init = next(iter(d.initial))
     final = frozenset(name_of[b] for b, members in classes.items() if members[0] in d.final)
-    mdfa = Dfa(d.alphabet, min_states, frozenset(trans), frozenset({name_of[block[init]]}), final)
+    mdfa = dfa(d.alphabet, min_states, frozenset(trans), frozenset({name_of[block[init]]}), final)
     lmap = Rel(
         obj(d.states), obj(min_states),
         frozenset(((q,), (name_of[block[q]],)) for q in live if block[q] != sink_block),
@@ -181,14 +234,14 @@ def prune_language(n: Nfa) -> Nfa:
     cyc = _cycle_states(n)
     pumped_in = _reachable(n.states, fwd, cyc & _reachable(n.states, fwd, n.initial))
     pumped_out = _reachable(n.states, bwd, cyc & _reachable(n.states, bwd, n.final))
-    return nfa(n.alphabet, n.states, n.trans, frozenset(pumped_in), frozenset(pumped_out))
+    return nfa(n.alphabet, n.states, triples(n), frozenset(pumped_in), frozenset(pumped_out))
 
 
 def forward_prune(p: Presentation) -> Presentation:
     """Keep states that start a path of length at least card(states)."""
     k = len(p.states)
     step: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
+    for q, _, q2 in triples(p):
         step.setdefault(q, set()).add(q2)
     can = set(p.states.elements)
     for _ in range(k):
@@ -200,7 +253,7 @@ def backward_prune(p: Presentation) -> Presentation:
     """Keep states that end a path of length at least card(states)."""
     k = len(p.states)
     back: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
+    for q, _, q2 in triples(p):
         back.setdefault(q2, set()).add(q)
     can = set(p.states.elements)
     for _ in range(k):
@@ -215,7 +268,7 @@ def prune(p: Presentation) -> Presentation:
 
 def is_language_pruned(p: Presentation) -> bool:
     """Whether every accepted word extends on both sides within the language."""
-    n = p.as_nfa()
+    n = as_nfa(p)
     return nfa_equiv(n, prune_language(n))
 
 
@@ -239,7 +292,7 @@ def minimize_presentation(p: Presentation, root: str | None = None,
     elif validate and not is_root(p, root):
         raise MachineError(f"state {root!r} is not a root")
 
-    delta = {(q, a): q2 for q, a, q2 in p.trans}
+    delta = {(q, a): q2 for q, a, q2 in triples(p)}
     sink = None
     universe = list(p.states.elements) + [sink]
 
@@ -275,7 +328,7 @@ def minimize_presentation(p: Presentation, root: str | None = None,
             q2 = dstep(rep, a)
             if q2 is not sink:
                 trans.add((name_of[b], a, name_of[block[q2]]))
-    minp = Presentation(p.alphabet, min_states, frozenset(trans), name_of[block[root]])
+    minp = presentation(p.alphabet, min_states, frozenset(trans), name_of[block[root]])
     lmap = Rel(
         obj(p.states), obj(min_states),
         frozenset(((q,), (name_of[block[q]],)) for q in p.states.elements
@@ -289,7 +342,7 @@ def _long_path_starters(p: "Presentation") -> set[str]:
     k = len(p.states)
     can = set(p.states.elements)
     step: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
+    for q, _, q2 in triples(p):
         step.setdefault(q, set()).add(q2)
     for _ in range(k):
         can = {q for q in p.states.elements if step.get(q, set()) & can}
@@ -300,7 +353,7 @@ def _long_path_enders(p: "Presentation") -> set[str]:
     k = len(p.states)
     can = set(p.states.elements)
     back: dict[str, set[str]] = {}
-    for q, _, q2 in p.trans:
+    for q, _, q2 in triples(p):
         back.setdefault(q2, set()).add(q)
     for _ in range(k):
         can = {q for q in p.states.elements if back.get(q, set()) & can}
@@ -316,7 +369,7 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     """
     start = frozenset(n.initial)
     step: dict[str, dict[str, set[str]]] = {q: {} for q in n.states.elements}
-    for q, a, q2 in n.trans:
+    for q, a, q2 in triples(n):
         step[q].setdefault(a, set()).add(q2)
 
     seen: dict[frozenset[str], str] = {start: subset_name(start, n.states)}
@@ -334,12 +387,12 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     names = sorted(seen.values())
     subset_states = Alphabet(f"P({n.states.name})", tuple(names))
     final = frozenset(name for sub, name in seen.items() if sub & n.final)
-    dfa = Dfa(n.alphabet, subset_states, frozenset(trans), frozenset({seen[start]}), final)
+    dfa_ = dfa(n.alphabet, subset_states, frozenset(trans), frozenset({seen[start]}), final)
     contains = Rel(
         obj(subset_states), obj(n.states),
         frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
     )
-    return dfa, contains
+    return dfa_, contains
 
 
 def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Presentation, SimCertificate]:
@@ -356,7 +409,7 @@ def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Pr
         raise MachineError("determinization requires a pruned presentation")
 
     step: dict[str, dict[str, set[str]]] = {q: {} for q in p.states.elements}
-    for q, a, q2 in p.trans:
+    for q, a, q2 in triples(p):
         step[q].setdefault(a, set()).add(q2)
     start = frozenset(p.states.elements)
     seen: dict[frozenset[str], str] = {start: subset_name(start, p.states)}
@@ -375,7 +428,7 @@ def determinize_presentation(p: Presentation, validate: bool = True) -> tuple[Pr
 
     names = sorted(seen.values())
     subset_states = Alphabet(f"P({p.states.name})", tuple(names))
-    det = Presentation(p.alphabet, subset_states, frozenset(trans), seen[start])
+    det = presentation(p.alphabet, subset_states, frozenset(trans), seen[start])
     contains = Rel(
         obj(subset_states), obj(p.states),
         frozenset(((name,), (q,)) for sub, name in seen.items() for q in sub),
@@ -392,8 +445,8 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
         return {}
     if p1.root is None or p2.root is None:
         return None
-    d1 = {(q, a): q2 for q, a, q2 in p1.trans}
-    d2 = {(q, a): q2 for q, a, q2 in p2.trans}
+    d1 = {(q, a): q2 for q, a, q2 in triples(p1)}
+    d2 = {(q, a): q2 for q, a, q2 in triples(p2)}
     mapping = {p1.root: p2.root}
     inverse = {p2.root: p1.root}
     todo = [p1.root]
@@ -497,7 +550,7 @@ def renumbered(n: Nfa) -> Nfa:
     no subset of states is named like another."""
     num = {q: str(i) for i, q in enumerate(n.states.elements)}
     return nfa(n.alphabet, Alphabet(n.states.name, tuple(num.values())),
-               {(num[q], a, num[q2]) for q, a, q2 in n.trans},
+               {(num[q], a, num[q2]) for q, a, q2 in triples(n)},
                {num[q] for q in n.initial}, {num[q] for q in n.final})
 
 
@@ -512,15 +565,15 @@ def nfa_equiv(n1: Nfa, n2: Nfa) -> bool:
 def canonical_form(p: Presentation) -> Presentation:
     pruned = prune(p)
     if pruned.is_empty():
-        return Presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
+        return presentation(p.alphabet, Alphabet(p.states.name, ()), frozenset(), None)
     det, _ = determinize_presentation(pruned, False)
     return minimize_presentation(det, det.root, False)[0]
 
 
 def _renumbered(p: Presentation) -> Presentation:
     """A rootless copy with the states named by position (see ``renumbered``)."""
-    n = renumbered(p.as_nfa())
-    return Presentation(p.alphabet, n.states, n.trans)
+    n = renumbered(as_nfa(p))
+    return presentation(p.alphabet, n.states, triples(n))
 
 
 def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
@@ -855,7 +908,7 @@ def same_words_by_refinement(m1, start1: int, final1: int, m2, start2: int, fina
     for m, start, final in ((m1, start1, final1), (m2, start2, final2)):
         graph = automata.subsets(m, start)
         number = dict(zip(graph, range(len(key), len(key) + len(graph))))
-        rows += [[number[image] for image in row] for row in graph.values()]
+        rows += [[number[image] for image in row] for _, row in graph.values()]
         key += [not mask & final for mask in graph]
         starts.append(number[start])
     block = automata.refine([list(col) for col in zip(*rows)], key)
@@ -920,7 +973,7 @@ def check_fin(m1: Transducer, m2: Transducer, cert: SimCertificate) -> SimReport
 def _letter_rel(p: "Presentation", states) -> Rel:
     """The transition relation A×Q → Q of a presentation over ``states``."""
     star = UNIT.elements[0]
-    return trans_rel(p.alphabet, UNIT, states, {(a, q, star, q2) for q, a, q2 in p.trans})
+    return trans_rel(p.alphabet, UNIT, states, {(a, q, star, q2) for q, a, q2 in triples(p)})
 
 
 def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> SimReport:

@@ -22,10 +22,9 @@ from genrand import (
     random_transducer,
 )
 from helpers import diagrams_equiv, image, lift_transducer, load_file, presentations_equiv, rel, \
-    rooted_iso, slide
+    rooted_iso, slide, triples
 from relmach import io
-from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv, \
-    nfa_to_transducer
+from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv
 from relmach.cli import main as cli_main
 from relmach.diagram import Box, interpret_upto
 from relmach.relcore import Alphabet, obj
@@ -48,6 +47,7 @@ from relmach.sofic import (
     prune,
 )
 from relmach.transducer import behavior_upto, behavior_via_shift_upto
+from seed_algorithms import nfa_to_transducer
 
 Ab = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -73,9 +73,9 @@ def test_criterion_2_determinize_minimize():
     for _ in range(200):
         n = random_nfa(rng, max_states=4, max_alpha=2)
         d, _ = determinize(n)
-        assert nfa_equiv(n, nfa(d.alphabet, d.states, d.trans, d.initial, d.final))
+        assert nfa_equiv(n, nfa(d.alphabet, d.states, triples(d), d.initial, d.final))
         m, _ = minimize(d)
-        assert nfa_equiv(n, nfa(m.alphabet, m.states, m.trans, m.initial, m.final))
+        assert nfa_equiv(n, nfa(m.alphabet, m.states, triples(m), m.initial, m.final))
         m2, _ = minimize(m)
         assert iso_check(m, m2) is not None
     aplus = nfa(Aa, Alphabet("Q", ("0", "1")),
@@ -162,7 +162,7 @@ def test_criterion_6_pruning_algebra():
 
 def _follow_words(p, state, horizon):
     """Oracle: the set of words of length <= horizon readable from a state."""
-    delta = {(q, a): q2 for q, a, q2 in p.trans}
+    delta = {(q, a): q2 for q, a, q2 in triples(p)}
     out = set()
     for k in range(horizon + 1):
         for w in itertools.product(p.alphabet.elements, repeat=k):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
+from helpers import dfa, triples
 from relmach import io
-from relmach.automata import Dfa, _backward_edges, _forward_edges, determinize, \
+from relmach.automata import _backward_edges, _forward_edges, determinize, \
     long_path_states, minimize, nfa, prune_language, refine
 from relmach.relcore import Alphabet, MachineError
 from relmach.sofic import backward_prune, determinize_presentation, forward_prune, \
@@ -52,7 +53,7 @@ def partial_dfas(draw):
     alphabet, states, trans = draw(graphs(deterministic=True))
     subsets = st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
     initial = draw(subsets.filter(lambda s: len(s) <= 1))
-    return Dfa(alphabet, states, frozenset(trans), frozenset(initial), frozenset(draw(subsets)))
+    return dfa(alphabet, states, frozenset(trans), frozenset(initial), frozenset(draw(subsets)))
 
 
 def cycle_with_chord(n: int):
@@ -126,7 +127,7 @@ def test_periodic_membership_matches_oracle(graph, word):
 @given(partial_dfas())
 def test_minimize_partial_dfa_matches_oracle(d):
     assert outcome(minimize, d) == outcome(seed.minimize, d)
-    n = nfa(d.alphabet, d.states, d.trans, d.initial, d.final)
+    n = nfa(d.alphabet, d.states, triples(d), d.initial, d.final)
     assert dumps(prune_language(n)) == dumps(seed.prune_language(n))
 
 
@@ -140,16 +141,16 @@ def test_prune_language_and_minimize_of_nfa_match_oracle(graph, data):
 @pytest.mark.parametrize("p", family(), ids=lambda p: f"{len(p.states)}-{len(p.trans)}")
 def test_families_match_oracle(p):
     check_presentation(p)
-    n = p.as_nfa()
+    n = seed.as_nfa(p)
     check_nfa(n)
     for initial in ({"q0"}, set()) if p.states.elements else ():
         last = {p.states.elements[-1]}
-        check_nfa(nfa(n.alphabet, n.states, n.trans, initial, last))
+        check_nfa(nfa(n.alphabet, n.states, triples(n), initial, last))
 
 
 def test_chain_dfa_minimizes_to_itself():
     p = chain(300, False)
-    d = Dfa(p.alphabet, p.states, p.trans, frozenset({"q0"}), frozenset({"q299"}))
+    d = dfa(p.alphabet, p.states, triples(p), frozenset({"q0"}), frozenset({"q299"}))
     assert minimize(d) == seed.minimize(d)
     assert len(minimize(d)[0].states) == 300
 

@@ -5,10 +5,9 @@ import pytest
 
 from conftest import SEED
 from genrand import random_nfa
-from helpers import compose, factor_closure, image, is_factor_closed, is_pruned_lang, minimal_dfa, \
-    product, rel_equals, trans_rel, trim
+from helpers import compose, dfa, factor_closure, image, is_factor_closed, is_pruned_lang, \
+    minimal_dfa, product, rel_equals, trans_rel, trim, triples
 from relmach.automata import (
-    Dfa,
     accepts,
     determinize,
     empty_dfa,
@@ -17,12 +16,11 @@ from relmach.automata import (
     minimize,
     nfa,
     nfa_equiv,
-    nfa_to_transducer,
     prune_language,
-    transducer_to_nfa,
 )
 from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.transducer import behavior_upto
+from seed_algorithms import nfa_to_transducer, transducer_to_nfa
 
 Aa = Alphabet("A", ("a",))
 Ab = Alphabet("A", ("a", "b"))
@@ -50,7 +48,7 @@ def brute_language(n, k):
 def test_determinize_aplus():
     d, contains = determinize(aplus_nfa())
     assert set(d.states.elements) == {"{0}", "{0,1}"}
-    assert d.trans == frozenset({("{0}", "a", "{0,1}"), ("{0,1}", "a", "{0,1}")})
+    assert triples(d) == {("{0}", "a", "{0,1}"), ("{0,1}", "a", "{0,1}")}
     assert d.initial == frozenset({"{0}"})
     assert d.final == frozenset({"{0,1}"})
     assert set(contains.pairs) == {(("{0}",), ("0",)), (("{0,1}",), ("0",)), (("{0,1}",), ("1",))}
@@ -59,7 +57,7 @@ def test_determinize_aplus():
 def test_determinize_already_deterministic():
     n = astar_nfa()
     d, _ = determinize(n)
-    assert iso_check(d, Dfa(n.alphabet, n.states, n.trans, n.initial, n.final)) is not None
+    assert iso_check(d, dfa(n.alphabet, n.states, triples(n), n.initial, n.final)) is not None
 
 
 def test_determinize_no_initial():
@@ -68,7 +66,7 @@ def test_determinize_no_initial():
     d, _ = determinize(n)
     assert d.states.elements == ("{}",)
     assert d.final == frozenset()
-    assert d.trans == frozenset({("{}", "a", "{}")})
+    assert triples(d) == {("{}", "a", "{}")}
 
 
 def test_determinize_certificate_equation():
@@ -85,7 +83,7 @@ def test_determinize_certificate_equation():
 
 def test_minimize_chain_to_two_states():
     Q = Alphabet("Q", ("s", "t", "u"))
-    d = Dfa(Aa, Q, frozenset({("s", "a", "t"), ("t", "a", "u"), ("u", "a", "u")}),
+    d = dfa(Aa, Q, frozenset({("s", "a", "t"), ("t", "a", "u"), ("u", "a", "u")}),
             frozenset({"s"}), frozenset({"t", "u"}))
     m, lmap = minimize(d)
     assert len(m.states) == 2
@@ -102,7 +100,7 @@ def test_minimize_idempotent_on_minimal():
 
 def test_minimize_all_accepting_loop():
     Q = Alphabet("Q", ("0", "1"))
-    d = Dfa(Aa, Q, frozenset({("0", "a", "1"), ("1", "a", "0")}),
+    d = dfa(Aa, Q, frozenset({("0", "a", "1"), ("1", "a", "0")}),
             frozenset({"0"}), frozenset({"0", "1"}))
     m, _ = minimize(d)
     assert len(m.states) == 1
@@ -110,7 +108,7 @@ def test_minimize_all_accepting_loop():
 
 def test_minimize_empty_language():
     Q = Alphabet("Q", ("0",))
-    d = Dfa(Aa, Q, frozenset({("0", "a", "0")}), frozenset({"0"}), frozenset())
+    d = dfa(Aa, Q, frozenset({("0", "a", "0")}), frozenset({"0"}), frozenset())
     m, lmap = minimize(d)
     assert len(m.states) == 0
     assert lmap.pairs == frozenset()
@@ -129,7 +127,7 @@ def test_iso_self_and_cross():
 def test_nfa_equiv_examples():
     n = aplus_nfa()
     d, _ = determinize(n)
-    assert nfa_equiv(n, nfa(d.alphabet, d.states, d.trans, d.initial, d.final))
+    assert nfa_equiv(n, nfa(d.alphabet, d.states, triples(d), d.initial, d.final))
     assert not nfa_equiv(aplus_nfa(), astar_nfa())
     # two structurally different machines for (ab)*
     Q1 = Alphabet("Q", ("0", "1"))
@@ -209,7 +207,7 @@ def test_random_determinize_preserves_language():
         n = random_nfa(rng)
         d, _ = determinize(n)
         assert language_upto(n, 6) == language_upto(d, 6)
-        assert nfa_equiv(n, nfa(d.alphabet, d.states, d.trans, d.initial, d.final))
+        assert nfa_equiv(n, nfa(d.alphabet, d.states, triples(d), d.initial, d.final))
 
 
 def test_random_minimize_never_grows_and_idempotent():
@@ -221,7 +219,7 @@ def test_random_minimize_never_grows_and_idempotent():
         assert len(m.states) <= len(d.states)
         m2, _ = minimize(m)
         assert iso_check(m, m2) is not None
-        assert nfa_equiv(n, nfa(m.alphabet, m.states, m.trans, m.initial, m.final))
+        assert nfa_equiv(n, nfa(m.alphabet, m.states, triples(m), m.initial, m.final))
 
 
 def test_union_with_self_has_isomorphic_minimal():
@@ -233,7 +231,7 @@ def test_union_with_self_has_isomorphic_minimal():
         states = Alphabet("Q", n.states.elements + tuple(renamed[q] for q in n.states.elements))
         doubled = nfa(
             n.alphabet, states,
-            set(n.trans) | {(renamed[q], a, renamed[q2]) for q, a, q2 in n.trans},
+            triples(n) | {(renamed[q], a, renamed[q2]) for q, a, q2 in triples(n)},
             set(n.initial) | {renamed[q] for q in n.initial},
             set(n.final) | {renamed[q] for q in n.final},
         )

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
-from helpers import lift_transducer, load_file, rel
+from helpers import dfa, lift_transducer, load_file, rel
 import relmach
 from relmach import automata, cli, diagram, io, simulation
 from relmach.automata import determinize, minimize, nfa
@@ -345,7 +345,7 @@ def test_every_command_reads_exactly_its_kinds(tmp_path, capsys):
 def test_minimize_certify_needs_every_state_accessible(tmp_path, capsys):
     """The CLI certifies a minimization as the library does: a DFA with an
     unreachable state is minimized, but gets no certificate."""
-    d = write(tmp_path, "d.json", automata.Dfa(
+    d = write(tmp_path, "d.json", dfa(
         Ab, Alphabet("Q", ("p", "q", "r")),
         frozenset({("p", "a", "p"), ("p", "b", "p"), ("r", "a", "p")}),
         frozenset({"p"}), frozenset({"p"})))
@@ -411,10 +411,9 @@ def test_determinize_minimize_with_certificates(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, x", [
     ("determinize", nfa(Ab, UNIT, {("*", "a", "*")}, {"*"}, {"*"})),
-    ("determinize", automata.Dfa(Ab, UNIT, frozenset({("*", "a", "*"), ("*", "b", "*")}),
-                                 frozenset({"*"}), frozenset({"*"}))),
-    ("minimize", automata.Dfa(Ab, UNIT, frozenset({("*", "a", "*")}),
-                              frozenset({"*"}), frozenset({"*"}))),
+    ("determinize", dfa(Ab, UNIT, frozenset({("*", "a", "*"), ("*", "b", "*")}),
+                        frozenset({"*"}), frozenset({"*"}))),
+    ("minimize", dfa(Ab, UNIT, frozenset({("*", "a", "*")}), frozenset({"*"}), frozenset({"*"}))),
     ("determinize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
     ("minimize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
 ])

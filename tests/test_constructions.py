@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 import seed_algorithms as seed
 from genrand import alter_one_box, preserving_mutation, random_alphabet, random_bundle, \
     random_diagram, random_wired_diagram
-from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name
+from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name, triples
 from relmach import automata, sofic
-from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets, \
-    transducer_to_nfa
+from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
 from relmach.diagram import Feedback, Par, Seq, acceptors, denotation_upto, equiv_chain, \
     normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
@@ -78,7 +77,7 @@ def test_wired_normal_forms_match_oracle(seed_, nodes, feedbacks):
         assert outcome(normal_form, t) == outcome(seed.normal_form, t)
         assert outcome(z_normal_form, t) == outcome(seed.z_normal_form, t)
         assert outcome(seed.acceptor, t) == \
-            outcome(lambda u: transducer_to_nfa(seed.normal_form(seed.bend(u))), t)
+            outcome(lambda u: seed.transducer_to_nfa(seed.normal_form(seed.bend(u))), t)
 
 
 def random_term_pair(rng: random.Random, nodes: int, feedbacks: int):
@@ -214,7 +213,7 @@ def test_empty_subset_is_dropped_by_set_not_name():
     assert outcome(determinize_presentation, p) == outcome(seed.determinize_presentation, p, False)
     det, _ = determinize_presentation(p)
     assert det.states.elements == ("{,q}", "{}")
-    n = p.as_nfa()
+    n = seed.as_nfa(p)
     assert outcome(determinize, n) == outcome(seed.determinize, n)
 
 
@@ -269,7 +268,7 @@ def from_end(k: int):
 
 def test_verdict_stops_at_the_first_conflict(monkeypatch):
     n = from_end(12)
-    with_empty_word = nfa(A, n.states, n.trans, n.initial, n.final | {"q0"})
+    with_empty_word = nfa(A, n.states, triples(n), n.initial, n.final | {"q0"})
     decoded = []
     bits = automata.bits
     monkeypatch.setattr(automata, "bits", lambda mask: decoded.append(mask) or bits(mask))
@@ -315,7 +314,7 @@ def nfa_pairs(draw):
         states, trans = draw(machines(alphabet.elements))
         made.append(nfa(alphabet, states, trans, draw(subsets_of(states)), draw(subsets_of(states))))
     n, other = made
-    changed = nfa(alphabet, n.states, mutant(draw, n.states, alphabet.elements, n.trans),
+    changed = nfa(alphabet, n.states, mutant(draw, n.states, alphabet.elements, triples(n)),
                   draw(st.sampled_from([n.initial, draw(subsets_of(n.states))])), n.final)
     return n, changed, other
 
@@ -331,7 +330,7 @@ def presentation_triples(draw):
         made.append(presentation(alphabet, states, trans,
                                  draw(st.sampled_from(states.elements + (None,)))))
     p, other = made
-    return p, presentation(alphabet, p.states, mutant(draw, p.states, alphabet.elements, p.trans)), other
+    return p, presentation(alphabet, p.states, mutant(draw, p.states, alphabet.elements, triples(p))), other
 
 
 @given(nfa_pairs(), st.data())
@@ -378,7 +377,7 @@ def test_emitted_machines_match_oracle(nfas, presentations):
                  for mask in range(1 << len(n.states))}
         graph = subsets(n, mask_of(n.states, n.initial))
         assert {spell[m]: dict(zip(n.alphabet.elements, map(spell.get, row)))
-                for m, row in graph.items()} == seed.subsets(n, frozenset(n.initial))
+                for m, (_, row) in graph.items()} == seed.subsets(n, frozenset(n.initial))
     for p in presentations:
         assert outcome(canonical_form, p) == outcome(seed.canonical_form, p)
         pruned = prune(p)

@@ -14,7 +14,7 @@ from genrand import (
     random_rel,
     rename_feedback,
 )
-from relmach import automata as automata_module, io, transducer as transducer_module
+from relmach import io, transducer as transducer_module
 from relmach.automata import nfa_equiv
 from relmach.diagram import (
     Box,
@@ -41,9 +41,8 @@ from relmach.relcore import (
     identity,
     obj,
 )
-from relmach.sofic import presentation_of_ztransducer
 from relmach.transducer import behavior_upto, transducer
-from seed_algorithms import bend
+from seed_algorithms import bend, presentation_of_ztransducer
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -152,8 +151,8 @@ def test_normal_forms_and_acceptors_validate_no_rows(monkeypatch):
         calls += 1
         return check_rows(rows, columns)
 
-    for module in (transducer_module, automata_module):
-        monkeypatch.setattr(module, "check_rows", counting)
+    # every machine's rows are checked by transducer.Machine
+    monkeypatch.setattr(transducer_module, "check_rows", counting)
     term = parity_feedback()
     for _ in range(4):
         swaps = Seq(Swap(Aa, Q2), Swap(Q2, Aa))
@@ -418,8 +417,8 @@ def test_z_normal_form_behavior_matches_presentation():
 
 def test_universality_round_trip():
     """Equivalence of wrapped machines coincides with acceptor equivalence."""
-    from relmach.automata import nfa_equiv, transducer_to_nfa
-    from relmach.transducer import to_automaton
+    from relmach.automata import nfa_equiv
+    from seed_algorithms import to_automaton, transducer_to_nfa
 
     rng = random.Random(SEED + 57)
     from genrand import random_transducer

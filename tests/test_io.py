@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from genrand import random_alphabet, random_diagram, random_nfa, random_presentation, random_rel, \
     random_transducer
-from helpers import lift_transducer, load_file, rel
+from helpers import dfa, lift_transducer, load_file, rel
 from relmach import io
-from relmach.automata import Dfa, Nfa, nfa_to_transducer
+from relmach.automata import Dfa, nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback, Par, Seq, equiv_chain
 from relmach.dot import to_dot
@@ -16,7 +16,7 @@ from relmach.relcore import Alphabet, MachineError, obj
 from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin
 from relmach.sofic import presentation, ztransducer
 from relmach.transducer import behavior_upto
-from seed_algorithms import canonical_dumps
+from seed_algorithms import canonical_dumps, nfa_to_transducer
 
 Ab = Alphabet("A", ("a", "b"))
 Q2 = Alphabet("Q", ("q0", "q1"))
@@ -143,11 +143,11 @@ def test_dot_outputs():
 
 
 def test_state_graph_start_markers_are_no_state_names():
-    n = Nfa(Ab, Alphabet("Q", ("__start0", "p")), {("p", "a", "__start0")}, {"p"}, {"__start0"})
+    n = nfa(Ab, Alphabet("Q", ("__start0", "p")), {("p", "a", "__start0")}, {"p"}, {"__start0"})
     assert to_dot(n) == (
         'digraph {\n  rankdir=LR;\n  ___start0 [shape=point];\n  "__start0" [shape=doublecircle];\n'
         '  "p" [shape=circle];\n  ___start0 -> "p";\n  "p" -> "__start0" [label="a"];\n}\n')
-    n = Nfa(Ab, Alphabet("Q", ("__start0", "___start0", "p")), set(), {"p"}, set())
+    n = nfa(Ab, Alphabet("Q", ("__start0", "___start0", "p")), set(), {"p"}, set())
     assert '  ____start0 -> "p";' in to_dot(n)
 
 
@@ -203,7 +203,7 @@ def test_kind_of_is_the_tag_a_value_is_written_under():
     for x in fixture_corpus():
         assert io.kind_of(x) == io.to_payload(x)["kind"]
         assert isinstance(x, io.KINDS[io.kind_of(x)].cls)
-    d = Dfa(Ab, Q2, frozenset(), frozenset(), frozenset())
+    d = dfa(Ab, Q2, frozenset(), frozenset(), frozenset())
     assert io.kind_of(d) == "dfa" and io.kind_of(io.loads(io.dumps(d))) == "dfa"
     assert io.kind_of(Par(Box(SWAP_REL), Feedback(Q2, None, None, Box(rel(obj(Q2), obj(Q2), set()))))) == "zdiagram"
     with pytest.raises(MachineError, match="no machine kind"):
@@ -213,7 +213,7 @@ def test_kind_of_is_the_tag_a_value_is_written_under():
 
 
 def test_dfa_round_trip_keeps_class():
-    d = Dfa(Ab, Q2, frozenset({("q0", "a", "q1")}), frozenset({"q0"}), frozenset({"q1"}))
+    d = dfa(Ab, Q2, frozenset({("q0", "a", "q1")}), frozenset({"q0"}), frozenset({"q1"}))
     assert isinstance(io.loads(io.dumps(d)), Dfa)
 
 

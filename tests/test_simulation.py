@@ -4,8 +4,8 @@ import pytest
 
 from conftest import SEED
 from genrand import random_alphabet, random_rel, random_transducer
-from helpers import rel
-from relmach.automata import Dfa, nfa, nfa_to_transducer
+from helpers import dfa, rel
+from relmach.automata import nfa
 from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.simulation import (
     BACKWARD,
@@ -17,6 +17,7 @@ from relmach.simulation import (
     check_fin,
 )
 from relmach.transducer import behavior_upto, transducer
+from seed_algorithms import nfa_to_transducer
 
 Aa = Alphabet("A", ("a",))
 Ab = Alphabet("A", ("a", "b"))
@@ -53,7 +54,7 @@ def test_determinization_certificate_passes():
 
 def test_minimization_certificate_passes():
     Q = Alphabet("Q", ("s", "t", "u"))
-    d = Dfa(Aa, Q, frozenset({("s", "a", "t"), ("t", "a", "u"), ("u", "a", "u")}),
+    d = dfa(Aa, Q, frozenset({("s", "a", "t"), ("t", "a", "u"), ("u", "a", "u")}),
             frozenset({"s"}), frozenset({"t", "u"}))
     mdfa, cert = certificate_for_minimization(d)
     assert len(mdfa.states) == 2
@@ -64,7 +65,7 @@ def test_minimization_certificate_passes():
 
 def test_minimization_certificate_idempotent_case():
     Q = Alphabet("Q", ("0", "1"))
-    d = Dfa(Aa, Q, frozenset({("0", "a", "1"), ("1", "a", "1")}),
+    d = dfa(Aa, Q, frozenset({("0", "a", "1"), ("1", "a", "1")}),
             frozenset({"0"}), frozenset({"1"}))
     mdfa, cert = certificate_for_minimization(d)
     assert len(mdfa.states) == 2
@@ -73,7 +74,7 @@ def test_minimization_certificate_idempotent_case():
 
 def test_minimization_requires_accessible():
     Q = Alphabet("Q", ("0", "stranded"))
-    d = Dfa(Aa, Q, frozenset({("0", "a", "0")}), frozenset({"0"}), frozenset({"0"}))
+    d = dfa(Aa, Q, frozenset({("0", "a", "0")}), frozenset({"0"}), frozenset({"0"}))
     with pytest.raises(MachineError):
         certificate_for_minimization(d)
 

@@ -9,12 +9,14 @@ machine 1's alphabets, as the checker reads both."""
 from hypothesis import given, settings, strategies as st
 
 import seed_algorithms as seed
-from relmach.automata import Dfa, determinize, minimize, nfa, nfa_to_transducer
+from helpers import dfa, triples
+from relmach.automata import determinize, minimize, nfa
 from relmach.relcore import UNIT, Alphabet, MachineError, Rel, identity, is_unit, material, obj
 from relmach.simulation import MODES, TWO_SIDED, SimCertificate, SimReport, check_fin, check_inf
-from relmach.sofic import determinize_presentation, minimize_presentation, presentation, \
-    presentation_of_ztransducer, prune, ztransducer
+from relmach.sofic import determinize_presentation, minimize_presentation, presentation, prune, \
+    ztransducer
 from relmach.transducer import Transducer, transducer
+from seed_algorithms import nfa_to_transducer, presentation_of_ztransducer
 
 KINDS = ("transducer", "nfa", "presentation", "ztransducer")
 
@@ -40,7 +42,7 @@ def over_alphabets_of(m1, m2):
         if all(a.elements == b.elements for a, b in pairs) and any(namesakes(*p) for p in pairs):
             return transducer(m1.input, m1.output, m2.states, m2.trans, m2.initial, m2.final)
     elif namesakes(m1.alphabet, m2.alphabet):
-        return presentation(m1.alphabet, m2.states, m2.trans)
+        return presentation(m1.alphabet, m2.states, triples(m2))
     return None
 
 
@@ -186,7 +188,7 @@ def test_certificates_of_constructions_pass_both_checkers():
             {"0"}, {"2"})
     for c1, c2, s in constructed("nfa", n):
         assert compare("nfa", c1, c2, SimCertificate(s)) == SimReport("pass")
-    d = Dfa(UNIT, Alphabet("Q", ("x", "y")), frozenset({("x", "*", "y"), ("y", "*", "x")}),
+    d = dfa(UNIT, Alphabet("Q", ("x", "y")), frozenset({("x", "*", "y"), ("y", "*", "x")}),
             frozenset({"x"}), frozenset({"x", "y"}))
     for c1, c2, s in constructed("nfa", d):
         assert compare("nfa", c1, c2, SimCertificate(s)) == SimReport("pass")

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import SEED
 from genrand import random_presentation
-from helpers import image, presentations_equiv, rooted_iso
-from seed_algorithms import compose_z, product_z
+from helpers import image, presentations_equiv, rooted_iso, triples
+from seed_algorithms import as_nfa, compose_z, presentation_of_ztransducer, product_z
 from relmach import sofic
 from relmach.automata import nfa_equiv, prune_language
 from relmach.relcore import Alphabet, MachineError, TypeMismatch
@@ -23,7 +23,6 @@ from relmach.sofic import (
     minimize_presentation,
     periodic_membership,
     presentation,
-    presentation_of_ztransducer,
     prune,
     ztransducer,
 )
@@ -80,14 +79,14 @@ def test_state_pruning_matches_language_pruning():
     rng = random.Random(SEED + 42)
     for _ in range(40):
         p = random_presentation(rng)
-        assert nfa_equiv(factor_language(p), prune_language(p.as_nfa()))
+        assert nfa_equiv(factor_language(p), prune_language(as_nfa(p)))
 
 
 def test_determinize_golden_mean():
     det, cert = determinize_presentation(golden_mean())
     assert set(det.states.elements) == {"{0,1}", "{0}", "{1}"}
     assert det.root == "{0,1}"
-    assert det.trans == frozenset({
+    assert triples(det) == frozenset({
         ("{0,1}", "a", "{0}"), ("{0,1}", "b", "{1}"),
         ("{0}", "a", "{0}"), ("{0}", "b", "{1}"),
         ("{1}", "a", "{0}"),
@@ -107,8 +106,8 @@ def test_determinize_two_disjoint_loops():
     p = presentation(Ab, Q, {("p", "a", "p"), ("q", "b", "q")})
     det, _ = determinize_presentation(p)
     assert det.root == "{p,q}"
-    assert ("{p,q}", "a", "{p}") in det.trans
-    assert ("{p,q}", "b", "{q}") in det.trans
+    assert ("{p,q}", "a", "{p}") in triples(det)
+    assert ("{p,q}", "b", "{q}") in triples(det)
 
 
 def test_determinize_rejects_empty_and_unpruned(monkeypatch):
@@ -124,7 +123,7 @@ def test_determinize_rejects_empty_and_unpruned(monkeypatch):
     checked = []
     monkeypatch.setattr(sofic, "nfa_equiv", lambda *ns: checked.append(ns) or nfa_equiv(*ns))
     det, _ = determinize_presentation(presentation(Aa, Q, {("p", "a", "p"), ("p", "a", "q")}))
-    assert det.trans == {("{p,q}", "a", "{p,q}")} and len(checked) == 1
+    assert triples(det) == {("{p,q}", "a", "{p,q}")} and len(checked) == 1
 
 
 def test_pruned_presentations_need_no_language_check(monkeypatch):
@@ -292,7 +291,7 @@ def test_ztransducer_with_empty_states_is_empty_subshift():
 def test_presentation_of_ztransducer_alphabet():
     p = presentation_of_ztransducer(swap_z())
     assert p.alphabet.elements == ("(a,a)", "(a,b)", "(b,a)", "(b,b)")
-    assert ("s", "(a,b)", "s") in p.trans
+    assert ("s", "(a,b)", "s") in triples(p)
 
 
 def test_is_language_pruned_on_det_output():

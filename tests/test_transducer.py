@@ -14,10 +14,10 @@ from relmach.transducer import (
     behavior_upto,
     behavior_via_shift_upto,
     finite_shift_at,
-    to_automaton,
     transducer,
 )
 from samples import lift_sample, sample_compose, sample_product
+from seed_algorithms import to_automaton
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seed_validator as seed
-from helpers import rel, trans_rel
+from helpers import dfa, rel, trans_rel
 from relmach import io
-from relmach.automata import Dfa, Nfa
+from relmach.automata import nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError, is_unit, obj
-from relmach.sofic import Presentation, ZTransducer, ztransducer
+from relmach.sofic import ZTransducer, presentation, ztransducer
 from relmach.transducer import Transducer, transducer
 
 A = Alphabet("A", ("a", "b", "c"))
@@ -94,7 +94,7 @@ def test_alphabet_lookups_match_seed(s, subset):
 @given(st.lists(st.tuples(symbol_of(Q), symbol_of(A), symbol_of(Q)), max_size=5),
        st.frozensets(symbol_of(Q), max_size=3), st.frozensets(symbol_of(Q), max_size=3))
 def test_nfa_validation_matches_seed(trans, initial, final):
-    got = outcome(Nfa, A, Q, frozenset(trans), initial, final)
+    got = outcome(nfa, A, Q, frozenset(trans), initial, final)
     assert got == outcome(seed.check_nfa, A, Q, trans, initial, final)
 
 
@@ -102,7 +102,7 @@ def test_nfa_validation_matches_seed(trans, initial, final):
 @given(st.lists(st.tuples(symbol_of(Q), symbol_of(A), symbol_of(Q)), max_size=5),
        st.one_of(st.none(), symbol_of(Q)))
 def test_presentation_validation_matches_seed(trans, root):
-    got = outcome(Presentation, A, Q, frozenset(trans), root)
+    got = outcome(presentation, A, Q, frozenset(trans), root)
     assert got == outcome(seed.check_presentation, A, Q, trans, root)
 
 
@@ -179,9 +179,9 @@ def test_unit_states_hold_only_the_unit_symbol(tmp_path):
 
 
 WRONG_SHAPES = [
-    (Nfa, seed.check_nfa, (A, Q, [("p", "a")], [], [])),
-    (Dfa, seed.check_nfa, (A, Q, [("p", "a", "q", "r")], [], [])),
-    (Presentation, seed.check_presentation, (A, Q, [("p", "a", "p", "p")], None)),
+    (nfa, seed.check_nfa, (A, Q, [("p", "a")], [], [])),
+    (dfa, seed.check_nfa, (A, Q, [("p", "a", "q", "r")], [], [])),
+    (presentation, seed.check_presentation, (A, Q, [("p", "a", "p", "p")], None)),
     (transducer, seed.check_transducer, (A, A, Q, [("a", "p", "a")], [], [])),
     (Transducer, seed.check_transducer, (A, B, Q, [("a", "p", "0", "q", "r")], [], [])),
     (ztransducer, seed.check_ztransducer, (A, B, Q, [("a", "p", "0")])),
@@ -212,10 +212,10 @@ def test_malformed_symbols_raise_machine_error(bad):
         lambda: A.check_subset(["a", bad]),
         lambda: Rel(obj(A), obj(B), [(("a",), ("0",)), ((bad,), ("0",))]),
         lambda: Rel(obj(A), obj(B), [(("a",), (bad,))]),
-        lambda: Nfa(A, Q, [("p", bad, "q")], {"p"}, {"q"}),
-        lambda: Nfa(A, Q, [], [bad], []),
-        lambda: Presentation(A, Q, [(bad, "a", "q")]),
-        lambda: Presentation(A, Q, [], 0 if bad is None else bad),  # null means no root
+        lambda: nfa(A, Q, [("p", bad, "q")], {"p"}, {"q"}),
+        lambda: nfa(A, Q, [], [bad], []),
+        lambda: presentation(A, Q, [(bad, "a", "q")]),
+        lambda: presentation(A, Q, [], 0 if bad is None else bad),  # null means no root
         lambda: transducer(A, B, Q, [("a", "p", bad, "q")], ["p"], ["q"]),
         lambda: transducer(A, B, Q, QUADS, ["p"], [bad]),
         lambda: Feedback(Q, [bad], [], body),
