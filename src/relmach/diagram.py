@@ -30,9 +30,18 @@ transitions, over only the letters that occur: no term is bent and no
 tuple space is enumerated.  Only when asked, ``equiv_chain`` builds the
 re-checkable certificate chain of that verdict: each NFA determinized and
 minimized, and the isomorphism of the minimal machines.  Machines built
-here are valid by construction (``relcore.trusted``).  ``_denote``, the
-evaluation ``interpret_upto`` checks the normal form against, is
-independent of the collapse.
+here are valid by construction (``relcore.trusted``).
+
+``denotation_upto``, the bounded evaluation ``interpret_upto`` checks the
+normal form against, is independent of the collapse: it evaluates words,
+constructor by constructor, each node once per length.  A node with no
+loop is letterwise, its length-k relation its one-letter relation repeated
+k times, so each length extends the one before; so does a loop over a
+letterwise body, by the words whose fed-back letters chain from an initial
+label, related when they end on a final one.  A loop over a body with
+loops filters the body's relation through the shift
+(``transducer.finite_shift_at``), and a ``Seq`` or ``Par`` with loops joins
+its operands' relations.
 """
 
 from __future__ import annotations
@@ -260,60 +269,160 @@ def z_normal_form(d: Diagram) -> ZTransducer:
 
 
 # ---------------------------------------------------------------------------
-# Direct denotational evaluation, independent of the normal form.
+# Bounded evaluation, independent of the normal form.
 
 WordRel = set[tuple[tuple, tuple]]
 _LAST, _FRONT = itemgetter(-1), itemgetter(slice(None, -1))
 
 
-def _denote(d: Diagram, k: int) -> WordRel:
-    """The relation at word length k; words are tuples of flat tuples."""
+def _children(d: Diagram) -> tuple:
+    match d:
+        case Box() | Id() | Swap():
+            return ()
+        case Seq(first=f, second=s):
+            return f, s
+        case Par(left=l, right=r):
+            return l, r
+        case Feedback(body=b):
+            return (b,)
+    raise MachineError(f"not a diagram: {d!r}")
+
+
+def _post_order(d: Diagram) -> list:
+    """The distinct node objects of a term, each after its children."""
+    order: list = []
+    done: set[int] = set()
+    stack = [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_children(node)))
+    return order
+
+
+def _join(left, right) -> set:
+    """Pairs (x, z) with (x, m) in ``left`` and (m, z) in ``right``."""
+    by_mid: dict = {}
+    for m, z in right:
+        by_mid.setdefault(m, []).append(z)
+    return {(x, z) for x, m in left for z in by_mid.get(m, ())}
+
+
+def _one_letter(d: Diagram, letters: dict) -> set:
+    """The one-letter relation of a term with no loop, from its children's."""
     match d:
         case Box(rel=r):
-            pairs = r.pairs
+            return r.pairs
         case Id(o=o):
-            pairs = identity(o).pairs
+            return identity(o).pairs
         case Swap(a=a, b=b):
-            pairs = swap_rel(a, b).pairs
+            return swap_rel(a, b).pairs
         case Seq(first=f, second=s):
-            left = _denote(f, k)
-            right = _denote(s, k)
-            by_mid: dict[tuple, set[tuple]] = {}
-            for v, u in right:
-                by_mid.setdefault(v, set()).add(u)
-            return {(w, u) for w, v in left for u in by_mid.get(v, ())}
+            return _join(letters[id(f)], letters[id(s)])
         case Par(left=l, right=r):
-            lrel = _denote(l, k)
-            rrel = _denote(r, k)
-            return {(tuple(map(add, w1, w2)), tuple(map(add, v1, v2)))
-                    for w1, v1 in lrel for w2, v2 in rrel}
-        case Feedback(wire=w, initial=i, final=f, body=b):
-            shift = finite_shift_at(w, i, f, k)
-            # the fed-back words (u, t) must lie in the transpose of the shift
-            return {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout))) for win, wout in _denote(b, k)
-                    if (tuple(map(_LAST, wout)), tuple(map(_LAST, win))) in shift}
-        case _:
-            raise MachineError(f"not a diagram: {d!r}")
-    # base case: letterwise lift of an explicit relation
-    level: WordRel = {((), ())}
-    for _ in range(k):
-        level = {(w + (x,), v + (y,)) for w, v in level for x, y in pairs}
-    return level
+            return {(x1 + x2, y1 + y2) for x1, y1 in letters[id(l)] for x2, y2 in letters[id(r)]}
+
+
+def _chain(t: Diagram, letters: dict):
+    """How a letterwise node or a loop over a letterwise body extends its
+    words by one letter, or ``None`` for any other node: for each key, the
+    letter pairs it reads by the key they lead to; the keys that end a
+    related word; and the words of length 0 by key.  A letterwise node has
+    the one key ``None``; a loop's keys are the letters of its wire, and a
+    word's key is its last fed-back output letter, or the initial label."""
+    if not t.feedback:
+        return {None: {None: letters[id(t)]}}, (None,), {None: {((), ())}}
+    if not isinstance(t, Feedback) or t.body.feedback:
+        return None
+    steps: dict = {}
+    for x, y in letters[id(t.body)]:
+        steps.setdefault(x[-1], {}).setdefault(y[-1], []).append((x[:-1], y[:-1]))
+    return steps, t.final, {q: {((), ())} for q in t.initial}
+
+
+def _denote(d: Diagram, n: int):
+    """Yield the term's relation at each word length 0..n; a word is a tuple
+    of flat tuples.  Each node is evaluated once per length, keyed by
+    ``id``, and only the previous length of a node that extends from it
+    is kept:
+
+    - a node with no loop is letterwise: its length-k relation is its
+      one-letter relation repeated k times, extended from length k − 1;
+    - a loop over a letterwise body extends the words whose fed-back
+      input letters chain: the first is in ``initial``, each next one is
+      the previous fed-back output letter.  A word is related when its
+      last fed-back output letter, or at length 0 the initial one, is in
+      ``final``: the shift condition, read prefix by prefix;
+    - a loop over a body with loops filters the body's relation through
+      the shift, and a ``Seq`` or ``Par`` with loops joins its children's.
+    """
+    order = _post_order(d)
+    letters: dict[int, set] = {}
+    for node in order:
+        if not node.feedback:
+            letters[id(node)] = _one_letter(node, letters)
+    # the nodes whose words are evaluated: the term, and the operands of a
+    # node with loops, except a letterwise loop body
+    needed = {id(d)}
+    for node in reversed(order):
+        if id(node) in needed and node.feedback:
+            needed.update(id(c) for c in _children(node)
+                          if c.feedback or not isinstance(node, Feedback))
+    evaluated = [node for node in order if id(node) in needed]
+    # each extending node's steps, final keys and words at the previous length
+    chains = {id(node): c for node in evaluated if (c := _chain(node, letters)) is not None}
+    for k in range(n + 1):
+        value: dict[int, WordRel] = {}
+        for node in evaluated:
+            key = id(node)
+            if key in chains:
+                steps, final, words = chains[key]
+                if k:
+                    grown: dict = {}
+                    for q, ws in words.items():
+                        for q2, pairs in steps.get(q, {}).items():
+                            grown.setdefault(q2, set()).update(
+                                {(w + (x,), v + (y,)) for w, v in ws for x, y in pairs})
+                    chains[key] = steps, final, grown
+                    words = grown
+                ends = [words[q] for q in final if q in words]
+                rel = ends[0] if len(ends) == 1 else set().union(*ends)
+            elif isinstance(node, Feedback):
+                shift = finite_shift_at(node.wire, node.initial, node.final, k)
+                # the fed-back words (u, t) must lie in the transpose of the shift
+                rel = {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout)))
+                       for win, wout in value[id(node.body)]
+                       if (tuple(map(_LAST, wout)), tuple(map(_LAST, win))) in shift}
+            elif isinstance(node, Seq):
+                rel = _join(value[id(node.first)], value[id(node.second)])
+            else:
+                rel = {(tuple(map(add, w1, w2)), tuple(map(add, v1, v2)))
+                       for w1, v1 in value[id(node.left)] for w2, v2 in value[id(node.right)]}
+            value[key] = rel
+        yield value[id(d)]
 
 
 def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:
-    """Evaluate the term constructor by constructor at each length ≤ n."""
+    """Evaluate the term constructor by constructor at each length ≤ n,
+    independently of its normal form: each node once per length, letterwise
+    nodes and loops over letterwise bodies extended from the length before
+    (``_denote``)."""
     _check_loops(d, True)
     dom, cod = d.dom, d.cod
     x, y = tuple_namer(dom), tuple_namer(cod)
-    pairs = frozenset((tuple(map(x, w)), tuple(map(y, v)))
-                      for k in range(n + 1) for w, v in _denote(d, k))
+    pairs = frozenset((tuple(map(x, w)), tuple(map(y, v))) for rel in _denote(d, n) for w, v in rel)
     return trusted(UniformRelationSample, pack_obj(dom), pack_obj(cod), n, pairs)
 
 
 def interpret_upto(d: Diagram, n: int) -> UniformRelationSample:
-    """Behavior sample of a term, cross-checked between the normal-form
-    route and the direct denotational route."""
+    """Behavior sample of a term, cross-checked between the runs of its
+    normal form and the bounded evaluator ``denotation_upto``."""
     via_nf = behavior_upto(normal_form(d), n)
     direct = denotation_upto(d, n)
     if via_nf.pairs != direct.pairs:

@@ -7,15 +7,17 @@ tags.  One payload function and one parser serve every machine kind: an
 automaton (nfa, dfa, presentation) has an ``alphabet`` and rows [q, a, q2],
 a (z)transducer ``input``, ``output`` and rows [a, q, b, q2]; finite-word
 kinds have ``initial`` and ``final``, a presentation may have a ``root``.
-The parser builds each alphabet and wire bundle once per document.
+The parser builds each alphabet and wire bundle once per document, and an
+automaton's rows straight into quadruples (a, q, "*", q2).
 
 Output is canonical: object keys are sorted, words are arrays of symbol
 names, and every array of symbols, pairs, or transitions is sorted in the
 canonical order of its alphabets, so serialization is deterministic and
 round-trip stable.  ``dumps`` writes the layout itself, byte for byte
 ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
-of its tests.  Reading a document that is not JSON, or whose structure does
-not fit its kind, raises ``MachineError``; so does a string or an object
+of its tests, with one join for each row of symbols and each pair of
+words.  Reading a document that is not JSON, or whose structure does not
+fit its kind, raises ``MachineError``; so does a string or an object
 where an array belongs (checked by type, with no loop per row except the
 one that converts a relation's pairs and checks their words), one nested
 too deeply to decode or parse, and a value too deep to write, at a depth
@@ -35,7 +37,7 @@ from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swa
 from .relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer
-from .transducer import Machine, Transducer, UniformRelationSample, unit_rows
+from .transducer import STAR, Machine, Transducer, UniformRelationSample, unit_rows
 
 
 def _array(p: dict, field: str) -> list:
@@ -131,11 +133,17 @@ def _parse_machine(cls: type, p: dict, seen: dict) -> Machine:
     else:
         alphabets = _parse_alphabet(p["input"], seen), _parse_alphabet(p["output"], seen)
     states = _parse_alphabet(p["states"], seen)
-    rows = map(tuple, _rows(p, "trans"))
+    rows = _rows(p, "trans")
+    if automaton:
+        try:
+            rows = [(a, q, STAR, q2) for q, a, q2 in rows]
+        except ValueError:  # a row of another length, which unit_rows names
+            rows = unit_rows(map(tuple, rows))
+    else:
+        rows = map(tuple, rows)
     finite = not issubclass(cls, (Presentation, ZTransducer))
     labels = (_array(p, "initial"), _array(p, "final")) if finite else (None, None)
-    return cls(*alphabets, states, unit_rows(rows) if automaton else rows, *labels,
-               p.get("root") if cls is Presentation else None)
+    return cls(*alphabets, states, rows, *labels, p.get("root") if cls is Presentation else None)
 
 
 def _term_payload(d: Diagram) -> dict:
@@ -303,6 +311,22 @@ _string = json.encoder.encode_basestring_ascii  # json.dumps's C escaper
 _STR, _SEQ = {str}, {list, tuple}
 
 
+def _word_pairs(v, indent: str) -> list[str]:
+    """The texts at ``indent`` of the rows of ``v``, each a pair of words
+    (arrays of symbols); ``TypeError`` or ``ValueError`` if a row is
+    anything else."""
+    inner = indent + "  "
+    sym = inner + "  "
+    sep = "," + sym
+
+    def word(w) -> str:
+        if type(w) not in _SEQ:  # a string is no word
+            raise TypeError("not a word")
+        return "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
+
+    return ["[" + inner + word(w) + "," + inner + word(u) + indent + "]" for w, u in v]
+
+
 def _write(v, out: list, indent: str) -> None:
     """Append the text of ``v`` to ``out`` at ``indent``, a newline and spaces;
     one call per level of nesting, so it fails near the stdlib encoder's depth."""
@@ -333,6 +357,11 @@ def _write(v, out: list, indent: str) -> None:
                 out += ("[", inner, "[", row, rows, inner, "]", indent, "]")
                 return
             except TypeError:  # a row holds something else
+                pass
+            try:  # pairs of words (relation and sample pairs): one join per pair
+                out += ("[", inner, sep.join(_word_pairs(v, inner)), indent, "]")
+                return
+            except (TypeError, ValueError):  # a row is no pair of words
                 pass
         out.append("[")
         for i, x in enumerate(v):

@@ -14,15 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import seed_algorithms as seed
 from genrand import alter_one_box, preserving_mutation, random_alphabet, random_bundle, \
-    random_diagram, random_wired_diagram
+    random_diagram, random_subset, random_wired_diagram
 from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name, triples
 from relmach import automata, sofic
 from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
-from relmach.diagram import Feedback, Par, Seq, acceptors, denotation_upto, equiv_chain, \
-    normal_form, z_normal_form
+from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap, _collapse, acceptors, \
+    denotation_upto, equiv_chain, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
 from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
     presentation, prune
+from relmach.transducer import behavior_upto
 from test_algorithms import LETTERS, graphs, outcome
 
 
@@ -128,12 +129,46 @@ def acceptors_match_bend_oracle(d1, d2):
     assert nfa_equiv(*acceptors(z1, z2, bi_infinite=True)) == seed.z_diagrams_equiv(z1, z2)
 
 
+def subterms(t):
+    yield t
+    for c in vars(t).values():
+        if isinstance(c, (Box, Id, Swap, Seq, Par, Feedback)):
+            yield from subterms(c)
+
+
+def nest(rng: random.Random, d):
+    """``d`` inside one more loop, whose fed-back wire meets ``d``'s output
+    in a random term with at most one loop of its own."""
+    w = Alphabet("V", ("v0", "v1"))
+    mix = random_diagram(rng, d.cod + obj(w), d.cod + obj(w), 3, 1)
+    return Feedback(w, random_subset(rng, w, 0.7), random_subset(rng, w, 0.7),
+                    Seq(Par(d, Id(obj(w))), mix))
+
+
+ORACLE_PAIRS = 2**14
+
+
+def oracle_length(t, n: int) -> int:
+    """``n``, or the largest length at which the oracle builds no relation
+    of more than ``ORACLE_PAIRS`` word pairs: it builds every subterm's
+    relation, a loop body's whole one before it filters it, and the word
+    pairs of a subterm are made of the letter pairs of its collapse rows."""
+    letters = max(len({(x, y) for x, _, y, _ in _collapse(s).rows}) for s in subterms(t))
+    while n and letters**n > ORACLE_PAIRS:
+        n -= 1
+    return n
+
+
 @settings(max_examples=100)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2), st.integers(0, 3))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 3), st.integers(0, 6))
 def test_denotation_matches_oracle(seed_, nodes, feedbacks, n):
+    """At every length up to 6, on terms with up to three loops, nested or
+    not: the evaluator against the normal-form route, and against the
+    former evaluator at the lengths where it builds no larger relation
+    than ``ORACLE_PAIRS``."""
     rng = random.Random(seed_)
 
-    def sample(evaluate, t):
+    def sample(evaluate, t, n):
         try:
             return evaluate(t, n)
         except TypeMismatch as e:  # a finite-word term has no unlabelled loop
@@ -141,8 +176,11 @@ def test_denotation_matches_oracle(seed_, nodes, feedbacks, n):
 
     for _ in range(4):
         d, _ = random_term_pair(rng, nodes, feedbacks)
-        for t in (d, unlabel(d, lambda i: i == 0)):
-            assert sample(denotation_upto, t) == sample(seed.denotation_upto, t)
+        for t in (d, unlabel(d, lambda i: i == 0), nest(rng, d)):
+            got = sample(denotation_upto, t, n)
+            assert got == sample(lambda u, m: behavior_upto(normal_form(u), m), t, n)
+            m = oracle_length(t, n)
+            assert sample(denotation_upto, t, m) == sample(seed.denotation_upto, t, m)
 
 
 @given(graphs())

@@ -18,6 +18,7 @@ from relmach import io, transducer as transducer_module
 from relmach.automata import nfa_equiv
 from relmach.diagram import (
     Box,
+    Diagram,
     Feedback,
     Id,
     Par,
@@ -42,7 +43,7 @@ from relmach.relcore import (
     obj,
 )
 from relmach.transducer import behavior_upto, transducer
-from seed_algorithms import bend, presentation_of_ztransducer
+from seed_algorithms import bend, denotation_upto as seed_denotation_upto, presentation_of_ztransducer
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -447,3 +448,54 @@ def test_denotation_of_unit_boundary_feedback():
     lengths = {len(w) for w, _ in got.pairs}
     assert lengths == {0, 2, 4}
     assert denotation_upto(d, 4).pairs == got.pairs
+
+
+IO = Alphabet("IO", ("a", "b"))
+W = Alphabet("W", ("s0", "s1"))
+FLIP = rel(obj(W), obj(W), {(("s0",), ("s1",)), (("s1",), ("s0",))})
+TO_B = rel(obj(IO), obj(IO), {(("a",), ("b",)), (("b",), ("b",))})
+
+
+def nested_loops(outer: tuple, inner: tuple, inner_body: Diagram) -> Seq:
+    """A loop over W, labelled ``outer``, around a loop over W, labelled
+    ``inner``, around ``inner_body``, then the box ``TO_B``."""
+    loop = Feedback(W, frozenset(inner[0]), frozenset(inner[1]), inner_body)
+    return Seq(Feedback(W, frozenset(outer[0]), frozenset(outer[1]), loop), Box(TO_B))
+
+
+def same_samples(d: Diagram, n: int) -> None:
+    """The term's samples up to each length ≤ n agree on three routes: the
+    evaluator, the former one and the normal form's runs."""
+    for k in range(n + 1):
+        got = denotation_upto(d, k)
+        assert got == seed_denotation_upto(d, k) == behavior_upto(normal_form(d), k)
+
+
+def test_two_nested_loops_at_length_8():
+    # the outer loop has no initial label, so nothing is related; the
+    # former evaluator built all 8^k word pairs of the inner body at each
+    # length k before it filtered them
+    d = nested_loops(((), ("s0", "s1")), (("s1",), ("s0",)), Id(obj(IO, W, W)))
+    assert denotation_upto(d, 8) == behavior_upto(normal_form(d), 8)
+    # with both loops' labels met, the term relates each word to b...b
+    d = nested_loops((("s0",), ("s0", "s1")), (("s1",), ("s1",)), Id(obj(IO, W, W)))
+    got = denotation_upto(d, 8)
+    assert got == behavior_upto(normal_form(d), 8)
+    assert len(got.pairs) == 2**9 - 1
+
+
+def test_nested_loop_with_disjoint_labels_relates_no_empty_words():
+    # the inner loop flips its fed-back letter, s1 first: it relates the odd
+    # lengths, and at length 0 none, as its labels do not meet
+    d = nested_loops((("s0",), ("s0",)), (("s1",), ("s0",)), Par(Id(obj(IO, W)), Box(FLIP)))
+    assert {len(w) for w, _ in denotation_upto(d, 6).pairs} == {1, 3, 5}
+    same_samples(d, 5)
+
+
+def test_denotation_of_a_term_that_holds_one_subterm_twice():
+    loop = Feedback(W, frozenset({"s1"}), frozenset({"s0", "s1"}), Par(Id(obj(IO)), Box(FLIP)))
+    box = Box(TO_B)
+    for d in (Par(loop, loop), Seq(loop, loop), Seq(Par(box, loop), Par(loop, box)),
+              Par(box, box), Feedback(W, frozenset({"s0"}), frozenset({"s1"}),
+                                      Seq(Par(loop, Box(FLIP)), Par(loop, Box(FLIP))))):
+        same_samples(d, 6)

@@ -83,8 +83,14 @@ LEAVES = SYMBOLS | st.integers() | st.integers(-2**80, 2**80) | st.booleans() | 
 ROWS = (st.lists(st.lists(SYMBOLS, min_size=1, max_size=3) | st.tuples(SYMBOLS, SYMBOLS), max_size=4)
         | st.lists(st.lists(SYMBOLS, max_size=2) | st.tuples(SYMBOLS, LEAVES), max_size=3)
         | st.lists(SYMBOLS | st.lists(SYMBOLS, max_size=2), max_size=4))
+# Rows of word pairs (relation and sample pairs), which it joins pair by
+# pair, and their near misses: a string, a leaf or a third word in a pair.
+WORDS = st.lists(SYMBOLS, max_size=3) | st.tuples(SYMBOLS)
+PAIRS = st.lists(st.tuples(WORDS, WORDS)
+                 | st.lists(WORDS | SYMBOLS | st.lists(LEAVES, max_size=2), min_size=1, max_size=3),
+                 min_size=1, max_size=4)
 TREES = st.recursive(
-    LEAVES | ROWS,
+    LEAVES | ROWS | PAIRS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
     | st.dictionaries(SYMBOLS, kids, max_size=4),
     max_leaves=24)
@@ -273,6 +279,24 @@ def test_malformed_documents_raise_machine_error(doc, words, tmp_path):
     path.write_text(text)
     with pytest.raises(MachineError, match=words):
         load_file(path)
+
+
+PRESENTATION_DOC = {"kind": "presentation", "alphabet": ALPHA, "states": NFA_DOC["states"]}
+
+
+@pytest.mark.parametrize("doc", [NFA_DOC, {**NFA_DOC, "kind": "dfa"}, PRESENTATION_DOC])
+@pytest.mark.parametrize("rows, offender", [
+    ([["p", "a", "p"], ["p", "a"], ["p"]], "('p', 'a')"),
+    ([["p", "a", "p", "p"], ["p", "a", "p"]], "('p', 'a', 'p', 'p')"),
+    ([["p", "a", "p"], []], "()"),
+])
+def test_automaton_rows_name_their_first_offender(doc, rows, offender):
+    """A row of another length than [q, a, q2] is named as the constructors
+    name it, though the rows are read straight into quadruples."""
+    with pytest.raises(MachineError) as e:
+        io.loads(json.dumps({**doc, "trans": rows}))
+    assert str(e.value) == \
+        f"{doc['kind']} document: malformed (transition {offender} is not a tuple of 3 symbols)"
 
 
 @settings(max_examples=20)
