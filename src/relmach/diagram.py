@@ -6,15 +6,17 @@ last wire of a term back to its input (the paper's trace).  In the
 finite-word language the fed-back wire carries initial/final label sets;
 in the bi-infinite language it carries none (``Feedback.labelled``).
 
-A term is typed when it is built: each node sets its ``dom``, ``cod`` and
-``feedback`` (the ``Feedback.labelled`` values of its loops) once, from its
-typed children, so an ill-typed term raises ``TypeMismatch`` when built.
-Each entry point checks ``feedback`` once against its language.
+A term is typed when it is built: each node sets its ``dom``, ``cod``,
+``feedback`` (the ``Feedback.labelled`` values of its loops) and
+``children`` once, from its typed children, so an ill-typed term raises
+``TypeMismatch`` when built.  Each entry point checks ``feedback`` once
+against its language.  Every walk over a term is one loop, with no
+recursion, over its distinct node objects, each after its children.
 
 Every term collapses to a quasi-normal form: a single machine
-(one relation box under one feedback), computed by one structural
-recursion on rows over the flat wire tuples, as the paper reads a word
-over A×C as a tuple of words.  A box contributes its relation's pairs with
+(one relation box under one feedback), computed node by node on rows over
+the flat wire tuples, as the paper reads a word over A×C as a tuple of
+words.  A box contributes its relation's pairs with
 the unit state, ``Seq`` joins rows on the middle tuple, ``Par``
 concatenates tuples, and ``Feedback`` moves the last tuple component into
 the state.  Only the term's own boundary is packed into one alphabet each
@@ -65,7 +67,6 @@ from .relcore import (
     obj,
     pack_obj,
     pair_symbol,
-    product_alphabet,
     swap as swap_rel,
     trusted,
     tuple_namer,
@@ -78,19 +79,22 @@ from .transducer import STAR, Transducer, UniformRelationSample, behavior_upto, 
 
 @dataclass(frozen=True)
 class _Node:
-    """A term node's domain, codomain and ``feedback``, the set of
-    ``Feedback.labelled`` values of the loops in the term: each node sets
-    them once, from its already typed children, and they take no part in
-    equality, hashing or repr."""
+    """A term node's domain, codomain, ``feedback``, the set of
+    ``Feedback.labelled`` values of the loops in the term, and ``children``,
+    its operands: each node sets them once, from its already typed children,
+    and they take no part in equality, hashing or repr."""
 
     dom: Obj = field(init=False, repr=False, compare=False)
     cod: Obj = field(init=False, repr=False, compare=False)
     feedback: frozenset[bool] = field(init=False, repr=False, compare=False)
+    children: tuple = field(init=False, repr=False, compare=False)
 
-    def _typed(self, dom: Obj, cod: Obj, feedback: frozenset[bool] = frozenset()) -> None:
+    def _typed(self, dom: Obj, cod: Obj, feedback: frozenset[bool] = frozenset(),
+               children: tuple = ()) -> None:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "feedback", feedback)
+        object.__setattr__(self, "children", children)
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class Seq(_Node):
         f, s = self.first, self.second
         if f.cod.signature() != s.dom.signature():
             raise TypeMismatch("sequential composition of incompatible terms")
-        self._typed(f.dom, s.cod, f.feedback | s.feedback)
+        self._typed(f.dom, s.cod, f.feedback | s.feedback, (f, s))
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ class Par(_Node):
 
     def __post_init__(self):
         l, r = self.left, self.right
-        self._typed(l.dom + r.dom, l.cod + r.cod, l.feedback | r.feedback)
+        self._typed(l.dom + r.dom, l.cod + r.cod, l.feedback | r.feedback, (l, r))
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ class Feedback(_Node):
         for side, o in (("domain", b.dom), ("codomain", b.cod)):
             if not o.flat or o.flat[-1].elements != w.elements:
                 raise TypeMismatch(f"feedback wire {w.name!r} must be the last {side} wire of the body")
-        self._typed(Obj(b.dom.flat[:-1]), Obj(b.cod.flat[:-1]), b.feedback | {self.labelled})
+        self._typed(Obj(b.dom.flat[:-1]), Obj(b.cod.flat[:-1]), b.feedback | {self.labelled}, (b,))
 
     @property
     def labelled(self) -> bool:
@@ -189,47 +193,72 @@ def _lift(r: Rel) -> _Form:
 
 def _pair_states(a: _Form, b: _Form):
     """The product state alphabet of two forms, its pairing function, and
-    the paired initial and final states."""
-    pair = pair_symbol(a.states, b.states)
-    return (product_alphabet(a.states, b.states), pair,
+    the paired initial and final states.  The unit state alphabet is
+    neutral, so a letterwise operand builds no bundle."""
+    sa, sb = a.states, b.states
+    pair = pair_symbol(sa, sb)
+    return (sb if is_unit(sa) else sa if is_unit(sb) else pack_obj(obj(sa, sb)), pair,
             {pair(q, p) for q in a.initial for p in b.initial},
             {pair(q, p) for q in a.final for p in b.final})
 
 
+def _post_order(d: Diagram) -> list:
+    """The distinct node objects of a term, each after its children."""
+    order: dict[int, Diagram] = {}
+    stack = [(d, iter(d.children))]
+    while stack:
+        node, children = stack[-1]
+        for c in children:
+            if id(c) not in order:
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            order[id(node)] = node
+    return list(order.values())
+
+
 def _collapse(d: Diagram) -> _Form:
-    """The quasi-normal form of a term, over its flat wires.  An unlabelled
-    loop folds like a labelled one with empty label sets."""
-    match d:
-        case Box(rel=r):
-            return _lift(r)
-        case Id(o=o):
-            return _lift(identity(o))
-        case Swap(a=a, b=b):
-            return _lift(swap_rel(a, b))
-        case Seq(first=f, second=s):
-            tf, ts = _collapse(f), _collapse(s)
-            states, pair, initial, final = _pair_states(tf, ts)
-            by_mid: dict[tuple, list] = {}
-            for m, p, z, p2 in ts.rows:
-                by_mid.setdefault(m, []).append((p, z, p2))
-            rows = {(x, pair(q, p), z, pair(q2, p2))
-                    for x, q, m, q2 in tf.rows for p, z, p2 in by_mid.get(m, ())}
-            return _Form(states, rows, initial, final)
-        case Par(left=l, right=r):
-            tl, tr = _collapse(l), _collapse(r)
-            states, pair, initial, final = _pair_states(tl, tr)
-            rows = {(x1 + x2, pair(q, p), y1 + y2, pair(q2, p2))
-                    for x1, q, y1, q2 in tl.rows for x2, p, y2, p2 in tr.rows}
-            return _Form(states, rows, initial, final)
-        case Feedback(wire=w, initial=i, final=f, body=b):
-            tb = _collapse(b)
-            states = product_alphabet(tb.states, w)
-            spair = pair_symbol(tb.states, w)
-            rows = {(x[:-1], spair(p, x[-1]), y[:-1], spair(p2, y[-1])) for x, p, y, p2 in tb.rows}
-            return _Form(states, rows,
-                         {spair(p, q) for p in tb.initial for q in i or ()},
-                         {spair(p, q) for p in tb.final for q in f or ()})
-    raise MachineError(f"not a diagram: {d!r}")
+    """The quasi-normal form of a term, over its flat wires: each distinct
+    node's form from its children's, keyed by ``id``.  In a term with no
+    shared subterm, each form has one reader and is dropped once read.  An
+    unlabelled loop folds like a labelled one with empty label sets."""
+    order = _post_order(d)
+    forms: dict[int, _Form] = {}
+    take = forms.pop if len(order) == 1 + sum(len(n.children) for n in order) else forms.get
+    for node in order:
+        match node:
+            case Box(rel=r):
+                form = _lift(r)
+            case Id(o=o):
+                form = _lift(identity(o))
+            case Swap(a=a, b=b):
+                form = _lift(swap_rel(a, b))
+            case Seq(first=f, second=s):
+                tf, ts = take(id(f)), take(id(s))
+                states, pair, initial, final = _pair_states(tf, ts)
+                by_mid: dict[tuple, list] = {}
+                for m, p, z, p2 in ts.rows:
+                    by_mid.setdefault(m, []).append((p, z, p2))
+                rows = {(x, pair(q, p), z, pair(q2, p2))
+                        for x, q, m, q2 in tf.rows for p, z, p2 in by_mid.get(m, ())}
+                form = _Form(states, rows, initial, final)
+            case Par(left=l, right=r):
+                tl, tr = take(id(l)), take(id(r))
+                states, pair, initial, final = _pair_states(tl, tr)
+                rows = {(x1 + x2, pair(q, p), y1 + y2, pair(q2, p2))
+                        for x1, q, y1, q2 in tl.rows for x2, p, y2, p2 in tr.rows}
+                form = _Form(states, rows, initial, final)
+            case Feedback(wire=w, initial=i, final=f, body=b):
+                tb = take(id(b))
+                states = pack_obj(obj(tb.states, w))
+                spair = pair_symbol(tb.states, w)
+                rows = {(x[:-1], spair(p, x[-1]), y[:-1], spair(p2, y[-1])) for x, p, y, p2 in tb.rows}
+                form = _Form(states, rows,
+                             {spair(p, q) for p in tb.initial for q in i or ()},
+                             {spair(p, q) for p in tb.final for q in f or ()})
+        forms[id(node)] = form
+    return forms[id(d)]
 
 
 def _check_loops(d: Diagram, labelled: bool) -> None:
@@ -273,37 +302,6 @@ def z_normal_form(d: Diagram) -> ZTransducer:
 
 WordRel = set[tuple[tuple, tuple]]
 _LAST, _FRONT = itemgetter(-1), itemgetter(slice(None, -1))
-
-
-def _children(d: Diagram) -> tuple:
-    match d:
-        case Box() | Id() | Swap():
-            return ()
-        case Seq(first=f, second=s):
-            return f, s
-        case Par(left=l, right=r):
-            return l, r
-        case Feedback(body=b):
-            return (b,)
-    raise MachineError(f"not a diagram: {d!r}")
-
-
-def _post_order(d: Diagram) -> list:
-    """The distinct node objects of a term, each after its children."""
-    order: list = []
-    done: set[int] = set()
-    stack = [(d, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in done:
-            continue
-        if expanded:
-            done.add(id(node))
-            order.append(node)
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(_children(node)))
-    return order
 
 
 def _join(left, right) -> set:
@@ -372,7 +370,7 @@ def _denote(d: Diagram, n: int):
     needed = {id(d)}
     for node in reversed(order):
         if id(node) in needed and node.feedback:
-            needed.update(id(c) for c in _children(node)
+            needed.update(id(c) for c in node.children
                           if c.feedback or not isinstance(node, Feedback))
     evaluated = [node for node in order if id(node) in needed]
     # each extending node's steps, final keys and words at the previous length

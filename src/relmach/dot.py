@@ -47,40 +47,37 @@ def dot_machine(m: Machine) -> str:
 
 
 def dot_diagram(d: Diagram) -> str:
+    """The term as a tree: nodes numbered n0, n1, ... in pre-order, each
+    edge to a child written after the lines of the child's subtree."""
     lines = ["digraph {", "  node [shape=box];"]
-    counter = [0]
-
-    def walk(term: Diagram) -> str:
-        me = f"n{counter[0]}"
-        counter[0] += 1
+    count = 0
+    stack: list = [(d, None)]  # a node and its parent's name, or an edge line
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        term, parent = item
         match term:
             case Box(rel=r):
                 label = f"box {len(r.pairs)} pairs"
-                children = []
             case Id(o=o):
                 label = "id " + ",".join(w.name for w in o.wires)
-                children = []
             case Swap(a=a, b=b):
                 label = f"swap {a.name},{b.name}"
-                children = []
-            case Seq(first=f, second=s):
+            case Seq():
                 label = "seq"
-                children = [f, s]
-            case Par(left=l, right=r):
+            case Par():
                 label = "par"
-                children = [l, r]
-            case Feedback(wire=w, initial=i, final=f, body=b):
+            case Feedback(wire=w, initial=i, final=f):
                 label = f"feedback {w.name} I={{{','.join(w.sort(i))}}} F={{{','.join(w.sort(f))}}}" \
                     if term.labelled else f"feedback-z {w.name}"
-                children = [b]
-            case _:
-                raise MachineError(f"not a diagram: {term!r}")
+        me = f"n{count}"
+        count += 1
         lines.append(f"  {me} [label={_q(label)}];")
-        for child in children:
-            lines.append(f"  {me} -> {walk(child)};")
-        return me
-
-    walk(d)
+        if parent is not None:
+            stack.append(f"  {parent} -> {me};")
+        stack.extend((c, me) for c in reversed(term.children))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

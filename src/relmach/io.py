@@ -20,10 +20,12 @@ words.  Reading a document that is not JSON, or whose structure does not
 fit its kind, raises ``MachineError``; so does a string or an object
 where an array belongs (checked by type, with no loop per row except the
 one that converts a relation's pairs and checks their words), one nested
-too deeply to decode or parse, and a value too deep to write, at a depth
-that follows Python's recursion limit (``sys.getrecursionlimit``).  A
-term is typed as it is parsed, so an ill-typed term file is refused when
-read, and no ill-typed term can be built to be written.
+too deeply to decode or parse, and a value too deep to write: the JSON
+decoder, the term parser and the writer recurse once per level, so that
+depth follows Python's recursion limit (``sys.getrecursionlimit``), while
+a term's payload is built at any depth.  A term is typed as it is parsed,
+so an ill-typed term file is refused when read, and no ill-typed term can
+be built to be written.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import partial
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
-from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap
+from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap, _post_order
 from .relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError
 from .simulation import SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer
@@ -147,22 +149,26 @@ def _parse_machine(cls: type, p: dict, seen: dict) -> Machine:
 
 
 def _term_payload(d: Diagram) -> dict:
-    match d:
-        case Box(rel=r):
-            return {"node": "box", "rel": _rel_payload(r)}
-        case Id(o=o):
-            return {"node": "id", "obj": _obj_payload(o)}
-        case Swap(a=a, b=b):
-            return {"node": "swap", "a": _alphabet_payload(a), "b": _alphabet_payload(b)}
-        case Seq(first=f, second=s):
-            return {"node": "seq", "first": _term_payload(f), "second": _term_payload(s)}
-        case Par(left=l, right=r):
-            return {"node": "par", "left": _term_payload(l), "right": _term_payload(r)}
-        case Feedback(wire=w, initial=i, final=f, body=b):
-            labels = {"initial": w.sort(i), "final": w.sort(f)} if d.labelled else {}
-            return {"node": "feedback" if d.labelled else "feedback-z",
-                    "wire": _alphabet_payload(w), **labels, "body": _term_payload(b)}
-    raise MachineError(f"not a diagram: {d!r}")
+    """The payload of a term: each distinct node's from its children's."""
+    done: dict[int, dict] = {}
+    for node in _post_order(d):
+        match node:
+            case Box(rel=r):
+                p = {"node": "box", "rel": _rel_payload(r)}
+            case Id(o=o):
+                p = {"node": "id", "obj": _obj_payload(o)}
+            case Swap(a=a, b=b):
+                p = {"node": "swap", "a": _alphabet_payload(a), "b": _alphabet_payload(b)}
+            case Seq(first=f, second=s):
+                p = {"node": "seq", "first": done[id(f)], "second": done[id(s)]}
+            case Par(left=l, right=r):
+                p = {"node": "par", "left": done[id(l)], "right": done[id(r)]}
+            case Feedback(wire=w, initial=i, final=f, body=b):
+                labels = {"initial": w.sort(i), "final": w.sort(f)} if node.labelled else {}
+                p = {"node": "feedback" if node.labelled else "feedback-z",
+                     "wire": _alphabet_payload(w), **labels, "body": done[id(b)]}
+        done[id(node)] = p
+    return done[id(d)]
 
 
 def _parse_term(p: dict, seen: dict) -> Diagram:

@@ -275,17 +275,8 @@ def pack_obj(o: Obj, tuples=None) -> Alphabet:
     return Alphabet("x".join(w.name for w in flat) or UNIT.name, tuple(map(tuple_namer(o), tuples)))
 
 
-def product_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
-    """Product of two alphabets; the unit is a strict neutral element."""
-    if is_unit(a):
-        return b
-    if is_unit(b):
-        return a
-    return pack_obj(obj(a, b))
-
-
 def pair_symbol(a: Alphabet, b: Alphabet):
-    """Pairing function matching :func:`product_alphabet`'s element names."""
+    """Pairing function matching the element names of ``pack_obj(obj(a, b))``."""
     if is_unit(a):
         return lambda x, y: y
     if is_unit(b):

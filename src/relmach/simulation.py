@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     long_path_states, minimize
-from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, pair_symbol, \
-    product_alphabet
+from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj, pair_symbol
 from .transducer import Machine
 
 TWO_SIDED = "two-sided"
@@ -145,8 +144,8 @@ def check_inf(p1: Machine, p2: Machine, cert: SimCertificate) -> SimReport:
     long-path states of each machine to be covered by the domain (machine
     2) and codomain (machine 1) of the relation.
     """
-    alphabet = product_alphabet(p1.input, p1.output)
-    if alphabet.elements != product_alphabet(p2.input, p2.output).elements:
+    alphabet = pack_obj(obj(p1.input, p1.output))
+    if alphabet.elements != pack_obj(obj(p2.input, p2.output)).elements:
         raise TypeMismatch("presentations do not share an alphabet")
     s = cert.s
     _check_typed(s, p1.states, p2.states)

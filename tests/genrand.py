@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 import string
 
-from helpers import image, rel, type_of
+from helpers import image, product_alphabet, rel, type_of
 from relmach.automata import Nfa, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
-from relmach.relcore import UNIT, Alphabet, Obj, Rel, UNIT_OBJ, obj, pack_obj, product_alphabet
+from relmach.relcore import UNIT, Alphabet, Obj, Rel, UNIT_OBJ, obj, pack_obj
 from relmach.sofic import Presentation, presentation
 from relmach.transducer import Transducer, transducer
 

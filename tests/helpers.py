@@ -24,7 +24,7 @@ from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachab
 from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptors, \
     equiv_chain
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
-    is_unit, obj, pack_obj, pair_symbol, product_alphabet, tuple_namer
+    is_unit, obj, pack_obj, pair_symbol, tuple_namer
 from relmach.simulation import check_fin
 from relmach.sofic import Presentation, factor_language
 from relmach.transducer import Machine, Transducer, transducer, unit_rows
@@ -131,6 +131,11 @@ def subset_as_copoint(a: Alphabet, symbols) -> Rel:
 def pack_tuple(o: Obj, t: tuple[str, ...]) -> str:
     """The packed symbol of a tuple of ``o`` (unit wires already dropped)."""
     return tuple_namer(o)(t)
+
+
+def product_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
+    """The packed product of two alphabets; the unit is a strict neutral element."""
+    return pack_obj(obj(a, b))
 
 
 def pack_rel(r: Rel) -> Rel:

@@ -5,7 +5,8 @@ and the letterwise lift of a relation to a sample, computed directly on
 word pairs.  The tests compare them with the transducer constructions.
 """
 
-from relmach.relcore import UNIT, Rel, TypeMismatch, pair_symbol, product_alphabet
+from helpers import product_alphabet
+from relmach.relcore import UNIT, Rel, TypeMismatch, pair_symbol
 from relmach.transducer import UniformRelationSample, Word
 
 

@@ -88,14 +88,14 @@ import json
 from dataclasses import dataclass
 
 from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, pack_tuple, \
-    product, product_transducers, subset_as_copoint, subset_as_point, subset_name, trans_rel, \
-    triples, type_of
+    product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, subset_name, \
+    trans_rel, triples, type_of
 from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _backward_edges, _forward_edges, \
     _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
-    identity, is_unit, material, obj, pack_obj, pair_symbol, product_alphabet, swap as swap_rel
+    identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \

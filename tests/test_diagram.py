@@ -32,6 +32,7 @@ from relmach.diagram import (
     normal_form,
     z_normal_form,
 )
+from relmach.dot import to_dot
 from relmach.relcore import (
     Alphabet,
     MachineError,
@@ -140,6 +141,52 @@ def test_deep_terms_are_typed_without_recursion():
     assert term.dom == obj(A) and term.cod == obj(A) and term.feedback == frozenset()
     assert io.kind_of(term) == "diagram"
     check_same_type(term, term)
+    # and normalizes, decides, converts to a payload and renders
+    assert len(normal_form(term).trans) == 2
+    assert nfa_equiv(*acceptors(term, term))
+    payload = io.to_payload(term)["term"]
+    for _ in range(5000):
+        payload = payload["second"]
+    assert payload["node"] == "box"
+    dot = to_dot(term)
+    assert dot.count(" [label=") == 10001 and dot.endswith("  n0 -> n2;\n}\n")
+
+
+def test_diagram_dot_bytes():
+    # nodes numbered in pre-order, each edge after the lines of its child's subtree
+    term = Seq(Par(Box(SWAP_REL), Id(obj(Aa))),
+               Feedback(Q2, {"q0"}, {"q1"}, Par(Id(obj(A)), Box(PARITY_REL))))
+    assert to_dot(term) == """digraph {
+  node [shape=box];
+  n0 [label="seq"];
+  n1 [label="par"];
+  n2 [label="box 2 pairs"];
+  n1 -> n2;
+  n3 [label="id A"];
+  n1 -> n3;
+  n0 -> n1;
+  n4 [label="feedback Q I={q0} F={q1}"];
+  n5 [label="par"];
+  n6 [label="id A"];
+  n5 -> n6;
+  n7 [label="box 2 pairs"];
+  n5 -> n7;
+  n4 -> n5;
+  n0 -> n4;
+}
+"""
+
+
+def test_shared_subterms_read_as_fresh_copies():
+    # one node object twice under a Par, and that Par twice under a Seq
+    loop = parity_feedback()
+    both = Par(loop, loop)
+    shared = Seq(both, both)
+    fresh = Seq(Par(parity_feedback(), parity_feedback()), Par(parity_feedback(), parity_feedback()))
+    assert shared == fresh
+    assert io.dumps(normal_form(shared)) == io.dumps(normal_form(fresh))
+    assert io.dumps(shared) == io.dumps(fresh) and to_dot(shared) == to_dot(fresh)
+    assert nfa_equiv(*acceptors(shared, fresh))
 
 
 def test_normal_forms_and_acceptors_validate_no_rows(monkeypatch):

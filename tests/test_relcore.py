@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 import seed_algorithms as seed
 
 from helpers import cap, compose, cup, full_to_unit, is_function, is_partial_function, \
-    is_surjective, is_total, pack_rel, product, rel_equals, subset_as_copoint, subset_as_point, \
-    rel, subset_of, transpose
+    is_surjective, is_total, pack_rel, product, product_alphabet, rel_equals, subset_as_copoint, \
+    subset_as_point, rel, subset_of, transpose
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, TypeMismatch, \
-    comma_prefixed, identity, obj, pack_obj, pair_symbol, product_alphabet, swap
+    comma_prefixed, identity, obj, pack_obj, pair_symbol, swap
 
 B2 = Alphabet("2", ("0", "1"))
 NOT = rel(obj(B2), obj(B2), {(("0",), ("1",)), (("1",), ("0",))})

@@ -5,7 +5,7 @@ import pytest
 from conftest import SEED
 from genrand import random_alphabet, random_rel, random_transducer
 from helpers import dfa, rel
-from relmach.automata import nfa
+from relmach.automata import nfa, nfa_equiv
 from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.simulation import (
     BACKWARD,
@@ -61,6 +61,24 @@ def test_minimization_certificate_passes():
     # surjective onto the two classes
     assert {y for _, y in cert.s.pairs} == {(q,) for q in mdfa.states.elements}
     assert check_fin(nfa_to_transducer(mdfa), nfa_to_transducer(d), cert).ok
+
+
+def test_equivalence_closure_is_no_two_sided_certificate():
+    # {0} -a-> {1} -a-> {0}, both final, and the loop {p} accept the same
+    # words; the closure of the union-find walk relates {p} to {0} and {1},
+    # but the initial condition asks s(J2) to be I1 exactly
+    d1 = dfa(Aa, Alphabet("Q", ("{0}", "{1}")), frozenset({("{0}", "a", "{1}"), ("{1}", "a", "{0}")}),
+             frozenset({"{0}"}), frozenset({"{0}", "{1}"}))
+    d2 = dfa(Aa, Alphabet("P", ("{p}",)), frozenset({("{p}", "a", "{p}")}),
+             frozenset({"{p}"}), frozenset({"{p}"}))
+    assert nfa_equiv(d1, d2)
+    closure = rel(obj(d2.states), obj(d1.states), {(("{p}",), ("{0}",)), (("{p}",), ("{1}",))})
+    report = check_fin(d1, d2, SimCertificate(closure, TWO_SIDED))
+    assert (report.failed_condition, report.witness) == ("initial", ((), ("{1}",)))
+    # a functional link passes: the follow relation onto the minimal DFA
+    minimal, follow = certificate_for_minimization(d1)
+    assert len(minimal.states) == 1
+    assert check_fin(minimal, d1, follow).ok
 
 
 def test_minimization_certificate_idempotent_case():

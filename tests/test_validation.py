@@ -284,7 +284,7 @@ def test_cached_fields_stay_out_of_equality_hash_and_repr():
     assert Obj((UNIT,)) != Obj(()) and Obj((UNIT,)).flat == Obj(()).flat == ()
     assert [f.name for f in fields(Alphabet) if f.compare] == ["name", "elements"]
     assert [f.name for f in fields(Obj) if f.compare] == ["wires"]
-    # a term node's type and feedback kinds are cached fields too
+    # a term node's type, feedback kinds and children are cached fields too
     box = Box(rel(obj(A), obj(A), {(("a",), ("b",))}))
     loop = Feedback(B, None, None, Id(obj(A, B)))
     assert box.dom is box.rel.dom and loop.dom == loop.cod == obj(A) and loop.feedback == {False}
@@ -296,4 +296,4 @@ def test_cached_fields_stay_out_of_equality_hash_and_repr():
                        (Par, ["left", "right"]), (Feedback, ["wire", "initial", "final", "body"])]:
         assert [f.name for f in fields(cls) if f.compare] == list(cls.__match_args__) == names
         assert [f.name for f in fields(cls) if not f.compare and not f.repr and not f.init] == \
-            ["dom", "cod", "feedback"]
+            ["dom", "cod", "feedback", "children"]
