@@ -210,6 +210,9 @@ def _post_order(d: Diagram) -> list:
         node, children = stack[-1]
         for c in children:
             if id(c) not in order:
+                if not c.children:  # a leaf is done at once
+                    order[id(c)] = c
+                    continue
                 stack.append((c, iter(c.children)))
                 break
         else:
@@ -251,7 +254,7 @@ def _collapse(d: Diagram) -> _Form:
                 form = _Form(states, rows, initial, final)
             case Feedback(wire=w, initial=i, final=f, body=b):
                 tb = take(id(b))
-                states = pack_obj(obj(tb.states, w))
+                states = w if is_unit(tb.states) else pack_obj(obj(tb.states, w))
                 spair = pair_symbol(tb.states, w)
                 rows = {(x[:-1], spair(p, x[-1]), y[:-1], spair(p2, y[-1])) for x, p, y, p2 in tb.rows}
                 form = _Form(states, rows,

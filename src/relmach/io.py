@@ -13,25 +13,28 @@ automaton's rows straight into quadruples (a, q, "*", q2).
 Output is canonical: object keys are sorted, words are arrays of symbol
 names, and every array of symbols, pairs, or transitions is sorted in the
 canonical order of its alphabets, so serialization is deterministic and
-round-trip stable.  ``dumps`` writes the layout itself, byte for byte
-``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
-of its tests, with one join for each row of symbols and each pair of
-words.  Reading a document that is not JSON, or whose structure does not
-fit its kind, raises ``MachineError``; so does a string or an object
-where an array belongs (checked by type, with no loop per row except the
-one that converts a relation's pairs and checks their words), one nested
-too deeply to decode or parse, and a value too deep to write: the JSON
-decoder, the term parser and the writer recurse once per level, so that
-depth follows Python's recursion limit (``sys.getrecursionlimit``), while
-a term's payload is built at any depth.  A term is typed as it is parsed,
-so an ill-typed term file is refused when read, and no ill-typed term can
-be built to be written.
+round-trip stable; a relation's or a sample's payload holds one list per
+distinct word.  ``dumps`` writes the layout itself, byte for byte
+``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the
+oracle of its tests, with one join for each row of symbols and each pair
+of words, and writes each word object of a list of pairs once.  Reading a
+document that is not JSON, or whose structure does not fit its kind,
+raises ``MachineError``; so does a string or an object where an array
+belongs (checked by type, with no loop per row except the one that
+converts a relation's pairs and checks their words), one nested too deeply
+to decode or parse, and a value too deep to write: the JSON decoder, the
+term parser and the writer recurse once per level, so that depth follows
+Python's recursion limit (``sys.getrecursionlimit``), while a term's
+payload is built at any depth.  A term is typed as it is parsed, so an
+ill-typed term file is refused when read, and no ill-typed term can be
+built to be written.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
@@ -91,11 +94,17 @@ def _parse_obj(p: dict, field: str, seen: dict) -> Obj:
     return o
 
 
+def _pair_lists(pairs: list) -> list:
+    """``[list(x), list(y)]`` for each pair (x, y), one list for each distinct word."""
+    lists = {w: list(w) for w in set(chain.from_iterable(pairs))}
+    return [[lists[x], lists[y]] for x, y in pairs]
+
+
 def _rel_payload(r: Rel) -> dict:
     return {
         "dom": _obj_payload(r.dom),
         "cod": _obj_payload(r.cod),
-        "pairs": [[list(x), list(y)] for x, y in r.sorted_pairs()],
+        "pairs": _pair_lists(r.sorted_pairs()),
     }
 
 
@@ -204,7 +213,7 @@ def sample_payload(s: UniformRelationSample) -> dict:
         "input": _alphabet_payload(s.input),
         "output": _alphabet_payload(s.output),
         "max_len": s.max_len,
-        "pairs": [[list(w), list(v)] for w, v in s.sorted_pairs()],
+        "pairs": _pair_lists(s.sorted_pairs()),
     }
 
 
@@ -320,15 +329,19 @@ _STR, _SEQ = {str}, {list, tuple}
 def _word_pairs(v, indent: str) -> list[str]:
     """The texts at ``indent`` of the rows of ``v``, each a pair of words
     (arrays of symbols); ``TypeError`` or ``ValueError`` if a row is
-    anything else."""
+    anything else.  Each word object's text is made once, kept by ``id``."""
     inner = indent + "  "
     sym = inner + "  "
     sep = "," + sym
+    texts: dict[int, str] = {}
 
     def word(w) -> str:
-        if type(w) not in _SEQ:  # a string is no word
-            raise TypeError("not a word")
-        return "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
+        text = texts.get(id(w))
+        if text is None:
+            if type(w) not in _SEQ:  # a string is no word
+                raise TypeError("not a word")
+            text = texts[id(w)] = "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
+        return text
 
     return ["[" + inner + word(w) + "," + inner + word(u) + indent + "]" for w, u in v]
 

@@ -211,11 +211,23 @@ class Rel:
                 raise MachineError(f"pair component {y!r} is not a valid codomain tuple")
 
     def sorted_pairs(self) -> list[Pair]:
-        """Pairs in canonical order (by per-wire symbol indices).  Every
-        domain tuple has one symbol per domain wire, so ordering by the
-        indices of x + y orders by those of x, then by those of y."""
-        positions = [w._pos for w in self.dom.flat + self.cod.flat]
-        return sorted(self.pairs, key=lambda p: tuple(map(getitem, positions, p[0] + p[1])))
+        """Pairs in canonical order: by the per-wire symbol indices of x,
+        then by those of y."""
+        dom, cod = [w._pos for w in self.dom.flat], [w._pos for w in self.cod.flat]
+        return grouped_pairs(self.pairs, lambda x: tuple(map(getitem, dom, x)),
+                             lambda y: tuple(map(getitem, cod, y)))
+
+
+def grouped_pairs(pairs: Collection[Pair], first_key, second_key) -> list[Pair]:
+    """``pairs`` by ``first_key`` of the first word, then by ``second_key`` of
+    the second, each key computed once per distinct word; the second words of
+    one first word must share a length, as they are sorted by their rank."""
+    groups: dict = {}
+    for x, y in pairs:
+        groups.setdefault(x, []).append(y)
+    rank = {y: i for i, y in enumerate(sorted({y for _, y in pairs}, key=second_key))}
+    return [(x, y) for x in sorted(groups, key=first_key)
+            for y in sorted(groups[x], key=rank.__getitem__)]
 
 
 def identity(o: Obj) -> Rel:

@@ -2,9 +2,8 @@
 
 A certificate is a relation ``s`` from the state space of the second
 machine to the state space of the first.  For finite-word machines the
-checker evaluates three relational conditions by full enumeration, each
-side straight from the machines' transition rows and an image and a
-preimage list per state of ``s``; no relation is composed:
+checker evaluates three relational conditions, each side straight from the
+machines' transition rows and the pairs of ``s``; no relation is composed:
 
   initial:     point(I1)                ⊲  s ∘ point(J2)
   transition:  R1 ∘ (id × s)            ⊲  (id × s) ∘ T2
@@ -16,19 +15,19 @@ forward one (the reverse inclusion).  For machines run over bi-infinite
 words the initial/final conditions are replaced by path-based ones: every
 state of machine 2 that starts a maximally long path must be in the domain
 of ``s`` (forward / two-sided), and every state of machine 1 that ends one
-must be in its codomain (backward / two-sided).  Both checks read the
-rows of any machine through one projection of its letter pairs; on
-bi-infinite words a letter pair is one packed letter.
+must be in its codomain (backward / two-sided).  The transition condition
+is decided on bitmasks, one per letter pair and state of machine 2 on each
+side, letter pairs indexed by position in the packed product alphabet;
+pairs are spelled out only where the sides differ, to name the least one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
     long_path_states, minimize
-from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj, pair_symbol
+from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj
 from .transducer import Machine
 
 TWO_SIDED = "two-sided"
@@ -81,35 +80,46 @@ def _check_typed(s: Rel, q1: Alphabet, q2: Alphabet) -> None:
         raise TypeMismatch("certificate relation is not typed states2 → states1")
 
 
-def _parts(alphabet: Alphabet) -> dict[str, tuple]:
-    """The tuple component each letter gives: ``(a,)``, or ``()`` for the
-    letter of the unit alphabet."""
-    return {a: () if is_unit(alphabet) else (a,) for a in alphabet.elements}
+def _parts(alphabet: Alphabet) -> list[tuple]:
+    """The tuple component each letter gives, by position: ``(a,)``, or
+    ``()`` for the letter of the unit alphabet."""
+    return [() if is_unit(alphabet) else (a,) for a in alphabet.elements]
 
 
-def _rows(m: Machine, parts: dict, out_parts: dict | None = None) -> list:
-    """``m``'s rows (a, q, b, q') as ((x, y), q, q'): x and y the tuple
-    components ``parts`` and ``out_parts`` give a and b, or without
-    ``out_parts``, the one ``parts`` gives (a, b) packed, and ()."""
-    if out_parts is None:
-        pair = pair_symbol(m.input, m.output)
-        letter = {(a, b): (parts[pair(a, b)], ()) for a in m.input.elements for b in m.output.elements}
-    else:
-        letter = {(a, b): (parts[a], out_parts[b]) for a in parts for b in out_parts}
-    return [(letter[a, b], q, q2) for a, q, b, q2 in m.trans]
-
-
-def _intertwining(s: Rel, rows1: list, rows2: list) -> tuple[set, set]:
-    """Both sides of R1 ∘ (id × s) ⊲ (id × s) ∘ R2: the pairs
-    ((x, state of machine 2), (y, state of machine 1)), stored flat, from
-    each machine's ``_rows``."""
-    image, preimage = defaultdict(list), defaultdict(list)
+def _transition(s: Rel, m1: Machine, m2: Machine, letter) -> tuple[set, set]:
+    """Both sides of R1 ∘ (id × s) ⊲ (id × s) ∘ R2: per letter pair (indexed
+    as ``automata.successor_table`` does) and state p of machine 2, the
+    bitmask of the states q1 of machine 1 related to them.  Equal sides give
+    two empty sets, else each side's bits the other lacks as flat pairs
+    ((x, p), (y, q1)), ``letter`` giving the components (x, y) of a letter pair."""
+    states1, states2 = m1.states.elements, m2.states.elements
+    pos1, pos2, n = m1.states._pos, m2.states._pos, len(states2)
+    image, preimage = [0] * n, {}
     for (x,), (y,) in s.pairs:
-        image[x].append(y)
-        preimage[y].append(x)
-    lhs = {a + (p,) + b + (q1,) for (a, b), q, q1 in rows1 for p in preimage.get(q, ())}
-    rhs = {a + (q2,) + b + (p,) for (a, b), q2, q in rows2 for p in image.get(q, ())}
-    return lhs, rhs
+        image[pos2[x]] |= 1 << pos1[y]
+        preimage.setdefault(y, []).append(pos2[x])
+
+    def rows(m: Machine) -> list:  # each row's first cell, state and next state
+        a_pos, b_pos, width = m.input._pos, m.output._pos, len(m.output)
+        return [((a_pos[a] * width + b_pos[b]) * n, q, q2) for a, q, b, q2 in m.trans]
+
+    size = len(m1.input) * len(m1.output) * n  # machine 2 has as many letter pairs
+    lhs, rhs = [0] * size, [0] * size
+    for base, q, q1 in rows(m1):
+        bit = 1 << pos1[q1]
+        for p in preimage.get(q, ()):
+            lhs[base + p] |= bit
+    for base, p, q2 in rows(m2):
+        rhs[base + pos2[p]] |= image[pos2[q2]]
+    if lhs == rhs:
+        return set(), set()
+    out = set(), set()
+    for i, (u, v) in enumerate(zip(lhs, rhs)):
+        if u != v:
+            (x, y), p = letter(i // n), (states2[i % n],)
+            for side, bits in zip(out, (u & ~v, v & ~u)):
+                side.update(x + p + y + (q1,) for k, q1 in enumerate(states1) if bits >> k & 1)
+    return out
 
 
 def check_fin(m1: Machine, m2: Machine, cert: SimCertificate) -> SimReport:
@@ -120,11 +130,11 @@ def check_fin(m1: Machine, m2: Machine, cert: SimCertificate) -> SimReport:
     _check_typed(s, m1.states, m2.states)
     # machine 1's alphabets read both machines' letters, so a unit alphabet
     # and its one-element namesake read alike
-    a, b = _parts(m1.input), _parts(m1.output)
+    a, b, width = _parts(m1.input), _parts(m1.output), len(m1.output)
 
     def conditions():  # name, both sides, and the length of a pair's codomain tuple
         yield "initial", {(q,) for q in m1.initial}, {y for (x,), y in s.pairs if x in m2.initial}, 1
-        yield "transition", *_intertwining(s, _rows(m1, a, b), _rows(m2, a, b)), \
+        yield "transition", *_transition(s, m1, m2, lambda i: (a[i // width], b[i % width])), \
             1 if is_unit(m1.output) else 2
         yield "final", {x for x, (y,) in s.pairs if y in m1.final}, {(q,) for q in m2.final}, 0
 
@@ -150,7 +160,7 @@ def check_inf(p1: Machine, p2: Machine, cert: SimCertificate) -> SimReport:
     s = cert.s
     _check_typed(s, p1.states, p2.states)
     packed = _parts(alphabet)
-    ok, witness = _holds(*_intertwining(s, _rows(p1, packed), _rows(p2, packed)), cert.mode, 1)
+    ok, witness = _holds(*_transition(s, p1, p2, lambda i: (packed[i], ())), cert.mode, 1)
     if not ok:
         return SimReport("fail", "transition", witness)
 

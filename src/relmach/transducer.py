@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relcore import UNIT, Alphabet, MachineError, ShapeError, check_rows, frozen, trusted
+from .relcore import UNIT, Alphabet, MachineError, ShapeError, check_rows, frozen, grouped_pairs, \
+    trusted
 
 Quad = tuple[str, str, str, str]  # (input letter, state, output letter, next state)
 Word = tuple[str, ...]
@@ -110,12 +111,10 @@ class UniformRelationSample:
         self.output.check_subset(s for _, v in self.pairs for s in v)
 
     def sorted_pairs(self) -> list[tuple[Word, Word]]:
-        ik = self.input.index
-        ok = self.output.index
-        return sorted(
-            self.pairs,
-            key=lambda p: (len(p[0]), tuple(map(ik, p[0])), tuple(map(ok, p[1]))),
-        )
+        """Pairs by length, then by the input word's and the output word's symbol indices."""
+        ik, ok = self.input._pos, self.output._pos
+        return grouped_pairs(self.pairs, lambda w: (len(w), tuple(map(ik.__getitem__, w))),
+                             lambda v: tuple(map(ok.__getitem__, v)))
 
 
 def behavior_upto(t: Transducer, n: int) -> UniformRelationSample:

@@ -55,8 +55,16 @@ and ``check_inf`` built each condition's two sides from ``trans_rel``,
 subset (``_letter_rel`` for a presentation's letters), and ``_holds``
 compared the pairs of the two relations.
 
+So is the check of the transition condition on sets of flat tuples that
+the bitmask one replaced: each side the set of tuples a + (p,) + b + (q1,)
+from each machine's rows and the image and preimage lists of ``s``
+(``_flat_rows``, ``_intertwining``, ``_parts``), compared whole by
+``_flat_holds`` in ``check_fin_by_tuples`` and ``check_inf_by_tuples``.
+
 So is the canonical pair order that called ``Alphabet.index`` per symbol
-through a generator (``sorted_pairs``, ``_tuple_key``).
+through a generator (``sorted_pairs``, ``_tuple_key``), and the per-pair key
+sorts that grouping by first word replaced (``rel_sorted_pairs``,
+``sample_sorted_pairs``).
 
 So is the periodic-point test that composed the "read the word once"
 relation with itself up to card(states) times (``periodic_membership``);
@@ -86,6 +94,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import getitem
 
 from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, pack_tuple, \
     product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, subset_name, \
@@ -1005,6 +1014,113 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
         for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")
+
+
+def _flat_holds(lhs: set, rhs: set, mode: str, tail: int) -> tuple[bool, tuple | None]:
+    """Evaluate lhs ⊲ rhs on pairs (x, y) stored as flat tuples x + y, ``tail``
+    being len(y); on failure return the least pair witnessing the violation."""
+    if lhs == rhs:
+        return True, None
+    extra = lhs - rhs if mode in (TWO_SIDED, BACKWARD) else set()
+    if not extra and mode in (TWO_SIDED, FORWARD):
+        extra = rhs - lhs
+    if not extra:
+        return True, None
+    w = min(extra)
+    return False, (w[:len(w) - tail], w[len(w) - tail:])
+
+
+def _parts(alphabet: Alphabet) -> dict[str, tuple]:
+    """The tuple component each letter gives: ``(a,)``, or ``()`` for the
+    letter of the unit alphabet."""
+    return {a: () if is_unit(alphabet) else (a,) for a in alphabet.elements}
+
+
+def _flat_rows(m, parts: dict, out_parts: dict | None = None) -> list:
+    """``m``'s rows (a, q, b, q') as ((x, y), q, q'): x and y the tuple
+    components ``parts`` and ``out_parts`` give a and b, or without
+    ``out_parts``, the one ``parts`` gives (a, b) packed, and ()."""
+    if out_parts is None:
+        pair = pair_symbol(m.input, m.output)
+        letter = {(a, b): (parts[pair(a, b)], ()) for a in m.input.elements for b in m.output.elements}
+    else:
+        letter = {(a, b): (parts[a], out_parts[b]) for a in parts for b in out_parts}
+    return [(letter[a, b], q, q2) for a, q, b, q2 in m.trans]
+
+
+def _intertwining(s: Rel, rows1: list, rows2: list) -> tuple[set, set]:
+    """Both sides of R1 ∘ (id × s) ⊲ (id × s) ∘ R2: the pairs
+    ((x, state of machine 2), (y, state of machine 1)), stored flat, from
+    each machine's ``_flat_rows``."""
+    image, preimage = {}, {}
+    for (x,), (y,) in s.pairs:
+        image.setdefault(x, []).append(y)
+        preimage.setdefault(y, []).append(x)
+    lhs = {a + (p,) + b + (q1,) for (a, b), q, q1 in rows1 for p in preimage.get(q, ())}
+    rhs = {a + (q2,) + b + (p,) for (a, b), q2, q in rows2 for p in image.get(q, ())}
+    return lhs, rhs
+
+
+def _typed_states(s: Rel, m1, m2) -> None:
+    if s.dom.signature() != (m2.states.elements,) or s.cod.signature() != (m1.states.elements,):
+        raise TypeMismatch("certificate relation is not typed states2 → states1")
+
+
+def check_fin_by_tuples(m1, m2, cert: SimCertificate) -> SimReport:
+    """Check the three finite-word conditions for ``cert.s : states2 → states1``."""
+    if m1.input.elements != m2.input.elements or m1.output.elements != m2.output.elements:
+        raise TypeMismatch("machines do not share input/output alphabets")
+    s = cert.s
+    _typed_states(s, m1, m2)
+    a, b = _parts(m1.input), _parts(m1.output)
+
+    def conditions():
+        yield "initial", {(q,) for q in m1.initial}, {y for (x,), y in s.pairs if x in m2.initial}, 1
+        yield "transition", *_intertwining(s, _flat_rows(m1, a, b), _flat_rows(m2, a, b)), \
+            1 if is_unit(m1.output) else 2
+        yield "final", {x for x, (y,) in s.pairs if y in m1.final}, {(q,) for q in m2.final}, 0
+
+    for name, lhs, rhs, tail in conditions():
+        ok, witness = _flat_holds(lhs, rhs, cert.mode, tail)
+        if not ok:
+            return SimReport("fail", name, witness)
+    return SimReport("pass")
+
+
+def check_inf_by_tuples(p1, p2, cert: SimCertificate) -> SimReport:
+    """Check the bi-infinite conditions for ``cert.s : states2 → states1``."""
+    alphabet = pack_obj(obj(p1.input, p1.output))
+    if alphabet.elements != pack_obj(obj(p2.input, p2.output)).elements:
+        raise TypeMismatch("presentations do not share an alphabet")
+    s = cert.s
+    _typed_states(s, p1, p2)
+    packed = _parts(alphabet)
+    ok, witness = _flat_holds(*_intertwining(s, _flat_rows(p1, packed), _flat_rows(p2, packed)),
+                              cert.mode, 1)
+    if not ok:
+        return SimReport("fail", "transition", witness)
+    if cert.mode in (TWO_SIDED, FORWARD):
+        domain = {x[0] for x, _ in s.pairs}
+        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
+            return SimReport("fail", "domain-path", ((q,), ()))
+    if cert.mode in (TWO_SIDED, BACKWARD):
+        codomain = {y[0] for _, y in s.pairs}
+        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
+            return SimReport("fail", "codomain-path", ((q,), ()))
+    return SimReport("pass")
+
+
+def rel_sorted_pairs(r: Rel) -> list:
+    """Pairs in canonical order, by one key per pair: the symbol positions of x + y."""
+    positions = [w._pos for w in r.dom.flat + r.cod.flat]
+    return sorted(r.pairs, key=lambda p: tuple(map(getitem, positions, p[0] + p[1])))
+
+
+def sample_sorted_pairs(s: UniformRelationSample) -> list:
+    """Pairs by length, then by the input word's and the output word's symbol indices."""
+    ik = s.input.index
+    ok = s.output.index
+    return sorted(s.pairs, key=lambda p: (len(p[0]), tuple(map(ik, p[0])), tuple(map(ok, p[1]))))
 
 
 def sorted_pairs(r: Rel) -> list:

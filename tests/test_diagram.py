@@ -24,6 +24,7 @@ from relmach.diagram import (
     Par,
     Seq,
     Swap,
+    _post_order,
     acceptors,
     check_same_type,
     denotation_upto,
@@ -132,6 +133,27 @@ def test_terms_are_typed_once_when_built(monkeypatch):
             check_same_type(term, term)
             assert io.kind_of(term) == "diagram"
             assert built <= 20
+
+
+def recursive_post_order(d, order=None) -> list:
+    """The distinct node objects of ``d``, each after its children, by recursion."""
+    order = {} if order is None else order
+    if id(d) not in order:
+        for c in d.children:
+            recursive_post_order(c, order)
+        order[id(d)] = d
+    return list(order.values())
+
+
+def test_post_order_is_the_recursive_one():
+    """Leaves are recorded without a stack entry, in the same place; terms
+    that hold one subterm object several times list it once."""
+    rng = random.Random(SEED + 47)
+    a = Alphabet("A", ("a", "b"))
+    for _ in range(40):
+        t = random_diagram(rng, obj(a), obj(a), nodes=rng.randint(1, 9))
+        for term in (t, Seq(t, t), Par(Seq(t, Box(SWAP_REL)), t), Feedback(a, None, None, Par(t, t))):
+            assert [id(n) for n in _post_order(term)] == [id(n) for n in recursive_post_order(term)]
 
 
 def test_deep_terms_are_typed_without_recursion():

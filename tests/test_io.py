@@ -85,10 +85,14 @@ ROWS = (st.lists(st.lists(SYMBOLS, min_size=1, max_size=3) | st.tuples(SYMBOLS, 
         | st.lists(SYMBOLS | st.lists(SYMBOLS, max_size=2), max_size=4))
 # Rows of word pairs (relation and sample pairs), which it joins pair by
 # pair, and their near misses: a string, a leaf or a third word in a pair.
+# Pairs may share one word object, as a relation's payload does.
 WORDS = st.lists(SYMBOLS, max_size=3) | st.tuples(SYMBOLS)
-PAIRS = st.lists(st.tuples(WORDS, WORDS)
-                 | st.lists(WORDS | SYMBOLS | st.lists(LEAVES, max_size=2), min_size=1, max_size=3),
-                 min_size=1, max_size=4)
+SHARED = st.lists(WORDS, min_size=1, max_size=3).flatmap(
+    lambda ws: st.lists(st.tuples(st.sampled_from(ws), st.sampled_from(ws))
+                        | st.lists(st.sampled_from(ws), min_size=2, max_size=2), min_size=1, max_size=5))
+PAIRS = SHARED | st.lists(st.tuples(WORDS, WORDS)
+                          | st.lists(WORDS | SYMBOLS | st.lists(LEAVES, max_size=2), min_size=1, max_size=3),
+                          min_size=1, max_size=4)
 TREES = st.recursive(
     LEAVES | ROWS | PAIRS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
@@ -100,6 +104,16 @@ TREES = st.recursive(
 @given(st.dictionaries(SYMBOLS, TREES, max_size=4))
 def test_dumps_writes_the_stdlib_bytes(payload):
     assert io.dumps(payload) == canonical_dumps(payload)
+
+
+def test_a_relation_payload_holds_one_list_per_distinct_word():
+    x, y = Alphabet("X", ("0", "1")), Alphabet("Y", ("u", "v", "w"))
+    r = rel(obj(x, x), obj(y),
+            {((a, b), (c,)) for a in "01" for b in "01" for c in "uvw" if c != "v" or a == b})
+    pairs = io.to_payload(r)["pairs"]
+    assert pairs == [[list(p), list(q)] for p, q in r.sorted_pairs()]
+    assert len({id(w) for pair in pairs for w in pair}) == 4 + 3
+    assert io.dumps(r) == canonical_dumps(io.to_payload(r))
 
 
 @given(st.integers(0, 2**32).map(random.Random))

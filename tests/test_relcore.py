@@ -10,6 +10,7 @@ from helpers import cap, compose, cup, full_to_unit, is_function, is_partial_fun
     subset_as_point, rel, subset_of, transpose
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, TypeMismatch, \
     comma_prefixed, identity, obj, pack_obj, pair_symbol, swap
+from relmach.transducer import UniformRelationSample
 
 B2 = Alphabet("2", ("0", "1"))
 NOT = rel(obj(B2), obj(B2), {(("0",), ("1",)), (("1",), ("0",))})
@@ -244,3 +245,39 @@ def bundle_relation(draw):
 @given(bundle_relation())
 def test_sorted_pairs_keeps_the_per_symbol_index_order(r):
     assert r.sorted_pairs() == seed.sorted_pairs(r)
+
+
+# Wires whose symbols hold commas and backslashes, listed out of string order.
+ESCAPED = Alphabet("E", ("b\\", "a,b", "a", ",", "\\,"))
+
+
+@st.composite
+def repeated_word_relation(draw):
+    """A relation between bundles of 1–3 wires (unit wires among them), its
+    pairs drawn from a few words on each side, so words repeat."""
+    wires = st.sampled_from([UNIT, B2, Alphabet("D", ("z", "b", "m")), ESCAPED])
+    dom, cod = (obj(*draw(st.lists(wires, min_size=1, max_size=3))) for _ in range(2))
+    words = [draw(st.lists(st.sampled_from(list(o.tuples())), min_size=1, max_size=4)) for o in (dom, cod)]
+    chosen = draw(st.sets(st.tuples(st.sampled_from(words[0]), st.sampled_from(words[1])), max_size=12))
+    return rel(dom, cod, chosen)
+
+
+@given(repeated_word_relation())
+def test_grouped_pair_order_is_the_per_pair_key_order(r):
+    assert r.sorted_pairs() == seed.rel_sorted_pairs(r) == seed.sorted_pairs(r)
+
+
+@given(st.data())
+def test_grouped_sample_order_is_the_per_pair_key_order(data):
+    """Samples with words of mixed lengths, several pairs per input word."""
+    draw = data.draw
+    a, b = ESCAPED, Alphabet("D", ("z", "b", "m"))
+    lengths = st.integers(0, 3)
+    inputs = draw(st.lists(lengths.flatmap(lambda k: st.tuples(*[st.sampled_from(a.elements)] * k)),
+                           min_size=1, max_size=5))
+    chosen = set()
+    for w in inputs:
+        outputs = draw(st.lists(st.tuples(*[st.sampled_from(b.elements)] * len(w)), max_size=3))
+        chosen.update((w, v) for v in outputs)
+    s = UniformRelationSample(a, b, 3, frozenset(chosen))
+    assert s.sorted_pairs() == seed.sample_sorted_pairs(s)

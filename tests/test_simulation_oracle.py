@@ -4,7 +4,12 @@ input both return the same report (verdict, failed condition, witness) or
 raise the same error.  The one exception is a pair of machines where one
 alphabet is the unit and the other a one-element namesake of it: the
 oracle composes relations of two shapes there, so it checks machine 2 over
-machine 1's alphabets, as the checker reads both."""
+machine 1's alphabets, as the checker reads both.
+
+Its bitmask transition check is tested against the tuple sets it replaced
+(``check_fin_by_tuples``/``check_inf_by_tuples``), with no exception: on
+certificates that pass, and on the same with one pair dropped or added
+where the initial and final conditions cannot see it."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -200,3 +205,96 @@ def test_unit_letters_give_no_witness_component():
     cert = SimCertificate(Rel(obj(p.states), obj(p.states), {(("p",), ("p",))}), TWO_SIDED)
     report = compare("presentation", p, p, cert)
     assert report == SimReport("fail", "transition", (("p",), ("q",)))
+
+
+# The bitmask transition check against the tuple sets it replaced
+# (``seed.check_fin_by_tuples``, ``seed.check_inf_by_tuples``).
+
+
+def breakers(draw, m1, m2, s: Rel) -> list[Rel]:
+    """``s`` with one pair dropped and ``s`` with one pair added, each pair
+    relating a state of machine 2 that is not initial to one of machine 1
+    that is not final: the initial and final conditions read as for ``s``,
+    the transition condition may break."""
+    init2, final1 = m2.initial or frozenset(), m1.final or frozenset()
+    space = sorted((x, y) for x in s.dom.tuples() for y in s.cod.tuples()
+                   if x[0] not in init2 and y[0] not in final1)
+    out = []
+    for side in (sorted(s.pairs.intersection(space)), sorted(set(space) - s.pairs)):
+        if side:
+            out.append(Rel(s.dom, s.cod, s.pairs ^ {draw(st.sampled_from(side))}))
+    return out
+
+
+def same_report(m1, m2, s: Rel) -> list:
+    """The reports of the bitmask check and the tuple-set check of ``s``
+    in every mode, which must be equal."""
+    if m1.initial is None:
+        check, oracle = check_inf, seed.check_inf_by_tuples
+    else:
+        check, oracle = check_fin, seed.check_fin_by_tuples
+    reports = []
+    for mode in MODES:
+        cert = SimCertificate(s, mode)
+        got = outcome(check, m1, m2, cert)
+        assert got == outcome(oracle, m1, m2, cert)
+        reports.append(got)
+    return reports
+
+
+@st.composite
+def certified_pairs(draw):
+    """Machine pairs of every kind with a certificate that passes: ``m``
+    with itself, the constructions of ``constructed``, a ztransducer and its
+    presentation over the same packed alphabet (both ways), and a machine
+    over the unit and its namesake twin over a one-element alphabet."""
+    kind = draw(st.sampled_from(("transducer", "nfa", "presentation", "ztransducer")))
+    inp, out = draw(letters()), draw(letters())
+    if kind == "ztransducer":
+        m = draw(machines("transducer", inp, out))
+        z = ztransducer(m.input, m.output, material(m.states), m.trans)
+        p = presentation_of_ztransducer(z)
+        ident = identity(obj(z.states))
+        return [(z, z, ident), (z, p, ident), (p, z, ident)]
+    m = draw(machines(kind, inp, out))
+    pairs = constructed(kind, m)
+    if kind == "nfa" and is_unit(m.alphabet):
+        twin = nfa(Alphabet("U", ("*",)), m.states, triples(m), m.initial, m.final)
+        ident = identity(obj(material(m.states)))
+        pairs += [(m, twin, ident), (twin, m, ident)]
+    return pairs
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bitmask_transition_check_matches_the_tuple_sets(data):
+    for m1, m2, s in data.draw(certified_pairs()):
+        assert same_report(m1, m2, s) == [SimReport("pass")] * len(MODES)
+        for broken in breakers(data.draw, m1, m2, s):
+            for report in same_report(m1, m2, broken):
+                assert report == SimReport("pass") or report.failed_condition in (
+                    "transition", "domain-path", "codomain-path")
+
+
+def test_a_dropped_determinization_pair_breaks_the_transition_alone():
+    """Each pair of the determinization certificate of the 3rd-letter-from-
+    the-end NFA whose subset is not initial and whose member is not final,
+    dropped, breaks the transition condition in every mode, with the same
+    witness from both checks; so does a ztransducer against its
+    presentation with one identity pair dropped."""
+    n = nfa(Alphabet("A", ("a", "b")), Alphabet("Q", ("0", "1", "2", "3")),
+            {("0", "a", "0"), ("0", "b", "0"), ("0", "a", "1"), ("1", "a", "2"), ("1", "b", "2"),
+             ("2", "a", "3"), ("2", "b", "3")}, {"0"}, {"3"})
+    d, contains = determinize(n)
+    dropped = [(x, y) for x, y in sorted(contains.pairs) if x[0] not in d.initial and y[0] not in n.final]
+    assert len(dropped) > 10
+    for pair in dropped:
+        reports = same_report(n, d, Rel(contains.dom, contains.cod, contains.pairs - {pair}))
+        assert {r.failed_condition for r in reports} == {"transition"}
+    z = ztransducer(Alphabet("A", ("a", "b")), Alphabet("B", ("x", "y")), Alphabet("Q", ("p", "q")),
+                    {("a", "p", "x", "q"), ("b", "q", "y", "p"), ("a", "q", "y", "q")})
+    p = presentation_of_ztransducer(z)
+    dropped = Rel(obj(z.states), obj(z.states), {(("p",), ("p",))})
+    for m1, m2 in ((z, p), (p, z)):
+        reports = same_report(m1, m2, dropped)
+        assert reports[0].failed_condition == "transition"
