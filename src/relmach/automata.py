@@ -11,18 +11,18 @@ letter pairs with no conversion.
 
 Three graph algorithms here are shared with the sofic and simulation
 modules: ``subsets``, the subset construction; ``refine``, Hopcroft's
-partition refinement; and ``long_path_states``, the linear-time
-restriction to the states on infinite paths.
-
-The first two run on state positions.  A subset is an ``int`` bitmask,
-decoded once into member flags (``bits``), and its image under a letter is
-the OR of its members' successor masks: k ORs per member for k letters.
-``refine`` runs on ``list`` transition tables in O(n·k·log n) for n
-states.  States and subsets are named only where a machine is emitted.  A
-verdict (``same_words``) walks both subset DFAs on the fly with Hopcroft
-and Karp's union-find: at most one row per subset and O((N1+N2)·k) pair
-steps at O(α) each for N1+N2 subsets.  It stops at the first pair
-differing in finality and builds, names and validates no machine.
+partition refinement; and ``long_path_mask``, the restriction to the
+states on infinite paths.  All run on state positions.  A subset is an
+``int`` bitmask; its image under k letters (``image_row``) is k ORs per
+member, or k reads for one member.  ``long_path_mask`` peels successor and
+predecessor masks (``edge_masks``): one bulk OR, then a worklist over the
+predecessors of removed states, O(n + m) mask operations for n states and
+m edges.  ``refine`` runs on ``list`` transition tables in O(n·k·log n).
+States and subsets are named only where a machine is emitted.  A verdict
+(``same_words``) walks both subset DFAs on the fly with Hopcroft and
+Karp's union-find: at most one row per subset and O((N1+N2)·k) pair steps
+at O(α) each for N1+N2 subsets.  It stops at the first pair differing in
+finality and builds, names and validates no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -79,25 +79,12 @@ def empty_dfa(alphabet: Alphabet) -> Dfa:
     return trusted(Dfa, alphabet, UNIT, EMPTY_DFA_STATES, frozenset(), frozenset(), frozenset(), None)
 
 
-def successor_map(m: Machine) -> dict[str, dict[str, set[str]]]:
-    """Each state's successors under each input letter."""
-    step: dict[str, dict[str, set[str]]] = {q: {} for q in m.states.elements}
-    for a, q, _, q2 in m.trans:
-        step[q].setdefault(a, set()).add(q2)
-    return step
-
-
 def accepts(n: Nfa, word) -> bool:
     """Whether ``n`` accepts ``word``; a letter outside its alphabet is an error."""
-    word = tuple(word)
-    n.alphabet.check_subset(word)
-    step = successor_map(n)
-    current = set(n.initial)
-    for a in word:
-        current = {q2 for q in current for q2 in step[q].get(a, ())}
-        if not current:
-            return False
-    return bool(current & n.final)
+    table, current = successor_table(n), mask_of(n.states, n.initial)
+    for col in [table[n.alphabet.index(a)] for a in word]:
+        current = reduce(or_, compress(col, bits(current)), 0)
+    return bool(current & mask_of(n.states, n.final))
 
 
 def language_upto(n: Nfa, k: int) -> set[Word]:
@@ -124,36 +111,45 @@ def _forward_edges(m: Machine) -> dict[str, set[str]]:
     return out
 
 
-def _backward_edges(m: Machine) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
+def edge_masks(m: Machine) -> tuple[list[int], list[int]]:
+    """Per state position, the bitmasks of its successors and of its predecessors in ``m``."""
+    pos = m.states._pos
+    succ, pred = [0] * len(pos), [0] * len(pos)
     for _, q, _, q2 in m.trans:
-        out.setdefault(q2, set()).add(q)
-    return out
+        i, j = pos[q], pos[q2]
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    return succ, pred
 
 
-def long_path_states(states, edges: dict[str, set[str]]) -> set[str]:
-    """The states that start a path of length at least card(states) inside
-    ``states``, i.e. an infinite path, following ``edges``.
-
-    Linear time: states none of whose successors are kept are peeled off
-    one by one, with a counter of kept successors per state.
-    """
-    kept = set(states)
-    preds: dict[str, list[str]] = {q: [] for q in kept}
-    out_degree = dict.fromkeys(kept, 0)
-    for q in kept:
-        for q2 in edges.get(q, ()):
-            if q2 in kept:
-                preds[q2].append(q)
-                out_degree[q] += 1
-    todo = [q for q, n in out_degree.items() if not n]
+def reach_mask(succ: list[int], seeds: int) -> int:
+    """The states reachable from the bitmask ``seeds`` along the masks ``succ``."""
+    seen = todo = seeds
     while todo:
-        q = todo.pop()
-        kept.discard(q)
-        for p in preds[q]:
-            out_degree[p] -= 1
-            if not out_degree[p]:
-                todo.append(p)
+        low = todo & -todo
+        new = succ[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo = (todo ^ low) | new
+    return seen
+
+
+def long_path_mask(succ: list[int], pred: list[int], within: int) -> int:
+    """The states of the bitmask ``within`` that start an infinite path
+    inside it along the successor masks ``succ``, whose reverse is ``pred``;
+    swapped, the states that end one.  One bulk OR keeps the states with a
+    successor in ``within``; a removed state's kept predecessors are then
+    checked again, and removed, once, when no kept successor is left."""
+    kept = reduce(or_, compress(pred, bits(within)), 0) & within
+    todo = list(compress(range(len(pred)), bits(within & ~kept)))
+    while todo:
+        near = pred[todo.pop()] & kept
+        while near:
+            low = near & -near
+            near ^= low
+            q = low.bit_length() - 1
+            if not succ[q] & kept:
+                kept ^= low
+                todo.append(q)
     return kept
 
 
@@ -254,18 +250,29 @@ def successor_table(m: Machine) -> list[list[int]]:
     return table
 
 
+def image_row(table: list[list[int]], mask: int, flags: bytes | None = None) -> list[int]:
+    """The image of the subset ``mask`` under each letter pair of the
+    ``successor_table`` ``table``: its one member's cells, or the OR of its
+    members' cells, read off its member ``flags`` (decoded here if not given)."""
+    if mask and not mask & (mask - 1):
+        i = mask.bit_length() - 1
+        return [col[i] for col in table]
+    flags = bits(mask) if flags is None else flags
+    return [reduce(or_, compress(col, flags), 0) for col in table]
+
+
 def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
     """Subset construction: every subset of states accessible from the
     bitmask ``start`` in ``m``, the empty subset 0 included when reached,
-    with its member flags (``bits``, decoded once) and its image under each
-    letter pair, in the order of ``successor_table``."""
+    with its member flags (``bits``) and its image under each letter pair,
+    in the order of ``successor_table``."""
     table = successor_table(m)
     graph: dict = {start: None}
     todo = [start]
     while todo:
         cur = todo.pop()
         flags = bits(cur)
-        row = [reduce(or_, compress(col, flags), 0) for col in table]
+        row = image_row(table, cur, flags)
         graph[cur] = flags, row
         for image in row:
             if image not in graph:
@@ -421,8 +428,7 @@ def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bo
 
     def row(side: int, mask: int) -> list[int]:
         if mask not in rows[side]:
-            flags = bits(mask)
-            rows[side][mask] = [reduce(or_, compress(col, flags), 0) for col in tables[side]]
+            rows[side][mask] = image_row(tables[side], mask)
         return rows[side][mask]
 
     todo = deque([(start1, start2)])
@@ -456,9 +462,9 @@ def prune_language(n: Nfa) -> Nfa:
     backward path among the reachable states (resp. starts an infinite
     forward path among the co-reachable ones).
     """
-    fwd = _forward_edges(n)
-    bwd = _backward_edges(n)
-    pumped_in = long_path_states(_reachable(n.states, fwd, n.initial), bwd)
-    pumped_out = long_path_states(_reachable(n.states, bwd, n.final), fwd)
-    return trusted(Nfa, n.input, n.output, n.states, n.trans, frozenset(pumped_in),
-                   frozenset(pumped_out), None)
+    succ, pred = edge_masks(n)
+    pumped_in = long_path_mask(pred, succ, reach_mask(succ, mask_of(n.states, n.initial)))
+    pumped_out = long_path_mask(succ, pred, reach_mask(pred, mask_of(n.states, n.final)))
+    states = n.states.elements
+    return trusted(Nfa, n.input, n.output, n.states, n.trans, frozenset(compress(states, bits(pumped_in))),
+                   frozenset(compress(states, bits(pumped_out))), None)

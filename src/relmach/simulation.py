@@ -24,9 +24,10 @@ pairs are spelled out only where the sides differ, to name the least one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, determinize, \
-    long_path_states, minimize
+from .automata import Dfa, Nfa, _forward_edges, _reachable, bits, determinize, edge_masks, \
+    long_path_mask, mask_of, minimize
 from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj
 from .transducer import Machine
 
@@ -165,12 +166,16 @@ def check_inf(p1: Machine, p2: Machine, cert: SimCertificate) -> SimReport:
         return SimReport("fail", "transition", witness)
 
     if cert.mode in (TWO_SIDED, FORWARD):
-        domain = {x[0] for x, _ in s.pairs}
-        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
+        domain = mask_of(p2.states, {x for (x,), _ in s.pairs})
+        succ, pred = edge_masks(p2)
+        uncovered = long_path_mask(succ, pred, (1 << len(p2.states)) - 1) & ~domain
+        for q in compress(p2.states.elements, bits(uncovered)):
             return SimReport("fail", "domain-path", ((q,), ()))
     if cert.mode in (TWO_SIDED, BACKWARD):
-        codomain = {y[0] for _, y in s.pairs}
-        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
+        codomain = mask_of(p1.states, {y for _, (y,) in s.pairs})
+        succ, pred = edge_masks(p1)
+        uncovered = long_path_mask(pred, succ, (1 << len(p1.states)) - 1) & ~codomain
+        for q in compress(p1.states.elements, bits(uncovered)):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")
 

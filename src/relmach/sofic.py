@@ -13,27 +13,32 @@ every state initial and final (``factor_language``), which
 no special case.
 
 The canonical form takes the same steps and names what it emits: pruning
-is ``long_path_states``, the subset construction ``subsets`` (rooted at
+is ``long_path_mask``, the subset construction ``subsets`` (rooted at
 the full state set, without the empty subset), merging ``quotient``.  The
 public determinize and minimize steps check their preconditions on every
 call; the canonical form meets them by construction, and ``prune``'s
 output passes the pruning check without a subset construction.  A
 periodic point is a cycle of the graph of reading one word:
-``long_path_states`` again.
+``long_path_mask`` again, on the word's image masks.
 
 Costs, for n states, m transitions and k letters: pruning peels states
-with no kept predecessor, then no kept successor, in O(n + m), leaving the
-essential graph (Lind & Marcus, §2.2); the subset construction is
-exponential in the worst case, a bitmask per subset and k ORs per member;
+with no kept predecessor, then no kept successor, on successor and
+predecessor masks in O(n + m) mask operations, leaving the essential graph
+(Lind & Marcus, §2.2); the subset construction is exponential in the worst
+case, a bitmask per subset and k ORs per member (k reads for one member);
 merging N subsets uses Hopcroft's refinement, O(N·k·log N); a verdict
 walks both subset DFAs with a union-find that stops at the first conflict.
 """
 
 from __future__ import annotations
 
-from .automata import Nfa, _backward_edges, _forward_edges, _reachable, class_relation, \
-    is_deterministic, language_upto, long_path_states, membership, nfa_equiv, prune_language, \
-    quotient, same_words, subset_machine, subsets, successor_map
+from functools import reduce
+from itertools import compress
+from operator import or_
+
+from .automata import Nfa, bits, class_relation, edge_masks, is_deterministic, language_upto, \
+    long_path_mask, membership, nfa_equiv, prune_language, quotient, reach_mask, same_words, \
+    subset_machine, subsets, successor_table
 from .relcore import UNIT, Alphabet, MachineError, is_unit, trusted
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import Machine, Transducer, Word, unit_rows
@@ -69,28 +74,37 @@ def _finite(m: Machine) -> Machine:
 # Pruning: restrict to states on infinite paths.  "Infinite" is decided as
 # "of length at least card(states)", which forces a loop.
 
-def _restrict(p: Machine, kept: set[str]) -> Machine:
-    states = Alphabet(p.states.name, tuple(q for q in p.states.elements if q in kept))
-    root = p.root if p.root in kept else None
+def _full(p: Machine) -> int:
+    return (1 << len(p.states)) - 1
+
+
+def _restrict(p: Machine, kept: int) -> Machine:
+    if kept == _full(p):
+        return p
+    states = Alphabet(p.states.name, tuple(compress(p.states.elements, bits(kept))))
+    inside = set(states.elements)
+    root = p.root if p.root in inside else None
     return trusted(type(p), p.input, p.output, states,
-                   frozenset(t for t in p.trans if t[1] in kept and t[3] in kept), None, None, root)
+                   frozenset(t for t in p.trans if t[1] in inside and t[3] in inside), None, None, root)
 
 
 def forward_prune(p: Presentation) -> Presentation:
     """Keep states that start a path of length at least card(states)."""
-    return _restrict(p, long_path_states(p.states.elements, _forward_edges(p)))
+    succ, pred = edge_masks(p)
+    return _restrict(p, long_path_mask(succ, pred, _full(p)))
 
 
 def backward_prune(p: Presentation) -> Presentation:
     """Keep states that end a path of length at least card(states)."""
-    return _restrict(p, long_path_states(p.states.elements, _backward_edges(p)))
+    succ, pred = edge_masks(p)
+    return _restrict(p, long_path_mask(pred, succ, _full(p)))
 
 
 def prune(p: Machine) -> Machine:
     """Keep states lying on a bi-infinite path: those ending a long path
     that start one among themselves, in one restriction."""
-    ending = long_path_states(p.states.elements, _backward_edges(p))
-    return _restrict(p, long_path_states(ending, _forward_edges(p)))
+    succ, pred = edge_masks(p)
+    return _restrict(p, long_path_mask(succ, pred, long_path_mask(pred, succ, _full(p))))
 
 
 def is_language_pruned(p: Presentation) -> bool:
@@ -107,10 +121,8 @@ is_right_resolving = is_deterministic
 
 def is_root(p: Presentation, r: str) -> bool:
     """A root reaches every state and every accepted word runs from it."""
-    if _reachable(p.states, _forward_edges(p), [r]) != set(p.states.elements):
-        return False
-    full = (1 << len(p.states)) - 1
-    return same_words(p, 1 << p.states.index(r), full, p, full, full)
+    full, start = _full(p), 1 << p.states.index(r)
+    return reach_mask(edge_masks(p)[0], start) == full and same_words(p, start, full, p, full, full)
 
 
 def find_root(p: Presentation) -> str | None:
@@ -123,7 +135,7 @@ def find_root(p: Presentation) -> str | None:
 
 
 def _subset_presentation(p: Presentation) -> tuple[Presentation, dict, dict[int, str]]:
-    start = (1 << len(p.states)) - 1
+    start = _full(p)
     graph = subsets(p, start)
     graph.pop(0, None)
     states, name, trans = subset_machine(p, graph)
@@ -204,15 +216,12 @@ def periodic_membership(p: Presentation, word) -> bool:
     if not word:
         raise MachineError("periodic membership needs a non-empty word")
     pruned = prune(p)
-    for a in word:
-        pruned.alphabet.index(a)
-    step = successor_map(pruned)
-
-    def word_image(q: str) -> set[str]:
-        cur = {q}
-        for a in word:
-            cur = {q2 for r in cur for q2 in step[r].get(a, ())}
-        return cur
-
-    states = pruned.states.elements
-    return bool(long_path_states(states, {q: word_image(q) for q in states}))
+    table, n = successor_table(pruned), len(pruned.states)
+    succ = [1 << i for i in range(n)]
+    for col in [table[pruned.alphabet.index(a)] for a in word]:
+        succ = [reduce(or_, compress(col, bits(image)), 0) for image in succ]
+    pred = [0] * n
+    for i, image in enumerate(succ):
+        for j in compress(range(n), bits(image)):
+            pred[j] |= 1 << i
+    return bool(long_path_mask(succ, pred, _full(pruned)))

@@ -66,6 +66,14 @@ through a generator (``sorted_pairs``, ``_tuple_key``), and the per-pair key
 sorts that grouping by first word replaced (``rel_sorted_pairs``,
 ``sample_sorted_pairs``).
 
+So are the name-based long-path peel that the mask peel
+``automata.long_path_mask`` replaced (``long_path_states``, over the
+dict-of-set edges of ``automata._forward_edges`` and
+``helpers._backward_edges``), the restriction of a machine to a set of
+state names (``_restrict``), and the per-letter successor sets that
+``accepts`` and ``periodic_membership`` read before they folded successor
+masks (``successor_map``).
+
 So is the periodic-point test that composed the "read the word once"
 relation with itself up to card(states) times (``periodic_membership``);
 its ``prune`` resolves to the oracle above.
@@ -96,22 +104,63 @@ import json
 from dataclasses import dataclass
 from operator import getitem
 
-from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, pack_tuple, \
-    product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, subset_name, \
-    trans_rel, triples, type_of
+from helpers import _backward_edges, compose, compose_transducers, dfa, lift_transducer, pack_rel, \
+    pack_tuple, product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, \
+    subset_name, trans_rel, triples, type_of
 from relmach import automata, diagram, io
-from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _backward_edges, _forward_edges, \
-    _reachable, empty_dfa, iso_check, long_path_states, nfa, successor_map
+from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _forward_edges, _reachable, empty_dfa, \
+    iso_check, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
     identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
-from relmach.sofic import Presentation, ZTransducer, _restrict, find_root, is_right_resolving, is_root, \
+from relmach.sofic import Presentation, ZTransducer, find_root, is_right_resolving, is_root, \
     presentation, ztransducer
 from relmach.transducer import Transducer, UniformRelationSample, finite_shift_at, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)
+
+
+def successor_map(m) -> dict[str, dict[str, set[str]]]:
+    """Each state's successors under each input letter."""
+    step: dict[str, dict[str, set[str]]] = {q: {} for q in m.states.elements}
+    for a, q, _, q2 in m.trans:
+        step[q].setdefault(a, set()).add(q2)
+    return step
+
+
+def long_path_states(states, edges: dict[str, set[str]]) -> set[str]:
+    """The states that start a path of length at least card(states) inside
+    ``states``, i.e. an infinite path, following ``edges``.
+
+    Linear time: states none of whose successors are kept are peeled off
+    one by one, with a counter of kept successors per state.
+    """
+    kept = set(states)
+    preds: dict[str, list[str]] = {q: [] for q in kept}
+    out_degree = dict.fromkeys(kept, 0)
+    for q in kept:
+        for q2 in edges.get(q, ()):
+            if q2 in kept:
+                preds[q2].append(q)
+                out_degree[q] += 1
+    todo = [q for q, n in out_degree.items() if not n]
+    while todo:
+        q = todo.pop()
+        kept.discard(q)
+        for p in preds[q]:
+            out_degree[p] -= 1
+            if not out_degree[p]:
+                todo.append(p)
+    return kept
+
+
+def _restrict(p, kept: set[str]):
+    states = Alphabet(p.states.name, tuple(q for q in p.states.elements if q in kept))
+    root = p.root if p.root in kept else None
+    return type(p)(p.input, p.output, states,
+                   frozenset(t for t in p.trans if t[1] in kept and t[3] in kept), None, None, root)
 
 
 def nfa_to_transducer(n: Nfa) -> Transducer:

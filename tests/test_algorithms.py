@@ -1,17 +1,23 @@
-"""Hopcroft refinement and the linear long-path prune, tested differentially
-against the original Moore and k-round fixpoint code (``seed_algorithms``):
-every result must serialize to the same bytes, and every rejected input
-must raise the same error."""
+"""Hopcroft refinement and the long-path mask peel, tested differentially
+against the original Moore and k-round fixpoint code and the name-based
+peel (``seed_algorithms``): every result must serialize to the same bytes,
+every report must be the same, and every rejected input must raise the
+same error."""
+
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
-from helpers import dfa, triples
+from helpers import _backward_edges, dfa, triples
 from relmach import io
-from relmach.automata import _backward_edges, _forward_edges, determinize, \
-    long_path_states, minimize, nfa, prune_language, refine
-from relmach.relcore import Alphabet, MachineError
+from relmach.automata import _forward_edges, _reachable, bits, determinize, edge_masks, image_row, \
+    long_path_mask, mask_of, minimize, nfa, prune_language, refine, successor_table
+from relmach.relcore import Alphabet, MachineError, Rel, obj
+from relmach.simulation import MODES, SimCertificate, check_inf
 from relmach.sofic import backward_prune, determinize_presentation, forward_prune, \
     minimize_presentation, periodic_membership, presentation, prune
 
@@ -48,10 +54,14 @@ def graphs(draw, deterministic=False):
     return alphabet, states, {(q, a, q2) for (q, a), q2 in trans}
 
 
+def subsets_of(states: Alphabet):
+    return st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
+
+
 @st.composite
 def partial_dfas(draw):
     alphabet, states, trans = draw(graphs(deterministic=True))
-    subsets = st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
+    subsets = subsets_of(states)
     initial = draw(subsets.filter(lambda s: len(s) <= 1))
     return dfa(alphabet, states, frozenset(trans), frozenset(initial), frozenset(draw(subsets)))
 
@@ -78,12 +88,18 @@ def family():
         [chain(300, False), chain(300, True)]
 
 
+def members(states: Alphabet, mask: int) -> set[str]:
+    return set(compress(states.elements, bits(mask)))
+
+
 def check_presentation(p):
     assert dumps(forward_prune(p)) == dumps(seed.forward_prune(p))
     assert dumps(backward_prune(p)) == dumps(seed.backward_prune(p))
     assert dumps(prune(p)) == dumps(seed.prune(p))
-    assert long_path_states(p.states.elements, _forward_edges(p)) == seed._long_path_starters(p)
-    assert long_path_states(p.states.elements, _backward_edges(p)) == seed._long_path_enders(p)
+    succ, pred = edge_masks(p)
+    everything = (1 << len(p.states)) - 1
+    assert members(p.states, long_path_mask(succ, pred, everything)) == seed._long_path_starters(p)
+    assert members(p.states, long_path_mask(pred, succ, everything)) == seed._long_path_enders(p)
     pruned = prune(p)
     if not pruned.is_empty():
         det, _ = determinize_presentation(pruned)
@@ -134,8 +150,7 @@ def test_minimize_partial_dfa_matches_oracle(d):
 @given(graphs(), st.data())
 def test_prune_language_and_minimize_of_nfa_match_oracle(graph, data):
     alphabet, states, trans = graph
-    subsets = st.sets(st.sampled_from(states.elements)) if states.elements else st.just(set())
-    check_nfa(nfa(alphabet, states, trans, data.draw(subsets), data.draw(subsets)))
+    check_nfa(nfa(alphabet, states, trans, data.draw(subsets_of(states)), data.draw(subsets_of(states))))
 
 
 @pytest.mark.parametrize("p", family(), ids=lambda p: f"{len(p.states)}-{len(p.trans)}")
@@ -146,6 +161,87 @@ def test_families_match_oracle(p):
     for initial in ({"q0"}, set()) if p.states.elements else ():
         last = {p.states.elements[-1]}
         check_nfa(nfa(n.alphabet, n.states, triples(n), initial, last))
+
+
+@given(graphs(), st.data())
+def test_long_path_mask_matches_the_name_based_peel(graph, data):
+    """Inside an arbitrary set of states, both ways along the edges."""
+    p = presentation(*graph)
+    within = data.draw(subsets_of(p.states))
+    succ, pred = edge_masks(p)
+    mask = mask_of(p.states, within)
+    assert members(p.states, long_path_mask(succ, pred, mask)) == \
+        seed.long_path_states(within, _forward_edges(p))
+    assert members(p.states, long_path_mask(pred, succ, mask)) == \
+        seed.long_path_states(within, _backward_edges(p))
+
+
+@given(graphs(), st.data())
+def test_prunes_keep_the_root_and_return_a_pruned_machine_itself(graph, data):
+    """The prunes of a rooted presentation serialize as the oracle's, root
+    included; a presentation with nothing to prune is its own prune."""
+    alphabet, states, trans = graph
+    root = data.draw(st.sampled_from(states.elements)) if states.elements else None
+    p = presentation(alphabet, states, trans, root)
+    for mine, oracle in ((forward_prune, seed.forward_prune), (backward_prune, seed.backward_prune),
+                         (prune, seed.prune)):
+        assert dumps(mine(p)) == dumps(oracle(p))
+        assert (mine(p) is p) == (len(oracle(p).states) == len(states))
+
+
+@given(graphs(), st.data())
+def test_check_inf_reports_match_the_name_based_peel(graph, data):
+    """Reports of the identity on a set of states closed forward, backward,
+    both or neither, between a presentation, itself and its prune, in every
+    mode, against the checker whose path conditions peel by names.  A
+    closed set passes the transition condition in one mode at least, so the
+    path conditions are reached."""
+    p = presentation(*graph)
+    fwd, bwd = _forward_edges(p), _backward_edges(p)
+    seeds = data.draw(subsets_of(p.states))
+    both = {q: fwd.get(q, set()) | bwd.get(q, set()) for q in p.states.elements}
+    for inside in (seeds, *(_reachable(p.states, edges, seeds) for edges in (fwd, bwd, both))):
+        for m1, m2 in ((p, p), (p, prune(p)), (prune(p), p)):
+            ident = {((q,), (q,)) for q in inside if q in m1.states and q in m2.states}
+            for mode in MODES:
+                cert = SimCertificate(Rel(obj(m2.states), obj(m1.states), ident), mode)
+                assert check_inf(m1, m2, cert) == seed.check_inf_by_tuples(m1, m2, cert)
+
+
+@given(graphs())
+def test_image_row_is_the_fold_of_member_cells(graph):
+    """The image of the empty subset, of each one-member subset (the
+    highest bit among them) and of the full set is the OR of its members'
+    cells in each column, with its member flags given or not."""
+    p = presentation(*graph)
+    table = successor_table(p)
+    n = len(p.states)
+    for mask in [0, (1 << n) - 1] + [1 << i for i in range(n)]:
+        fold = [reduce(or_, (col[i] for i in range(n) if mask >> i & 1), 0) for col in table]
+        assert image_row(table, mask) == image_row(table, mask, bits(mask)) == fold
+
+
+def reversed_chain(n: int, loop: bool):
+    p = chain(n, loop)
+    return presentation(p.alphabet, p.states, {(q2, a, q) for q, a, q2 in triples(p)})
+
+
+def test_long_chains_prune_to_their_loop():
+    """A 3000-state a-chain, with and without a loop on its last state, and
+    the reversed chain: only the loop lies on a bi-infinite path."""
+    n = 3000
+    last, everything = f"q{n - 1}", {f"q{i}" for i in range(n)}
+    looped, back = chain(n, True), reversed_chain(n, True)
+    for p in (looped, back):
+        assert set(prune(p).states.elements) == {last}
+        assert prune(p).trans == {("a", last, "*", last)}
+    assert set(forward_prune(looped).states.elements) == everything
+    assert set(backward_prune(looped).states.elements) == {last}
+    assert set(forward_prune(back).states.elements) == {last}
+    assert set(backward_prune(back).states.elements) == everything
+    for p in (chain(n, False), reversed_chain(n, False)):
+        for op in (prune, forward_prune, backward_prune):
+            assert op(p).is_empty()
 
 
 def test_chain_dfa_minimizes_to_itself():
