@@ -83,7 +83,7 @@ def accepts(n: Nfa, word) -> bool:
     """Whether ``n`` accepts ``word``; a letter outside its alphabet is an error."""
     table, current = successor_table(n), mask_of(n.states, n.initial)
     for col in [table[n.alphabet.index(a)] for a in word]:
-        current = reduce(or_, compress(col, bits(current)), 0)
+        current = column_image(col, current)
     return bool(current & mask_of(n.states, n.final))
 
 
@@ -94,7 +94,7 @@ def language_upto(n: Nfa, k: int) -> set[Word]:
 
 def _reachable(states, edges: dict[str, set[str]], seeds) -> set[str]:
     seen = set(seeds)
-    todo = list(seeds)
+    todo = list(seeds) if len(seen) < len(states) else []
     while todo:
         q = todo.pop()
         for q2 in edges.get(q, ()):
@@ -111,6 +111,13 @@ def _forward_edges(m: Machine) -> dict[str, set[str]]:
     return out
 
 
+def _backward_edges(m: Machine) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for _, q, _, q2 in m.trans:
+        out.setdefault(q2, set()).add(q)
+    return out
+
+
 def edge_masks(m: Machine) -> tuple[list[int], list[int]]:
     """Per state position, the bitmasks of its successors and of its predecessors in ``m``."""
     pos = m.states._pos
@@ -120,17 +127,6 @@ def edge_masks(m: Machine) -> tuple[list[int], list[int]]:
         succ[i] |= 1 << j
         pred[j] |= 1 << i
     return succ, pred
-
-
-def reach_mask(succ: list[int], seeds: int) -> int:
-    """The states reachable from the bitmask ``seeds`` along the masks ``succ``."""
-    seen = todo = seeds
-    while todo:
-        low = todo & -todo
-        new = succ[low.bit_length() - 1] & ~seen
-        seen |= new
-        todo = (todo ^ low) | new
-    return seen
 
 
 def long_path_mask(succ: list[int], pred: list[int], within: int) -> int:
@@ -250,15 +246,23 @@ def successor_table(m: Machine) -> list[list[int]]:
     return table
 
 
-def image_row(table: list[list[int]], mask: int, flags: bytes | None = None) -> list[int]:
-    """The image of the subset ``mask`` under each letter pair of the
-    ``successor_table`` ``table``: its one member's cells, or the OR of its
-    members' cells, read off its member ``flags`` (decoded here if not given)."""
+def image_row(table: list[list[int]], mask: int) -> list[int]:
+    """The image of the subset ``mask`` under each letter pair of the ``successor_table``
+    ``table``: its one member's cells, or the OR of its members' cells."""
     if mask and not mask & (mask - 1):
-        i = mask.bit_length() - 1
-        return [col[i] for col in table]
-    flags = bits(mask) if flags is None else flags
+        return [col[mask.bit_length() - 1] for col in table]
+    flags = bits(mask)
     return [reduce(or_, compress(col, flags), 0) for col in table]
+
+
+def column_image(col: list[int], mask: int) -> int:
+    """The OR of ``col``'s cells at the members of a few-member ``mask``: a step each, no scan."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= col[low.bit_length() - 1]
+    return out
 
 
 def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
@@ -271,9 +275,8 @@ def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
     todo = [start]
     while todo:
         cur = todo.pop()
-        flags = bits(cur)
-        row = image_row(table, cur, flags)
-        graph[cur] = flags, row
+        row = image_row(table, cur)
+        graph[cur] = bits(cur), row
         for image in row:
             if image not in graph:
                 graph[image] = None
@@ -463,8 +466,8 @@ def prune_language(n: Nfa) -> Nfa:
     forward path among the co-reachable ones).
     """
     succ, pred = edge_masks(n)
-    pumped_in = long_path_mask(pred, succ, reach_mask(succ, mask_of(n.states, n.initial)))
-    pumped_out = long_path_mask(succ, pred, reach_mask(pred, mask_of(n.states, n.final)))
-    states = n.states.elements
-    return trusted(Nfa, n.input, n.output, n.states, n.trans, frozenset(compress(states, bits(pumped_in))),
-                   frozenset(compress(states, bits(pumped_out))), None)
+    reach_in = mask_of(n.states, _reachable(n.states, _forward_edges(n), n.initial))
+    reach_out = mask_of(n.states, _reachable(n.states, _backward_edges(n), n.final))
+    pumped_in, pumped_out = (frozenset(compress(n.states.elements, bits(mask))) for mask in
+                             (long_path_mask(pred, succ, reach_in), long_path_mask(succ, pred, reach_out)))
+    return trusted(Nfa, n.input, n.output, n.states, n.trans, pumped_in, pumped_out, None)

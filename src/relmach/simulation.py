@@ -167,14 +167,12 @@ def check_inf(p1: Machine, p2: Machine, cert: SimCertificate) -> SimReport:
 
     if cert.mode in (TWO_SIDED, FORWARD):
         domain = mask_of(p2.states, {x for (x,), _ in s.pairs})
-        succ, pred = edge_masks(p2)
-        uncovered = long_path_mask(succ, pred, (1 << len(p2.states)) - 1) & ~domain
+        uncovered = long_path_mask(*edge_masks(p2), (1 << len(p2.states)) - 1) & ~domain
         for q in compress(p2.states.elements, bits(uncovered)):
             return SimReport("fail", "domain-path", ((q,), ()))
     if cert.mode in (TWO_SIDED, BACKWARD):
         codomain = mask_of(p1.states, {y for _, (y,) in s.pairs})
-        succ, pred = edge_masks(p1)
-        uncovered = long_path_mask(pred, succ, (1 << len(p1.states)) - 1) & ~codomain
+        uncovered = long_path_mask(*reversed(edge_masks(p1)), (1 << len(p1.states)) - 1) & ~codomain
         for q in compress(p1.states.elements, bits(uncovered)):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")

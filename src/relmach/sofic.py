@@ -18,27 +18,24 @@ the full state set, without the empty subset), merging ``quotient``.  The
 public determinize and minimize steps check their preconditions on every
 call; the canonical form meets them by construction, and ``prune``'s
 output passes the pruning check without a subset construction.  A
-periodic point is a cycle of the graph of reading one word:
-``long_path_mask`` again, on the word's image masks.
+periodic point is a cycle of the graph of reading one word: the same peel.
 
 Costs, for n states, m transitions and k letters: pruning peels states
-with no kept predecessor, then no kept successor, on successor and
-predecessor masks in O(n + m) mask operations, leaving the essential graph
-(Lind & Marcus, §2.2); the subset construction is exponential in the worst
-case, a bitmask per subset and k ORs per member (k reads for one member);
-merging N subsets uses Hopcroft's refinement, O(N·k·log N); a verdict
-walks both subset DFAs with a union-find that stops at the first conflict.
+with no kept predecessor, then no kept successor, in O(n + m) mask
+operations, leaving the essential graph (Lind & Marcus, §2.2); the subset
+construction is exponential in the worst case, k ORs per member of a
+subset or k reads for one member; merging N subsets uses Hopcroft's
+refinement, O(N·k·log N); a verdict walks both subset DFAs with a
+union-find that stops at the first conflict.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress
-from operator import or_
 
-from .automata import Nfa, bits, class_relation, edge_masks, is_deterministic, language_upto, \
-    long_path_mask, membership, nfa_equiv, prune_language, quotient, reach_mask, same_words, \
-    subset_machine, subsets, successor_table
+from .automata import Nfa, _forward_edges, _reachable, bits, class_relation, column_image, edge_masks, \
+    is_deterministic, language_upto, long_path_mask, membership, nfa_equiv, prune_language, quotient, \
+    same_words, subset_machine, subsets, successor_table
 from .relcore import UNIT, Alphabet, MachineError, is_unit, trusted
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import Machine, Transducer, Word, unit_rows
@@ -121,8 +118,9 @@ is_right_resolving = is_deterministic
 
 def is_root(p: Presentation, r: str) -> bool:
     """A root reaches every state and every accepted word runs from it."""
-    full, start = _full(p), 1 << p.states.index(r)
-    return reach_mask(edge_masks(p)[0], start) == full and same_words(p, start, full, p, full, full)
+    full = _full(p)
+    return _reachable(p.states, _forward_edges(p), [r]) == set(p.states.elements) and \
+        same_words(p, 1 << p.states.index(r), full, p, full, full)
 
 
 def find_root(p: Presentation) -> str | None:
@@ -217,11 +215,12 @@ def periodic_membership(p: Presentation, word) -> bool:
         raise MachineError("periodic membership needs a non-empty word")
     pruned = prune(p)
     table, n = successor_table(pruned), len(pruned.states)
-    succ = [1 << i for i in range(n)]
+    succ, pred = [1 << i for i in range(n)], [0] * n
     for col in [table[pruned.alphabet.index(a)] for a in word]:
-        succ = [reduce(or_, compress(col, bits(image)), 0) for image in succ]
-    pred = [0] * n
+        succ = [column_image(col, image) for image in succ]
     for i, image in enumerate(succ):
-        for j in compress(range(n), bits(image)):
-            pred[j] |= 1 << i
+        while image:
+            low = image & -image
+            image ^= low
+            pred[low.bit_length() - 1] |= 1 << i
     return bool(long_path_mask(succ, pred, _full(pruned)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from relmach import io
-from relmach.automata import Dfa, Nfa, _forward_edges, _reachable, bits, \
+from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, bits, \
     determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, prune_language, subset_namer
 from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptors, \
     equiv_chain
@@ -258,13 +258,6 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
     d1, d2 = (dfa(p.alphabet, p.states, triples(p), frozenset({p.root} - {None}),
                   frozenset(p.states.elements)) for p in (p1, p2))
     return iso_check(d1, d2)
-
-
-def _backward_edges(m: Machine) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for _, q, _, q2 in m.trans:
-        out.setdefault(q2, set()).add(q)
-    return out
 
 
 def trim(n: Nfa) -> Nfa:

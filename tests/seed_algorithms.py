@@ -69,7 +69,7 @@ sorts that grouping by first word replaced (``rel_sorted_pairs``,
 So are the name-based long-path peel that the mask peel
 ``automata.long_path_mask`` replaced (``long_path_states``, over the
 dict-of-set edges of ``automata._forward_edges`` and
-``helpers._backward_edges``), the restriction of a machine to a set of
+``automata._backward_edges``), the restriction of a machine to a set of
 state names (``_restrict``), and the per-letter successor sets that
 ``accepts`` and ``periodic_membership`` read before they folded successor
 masks (``successor_map``).
@@ -104,12 +104,12 @@ import json
 from dataclasses import dataclass
 from operator import getitem
 
-from helpers import _backward_edges, compose, compose_transducers, dfa, lift_transducer, pack_rel, \
+from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, \
     pack_tuple, product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, \
     subset_name, trans_rel, triples, type_of
 from relmach import automata, diagram, io
-from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _forward_edges, _reachable, empty_dfa, \
-    iso_check, nfa
+from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _backward_edges, _forward_edges, _reachable, \
+    empty_dfa, iso_check, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
     identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel

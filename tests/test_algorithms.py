@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
-from helpers import _backward_edges, dfa, triples
+from helpers import dfa, triples
 from relmach import io
-from relmach.automata import _forward_edges, _reachable, bits, determinize, edge_masks, image_row, \
-    long_path_mask, mask_of, minimize, nfa, prune_language, refine, successor_table
+from relmach.automata import _backward_edges, _forward_edges, _reachable, bits, column_image, determinize, \
+    edge_masks, image_row, long_path_mask, mask_of, minimize, nfa, prune_language, refine, successor_table
 from relmach.relcore import Alphabet, MachineError, Rel, obj
 from relmach.simulation import MODES, SimCertificate, check_inf
-from relmach.sofic import backward_prune, determinize_presentation, forward_prune, \
-    minimize_presentation, periodic_membership, presentation, prune
+from relmach.sofic import backward_prune, determinize_presentation, find_root, forward_prune, \
+    is_root, minimize_presentation, periodic_membership, presentation, prune
 
 LETTERS = ("a", "b", "c")
 
@@ -212,13 +212,13 @@ def test_check_inf_reports_match_the_name_based_peel(graph, data):
 def test_image_row_is_the_fold_of_member_cells(graph):
     """The image of the empty subset, of each one-member subset (the
     highest bit among them) and of the full set is the OR of its members'
-    cells in each column, with its member flags given or not."""
+    cells in each column, by row and column by column."""
     p = presentation(*graph)
     table = successor_table(p)
     n = len(p.states)
     for mask in [0, (1 << n) - 1] + [1 << i for i in range(n)]:
         fold = [reduce(or_, (col[i] for i in range(n) if mask >> i & 1), 0) for col in table]
-        assert image_row(table, mask) == image_row(table, mask, bits(mask)) == fold
+        assert image_row(table, mask) == [column_image(col, mask) for col in table] == fold
 
 
 def reversed_chain(n: int, loop: bool):
@@ -242,6 +242,20 @@ def test_long_chains_prune_to_their_loop():
     for p in (chain(n, False), reversed_chain(n, False)):
         for op in (prune, forward_prune, backward_prune):
             assert op(p).is_empty()
+
+
+def test_a_root_reaches_every_state():
+    """Two disjoint a-cycles: every word runs from each state, but no state
+    reaches the other cycle, so none is a root; b-edges from the first
+    cycle to the second make the states of the first cycle roots."""
+    states = Alphabet("Q", ("p0", "p1", "q0", "q1"))
+    cycles = {("p0", "a", "p1"), ("p1", "a", "p0"), ("q0", "a", "q1"), ("q1", "a", "q0")}
+    apart = presentation(Alphabet("A", ("a", "b")), states, cycles)
+    assert not any(is_root(apart, r) for r in states.elements) and find_root(apart) is None
+    with pytest.raises(MachineError, match="rooted"):
+        minimize_presentation(apart)
+    joined = presentation(apart.alphabet, states, cycles | {("p0", "b", "q0"), ("p1", "b", "q1")})
+    assert [r for r in states.elements if is_root(joined, r)] == ["p0", "p1"]
 
 
 def test_chain_dfa_minimizes_to_itself():
