@@ -21,10 +21,10 @@ import sys
 
 from . import dot, io
 from .automata import minimize, nfa_equiv, prune_language
-from .diagram import acceptors, equiv_chain, interpret_upto, normal_form, z_normal_form
+from .diagram import acceptors, interpret_upto, normal_form, z_normal_form
 from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, certificate_for_determinization, \
-    certificate_for_minimization, check_fin, check_inf
+    certificate_for_minimization, check_fin, check_inf, equiv_chain
 from .sofic import backward_prune, canonical_form, determinize_presentation, factor_language, \
     factors_upto, forward_prune, minimize_presentation, periodic_membership, prune
 from .transducer import behavior_upto, behavior_via_shift_upto

@@ -29,9 +29,8 @@ Terms A → B of one type are equal iff their acceptors accept the same
 words (``automata.nfa_equiv``).  As the paper reads a uniform relation as
 a language over B ++ A, ``acceptors`` reads the collapse's rows as
 transitions, over only the letters that occur: no term is bent and no
-tuple space is enumerated.  Only when asked, ``equiv_chain`` builds the
-re-checkable certificate chain of that verdict: each NFA determinized and
-minimized, and the isomorphism of the minimal machines.  Machines built
+tuple space is enumerated.  The certificate chain of an "equal" verdict is
+built from the acceptors by ``simulation.equiv_chain``.  Machines built
 here are valid by construction (``relcore.trusted``).
 
 ``denotation_upto``, the bounded evaluation ``interpret_upto`` checks the
@@ -41,9 +40,9 @@ loop is letterwise, its length-k relation its one-letter relation repeated
 k times, so each length extends the one before; so does a loop over a
 letterwise body, by the words whose fed-back letters chain from an initial
 label, related when they end on a final one.  A loop over a body with
-loops filters the body's relation through the shift
-(``transducer.finite_shift_at``), and a ``Seq`` or ``Par`` with loops joins
-its operands' relations.
+loops keeps each word pair of the body whose fed-back letters lie in the
+shift, checked pair by pair, and a ``Seq`` or ``Par`` with loops joins its
+operands' relations.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from dataclasses import dataclass, field
 from operator import add, getitem, itemgetter
 from typing import NamedTuple, Union
 
-from .automata import Dfa, Nfa, iso_check
+from .automata import Nfa
 from .relcore import (
     UNIT,
     Alphabet,
@@ -71,10 +70,8 @@ from .relcore import (
     trusted,
     tuple_namer,
 )
-from .simulation import TWO_SIDED, SimCertificate, certificate_for_determinization, \
-    certificate_for_minimization
 from .sofic import Presentation, ZTransducer, factor_language
-from .transducer import STAR, Transducer, UniformRelationSample, behavior_upto, finite_shift_at
+from .transducer import STAR, Transducer, UniformRelationSample, behavior_upto
 
 
 @dataclass(frozen=True)
@@ -360,8 +357,10 @@ def _denote(d: Diagram, n: int):
       the previous fed-back output letter.  A word is related when its
       last fed-back output letter, or at length 0 the initial one, is in
       ``final``: the shift condition, read prefix by prefix;
-    - a loop over a body with loops filters the body's relation through
-      the shift, and a ``Seq`` or ``Par`` with loops joins its children's.
+    - a loop over a body with loops keeps the body's word pairs whose fed-back
+      letters u (input) and t (output) lie in the transposed shift: u[0] in
+      ``initial``, u[j + 1] = t[j] and t[-1] in ``final``, or at length 0 a
+      label in both; a ``Seq`` or ``Par`` with loops joins its children's.
     """
     order = _post_order(d)
     letters: dict[int, set] = {}
@@ -395,11 +394,11 @@ def _denote(d: Diagram, n: int):
                 ends = [words[q] for q in final if q in words]
                 rel = ends[0] if len(ends) == 1 else set().union(*ends)
             elif isinstance(node, Feedback):
-                shift = finite_shift_at(node.wire, node.initial, node.final, k)
-                # the fed-back words (u, t) must lie in the transpose of the shift
-                rel = {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout)))
-                       for win, wout in value[id(node.body)]
-                       if (tuple(map(_LAST, wout)), tuple(map(_LAST, win))) in shift}
+                i, f, body = node.initial, node.final, value[id(node.body)]
+                rel = {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout))) for win, wout in body
+                       if win[0][-1] in i and wout[-1][-1] in f
+                       and [*map(_LAST, win[1:])] == [*map(_LAST, wout[:-1])]} if k else \
+                    body if i & f else set()
             elif isinstance(node, Seq):
                 rel = _join(value[id(node.first)], value[id(node.second)])
             else:
@@ -433,24 +432,6 @@ def interpret_upto(d: Diagram, n: int) -> UniformRelationSample:
 
 # ---------------------------------------------------------------------------
 # Exact equivalence of terms.
-
-@dataclass(frozen=True)
-class PipelineCertificate:
-    """Machines and certificates produced while canonicalizing one acceptor."""
-
-    nfa: Nfa
-    dfa: Dfa
-    minimal: Dfa
-    contains: SimCertificate
-    follow: SimCertificate
-
-
-@dataclass(frozen=True)
-class EquivCertificate:
-    left: PipelineCertificate
-    right: PipelineCertificate
-    iso: SimCertificate
-
 
 def check_same_type(d1: Diagram, d2: Diagram) -> None:
     """Raise ``TypeMismatch`` unless both terms have one domain and one codomain."""
@@ -493,24 +474,3 @@ def acceptors(d1: Diagram, d2: Diagram, bi_infinite: bool = False) -> tuple[Nfa,
                        frozenset(form.final), None)
 
     return acceptor(d1, forms[0]), acceptor(d2, forms[1])
-
-
-def _pipeline(n: Nfa) -> PipelineCertificate:
-    dfa, cert_det = certificate_for_determinization(n)
-    mdfa, cert_min = certificate_for_minimization(dfa)
-    return PipelineCertificate(n, dfa, mdfa, cert_det, cert_min)
-
-
-def equiv_chain(n1: Nfa, n2: Nfa) -> EquivCertificate:
-    """The certificate chain of two NFAs that accept the same words: each
-    determinized and minimized with its certificates, and the isomorphism
-    of the two minimal machines."""
-    left, right = _pipeline(n1), _pipeline(n2)
-    mapping = iso_check(left.minimal, right.minimal)
-    if mapping is None:
-        raise MachineError("no certificate chain: the automata accept different words")
-    iso_rel = Rel(
-        obj(right.minimal.states), obj(left.minimal.states),
-        frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()),
-    )
-    return EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))

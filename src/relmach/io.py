@@ -38,9 +38,9 @@ from itertools import chain
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
-from .diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, Swap, _post_order
+from .diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap, _post_order
 from .relcore import UNIT, Alphabet, MachineError, Obj, Rel, ShapeError
-from .simulation import SimCertificate, SimReport
+from .simulation import Chain, SimCertificate, SimReport
 from .sofic import Presentation, ZTransducer
 from .transducer import STAR, Machine, Transducer, UniformRelationSample, unit_rows
 
@@ -225,10 +225,10 @@ def report_payload(r: SimReport) -> dict:
     return out
 
 
-def _chain_payload(c: EquivCertificate) -> dict:
-    sides = {side: {"contains": to_payload(p.contains), "follow": to_payload(p.follow)}
-             for side, p in (("left", c.left), ("right", c.right))}
-    return {**sides, "iso": to_payload(c.iso)}
+def _chain_payload(c: Chain) -> dict:
+    sides = {side: {"contains": to_payload(contains.cert), "follow": to_payload(follow.cert)}
+             for side, (contains, follow) in (("left", c.left), ("right", c.right))}
+    return {**sides, "iso": to_payload(c.iso.cert)}
 
 
 def _term_document(d: Diagram) -> dict:
@@ -263,7 +263,7 @@ KINDS = {
     "zdiagram": Kind(Diagram, _term_document,
                      _parse_term_without(True, "zdiagram contains labelled feedback")),
     "certificate": Kind(SimCertificate, _certificate_payload, _parse_certificate),
-    "certificate-chain": Kind(EquivCertificate, _chain_payload, None),
+    "certificate-chain": Kind(Chain, _chain_payload, None),
 }
 
 # Each class's tag, looked up by exact type, so a Dfa is no nfa; the node

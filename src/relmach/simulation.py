@@ -19,15 +19,21 @@ must be in its codomain (backward / two-sided).  The transition condition
 is decided on bitmasks, one per letter pair and state of machine 2 on each
 side, letter pairs indexed by position in the packed product alphabet;
 pairs are spelled out only where the sides differ, to name the least one.
+
+The paper certifies equality by a chain of simulations.  ``equiv_chain``
+builds the ``Chain`` of two NFAs that accept the same words: on each side a
+``Link`` from the NFA and one from its minimal DFA to its subset DFA, and
+the isomorphism of the minimal DFAs; ``check_fin(*link)`` re-checks a link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .automata import Dfa, Nfa, _forward_edges, _reachable, bits, determinize, edge_masks, \
-    long_path_mask, mask_of, minimize
+    iso_check, long_path_mask, mask_of, minimize
 from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj
 from .transducer import Machine
 
@@ -197,3 +203,36 @@ def certificate_for_minimization(d: Dfa) -> tuple[Dfa, SimCertificate]:
     mdfa, lmap = minimize(d)
     return mdfa, SimCertificate(lmap, TWO_SIDED)
 
+
+
+class Link(NamedTuple):
+    """A certificate and the machines it relates: ``check_fin(*link)``."""
+
+    m1: Machine
+    m2: Machine
+    cert: SimCertificate
+
+
+class Chain(NamedTuple):
+    """Each side's ``(contains, follow)`` links and the isomorphism link."""
+
+    left: tuple[Link, Link]
+    right: tuple[Link, Link]
+    iso: Link
+
+
+def _side(n: Nfa) -> tuple[Link, Link]:
+    """An NFA's two links; its subset DFA is accessible, as ``follow`` requires."""
+    dfa, contains = certificate_for_determinization(n)
+    minimal, follow = minimize(dfa)
+    return Link(n, dfa, contains), Link(minimal, dfa, SimCertificate(follow))
+
+
+def equiv_chain(n1: Nfa, n2: Nfa) -> Chain:
+    """The certificate chain of two NFAs that accept the same words."""
+    left, right = _side(n1), _side(n2)
+    m1, m2 = left[1].m1, right[1].m1
+    if (mapping := iso_check(m1, m2)) is None:
+        raise MachineError("no certificate chain: the automata accept different words")
+    iso = Rel(obj(m2.states), obj(m1.states), frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()))
+    return Chain(left, right, Link(m1, m2, SimCertificate(iso)))

@@ -21,11 +21,10 @@ from typing import Iterable
 from relmach import io
 from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, bits, \
     determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, prune_language, subset_namer
-from relmach.diagram import Box, Diagram, EquivCertificate, Feedback, Id, Par, Seq, acceptors, \
-    equiv_chain
+from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, acceptors
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
     is_unit, obj, pack_obj, pair_symbol, tuple_namer
-from relmach.simulation import check_fin
+from relmach.simulation import Chain, check_fin, equiv_chain
 from relmach.sofic import Presentation, factor_language
 from relmach.transducer import Machine, Transducer, transducer, unit_rows
 
@@ -299,7 +298,7 @@ def load_file(path):
 # ---------------------------------------------------------------------------
 # Terms.
 
-def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:
+def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, Chain | None]:
     """Whether two terms denote the same uniform relation, with the
     certificate chain of an "equal" verdict."""
     n1, n2 = acceptors(d1, d2)
@@ -308,14 +307,9 @@ def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | N
     return True, equiv_chain(n1, n2)
 
 
-def verify_equiv_certificate(cert: EquivCertificate) -> bool:
-    """Re-check every simulation relation in a certificate chain."""
-    for side in (cert.left, cert.right):
-        ok_det = check_fin(side.nfa, side.dfa, side.contains).ok
-        ok_min = check_fin(side.minimal, side.dfa, side.follow).ok
-        if not (ok_det and ok_min):
-            return False
-    return check_fin(cert.left.minimal, cert.right.minimal, cert.iso).ok
+def verify_equiv_certificate(c: Chain) -> bool:
+    """Re-check every link of a certificate chain."""
+    return all(check_fin(*link).ok for link in (*c.left, *c.right, c.iso))
 
 
 def slide(s: Rel, body: Diagram, initial, final, side: str = "left") -> tuple[Diagram, Diagram]:

@@ -32,6 +32,11 @@ document the command line wrote.  Their bodies are unchanged, so names they
 share with the oracles above (``normal_form``, ``z_normal_form``,
 ``prune``, ``presentations_equiv``) resolve to those oracles.
 
+So is the chain of two acceptors in the two types (``PipelineCertificate``,
+``EquivCertificate``) that the links of ``simulation.Chain`` replaced
+(``nfa_pipeline``, ``equiv_chain``); it also walked each subset DFA for
+accessibility before it minimized.
+
 So is the verdict on bitmask subsets that the union-find walk of
 ``automata.same_words`` replaced: both subset graphs built in full, then
 one Hopcroft refinement of their disjoint union
@@ -892,6 +897,27 @@ def _pipeline(d: Diagram) -> PipelineCertificate:
     dfa, cert_det = certificate_for_determinization(acceptor)
     mdfa, cert_min = certificate_for_minimization(dfa)
     return PipelineCertificate(acceptor, dfa, mdfa, cert_det, cert_min)
+
+
+def nfa_pipeline(n: Nfa) -> PipelineCertificate:
+    dfa, cert_det = certificate_for_determinization(n)
+    mdfa, cert_min = certificate_for_minimization(dfa)
+    return PipelineCertificate(n, dfa, mdfa, cert_det, cert_min)
+
+
+def equiv_chain(n1: Nfa, n2: Nfa) -> EquivCertificate:
+    """The certificate chain of two NFAs that accept the same words: each
+    determinized and minimized with its certificates, and the isomorphism
+    of the two minimal machines."""
+    left, right = nfa_pipeline(n1), nfa_pipeline(n2)
+    mapping = iso_check(left.minimal, right.minimal)
+    if mapping is None:
+        raise MachineError("no certificate chain: the automata accept different words")
+    iso_rel = Rel(
+        obj(right.minimal.states), obj(left.minimal.states),
+        frozenset(((q2,), (q1,)) for q1, q2 in mapping.items()),
+    )
+    return EquivCertificate(left, right, SimCertificate(iso_rel, TWO_SIDED))
 
 
 def diagrams_equiv(d1: Diagram, d2: Diagram) -> tuple[bool, EquivCertificate | None]:

@@ -380,7 +380,7 @@ def test_chain_is_built_only_for_certify_on_equal_diagrams(tmp_path, capsys, mon
         raise AssertionError("certificate work for a verdict")
 
     for module in (automata, diagram, simulation):
-        for name in ("iso_check", "certificate_for_minimization"):
+        for name in ("iso_check", "minimize", "certificate_for_minimization"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert run(capsys, "equiv", f1, f2)[0] == 0
     assert run(capsys, "equiv", f1, other, "--certify", str(chain))[0] == 1

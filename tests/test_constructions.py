@@ -19,8 +19,9 @@ from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name, t
 from relmach import automata, sofic
 from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
 from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap, _collapse, acceptors, \
-    denotation_upto, equiv_chain, normal_form, z_normal_form
+    denotation_upto, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
+from relmach.simulation import equiv_chain
 from relmach.sofic import canonical_form, determinize_presentation, find_root, is_language_pruned, \
     presentation, prune
 from relmach.transducer import behavior_upto

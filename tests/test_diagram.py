@@ -28,7 +28,6 @@ from relmach.diagram import (
     acceptors,
     check_same_type,
     denotation_upto,
-    equiv_chain,
     interpret_upto,
     normal_form,
     z_normal_form,
@@ -44,6 +43,7 @@ from relmach.relcore import (
     identity,
     obj,
 )
+from relmach.simulation import equiv_chain
 from relmach.transducer import behavior_upto, transducer
 from seed_algorithms import bend, denotation_upto as seed_denotation_upto, presentation_of_ztransducer
 
@@ -559,6 +559,26 @@ def test_nested_loop_with_disjoint_labels_relates_no_empty_words():
     d = nested_loops((("s0",), ("s0",)), (("s1",), ("s0",)), Par(Id(obj(IO, W)), Box(FLIP)))
     assert {len(w) for w, _ in denotation_upto(d, 6).pairs} == {1, 3, 5}
     same_samples(d, 5)
+
+
+# Over IO × W × W: the output tells the middle letter p, the next middle
+# letter is the last letter q, flipped on input b, and the next last is p.
+REGISTER = rel(obj(IO, W, W), obj(IO, W, W), {
+    ((x, p, q), ("a" if p == "s0" else "b", q if x == "a" else flip, p))
+    for x in IO.elements for p in W.elements for q, flip in zip(W.elements, W.elements[::-1])})
+
+
+def test_loop_around_a_looped_body_at_lengths_0_to_4():
+    # the outer loop's fed-back words are checked pair by pair: its first
+    # input letter initial, each next one the output letter before, and the
+    # last output letter final; at length 0, a label both initial and final
+    inner = Feedback(W, frozenset({"s0"}), frozenset({"s0"}), Box(REGISTER))
+    for initial, final in (({"s0"}, {"s1"}), ({"s1"}, {"s0", "s1"})):
+        d = Feedback(W, frozenset(initial), frozenset(final), inner)
+        same_samples(d, 4)
+        pairs = denotation_upto(d, 4).pairs
+        assert (((), ()) in pairs) == bool(initial & final)
+        assert {len(w) for w, _ in pairs} >= {2, 3, 4}
 
 
 def test_denotation_of_a_term_that_holds_one_subterm_twice():

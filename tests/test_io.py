@@ -10,10 +10,11 @@ from helpers import dfa, lift_transducer, load_file, rel
 from relmach import io
 from relmach.automata import Dfa, nfa
 from relmach.cli import main
-from relmach.diagram import Box, Feedback, Par, Seq, equiv_chain
+from relmach.diagram import Box, Feedback, Par, Seq
 from relmach.dot import to_dot
 from relmach.relcore import Alphabet, MachineError, obj
-from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin
+from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin, \
+    equiv_chain
 from relmach.sofic import presentation, ztransducer
 from relmach.transducer import behavior_upto
 from seed_algorithms import canonical_dumps, nfa_to_transducer

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import seed_algorithms as seed
 from conftest import SEED
-from genrand import random_alphabet, random_rel, random_transducer
-from helpers import dfa, rel
-from relmach.automata import nfa, nfa_equiv
+from genrand import random_alphabet, random_nfa, random_rel, random_transducer
+from helpers import dfa, rel, triples, verify_equiv_certificate
+from relmach import io
+from relmach.automata import determinize, nfa, nfa_equiv
 from relmach.relcore import Alphabet, MachineError, TypeMismatch, identity, obj
 from relmach.simulation import (
     BACKWARD,
@@ -15,6 +18,7 @@ from relmach.simulation import (
     certificate_for_determinization,
     certificate_for_minimization,
     check_fin,
+    equiv_chain,
 )
 from relmach.transducer import behavior_upto, transducer
 from seed_algorithms import nfa_to_transducer
@@ -179,3 +183,24 @@ def nfa_from_random(rng):
     from genrand import random_nfa
 
     return random_nfa(rng)
+
+
+def renamed(n):
+    """A copy of ``n`` with every state renamed."""
+    name = {q: q + "_copy" for q in n.states.elements}
+    return nfa(n.alphabet, Alphabet("P", tuple(name.values())),
+               {(name[q], a, name[q2]) for q, a, q2 in triples(n)},
+               {name[q] for q in n.initial}, {name[q] for q in n.final})
+
+
+@given(st.integers(0, 2**32 - 1).map(random.Random))
+def test_equiv_chain_links_check_and_keep_their_bytes(rng):
+    """Against its subset DFA and against a renamed copy, an NFA's chain
+    holds links that each pass ``check_fin``, and it writes the bytes of the
+    two-type chain it replaced."""
+    n = random_nfa(rng)
+    for other in (determinize(n)[0], renamed(n)):
+        c = equiv_chain(n, other)
+        assert c.left[0].m1 is n and c.right[0].m1 is other
+        assert verify_equiv_certificate(c)
+        assert io.dumps(c) == io.dumps(seed.chain_payload(seed.equiv_chain(n, other)))

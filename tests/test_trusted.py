@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from genrand import random_alphabet, random_diagram, random_nfa, random_presentation
 from relmach import automata, diagram, relcore, sofic, transducer
 from relmach.automata import determinize, minimize, nfa_equiv, prune_language
-from relmach.diagram import Id, Par, acceptors, equiv_chain, interpret_upto, normal_form, \
-    z_normal_form
+from relmach.diagram import Id, Par, acceptors, interpret_upto, normal_form, z_normal_form
 from relmach.relcore import Alphabet, MachineError, Obj, obj
+from relmach.simulation import equiv_chain
 from relmach.sofic import canonical_form, determinize_presentation, factor_language, \
     minimize_presentation, prune
 from relmach.transducer import behavior_via_shift_upto
