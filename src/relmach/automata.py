@@ -9,20 +9,21 @@ letters by the pair (a, b) over input × output, which for the unit output is
 the alphabet's order, so a transducer is decided as the automaton over its
 letter pairs with no conversion.
 
-Three graph algorithms here are shared with the sofic and simulation
-modules: ``subsets``, the subset construction; ``refine``, Hopcroft's
-partition refinement; and ``long_path_mask``, the restriction to the
-states on infinite paths.  All run on state positions.  A subset is an
-``int`` bitmask; its image under k letters (``image_row``) is k ORs per
-member, or k reads for one member.  ``long_path_mask`` peels successor and
-predecessor masks (``edge_masks``): one bulk OR, then a worklist over the
-predecessors of removed states, O(n + m) mask operations for n states and
-m edges.  ``refine`` runs on ``list`` transition tables in O(n·k·log n).
-States and subsets are named only where a machine is emitted.  A verdict
-(``same_words``) walks both subset DFAs on the fly with Hopcroft and
-Karp's union-find: at most one row per subset and O((N1+N2)·k) pair steps
-at O(α) each for N1+N2 subsets.  It stops at the first pair differing in
-finality and builds, names and validates no machine.
+An algorithm refers to a state by its position; states and subsets are
+named only where a machine or a relation is emitted.  A deterministic
+machine is one ``next_table`` of successor positions, with a sink for none:
+``refine`` (Hopcroft's partition refinement, O(n·k·log n)) and ``quotient``
+refine it, ``accessible`` walks it and ``iso_check`` walks two in step.  A
+graph is its successor and predecessor masks (``edge_masks``): ``reach_mask``
+walks them a breadth-first layer at a time, and ``long_path_mask``, the
+restriction to the states on infinite paths, peels them by one bulk OR, then
+a worklist over the predecessors of removed states, O(n + m) mask operations
+for n states and m edges.  A subset is an ``int`` bitmask; ``subsets``, the
+subset construction, takes its image under k letters (``image_row``) as k
+ORs per member, or k reads for one.  A verdict (``same_words``) walks both
+subset DFAs on the fly with Hopcroft and Karp's union-find: at most one row
+per subset and O((N1+N2)·k) pair steps at O(α) each for N1+N2 subsets.  It
+stops at the first pair differing in finality and builds no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -38,7 +39,7 @@ from operator import itemgetter, or_
 
 from .relcore import UNIT, Alphabet, MachineError, Rel, TypeMismatch, comma_prefixed, escape, \
     material, obj, trusted
-from .transducer import STAR, Machine, Quad, Word, behavior_upto, unit_rows
+from .transducer import Machine, Quad, Word, behavior_upto, unit_rows
 
 
 class Nfa(Machine):
@@ -92,32 +93,6 @@ def language_upto(n: Nfa, k: int) -> set[Word]:
     return {w for w, _ in behavior_upto(n, k).pairs}
 
 
-def _reachable(states, edges: dict[str, set[str]], seeds) -> set[str]:
-    seen = set(seeds)
-    todo = list(seeds) if len(seen) < len(states) else []
-    while todo:
-        q = todo.pop()
-        for q2 in edges.get(q, ()):
-            if q2 not in seen:
-                seen.add(q2)
-                todo.append(q2)
-    return seen
-
-
-def _forward_edges(m: Machine) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for _, q, _, q2 in m.trans:
-        out.setdefault(q, set()).add(q2)
-    return out
-
-
-def _backward_edges(m: Machine) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for _, q, _, q2 in m.trans:
-        out.setdefault(q2, set()).add(q)
-    return out
-
-
 def edge_masks(m: Machine) -> tuple[list[int], list[int]]:
     """Per state position, the bitmasks of its successors and of its predecessors in ``m``."""
     pos = m.states._pos
@@ -127,6 +102,19 @@ def edge_masks(m: Machine) -> tuple[list[int], list[int]]:
         succ[i] |= 1 << j
         pred[j] |= 1 << i
     return succ, pred
+
+
+def reach_mask(succ: list[int], seeds: int) -> int:
+    """The states reachable from the bitmask ``seeds`` along the successor
+    masks ``succ``, walked one breadth-first layer at a time with
+    ``column_image``; seeds that are every state return at once."""
+    if seeds == (1 << len(succ)) - 1:
+        return seeds
+    seen = frontier = seeds
+    while frontier:
+        frontier = column_image(succ, frontier) & ~seen
+        seen |= frontier
+    return seen
 
 
 def long_path_mask(succ: list[int], pred: list[int], within: int) -> int:
@@ -196,28 +184,23 @@ def refine(delta: list[list[int]], key: list) -> list[int]:
     return block
 
 
-def quotient(states: Alphabet, live: list[str], letters, delta: dict, key):
-    """Merge the states of ``live`` (in state order) with equal follow
-    languages in the completion of ``delta`` by a sink, ``None``, starting
-    from the partition by ``key``; states in the sink's class are dropped.
-
-    Returns each kept state's class, named by its smallest member, the
-    class alphabet in state order, and the class transitions, rows of an
-    automaton.
-    """
-    sink = len(live)
-    pos = dict(zip(live, range(sink)))
-    table = [[sink] * (sink + 1) for _ in letters]
-    column = dict(zip(letters, table))
-    for (q, a), q2 in delta.items():
-        column[a][pos[q]] = pos[q2]
-    block = refine(table, [key(q) for q in live] + [key(None)])
-    first: dict[int, str] = {}
-    for q, b in zip(live, block):
+def quotient(m: Machine, table: list[list[int]], kept: bytes, key: list):
+    """Merge the states with equal follow languages in the ``next_table``
+    ``table`` of ``m``, refining the partition by ``key`` (per position, the
+    sink's last).  States in the sink's class are dropped, and a class is
+    named by its smallest member flagged in ``kept``, a set closed under
+    successors.  Returns per position its class name or ``None``, the class
+    alphabet in state order, and the class transitions, rows of an automaton."""
+    block = refine(table, key)
+    elements = m.states.elements
+    first = {block[-1]: None}  # the sink's class names nothing
+    for q, b in compress(zip(elements, block), kept):
         first.setdefault(b, q)
-    name = {q: first[b] for q, b in zip(live, block) if b != block[sink]}
-    classes = Alphabet(states.name, tuple(q for q in live if name.get(q) == q))
-    trans = {(a, name[q], STAR, name[q2]) for (q, a), q2 in delta.items() if q in name and q2 in name}
+    name = [first[b] if k else None for b, k in zip(block, kept)] + [None]
+    classes = Alphabet(m.states.name, tuple(q for q, c in zip(elements, name) if q == c))
+    letters = product(m.input.elements, m.output.elements)
+    trans = frozenset((a, c, b, name[q2]) for (a, b), col in zip(letters, table)
+                      for c, q2 in zip(name, col) if c is not None and name[q2] is not None)
     return name, classes, trans
 
 
@@ -244,6 +227,29 @@ def successor_table(m: Machine) -> list[list[int]]:
     for a, q, b, q2 in m.trans:
         table[a_pos[a] * width + b_pos[b]][pos[q]] |= 1 << pos[q2]
     return table
+
+
+def next_table(m: Machine) -> list[list[int]]:
+    """Per letter pair, in ``successor_table``'s order, per state position
+    of the deterministic ``m``, its successor's position or, for none, the
+    sink ``len(m.states)``, whose own cell ends each column."""
+    pos, a_pos, b_pos, width, sink = m.states._pos, m.input._pos, m.output._pos, len(m.output), len(m.states)
+    table = [[sink] * (sink + 1) for _ in range(len(m.input) * width)]
+    for a, q, b, q2 in m.trans:
+        table[a_pos[a] * width + b_pos[b]][pos[q]] = pos[q2]
+    return table
+
+
+def accessible(table: list[list[int]], sink: int, start) -> bytearray:
+    """Per state position, 1 for a state reachable from the positions
+    ``start`` along the ``next_table`` ``table``, whose sink is ``sink``, and
+    0 otherwise, for ``itertools.compress``."""
+    seen, todo = bytearray(sink + 1), [sink, *start]
+    for q in todo:
+        if not seen[q]:
+            seen[q] = 1
+            todo.extend([col[q] for col in table])
+    return seen[:sink]
 
 
 def image_row(table: list[list[int]], mask: int) -> list[int]:
@@ -338,77 +344,71 @@ def determinize(n: Nfa) -> tuple[Dfa, Rel]:
     return dfa, membership(states, n.states, graph, name)
 
 
-def class_relation(states: Alphabet, classes: Alphabet, name: dict[str, str]) -> Rel:
-    """The relation from each state to its class, typed as :func:`membership`."""
+def class_relation(states: Alphabet, classes: Alphabet, name) -> Rel:
+    """The relation from each state to its class (per position, or ``None``), typed as :func:`membership`."""
     return trusted(Rel, obj(material(states)), obj(material(classes)),
-                   frozenset(((q,), (c,)) for q, c in name.items()))
+                   frozenset(((q,), (c,)) for q, c in zip(states.elements, name) if c is not None))
 
 
 def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     """Merge states with equal follow languages.
 
-    The input is first restricted to states accessible from the initial
-    state, then refined against a completion with an explicit sink; the
-    sink's class (states with empty follow language) is dropped from the
-    result, so the minimal machine of the empty language has no states.
-    The returned relation maps each live accessible input state to its
-    class in the minimal machine.
+    Only the states accessible from the initial state are named, refined
+    against a completion with an explicit sink; the sink's class (states
+    with empty follow language) is dropped from the result, so the minimal
+    machine of the empty language has no states.  The returned relation
+    maps each live accessible input state to its class in the minimal
+    machine.
     """
-    reach = _reachable(d.states, _forward_edges(d), d.initial)
-    live = [q for q in d.states.elements if q in reach]
-    if not live or not (set(live) & d.final):
+    table, final = next_table(d), [q in d.final for q in d.states.elements]
+    start = [d.states.index(q) for q in d.initial]
+    kept = accessible(table, len(final), start)
+    if not any(compress(final, kept)):
         empty = empty_dfa(d.alphabet)
-        return empty, class_relation(d.states, empty.states, {})
-    delta = {(q, a): q2 for a, q, _, q2 in d.trans if q in reach}
-    name, min_states, trans = quotient(d.states, live, d.alphabet.elements, delta,
-                                       lambda q: q in d.final)
-    mdfa = trusted(Dfa, d.input, d.output, min_states, frozenset(trans),
-                   frozenset({name[next(iter(d.initial))]}), d.final & frozenset(min_states.elements),
-                   None)
+        return empty, class_relation(d.states, empty.states, ())
+    name, min_states, trans = quotient(d, table, kept, final + [False])
+    mdfa = trusted(Dfa, d.input, d.output, min_states, trans, frozenset({name[start[0]]}),
+                   d.final & frozenset(min_states.elements), None)
     return mdfa, class_relation(d.states, min_states, name)
 
 
 def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
     """The unique structure-preserving state bijection, if one exists.
 
-    Both machines should be trim; the candidate map is forced by a
-    synchronized walk from the initial states.
+    Both machines should be trim and share their alphabets; the candidate
+    map is forced by a synchronized walk of their ``next_table``s from the
+    initial states, by position.
     """
-    if len(d1.states) != len(d2.states):
+    if (d1.input.elements, d1.output.elements) != (d2.input.elements, d2.output.elements):
+        raise TypeMismatch("cannot compare automata over different alphabets")
+    n = len(d1.states)
+    if n != len(d2.states):
         return None
-    if not d1.states.elements:
+    if not n:
         return {}
     if len(d1.initial) != 1 or len(d2.initial) != 1:
         return None
-    delta1, delta2 = ({(q, a): q2 for a, q, _, q2 in d.trans} for d in (d1, d2))
-    i1, i2 = next(iter(d1.initial)), next(iter(d2.initial))
-    mapping: dict[str, str] = {i1: i2}
-    inverse: dict[str, str] = {i2: i1}
+    final1, final2 = ([q in d.final for q in d.states.elements] for d in (d1, d2))
+    table = list(zip(next_table(d1), next_table(d2)))
+    i1, i2 = (d.states.index(next(iter(d.initial))) for d in (d1, d2))
+    to, back = [None] * n + [n], [None] * n + [n]  # the sink n maps to the sink
+    to[i1], back[i2] = i2, i1
     todo = [i1]
-    while todo:
-        p = todo.pop()
-        q = mapping[p]
-        if (p in d1.final) != (q in d2.final):
+    for p in todo:
+        q = to[p]
+        if final1[p] != final2[q]:
             return None
-        for a in d1.alphabet.elements:
-            p2 = delta1.get((p, a))
-            q2 = delta2.get((q, a))
-            if (p2 is None) != (q2 is None):
-                return None
-            if p2 is None:
+        for col1, col2 in table:
+            p2, q2 = col1[p], col2[q]
+            if to[p2] == q2:
                 continue
-            if p2 in mapping:
-                if mapping[p2] != q2:
-                    return None
-            elif q2 in inverse:
+            if to[p2] is not None or back[q2] is not None:
                 return None
-            else:
-                mapping[p2] = q2
-                inverse[q2] = p2
-                todo.append(p2)
-    if len(mapping) != len(d1.states):
+            to[p2], back[q2] = q2, p2
+            todo.append(p2)
+    if len(todo) != n:
         return None  # not trim: some state never reached
-    return mapping
+    return dict(zip(d1.states.elements, map(d2.states.elements.__getitem__, to)))
 
 
 def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
@@ -466,8 +466,8 @@ def prune_language(n: Nfa) -> Nfa:
     forward path among the co-reachable ones).
     """
     succ, pred = edge_masks(n)
-    reach_in = mask_of(n.states, _reachable(n.states, _forward_edges(n), n.initial))
-    reach_out = mask_of(n.states, _reachable(n.states, _backward_edges(n), n.final))
+    reach_in = reach_mask(succ, mask_of(n.states, n.initial))
+    reach_out = reach_mask(pred, mask_of(n.states, n.final))
     pumped_in, pumped_out = (frozenset(compress(n.states.elements, bits(mask))) for mask in
                              (long_path_mask(pred, succ, reach_in), long_path_mask(succ, pred, reach_out)))
     return trusted(Nfa, n.input, n.output, n.states, n.trans, pumped_in, pumped_out, None)

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .automata import Nfa, _forward_edges, _reachable, bits, class_relation, column_image, edge_masks, \
-    is_deterministic, language_upto, long_path_mask, membership, nfa_equiv, prune_language, quotient, \
-    same_words, subset_machine, subsets, successor_table
+from .automata import Nfa, bits, class_relation, column_image, edge_masks, is_deterministic, language_upto, \
+    long_path_mask, membership, next_table, nfa_equiv, prune_language, quotient, reach_mask, same_words, \
+    subset_machine, subsets, successor_table
 from .relcore import UNIT, Alphabet, MachineError, is_unit, trusted
 from .simulation import TWO_SIDED, SimCertificate
 from .transducer import Machine, Transducer, Word, unit_rows
@@ -118,9 +118,8 @@ is_right_resolving = is_deterministic
 
 def is_root(p: Presentation, r: str) -> bool:
     """A root reaches every state and every accepted word runs from it."""
-    full = _full(p)
-    return _reachable(p.states, _forward_edges(p), [r]) == set(p.states.elements) and \
-        same_words(p, 1 << p.states.index(r), full, p, full, full)
+    full, start = _full(p), 1 << p.states.index(r)
+    return reach_mask(edge_masks(p)[0], start) == full and same_words(p, start, full, p, full, full)
 
 
 def find_root(p: Presentation) -> str | None:
@@ -175,13 +174,12 @@ def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate
     return minp, SimCertificate(class_relation(p.states, minp.states, name), TWO_SIDED)
 
 
-def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, dict[str, str]]:
-    delta = {(q, a): q2 for a, q, _, q2 in p.trans}
+def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, list]:
+    n = len(p.states)
     # All real states accept; refinement only separates by definedness.
-    name, min_states, trans = quotient(p.states, list(p.states.elements), p.alphabet.elements,
-                                       delta, lambda q: q is None)
-    return trusted(Presentation, p.input, p.output, min_states, frozenset(trans), None, None,
-                   name[root]), name
+    name, min_states, trans = quotient(p, next_table(p), b"\1" * n, [False] * n + [True])
+    return trusted(Presentation, p.input, p.output, min_states, trans, None, None,
+                   name[p.states.index(root)]), name
 
 
 def canonical_form(p: Presentation) -> Presentation:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 import string
 
-from helpers import image, product_alphabet, rel, type_of
-from relmach.automata import Nfa, nfa
+from helpers import dfa, image, product_alphabet, rel, triples, type_of
+from relmach.automata import Dfa, Nfa, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, Alphabet, Obj, Rel, UNIT_OBJ, obj, pack_obj
 from relmach.sofic import Presentation, presentation
@@ -71,6 +71,41 @@ def random_nfa(rng: random.Random, max_states: int = 4, max_alpha: int = 2,
     }
     return nfa(alphabet, states, trans,
                random_subset(rng, states), random_subset(rng, states))
+
+
+def random_dfa(rng: random.Random, max_states: int = 5, alphabet: Alphabet | None = None,
+               density: float = 0.7) -> Dfa:
+    """A partial DFA with 0 to ``max_states`` states, each state and letter
+    given a successor with probability ``density``; usually not trim."""
+    if alphabet is None:
+        alphabet = random_alphabet(rng, "A", 2)
+    states = Alphabet("Q", tuple(f"q{i}" for i in range(rng.randint(0, max_states))))
+    trans = {(q, a, rng.choice(states.elements)) for q in states.elements for a in alphabet.elements
+             if rng.random() < density}
+    initial = {rng.choice(states.elements)} if states.elements and rng.random() < 0.9 else set()
+    return dfa(alphabet, states, trans, initial, random_subset(rng, states))
+
+
+def renamed_copy(rng: random.Random, d: Dfa) -> Dfa:
+    """``d`` with fresh state names, listed in a shuffled order."""
+    fresh = [f"r{i}" for i in range(len(d.states))]
+    rng.shuffle(fresh)
+    name = dict(zip(d.states.elements, fresh))
+    return dfa(d.alphabet, Alphabet("R", tuple(sorted(fresh))),
+               {(name[q], a, name[q2]) for q, a, q2 in triples(d)},
+               {name[q] for q in d.initial}, {name[q] for q in d.final})
+
+
+def one_transition_mutant(rng: random.Random, d: Dfa) -> Dfa:
+    """``d`` with the transition of one state and letter added, dropped or
+    retargeted (possibly onto the same state)."""
+    if not d.states.elements:
+        return d
+    q, a = rng.choice(d.states.elements), rng.choice(d.alphabet.elements)
+    kept = {t for t in triples(d) if t[:2] != (q, a)}
+    if rng.random() < 0.7:
+        kept.add((q, a, rng.choice(d.states.elements)))
+    return dfa(d.alphabet, d.states, kept, d.initial, d.final)
 
 
 def random_presentation(rng: random.Random, max_states: int = 5, max_alpha: int = 2,

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from relmach import io
-from relmach.automata import Dfa, Nfa, _backward_edges, _forward_edges, _reachable, bits, \
-    determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, prune_language, subset_namer
+from relmach.automata import Dfa, Nfa, bits, determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, \
+    prune_language, subset_namer
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, acceptors
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
     is_unit, obj, pack_obj, pair_symbol, tuple_namer
@@ -241,6 +241,36 @@ def lift_transducer(r: Rel) -> Transducer:
 
 
 # ---------------------------------------------------------------------------
+# Reachability on state names: the walk the library ran before it walked
+# positions and masks, which the name-based oracles still use.
+
+def reachable(states, edges: dict[str, set[str]], seeds) -> set[str]:
+    seen = set(seeds)
+    todo = list(seeds) if len(seen) < len(states) else []
+    while todo:
+        q = todo.pop()
+        for q2 in edges.get(q, ()):
+            if q2 not in seen:
+                seen.add(q2)
+                todo.append(q2)
+    return seen
+
+
+def forward_edges(m: Machine) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for _, q, _, q2 in m.trans:
+        out.setdefault(q, set()).add(q2)
+    return out
+
+
+def backward_edges(m: Machine) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for _, q, _, q2 in m.trans:
+        out.setdefault(q2, set()).add(q)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Whole machines.
 
 def minimal_dfa(n: Nfa) -> Dfa:
@@ -261,8 +291,8 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
 
 def trim(n: Nfa) -> Nfa:
     """Keep only states lying on some path from an initial to a final state."""
-    live = _reachable(n.states, _forward_edges(n), n.initial) & \
-        _reachable(n.states, _backward_edges(n), n.final)
+    live = reachable(n.states, forward_edges(n), n.initial) & \
+        reachable(n.states, backward_edges(n), n.final)
     return nfa(
         n.alphabet, Alphabet(n.states.name, tuple(q for q in n.states.elements if q in live)),
         {(q, a, q2) for q, a, q2 in triples(n) if q in live and q2 in live},

@@ -71,10 +71,14 @@ through a generator (``sorted_pairs``, ``_tuple_key``), and the per-pair key
 sorts that grouping by first word replaced (``rel_sorted_pairs``,
 ``sample_sorted_pairs``).
 
+So is the walk of ``iso_check`` over dicts keyed by state names, which
+the walk of two ``automata.next_table``s by position replaced; the
+oracles above that compare minimal DFAs call it.
+
 So are the name-based long-path peel that the mask peel
 ``automata.long_path_mask`` replaced (``long_path_states``, over the
-dict-of-set edges of ``automata._forward_edges`` and
-``automata._backward_edges``), the restriction of a machine to a set of
+dict-of-set edges of ``helpers.forward_edges`` and
+``helpers.backward_edges``), the restriction of a machine to a set of
 state names (``_restrict``), and the per-letter successor sets that
 ``accepts`` and ``periodic_membership`` read before they folded successor
 masks (``successor_map``).
@@ -109,12 +113,11 @@ import json
 from dataclasses import dataclass
 from operator import getitem
 
-from helpers import compose, compose_transducers, dfa, lift_transducer, pack_rel, \
-    pack_tuple, product, product_alphabet, product_transducers, subset_as_copoint, subset_as_point, \
-    subset_name, trans_rel, triples, type_of
+from helpers import backward_edges, compose, compose_transducers, dfa, forward_edges, lift_transducer, \
+    pack_rel, pack_tuple, product, product_alphabet, product_transducers, reachable, subset_as_copoint, \
+    subset_as_point, subset_name, trans_rel, triples, type_of
 from relmach import automata, diagram, io
-from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, _backward_edges, _forward_edges, _reachable, \
-    empty_dfa, iso_check, nfa
+from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, empty_dfa, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
     identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel
@@ -218,7 +221,7 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     The returned relation maps each live accessible input state to its
     class in the minimal machine.
     """
-    reach = _reachable(d.states, _forward_edges(d), d.initial)
+    reach = reachable(d.states, forward_edges(d), d.initial)
     live = [q for q in d.states.elements if q in reach]
     lmap_empty = Rel(obj(d.states), obj(EMPTY_DFA_STATES), frozenset())
     if not live or not (set(live) & d.final):
@@ -277,10 +280,10 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
 
 
 def _cycle_states(n: Nfa) -> set[str]:
-    fwd = _forward_edges(n)
+    fwd = forward_edges(n)
     out = set()
     for q in n.states.elements:
-        if q in _reachable(n.states, fwd, fwd.get(q, set())):
+        if q in reachable(n.states, fwd, fwd.get(q, set())):
             out.add(q)
     return out
 
@@ -292,11 +295,11 @@ def prune_language(n: Nfa) -> Nfa:
     state (resp. co-reachable from a final state) through a cycle, which is
     the finite stand-in for "by arbitrarily long paths".
     """
-    fwd = _forward_edges(n)
-    bwd = _backward_edges(n)
+    fwd = forward_edges(n)
+    bwd = backward_edges(n)
     cyc = _cycle_states(n)
-    pumped_in = _reachable(n.states, fwd, cyc & _reachable(n.states, fwd, n.initial))
-    pumped_out = _reachable(n.states, bwd, cyc & _reachable(n.states, bwd, n.final))
+    pumped_in = reachable(n.states, fwd, cyc & reachable(n.states, fwd, n.initial))
+    pumped_out = reachable(n.states, bwd, cyc & reachable(n.states, bwd, n.final))
     return nfa(n.alphabet, n.states, triples(n), frozenset(pumped_in), frozenset(pumped_out))
 
 
@@ -534,6 +537,49 @@ def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:
                 todo.append(q2)
     if len(mapping) != len(p1.states):
         return None
+    return mapping
+
+
+def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
+    """The unique structure-preserving state bijection, if one exists.
+
+    Both machines should be trim; the candidate map is forced by a
+    synchronized walk from the initial states.
+    """
+    if len(d1.states) != len(d2.states):
+        return None
+    if not d1.states.elements:
+        return {}
+    if len(d1.initial) != 1 or len(d2.initial) != 1:
+        return None
+    delta1, delta2 = ({(q, a): q2 for a, q, _, q2 in d.trans} for d in (d1, d2))
+    i1, i2 = next(iter(d1.initial)), next(iter(d2.initial))
+    mapping: dict[str, str] = {i1: i2}
+    inverse: dict[str, str] = {i2: i1}
+    todo = [i1]
+    while todo:
+        p = todo.pop()
+        q = mapping[p]
+        if (p in d1.final) != (q in d2.final):
+            return None
+        for a in d1.alphabet.elements:
+            p2 = delta1.get((p, a))
+            q2 = delta2.get((q, a))
+            if (p2 is None) != (q2 is None):
+                return None
+            if p2 is None:
+                continue
+            if p2 in mapping:
+                if mapping[p2] != q2:
+                    return None
+            elif q2 in inverse:
+                return None
+            else:
+                mapping[p2] = q2
+                inverse[q2] = p2
+                todo.append(p2)
+    if len(mapping) != len(d1.states):
+        return None  # not trim: some state never reached
     return mapping
 
 
@@ -1082,11 +1128,11 @@ def check_inf(p1: "Presentation", p2: "Presentation", cert: SimCertificate) -> S
 
     if cert.mode in (TWO_SIDED, FORWARD):
         domain = {x[0] for x, _ in s.pairs}
-        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
+        for q in p2.states.sort(long_path_states(p2.states.elements, forward_edges(p2)) - domain):
             return SimReport("fail", "domain-path", ((q,), ()))
     if cert.mode in (TWO_SIDED, BACKWARD):
         codomain = {y[0] for _, y in s.pairs}
-        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
+        for q in p1.states.sort(long_path_states(p1.states.elements, backward_edges(p1)) - codomain):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")
 
@@ -1176,11 +1222,11 @@ def check_inf_by_tuples(p1, p2, cert: SimCertificate) -> SimReport:
         return SimReport("fail", "transition", witness)
     if cert.mode in (TWO_SIDED, FORWARD):
         domain = {x[0] for x, _ in s.pairs}
-        for q in p2.states.sort(long_path_states(p2.states.elements, _forward_edges(p2)) - domain):
+        for q in p2.states.sort(long_path_states(p2.states.elements, forward_edges(p2)) - domain):
             return SimReport("fail", "domain-path", ((q,), ()))
     if cert.mode in (TWO_SIDED, BACKWARD):
         codomain = {y[0] for _, y in s.pairs}
-        for q in p1.states.sort(long_path_states(p1.states.elements, _backward_edges(p1)) - codomain):
+        for q in p1.states.sort(long_path_states(p1.states.elements, backward_edges(p1)) - codomain):
             return SimReport("fail", "codomain-path", ((q,), ()))
     return SimReport("pass")
 

@@ -1,9 +1,12 @@
-"""Hopcroft refinement and the long-path mask peel, tested differentially
-against the original Moore and k-round fixpoint code and the name-based
-peel (``seed_algorithms``): every result must serialize to the same bytes,
+"""Hopcroft refinement, the long-path mask peel and the walks by position
+and by mask, tested differentially against the original Moore and k-round
+fixpoint code, the name-based peel, the name walk of ``iso_check``
+(``seed_algorithms``) and the name-based reachability walk
+(``helpers.reachable``): every result must serialize to the same bytes,
 every report must be the same, and every rejected input must raise the
 same error."""
 
+import random
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -12,10 +15,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
-from helpers import dfa, triples
+from genrand import one_transition_mutant, random_dfa, renamed_copy
+from helpers import backward_edges, dfa, forward_edges, reachable, triples
 from relmach import io
-from relmach.automata import _backward_edges, _forward_edges, _reachable, bits, column_image, determinize, \
-    edge_masks, image_row, long_path_mask, mask_of, minimize, nfa, prune_language, refine, successor_table
+from relmach.automata import accessible, bits, column_image, determinize, edge_masks, image_row, iso_check, \
+    long_path_mask, mask_of, minimize, next_table, nfa, prune_language, reach_mask, refine, successor_table
 from relmach.relcore import Alphabet, MachineError, Rel, obj
 from relmach.simulation import MODES, SimCertificate, check_inf
 from relmach.sofic import backward_prune, determinize_presentation, find_root, forward_prune, \
@@ -171,9 +175,46 @@ def test_long_path_mask_matches_the_name_based_peel(graph, data):
     succ, pred = edge_masks(p)
     mask = mask_of(p.states, within)
     assert members(p.states, long_path_mask(succ, pred, mask)) == \
-        seed.long_path_states(within, _forward_edges(p))
+        seed.long_path_states(within, forward_edges(p))
     assert members(p.states, long_path_mask(pred, succ, mask)) == \
-        seed.long_path_states(within, _backward_edges(p))
+        seed.long_path_states(within, backward_edges(p))
+
+
+@given(graphs(), st.data())
+def test_reach_mask_matches_the_name_walk(graph, data):
+    """From a drawn set of states, from none and from every state, along the
+    edges both ways."""
+    p = presentation(*graph)
+    succ, pred = edge_masks(p)
+    for seeds in (data.draw(subsets_of(p.states)), set(), set(p.states.elements)):
+        for masks, edges in ((succ, forward_edges(p)), (pred, backward_edges(p))):
+            assert members(p.states, reach_mask(masks, mask_of(p.states, seeds))) == \
+                reachable(p.states, edges, seeds)
+
+
+@given(graphs(deterministic=True), st.data())
+def test_the_position_walk_matches_the_name_walk(graph, data):
+    """``accessible`` on the ``next_table`` of a partial DFA, from a drawn
+    set of states, from none and from every state."""
+    d = dfa(*graph, frozenset(), frozenset())
+    for seeds in (data.draw(subsets_of(d.states)), set(), set(d.states.elements)):
+        flags = accessible(next_table(d), len(d.states), [d.states.index(q) for q in seeds])
+        assert set(compress(d.states.elements, flags)) == reachable(d.states, forward_edges(d), seeds)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_iso_check_matches_the_name_walk(rng_seed):
+    """A random partial DFA, usually not trim, against itself, a renamed copy
+    with its states in another order, a one-transition mutant and another
+    random DFA, usually of another size, both ways; then the minimal DFAs
+    of every such pair."""
+    rng = random.Random(rng_seed)
+    d = random_dfa(rng)
+    others = [d, renamed_copy(rng, d), one_transition_mutant(rng, d), random_dfa(rng, alphabet=d.alphabet)]
+    pairs = [(d, o) for o in others] + [(o, d) for o in others]
+    pairs += [(minimize(x)[0], minimize(y)[0]) for x, y in pairs]
+    for x, y in pairs:
+        assert iso_check(x, y) == seed.iso_check(x, y)
 
 
 @given(graphs(), st.data())
@@ -197,10 +238,10 @@ def test_check_inf_reports_match_the_name_based_peel(graph, data):
     closed set passes the transition condition in one mode at least, so the
     path conditions are reached."""
     p = presentation(*graph)
-    fwd, bwd = _forward_edges(p), _backward_edges(p)
+    fwd, bwd = forward_edges(p), backward_edges(p)
     seeds = data.draw(subsets_of(p.states))
     both = {q: fwd.get(q, set()) | bwd.get(q, set()) for q in p.states.elements}
-    for inside in (seeds, *(_reachable(p.states, edges, seeds) for edges in (fwd, bwd, both))):
+    for inside in (seeds, *(reachable(p.states, edges, seeds) for edges in (fwd, bwd, both))):
         for m1, m2 in ((p, p), (p, prune(p)), (prune(p), p)):
             ident = {((q,), (q,)) for q in inside if q in m1.states and q in m2.states}
             for mode in MODES:

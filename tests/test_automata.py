@@ -124,6 +124,32 @@ def test_iso_self_and_cross():
     assert iso_check(m, minimal_dfa(astar_nfa())) is None
 
 
+def test_iso_check_refuses_different_alphabets():
+    """A letter that only one machine has, or the same letters in another
+    order, is a type error, as for ``nfa_equiv``; it is never skipped or
+    matched by name."""
+    Q = Alphabet("Q", ("0",))
+    loops = dfa(Aa, Q, frozenset({("0", "a", "0")}), frozenset({"0"}), frozenset({"0"}))
+    with_b = dfa(Ab, Q, frozenset({("0", "a", "0"), ("0", "b", "0")}), frozenset({"0"}), frozenset({"0"}))
+    ba = Alphabet("A", ("b", "a"))
+    swapped = dfa(ba, Q, frozenset({("0", "a", "0"), ("0", "b", "0")}), frozenset({"0"}), frozenset({"0"}))
+    for d1, d2 in ((loops, with_b), (with_b, loops), (with_b, swapped), (swapped, with_b)):
+        with pytest.raises(TypeMismatch):
+            iso_check(d1, d2)
+        with pytest.raises(TypeMismatch):
+            nfa_equiv(d1, d2)
+
+
+def test_iso_check_refuses_a_map_that_is_not_one_to_one():
+    """0 -a-> 1 -a-> 0 forces 0 and 1 onto x, both final and with an a-step to x."""
+    d1 = dfa(Aa, Alphabet("Q", ("0", "1")), frozenset({("0", "a", "1"), ("1", "a", "0")}),
+             frozenset({"0"}), frozenset({"0", "1"}))
+    d2 = dfa(Aa, Alphabet("P", ("x", "y")), frozenset({("x", "a", "x"), ("y", "a", "x")}),
+             frozenset({"x"}), frozenset({"x", "y"}))
+    assert iso_check(d1, d2) is None
+    assert iso_check(d2, d1) is None
+
+
 def test_nfa_equiv_examples():
     n = aplus_nfa()
     d, _ = determinize(n)
