@@ -3,7 +3,7 @@
 Subpackages:
 
 - :mod:`relmach.relcore` -- alphabets, wire bundles, extensional relations
-- :mod:`relmach.transducer` -- transducers, behaviors, shift semantics
+- :mod:`relmach.transducer` -- machines, transducers and their runs
 - :mod:`relmach.automata` -- determinization, minimization, equivalence
 - :mod:`relmach.simulation` -- simulation-certificate checking
 - :mod:`relmach.sofic` -- presentations of sofic subshifts

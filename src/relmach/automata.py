@@ -360,16 +360,22 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     maps each live accessible input state to its class in the minimal
     machine.
     """
+    return _minimize(d)[:2]
+
+
+def _minimize(d: Dfa) -> tuple[Dfa, Rel, bytearray]:
+    """``minimize``, and per state position 1 for a state accessible from
+    the initial one, from the one ``next_table`` walk it makes."""
     table, final = next_table(d), [q in d.final for q in d.states.elements]
     start = [d.states.index(q) for q in d.initial]
     kept = accessible(table, len(final), start)
     if not any(compress(final, kept)):
         empty = empty_dfa(d.alphabet)
-        return empty, class_relation(d.states, empty.states, ())
+        return empty, class_relation(d.states, empty.states, ()), kept
     name, min_states, trans = quotient(d, table, kept, final + [False])
     mdfa = trusted(Dfa, d.input, d.output, min_states, trans, frozenset({name[start[0]]}),
                    d.final & frozenset(min_states.elements), None)
-    return mdfa, class_relation(d.states, min_states, name)
+    return mdfa, class_relation(d.states, min_states, name), kept
 
 
 def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:

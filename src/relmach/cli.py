@@ -21,13 +21,13 @@ import sys
 
 from . import dot, io
 from .automata import minimize, nfa_equiv, prune_language
-from .diagram import acceptors, interpret_upto, normal_form, z_normal_form
+from .diagram import acceptors, denotation_upto, interpret_upto, loop_term, normal_form, z_normal_form
 from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, certificate_for_determinization, \
     certificate_for_minimization, check_fin, check_inf, equiv_chain
 from .sofic import backward_prune, canonical_form, determinize_presentation, factor_language, \
     factors_upto, forward_prune, minimize_presentation, periodic_membership, prune
-from .transducer import behavior_upto, behavior_via_shift_upto
+from .transducer import behavior_upto
 
 EXIT_OK = 0
 EXIT_DIFFER = 1
@@ -80,11 +80,10 @@ def cmd_behavior(args) -> int:
     elif args.via == "runs":
         sample = behavior_upto(x, n)
     elif args.via == "shift":
-        sample = behavior_via_shift_upto(x, n)
+        sample = denotation_upto(loop_term(x), n)
     else:
         sample = behavior_upto(x, n)
-        other = behavior_via_shift_upto(x, n)
-        if sample.pairs != other.pairs:
+        if sample.pairs != denotation_upto(loop_term(x), n).pairs:
             raise CliError(f"{args.file}: run and shift evaluations disagree")
     _emit(io.sample_payload(sample))
     return EXIT_OK

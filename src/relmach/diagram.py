@@ -21,9 +21,9 @@ the unit state, ``Seq`` joins rows on the middle tuple, ``Par``
 concatenates tuples, and ``Feedback`` moves the last tuple component into
 the state.  Only the term's own boundary is packed into one alphabet each
 way, once, to build one machine; a bi-infinite term's machine is the
-finite-word one with its initial and final states dropped.  The
-transducer-level composition, product and lift over packed alphabets are
-the tests' reference, in ``tests/helpers.py``.
+finite-word one with its initial and final states dropped.  Conversely,
+``loop_term`` reads a transducer as such a form, the box of its transition
+relation under one loop over its states.
 
 Terms A → B of one type are equal iff their acceptors accept the same
 words (``automata.nfa_equiv``).  As the paper reads a uniform relation as
@@ -33,8 +33,9 @@ tuple space is enumerated.  The certificate chain of an "equal" verdict is
 built from the acceptors by ``simulation.equiv_chain``.  Machines built
 here are valid by construction (``relcore.trusted``).
 
-``denotation_upto``, the bounded evaluation ``interpret_upto`` checks the
-normal form against, is independent of the collapse: it evaluates words,
+``denotation_upto`` is the bounded evaluation that ``interpret_upto``
+checks a normal form against, and ``relmach behavior`` a transducer's runs,
+on its loop term.  It is independent of the collapse: it evaluates words,
 constructor by constructor, each node once per length.  A node with no
 loop is letterwise, its length-k relation its one-letter relation repeated
 k times, so each length extends the one before; so does a loop over a
@@ -406,6 +407,16 @@ def _denote(d: Diagram, n: int):
                        for w1, v1 in value[id(node.left)] for w2, v2 in value[id(node.right)]}
             value[key] = rel
         yield value[id(d)]
+
+
+def loop_term(t: Transducer) -> Feedback:
+    """A transducer as the trace of its transition relation: one box
+    relating (input letter, state) to (output letter, state), under one loop
+    over the state wire labelled with its initial and final states.  A unit
+    input or output adds no tuple component."""
+    q, skip_in, skip_out = material(t.states), is_unit(t.input), is_unit(t.output)
+    pairs = frozenset(((a, p)[skip_in:], (b, p2)[skip_out:]) for a, p, b, p2 in t.trans)
+    return Feedback(q, t.initial, t.final, Box(trusted(Rel, obj(t.input, q), obj(t.output, q), pairs)))
 
 
 def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:

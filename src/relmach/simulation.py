@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .automata import Dfa, Nfa, accessible, bits, determinize, edge_masks, iso_check, long_path_mask, \
-    mask_of, minimize, next_table
+from .automata import Dfa, Nfa, _minimize, bits, determinize, edge_masks, iso_check, long_path_mask, \
+    mask_of, minimize
 from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj
 from .transducer import Machine
 
@@ -197,9 +197,9 @@ def certificate_for_minimization(d: Dfa) -> tuple[Dfa, SimCertificate]:
 
     Every state of ``d`` must be accessible from its initial state.
     """
-    if not all(accessible(next_table(d), len(d.states), [d.states.index(q) for q in d.initial])):
+    mdfa, lmap, kept = _minimize(d)
+    if not all(kept):
         raise MachineError("minimization certificate requires every state accessible")
-    mdfa, lmap = minimize(d)
     return mdfa, SimCertificate(lmap, TWO_SIDED)
 
 

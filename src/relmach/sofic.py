@@ -116,19 +116,23 @@ def is_language_pruned(p: Presentation) -> bool:
 is_right_resolving = is_deterministic
 
 
+def _rooted(p: Presentation, succ: list[int], r: str) -> bool:
+    """``is_root`` over the successor masks ``succ`` of ``p``: the follow
+    language is checked first, and only then the reach walk."""
+    full, start = _full(p), 1 << p.states.index(r)
+    return same_words(p, start, full, p, full, full) and reach_mask(succ, start) == full
+
+
 def is_root(p: Presentation, r: str) -> bool:
     """A root reaches every state and every accepted word runs from it."""
-    full, start = _full(p), 1 << p.states.index(r)
-    return reach_mask(edge_masks(p)[0], start) == full and same_words(p, start, full, p, full, full)
+    return _rooted(p, edge_masks(p)[0], r)
 
 
 def find_root(p: Presentation) -> str | None:
-    if p.root is not None and is_root(p, p.root):
+    succ = edge_masks(p)[0]
+    if p.root is not None and _rooted(p, succ, p.root):
         return p.root
-    for r in p.states.elements:
-        if is_root(p, r):
-            return r
-    return None
+    return next((r for r in p.states.elements if _rooted(p, succ, r)), None)
 
 
 def _subset_presentation(p: Presentation) -> tuple[Presentation, dict, dict[int, str]]:

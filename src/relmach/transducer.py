@@ -13,16 +13,15 @@ optional ``root``) and ``sofic.ZTransducer``.
 
 A transducer's behavior is the length-preserving relation between input
 and output words realized by runs from an initial to a final state.
-Behaviors of bounded length are :class:`UniformRelationSample` values;
-exact comparisons go through the automata module.  Diagram normal forms
-compose rows over flat wire tuples and pack once (``diagram._collapse``);
-the composition, product and lift of transducers over packed alphabets
-are the tests' reference, in ``tests/helpers.py``.
+Behaviors of bounded length are :class:`UniformRelationSample` values,
+enumerated run by run; the paper reads a transducer as the trace of its
+transition relation, ``diagram.loop_term``.  Exact comparisons go through
+the automata module.  The composition, product and lift of transducers
+over packed alphabets are the tests' reference, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .relcore import UNIT, Alphabet, MachineError, ShapeError, check_rows, frozen, grouped_pairs, \
@@ -137,50 +136,3 @@ def behavior_upto(t: Transducer, n: int) -> UniformRelationSample:
                     pairs.add((item[1], item[2]))
         frontier = nxt
     return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
-
-
-def finite_shift_at(a: Alphabet, i, f, k: int) -> frozenset[tuple[Word, Word]]:
-    """Length-k slice of the shift relation over ``a`` with end labels.
-
-    Relates (w, v) of length k whenever i0·w = v·f0 for some i0 in ``i``
-    and f0 in ``f``; at k = 0 the empty pair appears iff the label sets
-    intersect.
-    """
-    i = a.check_subset(i)
-    f = a.check_subset(f)
-    if k == 0:
-        return frozenset({((), ())}) if i & f else frozenset()
-    out = set()
-    for mid in itertools.product(a.elements, repeat=k - 1):
-        for f0 in f:
-            for i0 in i:
-                out.add((mid + (f0,), (i0,) + mid))
-    return frozenset(out)
-
-
-def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
-    """Behavior sample computed by composing the letterwise lift of the
-    transition relation with the transposed shift over the state alphabet.
-
-    This is an independent evaluation route from :func:`behavior_upto`: the
-    state-word pairs come from :func:`finite_shift_at`, and the letter pairs
-    from the per-position lift sections.
-    """
-    letter_pairs: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for a, q, b, q2 in t.trans:
-        letter_pairs.setdefault((q, q2), []).append((a, b))
-    pairs: set[tuple[Word, Word]] = set()
-    for k in range(n + 1):
-        for shift_w, shift_v in finite_shift_at(t.states, t.initial, t.final, k):
-            # (u, _t) is in the transpose of the shift iff (_t, u) is in it.
-            u, _t = shift_v, shift_w
-            if k == 0:
-                pairs.add(((), ()))
-                continue
-            sections = [letter_pairs.get((u[j], _t[j]), []) for j in range(k)]
-            if any(not s for s in sections):
-                continue
-            for combo in itertools.product(*sections):
-                pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
-    return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
-

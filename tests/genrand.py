@@ -37,13 +37,13 @@ def random_subset(rng: random.Random, a: Alphabet, p: float = 0.5) -> frozenset[
 
 def random_transducer(rng: random.Random, max_states: int = 3, max_alpha: int = 2,
                       input: Alphabet | None = None, output: Alphabet | None = None,
-                      density: float = 0.3) -> Transducer:
+                      density: float = 0.3, states: Alphabet | None = None) -> Transducer:
     if input is None:
         input = random_alphabet(rng, "A", max_alpha)
     if output is None:
         output = random_alphabet(rng, "B", max_alpha)
-    nstates = rng.randint(1, max_states)
-    states = Alphabet("Q", tuple(f"q{i}" for i in range(nstates)))
+    if states is None:
+        states = Alphabet("Q", tuple(f"q{i}" for i in range(rng.randint(1, max_states))))
     quads = {
         (a, q, b, q2)
         for a in input.elements

@@ -104,11 +104,16 @@ So is the acceptor that the verdict on terms read before
 (``bend``, ``cap_obj``) and collapsed by the library, an NFA over the
 whole packed tuple space (``acceptor``).  So is the evaluator that joined
 and split each position in a Python loop and packed each tuple by itself
-(``denote``, ``denotation_upto``).
+(``denote``, ``denotation_upto``).  So is the second route to a
+transducer's bounded behavior that ``diagram.loop_term`` replaced: every
+word of the shift over the states (``finite_shift_at``), |Q|^(k−1)·|I|·|F|
+of them at length k, joined with the products of the letter sections of
+the transition relation (``behavior_via_shift_upto``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from operator import getitem
@@ -120,12 +125,12 @@ from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, empty_dfa, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
-    identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel
+    identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel, trusted
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, find_root, is_right_resolving, is_root, \
     presentation, ztransducer
-from relmach.transducer import Transducer, UniformRelationSample, finite_shift_at, transducer
+from relmach.transducer import Transducer, UniformRelationSample, Word, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)
 
@@ -832,7 +837,7 @@ def z_normal_form(d: Diagram) -> ZTransducer:
 
 
 # ---------------------------------------------------------------------------
-# The bent acceptor and the evaluator of terms.
+# The bent acceptor, the evaluator of terms and the shift route.
 
 def cap_obj(o: Obj) -> Rel:
     """Cap over a whole bundle: o ++ o → 1, relating each doubled tuple to ()."""
@@ -850,6 +855,52 @@ def acceptor(d: Diagram) -> Nfa:
     """The bent normal form of a term A → B, an NFA over the packed B ++ A:
     two terms of one type are equal iff their acceptors accept the same words."""
     return transducer_to_nfa(diagram.normal_form(bend(d)))
+
+
+def finite_shift_at(a: Alphabet, i, f, k: int) -> frozenset[tuple[Word, Word]]:
+    """Length-k slice of the shift relation over ``a`` with end labels.
+
+    Relates (w, v) of length k whenever i0·w = v·f0 for some i0 in ``i``
+    and f0 in ``f``; at k = 0 the empty pair appears iff the label sets
+    intersect.
+    """
+    i = a.check_subset(i)
+    f = a.check_subset(f)
+    if k == 0:
+        return frozenset({((), ())}) if i & f else frozenset()
+    out = set()
+    for mid in itertools.product(a.elements, repeat=k - 1):
+        for f0 in f:
+            for i0 in i:
+                out.add((mid + (f0,), (i0,) + mid))
+    return frozenset(out)
+
+
+def behavior_via_shift_upto(t: Transducer, n: int) -> UniformRelationSample:
+    """Behavior sample computed by composing the letterwise lift of the
+    transition relation with the transposed shift over the state alphabet.
+
+    This is an independent evaluation route from :func:`behavior_upto`: the
+    state-word pairs come from :func:`finite_shift_at`, and the letter pairs
+    from the per-position lift sections.
+    """
+    letter_pairs: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for a, q, b, q2 in t.trans:
+        letter_pairs.setdefault((q, q2), []).append((a, b))
+    pairs: set[tuple[Word, Word]] = set()
+    for k in range(n + 1):
+        for shift_w, shift_v in finite_shift_at(t.states, t.initial, t.final, k):
+            # (u, _t) is in the transpose of the shift iff (_t, u) is in it.
+            u, _t = shift_v, shift_w
+            if k == 0:
+                pairs.add(((), ()))
+                continue
+            sections = [letter_pairs.get((u[j], _t[j]), []) for j in range(k)]
+            if any(not s for s in sections):
+                continue
+            for combo in itertools.product(*sections):
+                pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
+    return trusted(UniformRelationSample, t.input, t.output, n, frozenset(pairs))
 
 
 def denote(d: Diagram, k: int) -> set:

@@ -26,7 +26,7 @@ from helpers import diagrams_equiv, image, lift_transducer, load_file, presentat
 from relmach import io
 from relmach.automata import determinize, iso_check, minimize, nfa, nfa_equiv
 from relmach.cli import main as cli_main
-from relmach.diagram import Box, interpret_upto
+from relmach.diagram import Box, denotation_upto, interpret_upto, loop_term
 from relmach.relcore import Alphabet, obj
 from relmach.simulation import (
     TWO_SIDED,
@@ -46,8 +46,8 @@ from relmach.sofic import (
     presentation,
     prune,
 )
-from relmach.transducer import behavior_upto, behavior_via_shift_upto
-from seed_algorithms import nfa_to_transducer
+from relmach.transducer import behavior_upto
+from seed_algorithms import behavior_via_shift_upto, nfa_to_transducer
 
 Ab = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -62,7 +62,8 @@ def test_criterion_1_behavior_agreement():
     start = time.perf_counter()
     for _ in range(200):
         t = random_transducer(rng, max_states=3, max_alpha=2)
-        assert behavior_upto(t, 5).pairs == behavior_via_shift_upto(t, 5).pairs
+        runs = behavior_upto(t, 5).pairs
+        assert runs == denotation_upto(loop_term(t), 5).pairs == behavior_via_shift_upto(t, 5).pairs
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"run/shift agreement took {elapsed:.1f}s (target < 10s)"
     done(1, f"run and shift behaviors agree on 200 machines ({elapsed:.2f}s)")

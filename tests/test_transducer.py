@@ -2,22 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
-from genrand import random_transducer
+from genrand import random_subset, random_transducer
 from helpers import compose, compose_transducers, from_automaton, lift_transducer, pack_rel, \
     product_transducers, rel, rel_equals
+from relmach.diagram import denotation_upto, loop_term
 from relmach.relcore import UNIT, Alphabet, MachineError, TypeMismatch, obj
-from relmach.transducer import (
-    UniformRelationSample,
-    behavior_upto,
-    behavior_via_shift_upto,
-    finite_shift_at,
-    transducer,
-)
+from relmach.transducer import UniformRelationSample, behavior_upto, transducer
 from samples import lift_sample, sample_compose, sample_product
-from seed_algorithms import to_automaton
+from seed_algorithms import behavior_via_shift_upto, finite_shift_at, to_automaton
 
 A = Alphabet("A", ("a", "b"))
 Aa = Alphabet("A", ("a",))
@@ -69,14 +64,20 @@ def test_parity_behavior():
     assert got.pairs == frozenset({((), ()), (aa, aa), (aa + aa, aa + aa)})
 
 
+def shift(t, n):
+    """The behavior sample of ``t`` as its loop term's bounded evaluation."""
+    return denotation_upto(loop_term(t), n)
+
+
 def test_behavior_via_shift_matches_on_examples():
-    assert behavior_via_shift_upto(SWAP_T, 2).pairs == behavior_upto(SWAP_T, 2).pairs
-    assert behavior_via_shift_upto(PARITY, 4).pairs == behavior_upto(PARITY, 4).pairs
+    for t, n in ((SWAP_T, 2), (PARITY, 4)):
+        assert shift(t, n).pairs == behavior_via_shift_upto(t, n).pairs == behavior_upto(t, n).pairs
 
 
 def test_shift_excludes_empty_pair_when_disjoint():
     t = transducer(Aa, Aa, Alphabet("Q", ("q",)), set(), {"q"}, set())
     assert ((), ()) not in behavior_via_shift_upto(t, 0).pairs
+    assert shift(t, 0).pairs == frozenset()
 
 
 def test_finite_shift_examples():
@@ -193,6 +194,7 @@ def test_random_behaviors_agree_with_oracle():
         want = brute_behavior(t, 4)
         assert behavior_upto(t, 4).pairs == want
         assert behavior_via_shift_upto(t, 4).pairs == want
+        assert shift(t, 4).pairs == want
 
 
 def test_empty_state_alphabet():
@@ -200,6 +202,26 @@ def test_empty_state_alphabet():
     t = transducer(Aa, Aa, none, set(), set(), set())
     assert behavior_upto(t, 2).pairs == frozenset()
     assert behavior_via_shift_upto(t, 2).pairs == frozenset()
+    assert shift(t, 2) == UniformRelationSample(Aa, Aa, 2, frozenset())
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from(["Q", "unit", "empty"]),
+       st.booleans(), st.booleans())
+def test_loop_term_denotation_matches_shift_oracle(seed_, n, states, unit_in, unit_out):
+    """The loop term of a transducer, evaluated by ``denotation_upto``,
+    gives the shift route's sample: its pairs, its alphabets and its bound,
+    on unit input, output and state alphabets, an empty state alphabet and
+    empty label sets."""
+    rng = random.Random(seed_)
+    states = {"Q": None, "unit": UNIT, "empty": Alphabet("Q", ())}[states]
+    t = random_transducer(rng, max_states=4, input=UNIT if unit_in else None,
+                          output=UNIT if unit_out else None, density=0.4, states=states)
+    t = transducer(t.input, t.output, t.states, t.trans, random_subset(rng, t.states, 0.3),
+                   random_subset(rng, t.states, 0.3))
+    want = behavior_via_shift_upto(t, n)
+    assert shift(t, n) == want
+    assert want.pairs == behavior_upto(t, n).pairs
 
 
 # -- lift laws ---------------------------------------------------------------

@@ -8,15 +8,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from genrand import random_alphabet, random_diagram, random_nfa, random_presentation
+from genrand import random_alphabet, random_diagram, random_nfa, random_presentation, random_transducer
 from relmach import automata, diagram, relcore, sofic, transducer
 from relmach.automata import determinize, minimize, nfa_equiv, prune_language
-from relmach.diagram import Id, Par, acceptors, interpret_upto, normal_form, z_normal_form
-from relmach.relcore import Alphabet, MachineError, Obj, obj
+from relmach.diagram import Id, Par, acceptors, denotation_upto, interpret_upto, loop_term, normal_form, \
+    z_normal_form
+from relmach.relcore import UNIT, Alphabet, MachineError, Obj, obj
 from relmach.simulation import equiv_chain
 from relmach.sofic import canonical_form, determinize_presentation, factor_language, \
     minimize_presentation, prune
-from relmach.transducer import behavior_via_shift_upto
 from test_constructions import unlabel
 
 
@@ -61,10 +61,13 @@ def test_trusted_values_equal_their_validated_rebuilds(seed_):
     d2 = random_diagram(rng, dom, cod, rng.randint(1, 7), rng.randint(0, 2))
     z1, z2 = unlabel(d1, lambda i: True), unlabel(d2, lambda i: True)
     n, p = random_nfa(rng), random_presentation(rng)
+    # a unit input adds no component to the loop term's tuples
+    unit_in = random_transducer(rng, input=UNIT, states=rng.choice([None, UNIT]))
     with recording() as built:
         t = normal_form(d1)
         interpret_upto(d1, 2)
-        behavior_via_shift_upto(t, 2)
+        denotation_upto(loop_term(t), 2)
+        denotation_upto(loop_term(unit_in), 2)
         z_normal_form(z1)
         n1, n2 = acceptors(d1, d2)
         acceptors(z1, z2, bi_infinite=True)
