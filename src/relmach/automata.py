@@ -252,12 +252,12 @@ def accessible(table: list[list[int]], sink: int, start) -> bytearray:
     return seen[:sink]
 
 
-def image_row(table: list[list[int]], mask: int) -> list[int]:
+def image_row(table: list[list[int]], mask: int, flags: bytes | None = None) -> list[int]:
     """The image of the subset ``mask`` under each letter pair of the ``successor_table``
-    ``table``: its one member's cells, or the OR of its members' cells."""
+    ``table``: its one member's cells, or the OR of its members' cells (``flags``, if given)."""
     if mask and not mask & (mask - 1):
         return [col[mask.bit_length() - 1] for col in table]
-    flags = bits(mask)
+    flags = bits(mask) if flags is None else flags
     return [reduce(or_, compress(col, flags), 0) for col in table]
 
 
@@ -271,18 +271,19 @@ def column_image(col: list[int], mask: int) -> int:
     return out
 
 
-def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
+def subsets(m: Machine, start: int) -> dict[int, tuple[bytes | None, list[int]]]:
     """Subset construction: every subset of states accessible from the
     bitmask ``start`` in ``m``, the empty subset 0 included when reached,
-    with its member flags (``bits``) and its image under each letter pair,
-    in the order of ``successor_table``."""
+    with its member flags (``bits``) if it has several members, else
+    ``None``, and its image under each letter pair (``successor_table``'s)."""
     table = successor_table(m)
     graph: dict = {start: None}
     todo = [start]
     while todo:
         cur = todo.pop()
-        row = image_row(table, cur)
-        graph[cur] = bits(cur), row
+        flags = bits(cur) if cur & (cur - 1) else None
+        row = image_row(table, cur, flags)
+        graph[cur] = flags, row
         for image in row:
             if image not in graph:
                 graph[image] = None
@@ -291,18 +292,19 @@ def subsets(m: Machine, start: int) -> dict[int, tuple[bytes, list[int]]]:
 
 
 def subset_namer(order: Alphabet):
-    """The function that names each subset of ``order``, given its member
-    flags, by its members in state order, comma-separated in braces.
-    Distinct sets get distinct names.  When a state name begins with
-    another one and a comma, as "a,b" begins with "a", each member's
-    backslashes and commas are escaped with a backslash.  When a state is
-    named "", the empty set is named "∅", apart from "{}", the set of that
-    state."""
+    """The function that names each subset of ``order``, given its mask and its member flags
+    as ``subsets`` stores them, by its members in state order, comma-separated in braces; a
+    subset of one member is named from its position.  Distinct sets get distinct names.  When
+    a state name begins with another one and a comma, as "a,b" begins with "a", each member's
+    backslashes and commas are escaped with a backslash.  When a state is named "", the empty
+    set is named "∅", apart from "{}", the set of that state."""
     names = tuple(map(escape, order.elements)) if comma_prefixed(order) else order.elements
     empty = "∅" if "" in order else "{}"
 
-    def name(flags: bytes) -> str:
-        return "{" + ",".join(compress(names, flags)) + "}" if 1 in flags else empty
+    def name(mask: int, flags: bytes | None) -> str:
+        if flags is not None:
+            return "{" + ",".join(compress(names, flags)) + "}"
+        return "{" + names[mask.bit_length() - 1] + "}" if mask else empty
 
     return name
 
@@ -312,7 +314,7 @@ def subset_machine(m: Machine, graph: dict) -> tuple[Alphabet, dict[int, str], f
     alphabet in name order, each subset's name, and the transitions between
     the subsets of ``graph`` (those to a subset not in it are left out)."""
     spell = subset_namer(m.states)
-    name = {mask: spell(flags) for mask, (flags, _) in graph.items()}
+    name = {mask: spell(mask, flags) for mask, (flags, _) in graph.items()}
     letters = list(product(m.input.elements, m.output.elements))
     trans = frozenset((a, name[mask], b, name[image]) for mask, (_, row) in graph.items()
                       for (a, b), image in zip(letters, row) if image in name)
@@ -320,28 +322,29 @@ def subset_machine(m: Machine, graph: dict) -> tuple[Alphabet, dict[int, str], f
 
 
 def membership(subset_states: Alphabet, states: Alphabet, graph: dict, name: dict[int, str]) -> Rel:
-    """The relation from each named subset of ``graph`` to its members.
-    Both sides are typed over :func:`material` alphabets, as the simulation
-    checker reads a certificate, so a unit state alphabet keeps its wire."""
+    """The relation from each named subset of ``graph`` to its members, read off its flags
+    or, with none, its one position (an empty slice for the empty subset).  Both sides are
+    typed over :func:`material` alphabets, as the simulation checker reads a certificate,
+    so a unit state alphabet keeps its wire."""
     members = [(q,) for q in states.elements]
-    return trusted(Rel, obj(material(subset_states)), obj(material(states)),
-                   frozenset((s, q) for mask, (flags, _) in graph.items()
-                             for s in [(name[mask],)] for q in compress(members, flags)))
+    pairs = ((s, q) for mask, (flags, _) in graph.items() for s in [(name[mask],)]
+             for q in (compress(members, flags) if flags else members[mask.bit_length() - 1:mask.bit_length()]))
+    return trusted(Rel, obj(material(subset_states)), obj(material(states)), frozenset(pairs))
 
 
-def determinize(n: Nfa) -> tuple[Dfa, Rel]:
+def determinize(n: Nfa, certify=True) -> tuple[Dfa, Rel | None]:
     """Subset construction from the set of initial states.
 
     Returns the accessible-subsets DFA (which is complete: the empty subset
     is an ordinary sink state when reachable) together with the membership
-    relation from subset states back to original states.
+    relation from subset states back to original states (``None`` without ``certify``).
     """
     start, final = mask_of(n.states, n.initial), mask_of(n.states, n.final)
     graph = subsets(n, start)
     states, name, trans = subset_machine(n, graph)
     dfa = trusted(Dfa, n.input, n.output, states, trans, frozenset({name[start]}),
                   frozenset(s for mask, s in name.items() if mask & final), None)
-    return dfa, membership(states, n.states, graph, name)
+    return dfa, membership(states, n.states, graph, name) if certify else None
 
 
 def class_relation(states: Alphabet, classes: Alphabet, name) -> Rel:
@@ -350,7 +353,7 @@ def class_relation(states: Alphabet, classes: Alphabet, name) -> Rel:
                    frozenset(((q,), (c,)) for q, c in zip(states.elements, name) if c is not None))
 
 
-def minimize(d: Dfa) -> tuple[Dfa, Rel]:
+def minimize(d: Dfa, certify=True) -> tuple[Dfa, Rel | None]:
     """Merge states with equal follow languages.
 
     Only the states accessible from the initial state are named, refined
@@ -358,24 +361,24 @@ def minimize(d: Dfa) -> tuple[Dfa, Rel]:
     with empty follow language) is dropped from the result, so the minimal
     machine of the empty language has no states.  The returned relation
     maps each live accessible input state to its class in the minimal
-    machine.
+    machine; without ``certify`` it is ``None``.
     """
-    return _minimize(d)[:2]
+    mdfa, name, _ = _minimize(d)
+    return mdfa, class_relation(d.states, mdfa.states, name) if certify else None
 
 
-def _minimize(d: Dfa) -> tuple[Dfa, Rel, bytearray]:
-    """``minimize``, and per state position 1 for a state accessible from
-    the initial one, from the one ``next_table`` walk it makes."""
+def _minimize(d: Dfa) -> tuple[Dfa, list, bytearray]:
+    """``minimize``'s DFA and the class names its relation is built from, and per state
+    position 1 for a state accessible from the initial one, from its one ``next_table`` walk."""
     table, final = next_table(d), [q in d.final for q in d.states.elements]
     start = [d.states.index(q) for q in d.initial]
     kept = accessible(table, len(final), start)
     if not any(compress(final, kept)):
-        empty = empty_dfa(d.alphabet)
-        return empty, class_relation(d.states, empty.states, ()), kept
+        return empty_dfa(d.alphabet), [], kept
     name, min_states, trans = quotient(d, table, kept, final + [False])
     mdfa = trusted(Dfa, d.input, d.output, min_states, trans, frozenset({name[start[0]]}),
                    d.final & frozenset(min_states.elements), None)
-    return mdfa, class_relation(d.states, min_states, name), kept
+    return mdfa, name, kept
 
 
 def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:

@@ -20,7 +20,7 @@ import functools
 import sys
 
 from . import dot, io
-from .automata import minimize, nfa_equiv, prune_language
+from .automata import determinize, minimize, nfa_equiv, prune_language
 from .diagram import acceptors, denotation_upto, interpret_upto, loop_term, normal_form, z_normal_form
 from .relcore import MachineError, TypeMismatch
 from .simulation import SimCertificate, certificate_for_determinization, \
@@ -124,17 +124,18 @@ def cmd_equiv(args) -> int:
 
 
 # determinize and minimize: from each kind read, given --certify or not, a
-# pair of the machine and its certificate.  A DFA's minimization certificate
-# needs every state accessible, so without --certify a DFA is minimized alone.
-# Entries here call functions by name, so a patched one is seen.
+# pair of the machine and its certificate (None without --certify).  A DFA's
+# minimization certificate needs every state accessible, so without --certify
+# a DFA is minimized alone.  Entries call functions by name, so a patched one is seen.
 CONSTRUCTIONS = {
     "determinize": {
-        **dict.fromkeys(("nfa", "dfa"), lambda n, certify: certificate_for_determinization(n)),
-        "presentation": lambda p, certify: determinize_presentation(p),
+        **dict.fromkeys(("nfa", "dfa"), lambda n, certify: certificate_for_determinization(n) if certify
+                        else determinize(n, certify)),
+        "presentation": lambda p, certify: determinize_presentation(p, certify),
     },
     "minimize": {
-        "dfa": lambda d, certify: certificate_for_minimization(d) if certify else minimize(d),
-        "presentation": lambda p, certify: minimize_presentation(p),
+        "dfa": lambda d, certify: certificate_for_minimization(d) if certify else minimize(d, certify),
+        "presentation": lambda p, certify: minimize_presentation(p, certify),
     },
 }
 

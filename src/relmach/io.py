@@ -13,11 +13,11 @@ automaton's rows straight into quadruples (a, q, "*", q2).
 Output is canonical: object keys are sorted, words are arrays of symbol
 names, and every array of symbols, pairs, or transitions is sorted in the
 canonical order of its alphabets, so serialization is deterministic and
-round-trip stable; a relation's or a sample's payload holds one list per
-distinct word.  ``dumps`` writes the layout itself, byte for byte
-``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the
-oracle of its tests, with one join for each row of symbols and each pair
-of words, and writes each word object of a list of pairs once.  Reading a
+round-trip stable.  ``dumps`` writes the layout itself, byte for byte
+``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, the oracle
+of its tests, by each payload value's exact type: a machine's rows
+(``_Rows``) one join per row, a relation's or a sample's sorted pairs
+(``_Pairs``, tuples) in one pass, each word's text made once.  Reading a
 document that is not JSON, or whose structure does not fit its kind,
 raises ``MachineError``; so does a string or an object where an array
 belongs (checked by type, with no loop per row except the one that
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import chain
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple, get_args
 
 from .automata import Dfa, Nfa
@@ -94,17 +95,19 @@ def _parse_obj(p: dict, field: str, seen: dict) -> Obj:
     return o
 
 
-def _pair_lists(pairs: list) -> list:
-    """``[list(x), list(y)]`` for each pair (x, y), one list for each distinct word."""
-    lists = {w: list(w) for w in set(chain.from_iterable(pairs))}
-    return [[lists[x], lists[y]] for x, y in pairs]
+class _Rows(list):
+    """A machine's rows of symbols, none of them empty: ``_write`` joins each row."""
+
+
+class _Pairs(list):
+    """Sorted pairs of words, tuples of symbols: ``_write`` writes each run of equal first words."""
 
 
 def _rel_payload(r: Rel) -> dict:
     return {
         "dom": _obj_payload(r.dom),
         "cod": _obj_payload(r.cod),
-        "pairs": _pair_lists(r.sorted_pairs()),
+        "pairs": _Pairs(r.sorted_pairs()),
     }
 
 
@@ -124,10 +127,10 @@ def _machine_payload(m: Machine) -> dict:
     rows = m.sorted_rows()
     if isinstance(m, _AUTOMATA):
         out = {"alphabet": _alphabet_payload(m.input),
-               "trans": [[q, a, q2] for a, q, _, q2 in rows]}
+               "trans": _Rows([[q, a, q2] for a, q, _, q2 in rows])}
     else:
         out = {"input": _alphabet_payload(m.input), "output": _alphabet_payload(m.output),
-               "trans": [list(t) for t in rows]}
+               "trans": _Rows(map(list, rows))}
     out["states"] = _alphabet_payload(m.states)
     if m.initial is not None:
         out["initial"], out["final"] = m.states.sort(m.initial), m.states.sort(m.final)
@@ -213,7 +216,7 @@ def sample_payload(s: UniformRelationSample) -> dict:
         "input": _alphabet_payload(s.input),
         "output": _alphabet_payload(s.output),
         "max_len": s.max_len,
-        "pairs": _pair_lists(s.sorted_pairs()),
+        "pairs": _Pairs(s.sorted_pairs()),
     }
 
 
@@ -323,32 +326,32 @@ def _decode(text: str):
 
 
 _string = json.encoder.encode_basestring_ascii  # json.dumps's C escaper
-_STR, _SEQ = {str}, {list, tuple}
 
 
-def _word_pairs(v, indent: str) -> list[str]:
-    """The texts at ``indent`` of the rows of ``v``, each a pair of words
-    (arrays of symbols); ``TypeError`` or ``ValueError`` if a row is
-    anything else.  Each word object's text is made once, kept by ``id``."""
+def _pairs(v: _Pairs, indent: str) -> str:
+    """The text of the pairs ``v`` at ``indent``, comma-separated: a first word's
+    text made once per run of equal first words, a second word's once per word."""
     inner = indent + "  "
     sym = inner + "  "
     sep = "," + sym
-    texts: dict[int, str] = {}
 
-    def word(w) -> str:
-        text = texts.get(id(w))
-        if text is None:
-            if type(w) not in _SEQ:  # a string is no word
-                raise TypeError("not a word")
-            text = texts[id(w)] = "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
-        return text
+    def word(w: tuple) -> str:
+        return "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
 
-    return ["[" + inner + word(w) + "," + inner + word(u) + indent + "]" for w, u in v]
+    second = {y: word(y) for y in set(map(itemgetter(1), v))}
+    close = indent + "]," + indent
+    runs = []
+    for x, run in groupby(v, itemgetter(0)):
+        head = "[" + inner + word(x) + "," + inner  # each pair: head, its second word, a close
+        runs.append(head + (close + head).join(map(second.__getitem__, map(itemgetter(1), run))))
+    return close.join(runs) + indent + "]"
 
 
 def _write(v, out: list, indent: str) -> None:
     """Append the text of ``v`` to ``out`` at ``indent``, a newline and spaces;
-    one call per level of nesting, so it fails near the stdlib encoder's depth."""
+    one call per level of nesting, so it fails near the stdlib encoder's depth.
+    A payload's rows and pairs are written by their exact type, and any other
+    array of symbols in one join."""
     if isinstance(v, str):
         out.append(_string(v))
     elif not isinstance(v, (dict, list, tuple)):  # json.dumps refuses all but numbers, bools, None
@@ -365,28 +368,20 @@ def _write(v, out: list, indent: str) -> None:
     else:
         inner = indent + "  "
         sep = "," + inner
-        types = set(map(type, v))
-        if types <= _STR:  # a row of symbols: one join
-            out += ("[", inner, sep.join(map(_string, v)), indent, "]")
-            return
-        if types <= _SEQ and all(v):  # rows of symbols: one join per row
+        if type(v) is _Pairs:
+            out += ("[", inner, _pairs(v, inner), indent, "]")
+        elif type(v) is _Rows:  # one join per row
             row = inner + "  "
-            try:
-                rows = (inner + "]" + sep + "[" + row).join([("," + row).join(map(_string, x)) for x in v])
-                out += ("[", inner, "[", row, rows, inner, "]", indent, "]")
-                return
-            except TypeError:  # a row holds something else
-                pass
-            try:  # pairs of words (relation and sample pairs): one join per pair
-                out += ("[", inner, sep.join(_word_pairs(v, inner)), indent, "]")
-                return
-            except (TypeError, ValueError):  # a row is no pair of words
-                pass
-        out.append("[")
-        for i, x in enumerate(v):
-            out.append(sep if i else inner)
-            _write(x, out, inner)
-        out += (indent, "]")
+            rows = (inner + "]" + sep + "[" + row).join([("," + row).join(map(_string, x)) for x in v])
+            out += ("[", inner, "[", row, rows, inner, "]", indent, "]")
+        elif set(map(type, v)) <= {str}:  # a row of symbols: one join
+            out += ("[", inner, sep.join(map(_string, v)), indent, "]")
+        else:
+            out.append("[")
+            for i, x in enumerate(v):
+                out.append(sep if i else inner)
+                _write(x, out, inner)
+            out += (indent, "]")
 
 
 def dumps(x) -> str:

@@ -221,13 +221,14 @@ class Rel:
 def grouped_pairs(pairs: Collection[Pair], first_key, second_key) -> list[Pair]:
     """``pairs`` by ``first_key`` of the first word, then by ``second_key`` of
     the second, each key computed once per distinct word; the second words of
-    one first word must share a length, as they are sorted by their rank."""
-    groups: dict = {}
-    for x, y in pairs:
-        groups.setdefault(x, []).append(y)
-    rank = {y: i for i, y in enumerate(sorted({y for _, y in pairs}, key=second_key))}
-    return [(x, y) for x in sorted(groups, key=first_key)
-            for y in sorted(groups[x], key=rank.__getitem__)]
+    one first word must share a length, as they are ordered by their key alone."""
+    by_second: dict = {}
+    for p in pairs:
+        by_second.setdefault(p[1], []).append(p)
+    by_first: dict = {}  # each bucket in second-word order
+    for p in itertools.chain.from_iterable(map(by_second.__getitem__, sorted(by_second, key=second_key))):
+        by_first.setdefault(p[0], []).append(p)
+    return list(itertools.chain.from_iterable(map(by_first.__getitem__, sorted(by_first, key=first_key))))
 
 
 def identity(o: Obj) -> Rel:

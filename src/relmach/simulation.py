@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .automata import Dfa, Nfa, _minimize, bits, determinize, edge_masks, iso_check, long_path_mask, \
-    mask_of, minimize
+from .automata import Dfa, Nfa, _minimize, bits, class_relation, determinize, edge_masks, iso_check, \
+    long_path_mask, mask_of, minimize
 from .relcore import Alphabet, MachineError, Rel, TypeMismatch, is_unit, obj, pack_obj
 from .transducer import Machine
 
@@ -197,10 +197,10 @@ def certificate_for_minimization(d: Dfa) -> tuple[Dfa, SimCertificate]:
 
     Every state of ``d`` must be accessible from its initial state.
     """
-    mdfa, lmap, kept = _minimize(d)
+    mdfa, name, kept = _minimize(d)
     if not all(kept):
         raise MachineError("minimization certificate requires every state accessible")
-    return mdfa, SimCertificate(lmap, TWO_SIDED)
+    return mdfa, SimCertificate(class_relation(d.states, mdfa.states, name), TWO_SIDED)
 
 
 

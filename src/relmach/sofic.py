@@ -143,29 +143,29 @@ def _subset_presentation(p: Presentation) -> tuple[Presentation, dict, dict[int,
     return trusted(Presentation, p.input, p.output, states, trans, None, None, name[start]), graph, name
 
 
-def determinize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
+def determinize_presentation(p: Presentation, certify=True) -> tuple[Presentation, SimCertificate | None]:
     """Subset construction rooted at the full state set.
 
     Requires a pruned presentation of a non-empty subshift; the empty
     subset is left out, with the transitions into it, so the result is
     right-resolving.  The certificate is the membership relation,
-    two-sided for the pair (input, determinized).
+    two-sided for the pair (input, determinized), or ``None`` without ``certify``.
     """
     if p.is_empty():
         raise MachineError("cannot determinize the empty presentation")
     if not is_language_pruned(p):
         raise MachineError("determinization requires a pruned presentation")
     det, graph, name = _subset_presentation(p)
-    return det, SimCertificate(membership(det.states, p.states, graph, name), TWO_SIDED)
+    return det, SimCertificate(membership(det.states, p.states, graph, name), TWO_SIDED) if certify else None
 
 
-def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate]:
+def minimize_presentation(p: Presentation, certify=True) -> tuple[Presentation, SimCertificate | None]:
     """Merge states with equal follow languages; keep the root's class.
 
     The input must be pruned, right-resolving, and rooted; its root is
-    ``find_root``'s, ``p.root`` when that is a root.  The result is the
-    canonical presentation of the subshift; the certificate is the
-    follow-language relation, two-sided for the pair (minimized, input).
+    ``find_root``'s, ``p.root`` when that is a root.  The result is the canonical
+    presentation of the subshift; the certificate, ``None`` without ``certify``, is
+    the follow-language relation, two-sided for the pair (minimized, input).
     """
     if not is_right_resolving(p):
         raise MachineError("minimization requires a right-resolving presentation")
@@ -175,7 +175,7 @@ def minimize_presentation(p: Presentation) -> tuple[Presentation, SimCertificate
     if root is None:
         raise MachineError("minimization requires a rooted presentation")
     minp, name = _minimal_presentation(p, root)
-    return minp, SimCertificate(class_relation(p.states, minp.states, name), TWO_SIDED)
+    return minp, SimCertificate(class_relation(p.states, minp.states, name), TWO_SIDED) if certify else None
 
 
 def _minimal_presentation(p: Presentation, root: str) -> tuple[Presentation, list]:

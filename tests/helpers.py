@@ -278,7 +278,8 @@ def minimal_dfa(n: Nfa) -> Dfa:
 
 
 def subset_name(members, order: Alphabet) -> str:
-    return subset_namer(order)(bits(mask_of(order, members)))
+    mask = mask_of(order, members)
+    return subset_namer(order)(mask, bits(mask) if mask & (mask - 1) else None)
 
 
 def rooted_iso(p1: Presentation, p2: Presentation) -> dict[str, str] | None:

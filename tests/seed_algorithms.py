@@ -88,7 +88,15 @@ relation with itself up to card(states) times (``periodic_membership``);
 its ``prune`` resolves to the oracle above.
 
 So is the canonical text that ``io.dumps`` wrote by handing the whole
-payload to the stdlib encoder (``canonical_dumps``).
+payload to the stdlib encoder (``canonical_dumps``), and the writer that
+replaced it before relation and sample pairs were written a run of first
+words at a time: a payload held one list per distinct word of its pairs
+(``_pair_lists``), and ``_write`` tried each array as rows of symbols and
+then as pairs of words, whose word texts ``_word_pairs`` kept by ``id``
+(``pair_list_dumps``).
+
+So is the subset namer that decoded every subset's member flags, one
+member or several (``subset_namer``).
 
 So are the conversions between the kinds, from before every machine was
 one value with quadruple rows: an automaton read as a unit-output
@@ -116,6 +124,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from itertools import chain, compress
 from operator import getitem
 
 from helpers import backward_edges, compose, compose_transducers, dfa, forward_edges, lift_transducer, \
@@ -125,7 +134,8 @@ from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, empty_dfa, nfa
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
-    identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel, trusted
+    comma_prefixed, escape, identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel, \
+    trusted
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
 from relmach.sofic import Presentation, ZTransducer, find_root, is_right_resolving, is_root, \
@@ -1340,3 +1350,110 @@ def periodic_membership(p: Presentation, word) -> bool:
 def canonical_dumps(payload: dict) -> str:
     """Sorted keys, two spaces of indent per level, and a final newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def subset_namer(order: Alphabet):
+    """The function that names each subset of ``order``, given its member
+    flags, by its members in state order, comma-separated in braces.
+    Distinct sets get distinct names.  When a state name begins with
+    another one and a comma, as "a,b" begins with "a", each member's
+    backslashes and commas are escaped with a backslash.  When a state is
+    named "", the empty set is named "∅", apart from "{}", the set of that
+    state."""
+    names = tuple(map(escape, order.elements)) if comma_prefixed(order) else order.elements
+    empty = "∅" if "" in order else "{}"
+
+    def name(flags: bytes) -> str:
+        return "{" + ",".join(compress(names, flags)) + "}" if 1 in flags else empty
+
+    return name
+
+
+def _pair_lists(pairs: list) -> list:
+    """``[list(x), list(y)]`` for each pair (x, y), one list for each distinct word."""
+    lists = {w: list(w) for w in set(chain.from_iterable(pairs))}
+    return [[lists[x], lists[y]] for x, y in pairs]
+
+
+_string = json.encoder.encode_basestring_ascii  # json.dumps's C escaper
+_STR, _SEQ = {str}, {list, tuple}
+
+
+def _word_pairs(v, indent: str) -> list[str]:
+    """The texts at ``indent`` of the rows of ``v``, each a pair of words
+    (arrays of symbols); ``TypeError`` or ``ValueError`` if a row is
+    anything else.  Each word object's text is made once, kept by ``id``."""
+    inner = indent + "  "
+    sym = inner + "  "
+    sep = "," + sym
+    texts: dict[int, str] = {}
+
+    def word(w) -> str:
+        text = texts.get(id(w))
+        if text is None:
+            if type(w) not in _SEQ:  # a string is no word
+                raise TypeError("not a word")
+            text = texts[id(w)] = "[" + sym + sep.join(map(_string, w)) + inner + "]" if w else "[]"
+        return text
+
+    return ["[" + inner + word(w) + "," + inner + word(u) + indent + "]" for w, u in v]
+
+
+def _write(v, out: list, indent: str) -> None:
+    """Append the text of ``v`` to ``out`` at ``indent``, a newline and spaces;
+    one call per level of nesting, so it fails near the stdlib encoder's depth."""
+    if isinstance(v, str):
+        out.append(_string(v))
+    elif not isinstance(v, (dict, list, tuple)):  # json.dumps refuses all but numbers, bools, None
+        out.append(json.dumps(v))
+    elif not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif isinstance(v, dict):
+        inner = indent + "  "
+        out.append("{")
+        for i, (k, x) in enumerate(sorted(v.items())):
+            out += ("," + inner if i else inner, _string(k), ": ")
+            _write(x, out, inner)
+        out += (indent, "}")
+    else:
+        inner = indent + "  "
+        sep = "," + inner
+        types = set(map(type, v))
+        if types <= _STR:  # a row of symbols: one join
+            out += ("[", inner, sep.join(map(_string, v)), indent, "]")
+            return
+        if types <= _SEQ and all(v):  # rows of symbols: one join per row
+            row = inner + "  "
+            try:
+                rows = (inner + "]" + sep + "[" + row).join([("," + row).join(map(_string, x)) for x in v])
+                out += ("[", inner, "[", row, rows, inner, "]", indent, "]")
+                return
+            except TypeError:  # a row holds something else
+                pass
+            try:  # pairs of words (relation and sample pairs): one join per pair
+                out += ("[", inner, sep.join(_word_pairs(v, inner)), indent, "]")
+                return
+            except (TypeError, ValueError):  # a row is no pair of words
+                pass
+        out.append("[")
+        for i, x in enumerate(v):
+            out.append(sep if i else inner)
+            _write(x, out, inner)
+        out += (indent, "]")
+
+
+def _with_pair_lists(p):
+    """The payload ``p`` with the pairs of each relation and sample in it
+    as ``_pair_lists``, as payloads held them."""
+    if not isinstance(p, dict):
+        return p
+    return {k: _pair_lists(x) if k == "pairs" else _with_pair_lists(x) for k, x in p.items()}
+
+
+def pair_list_dumps(x) -> str:
+    """The document of a value, or of a payload, as ``_write`` wrote it
+    from a payload that held one list per distinct word of its pairs."""
+    out: list = []
+    _write(_with_pair_lists(x if isinstance(x, dict) else io.to_payload(x)), out, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -11,7 +11,7 @@ from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
 from helpers import dfa, lift_transducer, load_file, rel
 import relmach
-from relmach import automata, cli, diagram, io, simulation
+from relmach import automata, cli, diagram, io, simulation, sofic
 from relmach.automata import determinize, minimize, nfa
 from relmach.cli import build_parser, main
 from relmach.diagram import Box, Feedback, Id, Par, Seq
@@ -417,14 +417,24 @@ def test_determinize_minimize_with_certificates(tmp_path, capsys):
     ("determinize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
     ("minimize", presentation(Ab, UNIT, {("*", "a", "*"), ("*", "b", "*")})),
 ])
-def test_certificates_over_a_unit_state_alphabet_check(tmp_path, capsys, command, x):
+def test_certificates_over_a_unit_state_alphabet_check(tmp_path, capsys, monkeypatch, command, x):
     """A machine whose states are the unit alphabet gets a certificate that
     check-sim passes; the certified pair is (input, result) for determinize
-    and (result, input) for minimize."""
+    and (result, input) for minimize.  Without --certify the same machine is
+    printed, and no certificate relation is built."""
     f = write(tmp_path, "x.json", x)
     cert = str(tmp_path / "cert.json")
     code, out, err = run(capsys, command, f, "--certify", cert)
     assert (code, err) == (0, "")
+
+    def refuse(*args):
+        raise AssertionError("a certificate built without --certify")
+
+    with monkeypatch.context() as patch:
+        for module in (automata, sofic, simulation):
+            for name in ("membership", "class_relation"):
+                patch.setattr(module, name, refuse, raising=False)
+        assert run(capsys, command, f) == (0, out, "")
     result = tmp_path / "y.json"
     result.write_text(out)
     pair = (f, str(result)) if command == "determinize" else (str(result), f)

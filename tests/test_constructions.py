@@ -18,7 +18,7 @@ from genrand import alter_one_box, preserving_mutation, random_alphabet, random_
     random_diagram, random_subset, random_wired_diagram
 from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name, triples
 from relmach import automata, sofic
-from relmach.automata import Dfa, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
+from relmach.automata import Dfa, bits, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
 from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap, _collapse, acceptors, \
     denotation_upto, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
@@ -275,6 +275,27 @@ def test_distinct_subsets_get_distinct_names(names):
         # no name could be misread, so every name is the plain one
         assert all(subset_name(sub, order) == "{" + ",".join(order.sort(sub)) + "}"
                    for sub in every)
+
+
+@given(st.lists(st.sampled_from(STATE_NAMES), unique=True, min_size=1, max_size=6),
+       st.integers(0, 2**32).map(random.Random))
+def test_subset_names_match_the_flag_namer(names, rng):
+    """Every subset, and every subset a random NFA reaches, is named and
+    related to its members as from its decoded member flags: a subset of
+    one member from its position, of several from the flags it is decoded
+    to once, when its image is taken."""
+    order = Alphabet("Q", tuple(names))
+    spell, old = automata.subset_namer(order), seed.subset_namer(order)
+    for mask in range(1 << len(names)):
+        assert spell(mask, bits(mask) if mask & (mask - 1) else None) == old(bits(mask))
+    n = nfa(A, order, {(p, a, q) for p in names for a in "xy" for q in names if rng.random() < 0.3},
+            {q for q in names if rng.random() < 0.5}, set())
+    graph = subsets(n, mask_of(order, n.initial))
+    assert all(flags == (bits(mask) if mask & (mask - 1) else None) for mask, (flags, _) in graph.items())
+    states, name, _ = automata.subset_machine(n, graph)
+    assert name == {mask: old(bits(mask)) for mask in graph}
+    assert automata.membership(states, order, graph, name).pairs == \
+        {((name[mask],), (q,)) for mask in graph for q in itertools.compress(names, bits(mask))}
 
 
 def test_verdicts_build_no_membership_relation(monkeypatch):

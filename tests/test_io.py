@@ -12,11 +12,12 @@ from relmach.automata import Dfa, nfa
 from relmach.cli import main
 from relmach.diagram import Box, Feedback, Par, Seq
 from relmach.dot import to_dot
-from relmach.relcore import Alphabet, MachineError, obj
+from relmach.relcore import UNIT, Alphabet, MachineError, Obj, obj
 from relmach.simulation import SimCertificate, certificate_for_determinization, check_fin, \
     equiv_chain
 from relmach.sofic import presentation, ztransducer
-from relmach.transducer import behavior_upto
+from relmach.transducer import Transducer, behavior_upto
+import seed_algorithms as seed
 from seed_algorithms import canonical_dumps, nfa_to_transducer
 
 Ab = Alphabet("A", ("a", "b"))
@@ -56,8 +57,7 @@ def test_kind_consistency_for_diagram_terms():
 def test_words_serialize_as_symbol_arrays():
     greek = Alphabet("greek", ("alpha", "beta"))
     r = rel(obj(greek), obj(greek), {(("alpha",), ("beta",))})
-    payload = io.to_payload(r)
-    assert payload["pairs"] == [[["alpha"], ["beta"]]]
+    assert json.loads(io.dumps(r))["pairs"] == [[["alpha"], ["beta"]]]
 
 
 def test_canonical_ordering_is_alphabet_order():
@@ -80,20 +80,24 @@ def test_dumps_is_canonical_json():
 SYMBOLS = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7f é\u2028\U0001d11e') | st.characters(),
                   max_size=6)
 LEAVES = SYMBOLS | st.integers() | st.integers(-2**80, 2**80) | st.booleans() | st.none()
-# Rows of symbols, which the encoder joins whole, and their near misses.
+# Rows of symbols, and their near misses; a machine's rows (``io._Rows``)
+# are joined one row at a time.
 ROWS = (st.lists(st.lists(SYMBOLS, min_size=1, max_size=3) | st.tuples(SYMBOLS, SYMBOLS), max_size=4)
         | st.lists(st.lists(SYMBOLS, max_size=2) | st.tuples(SYMBOLS, LEAVES), max_size=3)
-        | st.lists(SYMBOLS | st.lists(SYMBOLS, max_size=2), max_size=4))
-# Rows of word pairs (relation and sample pairs), which it joins pair by
-# pair, and their near misses: a string, a leaf or a third word in a pair.
-# Pairs may share one word object, as a relation's payload does.
+        | st.lists(SYMBOLS | st.lists(SYMBOLS, max_size=2), max_size=4)
+        | st.lists(st.lists(SYMBOLS, min_size=1, max_size=3), max_size=4).map(io._Rows))
+# Rows of word pairs, and their near misses: a string, a leaf or a third
+# word in a pair.  Pairs may share one word object, and a relation's or a
+# sample's pairs (``io._Pairs``, tuples of words that are tuples) are
+# written a run of equal first words at a time, sorted or not.
 WORDS = st.lists(SYMBOLS, max_size=3) | st.tuples(SYMBOLS)
 SHARED = st.lists(WORDS, min_size=1, max_size=3).flatmap(
     lambda ws: st.lists(st.tuples(st.sampled_from(ws), st.sampled_from(ws))
                         | st.lists(st.sampled_from(ws), min_size=2, max_size=2), min_size=1, max_size=5))
-PAIRS = SHARED | st.lists(st.tuples(WORDS, WORDS)
-                          | st.lists(WORDS | SYMBOLS | st.lists(LEAVES, max_size=2), min_size=1, max_size=3),
-                          min_size=1, max_size=4)
+RUNS = st.lists(st.lists(SYMBOLS, max_size=3).map(tuple), min_size=1, max_size=3).flatmap(
+    lambda ws: st.lists(st.tuples(st.sampled_from(ws), st.sampled_from(ws)), max_size=6).map(io._Pairs))
+NEAR = st.lists(WORDS | SYMBOLS | st.lists(LEAVES, max_size=2), min_size=1, max_size=3)
+PAIRS = SHARED | RUNS | st.lists(st.tuples(WORDS, WORDS) | NEAR, min_size=1, max_size=4)
 TREES = st.recursive(
     LEAVES | ROWS | PAIRS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
@@ -107,14 +111,34 @@ def test_dumps_writes_the_stdlib_bytes(payload):
     assert io.dumps(payload) == canonical_dumps(payload)
 
 
-def test_a_relation_payload_holds_one_list_per_distinct_word():
+def test_a_relation_document_lists_its_sorted_pairs():
     x, y = Alphabet("X", ("0", "1")), Alphabet("Y", ("u", "v", "w"))
     r = rel(obj(x, x), obj(y),
             {((a, b), (c,)) for a in "01" for b in "01" for c in "uvw" if c != "v" or a == b})
-    pairs = io.to_payload(r)["pairs"]
-    assert pairs == [[list(p), list(q)] for p, q in r.sorted_pairs()]
-    assert len({id(w) for pair in pairs for w in pair}) == 4 + 3
-    assert io.dumps(r) == canonical_dumps(io.to_payload(r))
+    text = io.dumps(r)
+    assert json.loads(text)["pairs"] == [[list(p), list(q)] for p, q in r.sorted_pairs()]
+    assert text == canonical_dumps(io.to_payload(r)) == seed.pair_list_dumps(r)
+
+
+def bundles(rng: random.Random, pool: list[Alphabet]) -> Obj:
+    """Zero to three wires drawn from ``pool``."""
+    return Obj(tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+
+
+@given(st.integers(0, 2**32).map(random.Random))
+def test_pair_documents_match_the_pair_list_writer(rng):
+    """Relations (unit wires and no wires among them, so words may be
+    empty, and no pairs at all), samples with the empty word, certificates
+    and chains are written as the pair list writer wrote them, canonically."""
+    pool = [random_alphabet(rng, "A", 3), random_alphabet(rng, "B", 2), UNIT]
+    values = [random_rel(rng, bundles(rng, pool), bundles(rng, pool), rng.choice([0, 0.3, 1]))
+              for _ in range(3)]
+    n, t = random_nfa(rng), random_transducer(rng)
+    values += [certificate_for_determinization(n)[1], equiv_chain(n, n)]
+    t = Transducer(t.input, t.output, t.states, t.trans, t.initial | t.final, t.final)
+    for x in [*values, io.sample_payload(behavior_upto(t, rng.randint(0, 3)))]:
+        text = io.dumps(x)
+        assert text == seed.pair_list_dumps(x) == canonical_dumps(json.loads(text))
 
 
 @given(st.integers(0, 2**32).map(random.Random))
