@@ -20,10 +20,11 @@ restriction to the states on infinite paths, peels them by one bulk OR, then
 a worklist over the predecessors of removed states, O(n + m) mask operations
 for n states and m edges.  A subset is an ``int`` bitmask; ``subsets``, the
 subset construction, takes its image under k letters (``image_row``) as k
-ORs per member, or k reads for one.  A verdict (``same_words``) walks both
-subset DFAs on the fly with Hopcroft and Karp's union-find: at most one row
-per subset and O((N1+N2)·k) pair steps at O(α) each for N1+N2 subsets.  It
-stops at the first pair differing in finality and builds no machine.
+ORs per member, or k reads for one.  A verdict (``same_words``) walks the
+subset DFAs of two ``successor_table``s, which its caller builds once, on the
+fly with Hopcroft and Karp's union-find: at most one row per subset and
+O((N1+N2)·k) pair steps at O(α) each for N1+N2 subsets.  It stops at the
+first pair differing in finality and builds no machine.
 
 Determinized machines come with a "contains" relation and minimized
 machines with a follow-language relation; both are simulation certificates
@@ -420,16 +421,17 @@ def iso_check(d1: Dfa, d2: Dfa) -> dict[str, str] | None:
     return dict(zip(d1.states.elements, map(d2.states.elements.__getitem__, to)))
 
 
-def same_words(m1, start1: int, final1: int, m2, start2: int, final2: int) -> bool:
-    """Whether the subset DFA of ``m1`` from ``start1`` accepts the same
-    words as that of ``m2`` (same alphabets) from ``start2``, a subset being
-    final when it meets ``final1`` (``final2``).  Hopcroft and Karp (1971):
-    a breadth-first walk over pairs of subsets, with a union-find over
-    ``mask << 1 | side``.  A pair differing in finality answers ``False``
-    (checked first: no class mixes finalities), a pair in one class is
-    skipped, and any other is merged and queues the pairs of its images."""
-    tables = successor_table(m1), successor_table(m2)
-    rows: tuple[dict[int, list[int]], ...] = ({},) * 2 if tables[0] == tables[1] else ({}, {})
+def same_words(table1, start1: int, final1: int, table2, start2: int, final2: int) -> bool:
+    """Whether the subset DFA of the ``successor_table`` ``table1`` from
+    ``start1`` accepts the same words as that of ``table2`` (same letters)
+    from ``start2``, a subset being final when it meets ``final1``
+    (``final2``).  Hopcroft and Karp (1971): a breadth-first walk over pairs
+    of subsets, with a union-find over ``mask << 1 | side``.  A pair
+    differing in finality answers ``False`` (checked first: no class mixes
+    finalities), a pair in one class is skipped, and any other is merged and
+    queues the pairs of its images."""
+    tables = table1, table2
+    rows: tuple[dict[int, list[int]], ...] = ({},) * 2 if table1 == table2 else ({}, {})
     parent: dict[int, int] = {}  # a root has no entry
 
     def find(x: int) -> int:
@@ -461,8 +463,8 @@ def nfa_equiv(n1: Machine, n2: Machine) -> bool:
     equality of behaviors."""
     if (n1.input.elements, n1.output.elements) != (n2.input.elements, n2.output.elements):
         raise TypeMismatch("cannot compare automata over different alphabets")
-    return same_words(n1, mask_of(n1.states, n1.initial), mask_of(n1.states, n1.final),
-                      n2, mask_of(n2.states, n2.initial), mask_of(n2.states, n2.final))
+    return same_words(successor_table(n1), mask_of(n1.states, n1.initial), mask_of(n1.states, n1.final),
+                      successor_table(n2), mask_of(n2.states, n2.initial), mask_of(n2.states, n2.final))
 
 
 def prune_language(n: Nfa) -> Nfa:

@@ -8,9 +8,10 @@ the file's kind tag and refuses other kinds: "expected kind dfa/presentation, go
 
 ``main(argv)`` returns the exit status for every argv, usage errors (2)
 and ``--help`` (0) included; only ``entry`` raises ``SystemExit``.  The
-argument parser is built once per process, on the first call, so
-in-process callers pay its set-up once; each call looks its command up
-as the module function ``cmd_<command>`` (``-`` read as ``_``).
+grammar is one table, ``COMMANDS``: ``_match`` reads a well-formed argv by
+it, and any other argv (``--help``, an abbreviation, a usage error) goes to
+argparse, whose parser is built from the table once per process, on the
+first such call.  Each call runs its command's function from the table.
 """
 
 from __future__ import annotations
@@ -222,60 +223,44 @@ def length(text: str) -> int:
     return int(text)
 
 
+# The command table: per subcommand its help, its function, and its
+# positionals and options, each named and with add_argument's keywords, in
+# argparse's order.  ``build_parser`` makes argparse's parser from it, and
+# ``_match`` reads well-formed argv by it.
+MAX_LEN = {"--max-len": {"type": length, "required": True}}
+CERTIFY = {"--certify": {"metavar": "PATH"}}
+COMMANDS = {
+    "behavior": ("bounded-length behavior of a transducer or diagram", cmd_behavior, {"file": {}},
+                 {**MAX_LEN, "--via": {"choices": ["shift", "runs"]}}),
+    "equiv": ("decide equivalence of two machine files", cmd_equiv, {"file1": {}, "file2": {}},
+              {"--certify": {"metavar": "PATH",
+                             "help": "when two diagrams are equal, write their certificate chain"}}),
+    "determinize": ("subset construction with certificate", cmd_determinize, {"file": {}}, CERTIFY),
+    "minimize": ("merge states with equal follow languages", cmd_minimize, {"file": {}}, CERTIFY),
+    "prune": ("restrict to states on unbounded paths", cmd_prune, {"file": {}},
+              {"--mode": {"choices": ["fwd", "bwd", "full"], "default": "full"}}),
+    "canonical": ("canonical presentation of a subshift", cmd_canonical, {"file": {}}, {}),
+    "check-sim": ("check a simulation certificate", cmd_check_sim, {"m1": {}, "m2": {}, "cert": {}},
+                  {"--mode": {"choices": ["two-sided", "backward", "forward"]},
+                   "--infinite": {"action": "store_true"}}),
+    "normalize": ("quasi-normal form of a diagram term", cmd_normalize, {"file": {}}, {}),
+    "factors": ("bounded factor language of a presentation", cmd_factors, {"file": {}}, MAX_LEN),
+    "periodic": ("periodic-point membership in a subshift", cmd_periodic,
+                 {"file": {}, "word": {"help": "symbols, concatenated or comma-separated"}}, {}),
+    "export-dot": ("render a machine file as Graphviz DOT", cmd_export_dot, {"file": {}}, {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relmach",
         description="decision procedures for transducers, diagrams, and subshift presentations",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("behavior", help="bounded-length behavior of a transducer or diagram")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=length, required=True)
-    p.add_argument("--via", choices=["shift", "runs"])
-
-    p = sub.add_parser("equiv", help="decide equivalence of two machine files")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--certify", metavar="PATH",
-                   help="when two diagrams are equal, write their certificate chain")
-
-    p = sub.add_parser("determinize", help="subset construction with certificate")
-    p.add_argument("file")
-    p.add_argument("--certify", metavar="PATH")
-
-    p = sub.add_parser("minimize", help="merge states with equal follow languages")
-    p.add_argument("file")
-    p.add_argument("--certify", metavar="PATH")
-
-    p = sub.add_parser("prune", help="restrict to states on unbounded paths")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=["fwd", "bwd", "full"], default="full")
-
-    p = sub.add_parser("canonical", help="canonical presentation of a subshift")
-    p.add_argument("file")
-
-    p = sub.add_parser("check-sim", help="check a simulation certificate")
-    p.add_argument("m1")
-    p.add_argument("m2")
-    p.add_argument("cert")
-    p.add_argument("--mode", choices=["two-sided", "backward", "forward"])
-    p.add_argument("--infinite", action="store_true")
-
-    p = sub.add_parser("normalize", help="quasi-normal form of a diagram term")
-    p.add_argument("file")
-
-    p = sub.add_parser("factors", help="bounded factor language of a presentation")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=length, required=True)
-
-    p = sub.add_parser("periodic", help="periodic-point membership in a subshift")
-    p.add_argument("file")
-    p.add_argument("word", help="symbols, concatenated or comma-separated")
-
-    p = sub.add_parser("export-dot", help="render a machine file as Graphviz DOT")
-    p.add_argument("file")
-
+    for command, (text, _, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in (*positionals.items(), *options.items()):
+            p.add_argument(name, **keywords)
     return ap
 
 
@@ -284,13 +269,56 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _match(argv) -> argparse.Namespace | None:
+    """The namespace argparse makes of ``argv`` if it is well-formed, else
+    None: a command, then its positionals in number and each of its options
+    at most once by whole name, a flag bare and any other with a value
+    that passes its type and choices, every required one given, and no
+    other token starting with ``-``.  Anything else (``-h``, ``--``,
+    ``--name=value``, an abbreviation) is argparse's to read or report."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, positionals, options = COMMANDS[argv[0]]
+    values, free, tokens = {"command": argv[0]}, [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            free.append(token)
+            continue
+        keywords, dest = options.get(token), token[2:].replace("-", "_")
+        if keywords is None or dest in values:
+            return None
+        if "action" in keywords:  # a store_true flag
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as a dash
+        if value[:1] == "-":
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    for flag, keywords in options.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in values and keywords.get("required"):
+            return None
+        values.setdefault(dest, keywords.get("default", False if "action" in keywords else None))
+    if len(free) == len(positionals):
+        return argparse.Namespace(**values, **dict(zip(positionals, free)))
+    return None
+
+
 def main(argv=None) -> int:
+    args = _match(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:  # usage error (2) or --help (0), already printed
+            return e.code
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:  # usage error (2) or --help (0), already printed
-        return e.code
-    try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return COMMANDS[args.command][1](args)
     except (CliError, MachineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -117,10 +117,15 @@ transducer's bounded behavior that ``diagram.loop_term`` replaced: every
 word of the shift over the states (``finite_shift_at``), |Q|^(k−1)·|I|·|F|
 of them at length k, joined with the products of the letter sections of
 the transition relation (``behavior_via_shift_upto``).
+
+So is the command line's argument parser, made by one ``add_parser`` and
+``add_argument`` call per subcommand and argument before the command table
+``cli.COMMANDS`` declared the grammar (``build_parser``).
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 from dataclasses import dataclass
@@ -132,6 +137,7 @@ from helpers import backward_edges, compose, compose_transducers, dfa, forward_e
     subset_as_point, subset_name, trans_rel, triples, type_of
 from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, empty_dfa, nfa
+from relmach.cli import length
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, Swap
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, TypeMismatch, \
     comma_prefixed, escape, identity, is_unit, material, obj, pack_obj, pair_symbol, swap as swap_rel, \
@@ -1457,3 +1463,60 @@ def pair_list_dumps(x) -> str:
     _write(_with_pair_lists(x if isinstance(x, dict) else io.to_payload(x)), out, "\n")
     out.append("\n")
     return "".join(out)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="relmach",
+        description="decision procedures for transducers, diagrams, and subshift presentations",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("behavior", help="bounded-length behavior of a transducer or diagram")
+    p.add_argument("file")
+    p.add_argument("--max-len", type=length, required=True)
+    p.add_argument("--via", choices=["shift", "runs"])
+
+    p = sub.add_parser("equiv", help="decide equivalence of two machine files")
+    p.add_argument("file1")
+    p.add_argument("file2")
+    p.add_argument("--certify", metavar="PATH",
+                   help="when two diagrams are equal, write their certificate chain")
+
+    p = sub.add_parser("determinize", help="subset construction with certificate")
+    p.add_argument("file")
+    p.add_argument("--certify", metavar="PATH")
+
+    p = sub.add_parser("minimize", help="merge states with equal follow languages")
+    p.add_argument("file")
+    p.add_argument("--certify", metavar="PATH")
+
+    p = sub.add_parser("prune", help="restrict to states on unbounded paths")
+    p.add_argument("file")
+    p.add_argument("--mode", choices=["fwd", "bwd", "full"], default="full")
+
+    p = sub.add_parser("canonical", help="canonical presentation of a subshift")
+    p.add_argument("file")
+
+    p = sub.add_parser("check-sim", help="check a simulation certificate")
+    p.add_argument("m1")
+    p.add_argument("m2")
+    p.add_argument("cert")
+    p.add_argument("--mode", choices=["two-sided", "backward", "forward"])
+    p.add_argument("--infinite", action="store_true")
+
+    p = sub.add_parser("normalize", help="quasi-normal form of a diagram term")
+    p.add_argument("file")
+
+    p = sub.add_parser("factors", help="bounded factor language of a presentation")
+    p.add_argument("file")
+    p.add_argument("--max-len", type=length, required=True)
+
+    p = sub.add_parser("periodic", help="periodic-point membership in a subshift")
+    p.add_argument("file")
+    p.add_argument("word", help="symbols, concatenated or comma-separated")
+
+    p = sub.add_parser("export-dot", help="render a machine file as Graphviz DOT")
+    p.add_argument("file")
+
+    return ap

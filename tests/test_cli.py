@@ -4,9 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import seed_algorithms as seed
 from conftest import SEED
 from genrand import random_diagram, random_nfa, random_presentation, random_transducer
 from helpers import dfa, lift_transducer, load_file, rel
@@ -570,10 +574,10 @@ def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, monkeypatc
         Ab, Alphabet("Q", ("0",)), {("0", "a", "0"), ("0", "b", "0")}))
     for exc in (RecursionError("maximum recursion depth exceeded"),
                 RuntimeError("first line\nsecond line")):
-        def crash(args, exc=exc):
+        def crash(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr("relmach.cli.cmd_equiv", crash)
+        monkeypatch.setattr("relmach.cli.nfa_equiv", crash)
         code, out, err = run(capsys, "equiv", gm, gm)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1
@@ -671,9 +675,119 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
     cli._parser.cache_clear()
-    for argv in (("equiv", gm, gm), ("canonical", gm), ("bogus",), ("equiv", gm, gm)):
+    # a well-formed argv builds no parser; the first other one builds it
+    for argv, count in ((("equiv", gm, gm), 0), (("canonical", gm), 0), (("bogus",), 1),
+                        (("equiv", gm, gm), 1), (("equiv", gm, gm, "--cert", str(tmp_path / "c")), 1)):
         run(capsys, *argv)
+        assert len(built) == count, argv
     assert len(built) == 1
+
+
+# Each command's positional count and options, as the help texts list them.
+GRAMMAR = {"behavior": (1, ("--max-len", "--via")), "equiv": (2, ("--certify",)),
+           "determinize": (1, ("--certify",)), "minimize": (1, ("--certify",)), "prune": (1, ("--mode",)),
+           "canonical": (1, ()), "check-sim": (3, ("--mode", "--infinite")), "normalize": (1, ()),
+           "factors": (1, ("--max-len",)), "periodic": (2, ()), "export-dot": (1, ())}
+COMMAND_NAMES = tuple(GRAMMAR)
+ORACLE = seed.build_parser()
+
+
+def oracle_output(parser, argv) -> tuple[dict | int, str, str]:
+    """The fields of the namespace ``parser.parse_args(argv)`` returns, or
+    the status it exits with, and what it prints on stdout and stderr."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_help_and_usage_errors_match_the_oracle_parser():
+    """The parser built from the command table prints argparse's text as the
+    one built call by call did: every help, and each command's usage error."""
+    assert build_parser().format_help() == ORACLE.format_help()
+    for command in COMMAND_NAMES:
+        for argv in ([command, "--help"], [command]):
+            expected = oracle_output(ORACLE, argv)
+            assert oracle_output(build_parser(), argv) == expected
+            assert (expected[1] or expected[2]).startswith(f"usage: relmach {command} ")
+
+
+WELL_FORMED = (
+    ["behavior", "f", "--max-len", "3"], ["behavior", "--via", "shift", "--max-len", "0", "f"],
+    ["equiv", "a", "b"], ["equiv", "a", "--certify", "c", "b"], ["equiv", "", "b"],
+    ["determinize", "f", "--certify", "c"], ["minimize", "f"], ["prune", "f"],
+    ["prune", "--mode", "fwd", "f"], ["canonical", "f"], ["check-sim", "a", "b", "c"],
+    ["check-sim", "a", "--infinite", "b", "--mode", "forward", "c"], ["normalize", "x y"],
+    ["factors", "f", "--max-len", "007"], ["periodic", "f", "a,b"], ["export-dot", "f"],
+)
+# argparse reads these as the well-formed argv beside them, or reports them;
+# either way ``_match`` leaves them to argparse.
+DECLINED = (
+    ["equiv", "a", "b", "--cert", "c"], ["equiv", "a", "b", "--certify=c"],
+    ["prune", "f", "--mode", "fwd", "--mode", "bwd"], ["equiv", "a", "b", "-h"], ["equiv", "--", "a", "b"],
+    ["determinize", "f", "--certify", "-"], ["equiv", "a", "b", "--certify", "--"],
+    ["factors", "f", "--max-len", "-1"], ["check-sim", "a", "b", "c", "--inf"],
+    ["equiv", "a"], ["canonical"], ["canonical", "f", "g"], ["bogus"], ["--help"], [],
+)
+
+
+def test_match_reads_well_formed_argv():
+    for argv in WELL_FORMED:
+        matched = cli._match(argv)
+        assert matched is not None and vars(matched) == oracle_output(ORACLE, argv)[0], argv
+    for argv in DECLINED:
+        assert cli._match(argv) is None, argv
+
+
+FILES = ("a.json", "dir/b.json", "x y", "=", "ab", "")
+VALUES = {"--max-len": ("0", "3", "007", " 2", "-1", "x"), "--via": ("shift", "runs", "full"),
+          "--certify": ("c.json", "", "-"), "--mode": ("fwd", "full", "two-sided", "backward", "x"),
+          "--infinite": ("a.json", "1")}
+ODD = ("--max", "--cert", "--mo", "--inf", "--max-len=3", "--certify=x", "--mode=full", "--infinite=1",
+       "-h", "--help", "--", "-1", "-", "", "--bogus", "-m")
+
+
+@st.composite
+def argvs(draw):
+    """A command name (or not), then files, options with and without a
+    value, and malformed tokens, in any order.  Half are drawn clean: the
+    command's number of files, some of its own options and ``--max-len``,
+    which is required, each option but the flag with a value, and no
+    malformed token, so that many are well-formed.  The others have one
+    file too few or too many or the right number, and options of the
+    command's own or of any command."""
+    command = draw(st.sampled_from((*COMMAND_NAMES, "bogus", "-h", "--help", "")))
+    count, own = GRAMMAR.get(command, (1, ()))
+    clean = draw(st.booleans())
+    if clean:
+        options = [o for o in own if o == "--max-len" or draw(st.booleans())]
+    else:
+        names = own if own and draw(st.booleans()) else sorted(VALUES)
+        options = draw(st.lists(st.sampled_from(names), max_size=3))
+        count = draw(st.integers(max(count - 1, 0), count + 1))
+    pieces = [[f] for f in draw(st.lists(st.sampled_from(FILES), min_size=count, max_size=count))]
+    for o in options:
+        bare = o == "--infinite" if clean else draw(st.booleans())
+        pieces.append([o] if bare else [o, draw(st.sampled_from(VALUES[o]))])
+    if not clean:
+        pieces += [[t] for t in draw(st.lists(st.sampled_from([*FILES, *ODD]), max_size=1))]
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=500)
+@given(argvs())
+def test_match_declines_or_agrees_with_argparse(argv):
+    """``_match`` returns argparse's namespace or None, and None wherever
+    argparse exits."""
+    matched = cli._match(argv)
+    expected = oracle_output(ORACLE, argv)[0]
+    if not isinstance(expected, dict):
+        assert matched is None
+    else:
+        assert matched is None or vars(matched) == expected
 
 
 def test_no_state_leaks_between_calls(tmp_path, capsys):

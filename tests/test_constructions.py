@@ -18,7 +18,8 @@ from genrand import alter_one_box, preserving_mutation, random_alphabet, random_
     random_diagram, random_subset, random_wired_diagram
 from helpers import minimal_dfa, presentations_equiv, rooted_iso, subset_name, triples
 from relmach import automata, sofic
-from relmach.automata import Dfa, bits, determinize, mask_of, minimize, nfa, nfa_equiv, subsets
+from relmach.automata import Dfa, bits, determinize, mask_of, minimize, nfa, nfa_equiv, subsets, \
+    successor_table
 from relmach.diagram import Box, Feedback, Id, Par, Seq, Swap, _collapse, acceptors, \
     denotation_upto, normal_form, z_normal_form
 from relmach.relcore import Alphabet, Rel, TypeMismatch, obj
@@ -322,6 +323,27 @@ def test_verdicts_build_no_membership_relation(monkeypatch):
     assert is_language_pruned(tail) and find_root(tail) == "p"
 
 
+def test_find_root_builds_one_successor_table(monkeypatch):
+    """Every candidate's walk reads the one table ``find_root`` builds: an
+    a-cycle with one b-chord has no root, so all n candidates are walked."""
+    n = 40
+    p = presentation(A, Alphabet("Q", tuple(map(str, range(n)))),
+                     {(str(i), "x", str((i + 1) % n)) for i in range(n)} | {("0", "y", "2")})
+    built = []
+
+    def counting(m):
+        built.append(m)
+        return successor_table(m)
+
+    for module in (automata, sofic):
+        monkeypatch.setattr(module, "successor_table", counting)
+    assert find_root(p) is None and len(built) == 1
+    built.clear()
+    # q is walked, then p is the root
+    tail = presentation(A, Alphabet("Q", ("q", "p")), {("p", "x", "p"), ("p", "x", "q")})
+    assert find_root(tail) == "p" and len(built) == 1
+
+
 def from_end(k: int):
     """The NFA of the words over {x, y} whose k-th letter from the end is x;
     its subset DFA has 2**k states."""
@@ -408,13 +430,16 @@ def test_same_words_matches_refinement(triple, data):
     def masks(m):
         return st.integers(0, (1 << len(m.states)) - 1)
 
+    def same_words(m1, start1, final1, m2, start2, final2):
+        return automata.same_words(successor_table(m1), start1, final1, successor_table(m2), start2, final2)
+
     for x, y in [(n, n), (n, changed), (changed, n), (n, other)]:
         args = (x, data.draw(masks(x)), data.draw(masks(x)), y, data.draw(masks(y)), data.draw(masks(y)))
-        assert automata.same_words(*args) == seed.same_words_by_refinement(*args)
+        assert same_words(*args) == seed.same_words_by_refinement(*args)
     full = (1 << len(n.states)) - 1
     for i in range(len(n.states)):
         args = (n, 1 << i, full, n, full, full)
-        assert automata.same_words(*args) == seed.same_words_by_refinement(*args)
+        assert same_words(*args) == seed.same_words_by_refinement(*args)
 
 
 @given(nfa_pairs())
