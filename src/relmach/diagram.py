@@ -35,22 +35,22 @@ here are valid by construction (``relcore.trusted``).
 
 ``denotation_upto`` is the bounded evaluation that ``interpret_upto``
 checks a normal form against, and ``relmach behavior`` a transducer's runs,
-on its loop term.  It is independent of the collapse: it evaluates words,
-constructor by constructor, each node once per length.  A node with no
-loop is letterwise, its length-k relation its one-letter relation repeated
-k times, so each length extends the one before; so does a loop over a
-letterwise body, by the words whose fed-back letters chain from an initial
-label, related when they end on a final one.  A loop over a body with
-loops keeps each word pair of the body whose fed-back letters lie in the
-shift, checked pair by pair, and a ``Seq`` or ``Par`` with loops joins its
-operands' relations.
+on its loop term.  As the paper's uniform relations are read letter by
+letter, it extends each length's words by one letter, by a step table that
+each node builds from its children's.  A key is the flat tuple of the
+fed-back letters of a node's loops: a box, identity or swap has the one key
+``()``, a ``Seq`` or ``Par`` concatenates its operands' keys, and a loop
+appends its fed-back letter to its body's.  It is independent of the
+collapse, as it reads words, not packed rows.  Its keys multiply like the normal form's states,
+so it is exponential in the number of loops, as the collapse is, and
+linear per word in the length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, getitem, itemgetter
+from operator import getitem
 from typing import NamedTuple, Union
 
 from .automata import Nfa
@@ -185,8 +185,15 @@ class _Form(NamedTuple):
     final: set
 
 
-def _lift(r: Rel) -> _Form:
-    return _Form(UNIT, {(x, STAR, y, STAR) for x, y in r.pairs}, {STAR}, {STAR})
+def _leaf(d: Diagram) -> Rel:
+    """The relation of a box, identity or swap."""
+    match d:
+        case Box(rel=r):
+            return r
+        case Id(o=o):
+            return identity(o)
+        case Swap(a=a, b=b):
+            return swap_rel(a, b)
 
 
 def _pair_states(a: _Form, b: _Form):
@@ -229,12 +236,6 @@ def _collapse(d: Diagram) -> _Form:
     take = forms.pop if len(order) == 1 + sum(len(n.children) for n in order) else forms.get
     for node in order:
         match node:
-            case Box(rel=r):
-                form = _lift(r)
-            case Id(o=o):
-                form = _lift(identity(o))
-            case Swap(a=a, b=b):
-                form = _lift(swap_rel(a, b))
             case Seq(first=f, second=s):
                 tf, ts = take(id(f)), take(id(s))
                 states, pair, initial, final = _pair_states(tf, ts)
@@ -258,6 +259,8 @@ def _collapse(d: Diagram) -> _Form:
                 form = _Form(states, rows,
                              {spair(p, q) for p in tb.initial for q in i or ()},
                              {spair(p, q) for p in tb.final for q in f or ()})
+            case _:  # a box, identity or swap
+                form = _Form(UNIT, {(x, STAR, y, STAR) for x, y in _leaf(node).pairs}, {STAR}, {STAR})
         forms[id(node)] = form
     return forms[id(d)]
 
@@ -301,112 +304,68 @@ def z_normal_form(d: Diagram) -> ZTransducer:
 # ---------------------------------------------------------------------------
 # Bounded evaluation, independent of the normal form.
 
-WordRel = set[tuple[tuple, tuple]]
-_LAST, _FRONT = itemgetter(-1), itemgetter(slice(None, -1))
-
-
-def _join(left, right) -> set:
-    """Pairs (x, z) with (x, m) in ``left`` and (m, z) in ``right``."""
-    by_mid: dict = {}
-    for m, z in right:
-        by_mid.setdefault(m, []).append(z)
-    return {(x, z) for x, m in left for z in by_mid.get(m, ())}
-
-
-def _one_letter(d: Diagram, letters: dict) -> set:
-    """The one-letter relation of a term with no loop, from its children's."""
-    match d:
-        case Box(rel=r):
-            return r.pairs
-        case Id(o=o):
-            return identity(o).pairs
-        case Swap(a=a, b=b):
-            return swap_rel(a, b).pairs
-        case Seq(first=f, second=s):
-            return _join(letters[id(f)], letters[id(s)])
-        case Par(left=l, right=r):
-            return {(x1 + x2, y1 + y2) for x1, y1 in letters[id(l)] for x2, y2 in letters[id(r)]}
-
-
-def _chain(t: Diagram, letters: dict):
-    """How a letterwise node or a loop over a letterwise body extends its
-    words by one letter, or ``None`` for any other node: for each key, the
-    letter pairs it reads by the key they lead to; the keys that end a
-    related word; and the words of length 0 by key.  A letterwise node has
-    the one key ``None``; a loop's keys are the letters of its wire, and a
-    word's key is its last fed-back output letter, or the initial label."""
-    if not t.feedback:
-        return {None: {None: letters[id(t)]}}, (None,), {None: {((), ())}}
-    if not isinstance(t, Feedback) or t.body.feedback:
-        return None
+def _table(node: Diagram, *tables: tuple) -> tuple:
+    """How a node extends its words by one letter, from its children's
+    tables: per key, the letter pairs (x, y) of flat tuples that it reads,
+    by the key they lead to; its initial keys; and its final keys.  A leaf
+    has the one key ``()``.  A ``Seq`` or ``Par`` concatenates its operands'
+    keys, one to one, since every key of a node is as long as the node has
+    loops.  A loop appends a fed-back letter to its body's key: it reads a
+    body pair whose input ends in that letter, and moves to the letter its
+    output ends in."""
+    if not node.children:
+        return {(): {(): _leaf(node).pairs}}, {()}, {()}
     steps: dict = {}
-    for x, y in letters[id(t.body)]:
-        steps.setdefault(x[-1], {}).setdefault(y[-1], []).append((x[:-1], y[:-1]))
-    return steps, t.final, {q: {((), ())} for q in t.initial}
+    if isinstance(node, Feedback):
+        (body, initial, final), = tables
+        for q, row in body.items():
+            for q2, pairs in row.items():
+                for x, y in pairs:
+                    steps.setdefault(q + x[-1:], {}).setdefault(q2 + y[-1:], set()).add((x[:-1], y[:-1]))
+        return steps, {q + (a,) for q in initial for a in node.initial}, \
+            {q + (a,) for q in final for a in node.final}
+    (s1, i1, f1), (s2, i2, f2) = tables
+    if isinstance(node, Seq):
+        after: dict = {}
+        for p, row in s2.items():
+            for p2, pairs in row.items():
+                for m, z in pairs:
+                    after.setdefault(p, {}).setdefault(m, []).append((p2, z))
+        for q, row in s1.items():
+            for p, by_mid in after.items():
+                out = steps.setdefault(q + p, {})
+                for q2, pairs in row.items():
+                    for x, m in pairs:
+                        for p2, z in by_mid.get(m, ()):
+                            out.setdefault(q2 + p2, set()).add((x, z))
+    else:
+        steps = {q + p: {q2 + p2: {(x1 + x2, y1 + y2) for x1, y1 in l1 for x2, y2 in l2}
+                         for q2, l1 in r1.items() for p2, l2 in r2.items()}
+                 for q, r1 in s1.items() for p, r2 in s2.items()}
+    return steps, {q + p for q in i1 for p in i2}, {q + p for q in f1 for p in f2}
 
 
 def _denote(d: Diagram, n: int):
     """Yield the term's relation at each word length 0..n; a word is a tuple
-    of flat tuples.  Each node is evaluated once per length, keyed by
-    ``id``, and only the previous length of a node that extends from it
-    is kept:
-
-    - a node with no loop is letterwise: its length-k relation is its
-      one-letter relation repeated k times, extended from length k − 1;
-    - a loop over a letterwise body extends the words whose fed-back
-      input letters chain: the first is in ``initial``, each next one is
-      the previous fed-back output letter.  A word is related when its
-      last fed-back output letter, or at length 0 the initial one, is in
-      ``final``: the shift condition, read prefix by prefix;
-    - a loop over a body with loops keeps the body's word pairs whose fed-back
-      letters u (input) and t (output) lie in the transposed shift: u[0] in
-      ``initial``, u[j + 1] = t[j] and t[-1] in ``final``, or at length 0 a
-      label in both; a ``Seq`` or ``Par`` with loops joins its children's.
-    """
-    order = _post_order(d)
-    letters: dict[int, set] = {}
-    for node in order:
-        if not node.feedback:
-            letters[id(node)] = _one_letter(node, letters)
-    # the nodes whose words are evaluated: the term, and the operands of a
-    # node with loops, except a letterwise loop body
-    needed = {id(d)}
-    for node in reversed(order):
-        if id(node) in needed and node.feedback:
-            needed.update(id(c) for c in node.children
-                          if c.feedback or not isinstance(node, Feedback))
-    evaluated = [node for node in order if id(node) in needed]
-    # each extending node's steps, final keys and words at the previous length
-    chains = {id(node): c for node in evaluated if (c := _chain(node, letters)) is not None}
+    of flat tuples.  The words of each length are kept by the key they
+    reach in the term's step table, from its initial keys with the empty
+    word pair, and extended by one letter pair for the next length; those
+    at a final key are related.  At a loop this reads the shift condition
+    prefix by prefix."""
+    tables: dict[int, tuple] = {}
+    for node in _post_order(d):
+        tables[id(node)] = _table(node, *[tables[id(c)] for c in node.children])
+    steps, initial, final = tables[id(d)]
+    words = {q: {((), ())} for q in initial}
     for k in range(n + 1):
-        value: dict[int, WordRel] = {}
-        for node in evaluated:
-            key = id(node)
-            if key in chains:
-                steps, final, words = chains[key]
-                if k:
-                    grown: dict = {}
-                    for q, ws in words.items():
-                        for q2, pairs in steps.get(q, {}).items():
-                            grown.setdefault(q2, set()).update(
-                                {(w + (x,), v + (y,)) for w, v in ws for x, y in pairs})
-                    chains[key] = steps, final, grown
-                    words = grown
-                ends = [words[q] for q in final if q in words]
-                rel = ends[0] if len(ends) == 1 else set().union(*ends)
-            elif isinstance(node, Feedback):
-                i, f, body = node.initial, node.final, value[id(node.body)]
-                rel = {(tuple(map(_FRONT, win)), tuple(map(_FRONT, wout))) for win, wout in body
-                       if win[0][-1] in i and wout[-1][-1] in f
-                       and [*map(_LAST, win[1:])] == [*map(_LAST, wout[:-1])]} if k else \
-                    body if i & f else set()
-            elif isinstance(node, Seq):
-                rel = _join(value[id(node.first)], value[id(node.second)])
-            else:
-                rel = {(tuple(map(add, w1, w2)), tuple(map(add, v1, v2)))
-                       for w1, v1 in value[id(node.left)] for w2, v2 in value[id(node.right)]}
-            value[key] = rel
-        yield value[id(d)]
+        if k:
+            grown: dict = {}
+            for q, ws in words.items():
+                for q2, pairs in steps.get(q, {}).items():
+                    grown.setdefault(q2, set()).update({(w + (x,), v + (y,)) for w, v in ws for x, y in pairs})
+            words = grown
+        ends = [words[q] for q in final if q in words]
+        yield ends[0] if len(ends) == 1 else set().union(*ends)
 
 
 def loop_term(t: Transducer) -> Feedback:
@@ -420,10 +379,11 @@ def loop_term(t: Transducer) -> Feedback:
 
 
 def denotation_upto(d: Diagram, n: int) -> UniformRelationSample:
-    """Evaluate the term constructor by constructor at each length ≤ n,
-    independently of its normal form: each node once per length, letterwise
-    nodes and loops over letterwise bodies extended from the length before
-    (``_denote``)."""
+    """The term's sample at each length ≤ n, independently of its normal
+    form: its words extended one letter per length (``_denote``).  The step
+    tables hold every key, and keys multiply like the normal form's states,
+    so the cost is exponential in the number of loops, as ``normal_form``'s
+    is, and linear per word in the length."""
     _check_loops(d, True)
     dom, cod = d.dom, d.cod
     x, y = tuple_namer(dom), tuple_namer(cod)

@@ -116,23 +116,18 @@ def is_language_pruned(p: Presentation) -> bool:
 is_right_resolving = is_deterministic
 
 
-def _rooted(p: Presentation, table: list[list[int]], succ: list[int], r: str) -> bool:
-    """``is_root`` over the ``successor_table`` and successor masks of ``p``,
-    which every candidate shares: the follow language first, then the reach walk."""
-    full, start = _full(p), 1 << p.states.index(r)
-    return same_words(table, start, full, table, full, full) and reach_mask(succ, start) == full
-
-
-def is_root(p: Presentation, r: str) -> bool:
-    """A root reaches every state and every accepted word runs from it."""
-    return _rooted(p, successor_table(p), edge_masks(p)[0], r)
-
-
 def find_root(p: Presentation) -> str | None:
-    table, succ = successor_table(p), edge_masks(p)[0]
-    if p.root is not None and _rooted(p, table, succ, p.root):
+    """A root, ``p.root`` first: a state that reaches every state and from
+    which every accepted word runs."""
+    table, succ, full = successor_table(p), edge_masks(p)[0], _full(p)
+
+    def rooted(r: str) -> bool:
+        start = 1 << p.states.index(r)
+        return same_words(table, start, full, table, full, full) and reach_mask(succ, start) == full
+
+    if p.root is not None and rooted(p.root):
         return p.root
-    return next((r for r in p.states.elements if _rooted(p, table, succ, r)), None)
+    return next(filter(rooted, p.states.elements), None)
 
 
 def _subset_presentation(p: Presentation) -> tuple[Presentation, dict, dict[int, str]]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from relmach import io
-from relmach.automata import Dfa, Nfa, bits, determinize, iso_check, mask_of, minimize, nfa, nfa_equiv, \
-    prune_language, subset_namer
+from relmach.automata import Dfa, Nfa, bits, determinize, edge_masks, iso_check, mask_of, minimize, nfa, \
+    nfa_equiv, prune_language, reach_mask, same_words, subset_namer, successor_table
 from relmach.diagram import Box, Diagram, Feedback, Id, Par, Seq, acceptors
 from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Pair, Rel, TypeMismatch, \
     is_unit, obj, pack_obj, pair_symbol, tuple_namer
@@ -320,6 +320,13 @@ def presentations_equiv(p1: Presentation, p2: Presentation) -> bool:
     """Whether two presentations present the same sofic subshift: whether
     their factor languages are equal."""
     return nfa_equiv(factor_language(p1), factor_language(p2))
+
+
+def is_root(p: Presentation, r: str) -> bool:
+    """A root reaches every state and every accepted word runs from it."""
+    full, start = (1 << len(p.states)) - 1, 1 << p.states.index(r)
+    table = successor_table(p)
+    return same_words(table, start, full, table, full, full) and reach_mask(edge_masks(p)[0], start) == full
 
 
 def load_file(path):

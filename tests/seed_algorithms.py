@@ -132,9 +132,9 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import getitem
 
-from helpers import backward_edges, compose, compose_transducers, dfa, forward_edges, lift_transducer, \
-    pack_rel, pack_tuple, product, product_alphabet, product_transducers, reachable, subset_as_copoint, \
-    subset_as_point, subset_name, trans_rel, triples, type_of
+from helpers import backward_edges, compose, compose_transducers, dfa, forward_edges, is_root, \
+    lift_transducer, pack_rel, pack_tuple, product, product_alphabet, product_transducers, reachable, \
+    subset_as_copoint, subset_as_point, subset_name, trans_rel, triples, type_of
 from relmach import automata, diagram, io
 from relmach.automata import EMPTY_DFA_STATES, Dfa, Nfa, empty_dfa, nfa
 from relmach.cli import length
@@ -144,8 +144,8 @@ from relmach.relcore import UNIT, UNIT_OBJ, Alphabet, MachineError, Obj, Rel, Ty
     trusted
 from relmach.simulation import BACKWARD, FORWARD, TWO_SIDED, SimCertificate, SimReport, \
     certificate_for_determinization, certificate_for_minimization
-from relmach.sofic import Presentation, ZTransducer, find_root, is_right_resolving, is_root, \
-    presentation, ztransducer
+from relmach.sofic import Presentation, ZTransducer, find_root, is_right_resolving, presentation, \
+    ztransducer
 from relmach.transducer import Transducer, UniformRelationSample, Word, transducer
 
 Triple = tuple[str, str, str]  # (state, letter, next state)

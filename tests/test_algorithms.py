@@ -16,14 +16,14 @@ from hypothesis import given, strategies as st
 
 import seed_algorithms as seed
 from genrand import one_transition_mutant, random_dfa, renamed_copy
-from helpers import backward_edges, dfa, forward_edges, reachable, triples
+from helpers import backward_edges, dfa, forward_edges, is_root, reachable, triples
 from relmach import io
 from relmach.automata import accessible, bits, column_image, determinize, edge_masks, image_row, iso_check, \
     long_path_mask, mask_of, minimize, next_table, nfa, prune_language, reach_mask, refine, successor_table
 from relmach.relcore import Alphabet, MachineError, Rel, obj
 from relmach.simulation import MODES, SimCertificate, check_inf
 from relmach.sofic import backward_prune, determinize_presentation, find_root, forward_prune, \
-    is_root, minimize_presentation, periodic_membership, presentation, prune
+    minimize_presentation, periodic_membership, presentation, prune
 
 LETTERS = ("a", "b", "c")
 

@@ -172,6 +172,14 @@ def test_deep_terms_are_typed_without_recursion():
     assert payload["node"] == "box"
     dot = to_dot(term)
     assert dot.count(" [label=") == 10001 and dot.endswith("  n0 -> n2;\n}\n")
+    # and evaluates, also before a loop: 5001 swaps are one swap, 5000 are
+    # the identity
+    assert interpret_upto(term, 3) == interpret_upto(Box(SWAP_REL), 3)
+    loop = Feedback(W, frozenset(W.elements), frozenset(W.elements), Box(DELAY))
+    looped = loop
+    for _ in range(5000):
+        looped = Seq(Box(SWAP_REL), looped)
+    assert interpret_upto(looped, 3) == interpret_upto(loop, 3)
 
 
 def test_diagram_dot_bytes():
@@ -567,6 +575,12 @@ REGISTER = rel(obj(IO, W, W), obj(IO, W, W), {
     ((x, p, q), ("a" if p == "s0" else "b", q if x == "a" else flip, p))
     for x in IO.elements for p in W.elements for q, flip in zip(W.elements, W.elements[::-1])})
 
+# Over A × W: the output tells the state, and the next state is s0 on input
+# a and s1 on input b.
+DELAY = rel(obj(A, W), obj(A, W), {
+    ((x, s), ("a" if s == "s0" else "b", "s0" if x == "a" else "s1"))
+    for x in A.elements for s in W.elements})
+
 
 def test_loop_around_a_looped_body_at_lengths_0_to_4():
     # the outer loop's fed-back words are checked pair by pair: its first
@@ -579,6 +593,16 @@ def test_loop_around_a_looped_body_at_lengths_0_to_4():
         pairs = denotation_upto(d, 4).pairs
         assert (((), ()) in pairs) == bool(initial & final)
         assert {len(w) for w, _ in pairs} >= {2, 3, 4}
+
+
+def test_loop_around_a_looped_body_at_length_12():
+    # each length extends the words of the one before by a letter, so the
+    # evaluator's work grows with the sample, not with the body's 8^12 pairs
+    inner = Feedback(W, frozenset({"s0"}), frozenset({"s0"}), Box(REGISTER))
+    d = Feedback(W, frozenset({"s1"}), frozenset({"s0", "s1"}), inner)
+    got = denotation_upto(d, 12)
+    assert got == behavior_upto(normal_form(d), 12)
+    assert len(got.pairs) == 4095
 
 
 def test_denotation_of_a_term_that_holds_one_subterm_twice():
